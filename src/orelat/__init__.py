@@ -7,7 +7,6 @@ theory, and certify primitivity by chaining structural reduction rules.
 
 from .errors import (
     CapExceeded,
-    ClaimMismatch,
     DegreeMismatch,
     ElementOutsideGroup,
     InvalidParameters,

@@ -71,11 +71,3 @@ class NotAnInteger(OrelatError):
 
 class OreViolation(OrelatError):
     """No generating coset exists for a distributive interval; signals a bug."""
-
-
-class ClaimMismatch(OrelatError):
-    """A reproduction suite disagreed with its recorded fixture."""
-
-    def __init__(self, message: str, diff=None):
-        super().__init__(message)
-        self.diff = diff if diff is not None else []

@@ -48,15 +48,7 @@ class FiniteLattice:
         covers = lt & ~(lt @ lt)
         covers.flags.writeable = False
         self.covers = covers
-        # Bitmask per element of its down-set / up-set, for fast subset logic.
-        packed_cols = np.packbits(leq, axis=0, bitorder="little")
-        packed_rows = np.packbits(leq, axis=1, bitorder="little")
-        self._down = tuple(
-            int.from_bytes(packed_cols[:, x].tobytes(), "little") for x in range(self.n)
-        )
-        self._up = tuple(
-            int.from_bytes(packed_rows[x, :].tobytes(), "little") for x in range(self.n)
-        )
+        self._down, self._up = _order_masks(leq)
         ranks = np.zeros(self.n, dtype=np.int64)
         for x in _linear_extension(leq):
             below = np.flatnonzero(covers[:, x])
@@ -87,12 +79,14 @@ class FiniteLattice:
         return f"FiniteLattice(n={self.n})"
 
 
-def _mask_from_bools(col) -> int:
-    mask = 0
-    for i, flag in enumerate(col):
-        if flag:
-            mask |= 1 << i
-    return mask
+def _order_masks(leq: np.ndarray) -> tuple:
+    """Bitmask per element of its down-set and of its up-set, for fast subset logic."""
+    n = leq.shape[0]
+    packed_cols = np.packbits(leq, axis=0, bitorder="little")
+    packed_rows = np.packbits(leq, axis=1, bitorder="little")
+    down = tuple(int.from_bytes(packed_cols[:, x].tobytes(), "little") for x in range(n))
+    up = tuple(int.from_bytes(packed_rows[x, :].tobytes(), "little") for x in range(n))
+    return down, up
 
 
 def _linear_extension(leq: np.ndarray) -> list:
@@ -125,8 +119,7 @@ def build_lattice(leq) -> FiniteLattice:
     if (closure & ~mat).any():
         raise NotAPartialOrder("relation is not transitive")
 
-    down = [_mask_from_bools(mat[:, x]) for x in range(n)]
-    up = [_mask_from_bools(mat[x, :]) for x in range(n)]
+    down, up = _order_masks(mat)
     meet = np.zeros((n, n), dtype=np.int32)
     join = np.zeros((n, n), dtype=np.int32)
     for a in range(n):
@@ -258,14 +251,12 @@ def interval(lat: FiniteLattice, a: int, b: int) -> FiniteLattice:
 
 def top_interval(lat: FiniteLattice) -> FiniteLattice:
     """[t, top] with t the meet of all coatoms."""
-    t = reduce(lambda u, v: int(lat.meet[u, v]), coatoms(lat), lat.top)
-    return interval(lat, t, lat.top)
+    return interval(lat, top_interval_base(lat), lat.top)
 
 
 def bottom_interval(lat: FiniteLattice) -> FiniteLattice:
     """[bottom, b] with b the join of all atoms."""
-    b = reduce(lambda u, v: int(lat.join[u, v]), atoms(lat), lat.bottom)
-    return interval(lat, lat.bottom, b)
+    return interval(lat, lat.bottom, bottom_interval_join(lat))
 
 
 def top_interval_base(lat: FiniteLattice) -> int:

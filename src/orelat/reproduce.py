@@ -120,12 +120,16 @@ def run_rank2_table() -> tuple:
     loc = fixture["paper_location"]
     limit = fixture["limit"]
     rows = cf.rank2_index_table(limit)
+    violations = [
+        {"where": where, "quadruple": list(quad)}
+        for quad, where in rows if not cf.census_pattern_holds(quad)
+    ]
     quads = sorted({quad for quad, _ in rows})
     exceptional = sorted({quad for quad, _ in rows if quad[0] != quad[2]})
     expected_exceptions = sorted(tuple(q) for q in fixture["exception_quadruples"])
     found_needed = [q for q in expected_exceptions if q in exceptional]
     claims = [
-        _claim("pattern-holds", loc, True, True),
+        _claim("pattern-holds", loc, True, not violations),
         _claim("exceptions-are-psl-intervals", loc, expected_exceptions, exceptional),
         _claim("both-exceptions-realized", loc, expected_exceptions, found_needed),
     ]
@@ -135,6 +139,8 @@ def run_rank2_table() -> tuple:
         "distinct_quadruples": [list(q) for q in quads],
         "exceptional_quadruples": [list(q) for q in exceptional],
     }
+    if violations:
+        results["pattern_violations"] = violations
     return results, claims
 
 
@@ -160,7 +166,7 @@ def run_totient_formulas() -> tuple:
                     direct = tt.dual_totient(model)
                     if direct != tt.closed_form_p_n_q(p, q, n, m):
                         mismatches.append(["pnq", p, q, n, m])
-                    for co in lat.coatoms(model.lattice):
+                    for co in model.coatoms():
                         if tt.dual_totient_coatom_split(model, co) != direct:
                             split_mismatches.append([p, q, n, m, co])
     for p in (2, 3):

@@ -1,15 +1,18 @@
 """Euler totient and dual Euler totient of indexed intervals.
 
 All arithmetic is exact (Python integers and fractions); the alternating
-sums cancel catastrophically in floating point.  Synthetic boolean index
-models are first-class inputs so the closed formulas can be exercised
-without building any group.
+sums cancel catastrophically in floating point.  A boolean interval is a
+label vector indexed by atom bitmask (`BooleanInterval`); synthetic index
+models are built in that form directly, so the closed formulas can be
+exercised without building any group or lattice.  `IndexedInterval` over a
+matrix lattice serves the graded intervals that are not boolean.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import prod
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -18,6 +21,7 @@ from .errors import (
     InvalidParameters,
     NotACoatom,
     NotBoolean,
+    NotComparable,
     NotDistributive,
     NotGraded,
     SplitConditionFails,
@@ -67,20 +71,131 @@ class IndexedInterval:
         return f"IndexedInterval(n={self.lattice.n}, index={self.total_index})"
 
 
+class BooleanInterval:
+    """A boolean interval of rank n as a label vector indexed by atom bitmask.
+
+    Mask s stands for the join of the atoms whose bits are set: 0 is the
+    bottom, 2**n - 1 the top, the rank of s is its popcount and the covers
+    are s -> s | bit.  The labels obey the rules of `IndexedInterval`, which
+    are checked once here.  `ids` holds, for an interval converted from a
+    concrete lattice and for its sub-intervals, the source element id of
+    every mask; it is None when the masks are the ids themselves.
+    """
+
+    __slots__ = ("n", "idx", "ids")
+
+    def __init__(self, n: int, labels: Sequence[int], ids: Optional[Sequence[int]] = None):
+        idx = tuple(int(v) for v in labels)
+        if n < 0 or len(idx) != 1 << n:
+            raise InvalidParameters("one label per atom bitmask is required")
+        if idx[-1] != 1:
+            raise InvalidParameters("the top element must have label 1")
+        if any(v <= 0 for v in idx):
+            raise InvalidParameters("labels must be positive")
+        top = len(idx) - 1
+        for s, v in enumerate(idx):
+            rest = top & ~s
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                w = idx[s | bit]
+                if v % w or v == w:
+                    raise InvalidParameters("labels must strictly divide downward along covers")
+        self._set(n, idx, ids)
+
+    def _set(self, n: int, idx: tuple, ids) -> None:
+        self.n = n
+        self.idx = idx
+        self.ids = None if ids is None else tuple(ids)
+
+    @property
+    def lattice(self) -> lat.FiniteLattice:
+        """The subset lattice of rank n; its element ids are the masks."""
+        return lat.subset_lattice(self.n)
+
+    @property
+    def top(self) -> int:
+        return len(self.idx) - 1
+
+    @property
+    def total_index(self) -> int:
+        return self.idx[0]
+
+    def edge_index(self, x: int, y: int) -> int:
+        """Relative index across the cover x -> y."""
+        assert x & ~y == 0 and (x ^ y).bit_count() == 1
+        return self.idx[x] // self.idx[y]
+
+    def below_index(self, x: int) -> int:
+        """Relative index of x over the bottom element."""
+        return self.idx[0] // self.idx[x]
+
+    def element(self, mask: int) -> int:
+        """The source element id of a mask."""
+        return mask if self.ids is None else self.ids[mask]
+
+    def atoms(self) -> list:
+        """Atom masks in the source lattice's element order."""
+        return sorted((1 << i for i in range(self.n)), key=self.element)
+
+    def coatoms(self) -> list:
+        """Coatom masks in the source lattice's element order."""
+        top = self.top
+        return sorted((top ^ (1 << i) for i in range(self.n)), key=self.element)
+
+    def sub(self, a: int, b: int) -> BooleanInterval:
+        """[a, b] on the bits of b & ~a, in order, relabelled relative to b."""
+        if a & ~b:
+            raise NotComparable(f"{a} is not below {b}")
+        masks = [a]
+        free = b & ~a
+        while free:
+            bit = free & -free
+            free ^= bit
+            masks += [m | bit for m in masks]
+        idx = self.idx
+        base = idx[b]
+        ids = None if self.ids is None else [self.ids[m] for m in masks]
+        # A sub-interval of validated labels is valid: skip the checks.
+        sub = BooleanInterval.__new__(BooleanInterval)
+        sub._set((b & ~a).bit_count(), tuple(idx[m] // base for m in masks), ids)
+        return sub
+
+    def __repr__(self) -> str:
+        return f"BooleanInterval(n={self.n}, index={self.total_index})"
+
+
 def from_group_interval(interval: GroupInterval) -> IndexedInterval:
     return IndexedInterval(interval.lattice, interval.index_of)
 
 
-def sub_model(model: IndexedInterval, a: int, b: int) -> IndexedInterval:
-    """The interval [a, b] relabelled relative to its own top b."""
-    ids = lat.members_between(model.lattice, a, b)
-    sub = lat.interval(model.lattice, a, b)
+def boolean_between(model: Union[IndexedInterval, BooleanInterval], a: int, b: int) -> BooleanInterval:
+    """The interval [a, b] of a concrete model as labels relative to b.
+
+    The atoms of [a, b], in ascending element id, become the bits, and each
+    mask is mapped to the join of its atoms through the join table.  Raises
+    NotBoolean unless that map is a bijection onto [a, b], which holds
+    exactly when the interval is boolean.
+    """
+    lattice = model.lattice
+    members = lat.members_between(lattice, a, b)
+    atoms = [x for x in members if lattice.covers[a, x]]
+    if len(members) != 1 << len(atoms):
+        raise NotBoolean("operation requires a boolean interval")
+    elems = [a]
+    for x in atoms:
+        elems += [int(lattice.join[e, x]) for e in elems]
+    if sorted(elems) != members:
+        raise NotBoolean("operation requires a boolean interval")
     base = model.idx[b]
-    labels = []
-    for x in ids:
-        assert model.idx[x] % base == 0
-        labels.append(model.idx[x] // base)
-    return IndexedInterval(sub, labels)
+    return BooleanInterval(len(atoms), [model.idx[e] // base for e in elems], elems)
+
+
+def to_boolean(model: Union[IndexedInterval, BooleanInterval]) -> BooleanInterval:
+    """A model as a label vector; a concrete model must be boolean."""
+    if isinstance(model, BooleanInterval):
+        return model
+    return boolean_between(model, model.lattice.bottom, model.lattice.top)
 
 
 def _require_graded(model: IndexedInterval) -> tuple:
@@ -89,26 +204,35 @@ def _require_graded(model: IndexedInterval) -> tuple:
     return model.lattice.ranks()
 
 
-def dual_totient(model: IndexedInterval) -> int:
+def dual_totient(model: Union[IndexedInterval, BooleanInterval]) -> int:
     """Alternating sum of labels, sign by rank above the bottom."""
+    if isinstance(model, BooleanInterval):
+        return sum(-v if s.bit_count() & 1 else v for s, v in enumerate(model.idx))
     ranks = _require_graded(model)
     return sum(
         (-1) ** ranks[x] * model.idx[x] for x in range(model.lattice.n)
     )
 
 
-def euler_totient(model: IndexedInterval) -> int:
+def euler_totient(model: Union[IndexedInterval, BooleanInterval]) -> int:
     """Alternating sum of indices over the bottom, sign by corank."""
+    total = model.total_index
+    if isinstance(model, BooleanInterval):
+        n = model.n
+        return sum(
+            -(total // v) if (n - s.bit_count()) & 1 else total // v
+            for s, v in enumerate(model.idx)
+        )
     ranks = _require_graded(model)
     height = model.lattice.height()
-    total = 0
+    result = 0
     for x in range(model.lattice.n):
-        assert model.total_index % model.idx[x] == 0
-        total += (-1) ** (height - ranks[x]) * (model.total_index // model.idx[x])
-    return total
+        assert total % model.idx[x] == 0
+        result += (-1) ** (height - ranks[x]) * (total // model.idx[x])
+    return result
 
 
-def euler_totient_distributive(model: IndexedInterval) -> int:
+def euler_totient_distributive(model: Union[IndexedInterval, BooleanInterval]) -> int:
     """Totient of a distributive interval via its boolean top interval.
 
     Equals the direct sum when the interval is boolean, and counts the
@@ -118,15 +242,15 @@ def euler_totient_distributive(model: IndexedInterval) -> int:
         raise NotDistributive("the top-interval extension needs a distributive lattice")
     t = lat.top_interval_base(model.lattice)
     factor = model.total_index // model.idx[t]
-    return factor * euler_totient(sub_model(model, t, model.lattice.top))
+    return factor * euler_totient(boolean_between(model, t, model.lattice.top))
 
 
-def dual_totient_distributive(model: IndexedInterval) -> int:
+def dual_totient_distributive(model: Union[IndexedInterval, BooleanInterval]) -> int:
     """Dual totient of a distributive interval via its boolean bottom interval."""
     if not lat.is_distributive(model.lattice):
         raise NotDistributive("the bottom-interval extension needs a distributive lattice")
     b = lat.bottom_interval_join(model.lattice)
-    return model.idx[b] * dual_totient(sub_model(model, model.lattice.bottom, b))
+    return model.idx[b] * dual_totient(boolean_between(model, model.lattice.bottom, b))
 
 
 def closed_form_p_n(p: int, n: int) -> int:
@@ -139,7 +263,7 @@ def closed_form_p_n(p: int, n: int) -> int:
 def closed_form_p_n_q(p: int, q: int, n: int, m: int) -> int:
     """Dual totient at rank n when every maximal chain has type (p, ..., p, q).
 
-    `m` counts the coatoms whose index over the top... relative index q; the
+    `m` counts the coatoms L of relative index q, i.e. with |G : L| = q; the
     value is (p-1)^n * [1 + ((q-p)/p) (1 - 1/(1-p)^m)], always a positive
     integer at least (p-1)^n.
     """
@@ -163,52 +287,49 @@ def closed_form_p_n_p2(p: int, n: int, m: int) -> int:
     return result
 
 
-def _require_boolean(model: IndexedInterval) -> None:
-    if not lat.is_boolean(model.lattice):
-        raise NotBoolean("operation requires a boolean interval")
-
-
-def dual_totient_coatom_split(model: IndexedInterval, coatom: int) -> int:
+def dual_totient_coatom_split(model: Union[IndexedInterval, BooleanInterval], coatom: int) -> int:
     """Recursion phihat(H,G) = q phihat(H,L) - phihat(A,G) for a coatom L.
 
     q is the relative index of the top over L and A the complement of L.
-    Agrees with the direct sum on every boolean model.
+    `coatom` is an element id of `model`, which for a label vector is a
+    mask.  Agrees with the direct sum on every boolean model.
     """
-    _require_boolean(model)
-    top = model.lattice.top
-    if not model.lattice.covers[coatom, top]:
+    boolean = to_boolean(model)
+    mask = coatom
+    if boolean is not model:
+        mask = boolean.ids.index(coatom) if coatom in boolean.ids else -1
+    top = boolean.top
+    if not 0 <= mask < top or (top ^ mask).bit_count() != 1:
         raise NotACoatom(f"element {coatom} is not a coatom")
-    q = model.idx[coatom]
-    a = lat.complement(model.lattice, coatom)
-    lower = sub_model(model, model.lattice.bottom, coatom)
-    upper = sub_model(model, a, top)
+    q = boolean.idx[mask]
+    lower = boolean.sub(0, mask)
+    upper = boolean.sub(top ^ mask, top)
     return q * dual_totient(lower) - dual_totient(upper)
 
 
-def dual_totient_allsplit(model: IndexedInterval) -> int:
+def dual_totient_allsplit(model: Union[IndexedInterval, BooleanInterval]) -> int:
     """Product formula over atoms, valid under the all-split condition.
 
     The condition: for every atom A and every K in [H, complement(A)], the
     edge K -> K v A has the same index as A over the bottom.
     """
-    _require_boolean(model)
-    lattice = model.lattice
-    bottom = lattice.bottom
+    boolean = to_boolean(model)
+    idx = boolean.idx
     product = 1
-    for a in lat.atoms(lattice):
-        v = model.below_index(a)
-        ca = lat.complement(lattice, a)
-        for k in lat.members_between(lattice, bottom, ca):
-            kva = int(lattice.join[k, a])
-            if model.idx[k] // model.idx[kva] != v:
+    for a in boolean.atoms():
+        v = boolean.below_index(a)
+        # source element order, so the reported edge is the first one there
+        for k in sorted((k for k in range(len(idx)) if not k & a), key=boolean.element):
+            edge = idx[k] // idx[k | a]
+            if edge != v:
                 raise SplitConditionFails(
-                    f"atom {a}: edge over {k} has index {model.idx[k] // model.idx[kva]} != {v}"
+                    f"atom {boolean.element(a)}: edge over {boolean.element(k)} has index {edge} != {v}"
                 )
         product *= v - 1
     return product
 
 
-def boolean_index_model(p: int, n: int, specials: Sequence = ()) -> IndexedInterval:
+def boolean_index_model(p: int, n: int, specials: Sequence = ()) -> BooleanInterval:
     """A boolean rank-n model whose chains have type (p, ..., p, q1, ..., qk).
 
     `specials` is a sequence of (q, block_size) pairs assigned to disjoint
@@ -224,30 +345,23 @@ def boolean_index_model(p: int, n: int, specials: Sequence = ()) -> IndexedInter
     for q, size in specials:
         if q < 2 or size < 1:
             raise InvalidParameters("special blocks need q >= 2 and size >= 1")
-        blocks.append((int(q), frozenset(range(start, start + size))))
+        blocks.append((int(q), ((1 << size) - 1) << start))
         start += size
     if start > n:
         raise InvalidParameters("special blocks exceed the number of atoms")
-    lattice = lat.subset_lattice(n)
     labels = []
     for s in range(1 << n):
-        missing = n - bin(s).count("1")
-        value = 1
-        incomplete = 0
-        for q, block in blocks:
-            if any(not (s >> b) & 1 for b in block):
-                value *= q
-                incomplete += 1
-        labels.append(p ** (missing - incomplete) * value)
-    return IndexedInterval(lattice, labels)
+        incomplete = [q for q, block in blocks if block & ~s]
+        labels.append(p ** (n - s.bit_count() - len(incomplete)) * prod(incomplete))
+    return BooleanInterval(n, labels)
 
 
-def uniform_model(p: int, n: int) -> IndexedInterval:
+def uniform_model(p: int, n: int) -> BooleanInterval:
     """Boolean rank-n model with every cover of index p."""
     return boolean_index_model(p, n)
 
 
-def pq_model(p: int, q: int, n: int, m: int) -> IndexedInterval:
+def pq_model(p: int, q: int, n: int, m: int) -> BooleanInterval:
     """Boolean rank-n model, all chains of type (p, ..., p, q), m coatoms of index q."""
     if not (0 <= m <= n):
         raise InvalidParameters("need 0 <= m <= n")
@@ -256,7 +370,7 @@ def pq_model(p: int, q: int, n: int, m: int) -> IndexedInterval:
     return boolean_index_model(p, n, [(q, m)])
 
 
-def allsplit_model(values: Sequence[int]) -> IndexedInterval:
+def allsplit_model(values: Sequence[int]) -> BooleanInterval:
     """Fully multiplicative model: atom i contributes factor values[i]."""
     vals = [int(v) for v in values]
     if any(v < 2 for v in vals):

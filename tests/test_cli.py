@@ -158,3 +158,16 @@ class TestReproduce:
         code, out = run(capsys, "reproduce", "factor-list", "--format", "table")
         assert code == 0
         assert "[pass]" in out and "overall: pass" in out
+
+    def test_rank2_census_violation_fails_the_claim(self, capsys, monkeypatch):
+        from orelat import certifier
+
+        monkeypatch.setattr(certifier, "census_pattern_holds", lambda quad: quad != (7, 7, 4, 4))
+        code, report = run_json(capsys, "reproduce", "rank2-table")
+        assert code == 1
+        assert report["passed"] is False
+        claim = next(c for c in report["claims"] if c["id"] == "pattern-holds")
+        assert claim["expected"] is True and claim["actual"] is False
+        violations = report["results"]["pattern_violations"]
+        assert violations and all(v["quadruple"] == [7, 7, 4, 4] for v in violations)
+        assert all(v["where"].startswith("psl2_7[") for v in violations)
