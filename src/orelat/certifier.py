@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import lattice as lat
 from . import totients as tt
-from .errors import InvalidParameters, NotDistributive
+from .errors import InvalidParameters, NotBoolean, NotDistributive
 from .intervals import GroupInterval
 from .totients import BooleanInterval, IndexedInterval
 
@@ -606,35 +606,23 @@ def rank2_index_table(limit: int, groups: Optional[Sequence] = None) -> list:
     results = []
     for name, full in fulls:
         lattice = full.lattice
-        sizes = [len(s) for s in full._member_sets]
+        model = tt.from_group_interval(full)
         for lo in range(lattice.n):
             up_lo = lattice._up[lo]
-            for hi in range(lattice.n):
-                if lo == hi or not lattice.leq[lo, hi]:
-                    continue
-                if sizes[hi] // sizes[lo] >= limit:
+            for hi in lat.bits(up_lo):
+                if full.index_of[lo] // full.index_of[hi] >= limit:
                     continue
                 if (up_lo & lattice._down[hi]).bit_count() != 4:
                     continue
-                sub = lat.interval(lattice, lo, hi)
-                if sub.height() != 2 or not lat.is_boolean(sub):
+                try:
+                    sub = tt.boolean_between(model, lo, hi)
+                except NotBoolean:
                     continue
-                results.append((_rank2_quadruple(full, lo, hi), f"{name}[{lo},{hi}]"))
+                # bits 1 and 2 are the middle members K < L, in element order
+                over_k, over_ell, total = sub.idx[1], sub.idx[2], sub.total_index
+                quad = (over_k, over_ell, total // over_ell, total // over_k)
+                results.append((quad, f"{name}[{lo},{hi}]"))
     return results
-
-
-def _rank2_quadruple(full, lo: int, hi: int) -> tuple:
-    ids = lat.members_between(full.lattice, lo, hi)
-    mids = [x for x in ids if x not in (lo, hi)]
-    assert len(mids) == 2
-    k, ell = mids
-    size = lambda i: len(full._member_sets[i])
-    return (
-        size(hi) // size(k),
-        size(hi) // size(ell),
-        size(ell) // size(lo),
-        size(k) // size(lo),
-    )
 
 
 def census_pattern_holds(quad: tuple) -> bool:

@@ -38,17 +38,15 @@ class ConjugacyClasses:
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
-    """Conjugation orbits over element indices, ordered by first representative."""
+    """Conjugation orbits over element indices, ordered by first representative.
+
+    An orbit is closed under conjugation by the group's generators only,
+    which generate every conjugation.
+    """
     amb = _ambient(group)
     n = amb.n
-    mul = amb.mul
-    inv = [0] * n
-    for i in range(n):
-        row = mul[i]
-        for j in range(n):
-            if row[j] == amb.identity:
-                inv[i] = j
-                break
+    mul, inv = amb.mul, amb.inv
+    gens = [amb.idx_of(p) for p in group.generators] or amb.generated(range(n)).gens
     class_of = [-1] * n
     classes = []
     for x in range(n):
@@ -58,7 +56,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
         stack = [x]
         while stack:
             y = stack.pop()
-            for g in range(n):
+            for g in gens:
                 z = mul[mul[g][y]][inv[g]]
                 if z not in orbit:
                     orbit.add(z)
@@ -95,10 +93,10 @@ class CharacterTable:
     def _class_counts(self, sub: FiniteGroup) -> np.ndarray:
         """Number of elements of the subgroup in each conjugacy class."""
         amb = _ambient(self.group)
-        key = amb.subgroup_indices(sub)
+        key = amb.subgroup_mask(sub)
         if key not in self._fixed_counts:
             counts = np.zeros(len(self.classes), dtype=np.int64)
-            for i in key:
+            for i in lat.bits(key):
                 counts[self.classes.class_of[i]] += 1
             self._fixed_counts[key] = counts
         return self._fixed_counts[key]
@@ -109,15 +107,7 @@ class CharacterTable:
 
 def _class_matrices(classes: ConjugacyClasses, amb) -> list:
     """Matrices A_i with (A_i)[j, k] = #{x in C_i : x^-1 z_k in C_j}."""
-    n = amb.n
-    mul = amb.mul
-    inv = [0] * n
-    for i in range(n):
-        row = mul[i]
-        for j in range(n):
-            if row[j] == amb.identity:
-                inv[i] = j
-                break
+    mul, inv = amb.mul, amb.inv
     r = len(classes)
     reps = classes.representatives
     mats = []

@@ -1,77 +1,155 @@
 """Concrete overgroup intervals [H, G] and full subgroup lattices.
 
-Enumeration closes {<H, g> : g in G} under pairwise join, which yields every
-overgroup of H: any K >= H is the join of its single-element extensions.
-That is far cheaper than enumerating all subgroups of G when the interval is
-small.  All set arithmetic runs over element indices of the ambient group
-with a cached multiplication table.
+A subgroup is a Python-int bitset over the element indices of its ambient
+group, whose multiplication table is built once per group.  The overgroups
+of H are enumerated breadth first by cyclic extension (Neubüser's method):
+for each member K and each g outside K, <K, g> is grown from K's element
+list by adding whole cosets of K (Dimino), so no member is closed again
+from its generators.  One g is tried per double coset KgK, since
+<K, kgk'> = <K, g>.  Every overgroup is reached, because it is the end of
+a chain of single-element extensions that starts at H.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import lattice as lat
-from .errors import CapExceeded, NotASubgroup, NotDistributive, OreViolation
+from .errors import CapExceeded, NotASubgroup, NotBoolean, NotDistributive, OreViolation
 from .perm import FiniteGroup, Permutation, normal_core, trivial_group
 
 DEFAULT_MEMBER_CAP = 10_000
 
 
+class _Subgroup:
+    """A subgroup of the ambient group: its element ids, bitset and generators.
+
+    `elems` starts with the identity; `take(row)` picks the entries of `row`
+    at `elems`, so `take(mul[r])` is the left coset r·K.
+    """
+
+    __slots__ = ("elems", "mask", "gens", "take")
+
+    def __init__(self, elems: list, mask: int, gens: tuple):
+        self.elems = elems
+        self.mask = mask
+        self.gens = gens
+        # itemgetter of a single index returns a scalar, not a tuple
+        self.take = itemgetter(*elems) if len(elems) > 1 else (lambda row, e=elems[0]: (row[e],))
+
+
 class _Ambient:
-    """Multiplication table and closure helpers over one ambient group."""
+    """Multiplication table, inverses and subgroup extension over one ambient group."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.n = group.order
         self.elems = group.elements
-        self.index = {p.images: i for i, p in enumerate(group.elements)}
         images = [p.images for p in group.elements]
-        self.mul = [
-            [self.index[tuple(a[x] for x in b)] for b in images] for a in images
-        ]
-        self.identity = self.index[group.identity.images]
+        self.index = index = {img: i for i, img in enumerate(images)}
+        self.identity = index[group.identity.images]
+        gens = [index[p.images] for p in group.generators] or range(self.n)
+        self.mul = _multiplication_table(images, index, gens, self.identity)
+        self.inv = [row.index(self.identity) for row in self.mul]
+        self.bit = [1 << i for i in range(self.n)]
+        self.trivial = _Subgroup([self.identity], self.bit[self.identity], ())
 
     def idx_of(self, perm: Permutation) -> int:
         return self.index[perm.images]
 
-    def subgroup_indices(self, sub: FiniteGroup) -> frozenset:
+    def subgroup_mask(self, sub: FiniteGroup) -> int:
         try:
-            return frozenset(self.index[p.images] for p in sub.elements)
+            return sum(self.bit[self.index[p.images]] for p in sub.elements)
         except KeyError as exc:
             raise NotASubgroup("subgroup has elements outside the ambient group") from exc
 
-    def closure(self, gens: Sequence[int]) -> frozenset:
-        mul = self.mul
-        seen = {self.identity}
-        stack = [self.identity]
-        while stack:
-            x = stack.pop()
-            row = mul[x]
-            for g in gens:
-                y = row[g]
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return frozenset(seen)
+    def _left_cosets(self, k: _Subgroup, gens: tuple, g: int, mask: int) -> tuple:
+        """Close {g} under left multiplication by `gens`, a whole left coset r·K at a time.
 
-    def small_gens(self, members: frozenset) -> tuple:
-        """A short generating tuple for an index-set already closed under the product."""
-        gens: list = []
-        current = {self.identity}
-        for x in sorted(members):
-            if x not in current:
-                gens.append(x)
-                current = set(self.closure(gens))
-                if len(current) == len(members):
-                    break
-        return tuple(gens)
+        `mask` holds the cosets already present.  Returns the element ids of
+        the cosets added and `mask` with their bits.  One representative per
+        coset is multiplied, since s·rK = (s·r)K.
+        """
+        mul, bit, take = self.mul, self.bit, k.take
+        added = list(take(mul[g]))
+        mask |= sum(map(bit.__getitem__, added))
+        reps = [g]
+        for r in reps:  # grows while it is read
+            for s in gens:
+                t = mul[s][r]
+                if not mask & bit[t]:
+                    coset = take(mul[t])
+                    added += coset
+                    mask |= sum(map(bit.__getitem__, coset))
+                    reps.append(t)
+        return added, mask
 
-    def to_group(self, members: frozenset) -> FiniteGroup:
-        return FiniteGroup(self.group.degree, [], [self.elems[i] for i in members])
+    def extend(self, k: _Subgroup, g: int) -> _Subgroup:
+        """<K, g>, as K's elements followed by whole left cosets r·K (Dimino).
+
+        K and gK are closed under left multiplication by the generators of
+        K and g, so their union with the cosets that reaches is <K, g>.
+        """
+        if k.mask & self.bit[g]:
+            return k
+        gens = k.gens + (g,)
+        added, mask = self._left_cosets(k, gens, g, k.mask)
+        return _Subgroup(k.elems + added, mask, gens)
+
+    def double_coset(self, k: _Subgroup, g: int) -> int:
+        """The bitset of KgK: the left cosets of K reached from gK by left multiplication by K."""
+        return self._left_cosets(k, k.gens, g, 0)[1]
+
+    def generated(self, ids: Iterable[int]) -> _Subgroup:
+        """The subgroup generated by `ids`; its generators are those that were not yet inside."""
+        k = self.trivial
+        for x in ids:
+            k = self.extend(k, x)
+        return k
+
+    def subgroup(self, sub: FiniteGroup) -> _Subgroup:
+        try:
+            return self.generated(sorted(self.index[p.images] for p in sub.elements))
+        except KeyError as exc:
+            raise NotASubgroup("subgroup has elements outside the ambient group") from exc
+
+    def to_group(self, k: _Subgroup) -> FiniteGroup:
+        return FiniteGroup(self.group.degree, [], [self.elems[i] for i in k.elems])
+
+
+def _multiplication_table(images: list, index: dict, gens: Sequence[int], identity: int) -> list:
+    """Rows mul[a][b] = index of a * b, where (a * b)(x) = a(b(x)).
+
+    Only the generators' rows compose permutations (the images of s read at
+    the images of b).  Every other row follows from a row already known:
+    (s * a) * b = s * (a * b), so row s*a is row s read at row a.
+    """
+    n = len(images)
+    if n == 1:
+        # itemgetter of a single index returns a scalar, not a tuple
+        return [(0,)]
+    mul: list = [None] * n
+    compose = [itemgetter(*b) for b in images]
+    for s in gens:
+        mul[s] = tuple(index[c(images[s])] for c in compose)
+    mul[identity] = tuple(range(n))
+    reached = [identity]
+    seen = {identity}
+    for a in reached:
+        read_a = itemgetter(*mul[a])
+        for s in gens:
+            b = mul[s][a]
+            if b not in seen:
+                seen.add(b)
+                reached.append(b)
+                if mul[b] is None:
+                    mul[b] = read_a(mul[s])
+    assert len(reached) == n, "the generators do not generate the group"
+    return mul
 
 
 @lru_cache(maxsize=32)
@@ -82,28 +160,28 @@ def _ambient(group: FiniteGroup) -> _Ambient:
 class GroupInterval:
     """The lattice of all subgroups K with H <= K <= G, with index labels."""
 
-    __slots__ = ("ambient", "base", "members", "lattice", "index_of", "_amb", "_member_sets", "_set_to_id")
+    __slots__ = ("ambient", "base", "members", "lattice", "index_of", "_amb", "_masks", "_mask_to_id")
 
     def __init__(self, ambient: FiniteGroup, base: FiniteGroup, members: Sequence[FiniteGroup],
                  lattice: lat.FiniteLattice, index_of: Sequence[int],
-                 amb: _Ambient, member_sets: Sequence[frozenset]):
+                 amb: _Ambient, masks: Sequence[int]):
         self.ambient = ambient
         self.base = base
         self.members = tuple(members)
         self.lattice = lattice
         self.index_of = tuple(index_of)
         self._amb = amb
-        self._member_sets = tuple(member_sets)
-        self._set_to_id = {s: i for i, s in enumerate(member_sets)}
+        self._masks = tuple(masks)
+        self._mask_to_id = {s: i for i, s in enumerate(masks)}
 
     def __len__(self) -> int:
         return len(self.members)
 
     def member_id(self, sub: FiniteGroup) -> int:
-        key = self._amb.subgroup_indices(sub)
-        if key not in self._set_to_id:
+        key = self._amb.subgroup_mask(sub)
+        if key not in self._mask_to_id:
             raise NotASubgroup("group is not a member of this interval")
-        return self._set_to_id[key]
+        return self._mask_to_id[key]
 
     def rank(self) -> int:
         return self.lattice.height()
@@ -115,54 +193,38 @@ class GroupInterval:
         )
 
 
-def _build_interval(amb: _Ambient, base_set: frozenset, member_sets: Iterable[frozenset]) -> GroupInterval:
-    ordered = sorted(member_sets, key=lambda s: (len(s), tuple(sorted(s))))
-    groups = [amb.to_group(s) for s in ordered]
-    k = len(ordered)
-    leq = np.zeros((k, k), dtype=bool)
-    for i, a in enumerate(ordered):
-        for j, b in enumerate(ordered):
-            leq[i, j] = a <= b
+def _build_interval(amb: _Ambient, subgroups: Iterable[_Subgroup]) -> GroupInterval:
+    ordered = sorted(subgroups, key=lambda k: (len(k.elems), sorted(k.elems)))
+    masks = [k.mask for k in ordered]
+    outside = [~m for m in masks]
+    leq = np.array([[not a & b for b in outside] for a in masks], dtype=bool)
     lattice = lat.build_lattice(leq)
-    index_of = [amb.n // len(s) for s in ordered]
-    base = groups[0]
-    assert frozenset(ordered[0]) == base_set and lattice.bottom == 0
-    return GroupInterval(amb.group, base, groups, lattice, index_of, amb, ordered)
+    assert lattice.bottom == 0
+    groups = [amb.to_group(k) for k in ordered]
+    index_of = [amb.n // len(k.elems) for k in ordered]
+    return GroupInterval(amb.group, groups[0], groups, lattice, index_of, amb, masks)
 
 
 def overgroup_interval(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> GroupInterval:
     """Enumerate every K with sub <= K <= group and build the labelled lattice."""
     amb = _ambient(group)
-    h_set = amb.subgroup_indices(sub)
-    h_gens = amb.small_gens(h_set)
-    found = {h_set: h_gens}
-    for g in range(amb.n):
-        if g in h_set:
-            continue
-        k = amb.closure(h_gens + (g,))
-        if k not in found:
-            found[k] = h_gens + (g,)
-            if len(found) > cap:
-                raise CapExceeded(f"interval has more than {cap} members")
-    ordered = list(found)
-    i = 0
-    while i < len(ordered):
-        a = ordered[i]
-        for j in range(i):
-            b = ordered[j]
-            if a >= b or a <= b:
-                continue
-            k = amb.closure(found[a] + found[b])
-            if k not in found:
-                gens = found[a] + found[b]
-                if len(gens) > 8:
-                    gens = amb.small_gens(k)
-                found[k] = gens
-                ordered.append(k)
+    base = amb.subgroup(sub)
+    found = {base.mask: base}
+    queue = [base]
+    everything = (1 << amb.n) - 1
+    for k in queue:
+        covered = k.mask
+        while covered != everything:
+            free = everything & ~covered
+            g = (free & -free).bit_length() - 1
+            ext = amb.extend(k, g)
+            if ext.mask not in found:
+                found[ext.mask] = ext
+                queue.append(ext)
                 if len(found) > cap:
                     raise CapExceeded(f"interval has more than {cap} members")
-        i += 1
-    return _build_interval(amb, h_set, found)
+            covered |= amb.double_coset(k, g)
+    return _build_interval(amb, found.values())
 
 
 def full_subgroup_lattice(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> GroupInterval:
@@ -178,18 +240,16 @@ def minimal_overgroups(interval: GroupInterval) -> list:
 def sub_interval(interval: GroupInterval, lo: int, hi: int) -> GroupInterval:
     """The interval [members[lo], members[hi]] re-rooted with its own labels."""
     ids = lat.members_between(interval.lattice, lo, hi)
-    sets = [interval._member_sets[i] for i in ids]
     sub_lat = lat.interval(interval.lattice, lo, hi)
-    top_size = len(interval._member_sets[hi])
-    index_of = [top_size // len(s) for s in sets]
+    top_order = interval.members[hi].order
     return GroupInterval(
         interval.members[hi],
         interval.members[lo],
         [interval.members[i] for i in ids],
         sub_lat,
-        index_of,
+        [top_order // interval.members[i].order for i in ids],
         interval._amb,
-        sets,
+        [interval._masks[i] for i in ids],
     )
 
 
@@ -197,26 +257,37 @@ def is_bottom_boolean(interval: GroupInterval) -> bool:
     return lat.is_bottom_boolean(interval.lattice)
 
 
-def _bb_edge_table(interval: GroupInterval) -> dict:
-    """Memoized bottom-boolean test over pairs of member ids."""
+def _bb_edge_table(lattice: lat.FiniteLattice):
+    """Memoized test of whether [u, v] is bottom-boolean, over pairs of element ids.
+
+    The atoms of [u, v] are the covers of u below v; [u, v] is bottom-boolean
+    when [u, b] is boolean for b their join.
+    """
+    covers_up = lat._order_masks(lattice.covers)[1]
+    join = lattice.join
     cache: dict = {}
 
     def edge(u: int, v: int) -> bool:
         key = (u, v)
         if key not in cache:
-            cache[key] = lat.is_bottom_boolean(lat.interval(interval.lattice, u, v))
+            b = u
+            for a in lat.bits(covers_up[u] & lattice._down[v]):
+                b = int(join[b, a])
+            try:
+                lat.boolean_elements(lattice, u, b)
+                cache[key] = True
+            except NotBoolean:
+                cache[key] = False
         return cache[key]
 
     return edge
 
 
-def _shortest_bb_chain(interval: GroupInterval, start: int) -> int:
+def _shortest_bb_chain(lattice: lat.FiniteLattice, start: int, edge) -> int:
     """Length of the shortest chain start < ... < top with bottom-boolean steps."""
-    top = interval.lattice.top
+    top = lattice.top
     if start == top:
         return 0
-    edge = _bb_edge_table(interval)
-    leq = interval.lattice.leq
     dist = {start: 0}
     frontier = [start]
     steps = 0
@@ -224,8 +295,8 @@ def _shortest_bb_chain(interval: GroupInterval, start: int) -> int:
         steps += 1
         nxt = []
         for u in frontier:
-            for v in range(interval.lattice.n):
-                if v in dist or not leq[u, v] or u == v:
+            for v in lat.bits(lattice._up[u]):
+                if v in dist:
                     continue
                 if edge(u, v):
                     if v == top:
@@ -238,8 +309,8 @@ def _shortest_bb_chain(interval: GroupInterval, start: int) -> int:
 
 def bbl_between(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
     """Minimal number of bottom-boolean steps from sub up to group."""
-    interval = overgroup_interval(group, sub, cap)
-    return _shortest_bb_chain(interval, interval.lattice.bottom)
+    lattice = overgroup_interval(group, sub, cap).lattice
+    return _shortest_bb_chain(lattice, lattice.bottom, _bb_edge_table(lattice))
 
 
 def bbl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
@@ -249,50 +320,47 @@ def bbl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
 def cfl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
     """Minimum of bbl_between(group, H) over core-free subgroups H."""
     full = full_subgroup_lattice(group, cap)
+    edge = _bb_edge_table(full.lattice)
     best: Optional[int] = None
     for i, member in enumerate(full.members):
         if normal_core(group, member).order != 1:
             continue
-        steps = _shortest_bb_chain(full, i)
+        steps = _shortest_bb_chain(full.lattice, i, edge)
         if best is None or steps < best:
             best = steps
     assert best is not None, "the trivial subgroup is always core-free"
     return best
 
 
+def _generating_coset_reps(interval: GroupInterval):
+    """Brute force: the least element id g of each right coset Hg with <H, g> = G, ascending."""
+    amb = interval._amb
+    h = amb.subgroup(interval.base)
+    return (g for g in _coset_rep_indices(amb, h) if len(amb.extend(h, g).elems) == amb.n)
+
+
 def verify_ore(interval: GroupInterval) -> Permutation:
     """A witness g with <H union {g}> = G; exists for every distributive interval."""
     if not lat.is_distributive(interval.lattice):
         raise NotDistributive("the Ore property is only guaranteed on distributive intervals")
-    amb = interval._amb
-    h_set = interval._member_sets[interval.lattice.bottom]
-    h_gens = amb.small_gens(h_set)
-    full = len(amb.elems)
-    for g in _coset_rep_indices(amb, h_set):
-        if len(amb.closure(h_gens + (g,))) == full:
-            return amb.elems[g]
-    raise OreViolation("no generating coset found on a distributive interval")
+    g = next(_generating_coset_reps(interval), None)
+    if g is None:
+        raise OreViolation("no generating coset found on a distributive interval")
+    return interval._amb.elems[g]
 
 
 def generating_coset_count(interval: GroupInterval) -> int:
     """Brute-force number of cosets Hg whose union generates the whole group."""
-    amb = interval._amb
-    h_set = interval._member_sets[interval.lattice.bottom]
-    h_gens = amb.small_gens(h_set)
-    full = len(amb.elems)
-    return sum(
-        1 for g in _coset_rep_indices(amb, h_set)
-        if len(amb.closure(h_gens + (g,))) == full
-    )
+    return sum(1 for _ in _generating_coset_reps(interval))
 
 
-def _coset_rep_indices(amb: _Ambient, h_set: frozenset) -> list:
-    mul = amb.mul
-    remaining = set(range(amb.n))
+def _coset_rep_indices(amb: _Ambient, h: _Subgroup) -> list:
+    """The least element id of every right coset Hg, ascending."""
+    mul, bit = amb.mul, amb.bit
+    remaining = (1 << amb.n) - 1
     reps = []
-    for g in range(amb.n):
-        if g in remaining:
-            coset = {mul[h][g] for h in h_set}
-            reps.append(g)
-            remaining -= coset
+    while remaining:
+        g = (remaining & -remaining).bit_length() - 1
+        reps.append(g)
+        remaining &= ~sum(bit[mul[x][g]] for x in h.elems)
     return reps

@@ -219,11 +219,50 @@ def complement(lat: FiniteLattice, x: int) -> int:
     return c
 
 
-def members_between(lat: FiniteLattice, a: int, b: int) -> list:
-    """Ids of the closed interval [a, b], ascending."""
+def bits(mask: int) -> list:
+    """Positions of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _between_mask(lat: FiniteLattice, a: int, b: int) -> int:
     if not lat.leq[a, b]:
         raise NotComparable(f"{a} is not below {b}")
-    return [x for x in range(lat.n) if lat.leq[a, x] and lat.leq[x, b]]
+    return lat._up[a] & lat._down[b]
+
+
+def members_between(lat: FiniteLattice, a: int, b: int) -> list:
+    """Ids of the closed interval [a, b], ascending."""
+    return bits(_between_mask(lat, a, b))
+
+
+def boolean_elements(lat: FiniteLattice, a: int, b: int) -> list:
+    """The elements of [a, b] indexed by atom bitmask.
+
+    The atoms of [a, b], in ascending element id, become the bits, and each
+    mask is mapped to the join of its atoms through the join table.  Raises
+    NotBoolean unless that map is a bijection onto [a, b], which holds
+    exactly when the interval is boolean.
+    """
+    between = _between_mask(lat, a, b)
+    size = between.bit_count()
+    if size & (size - 1):
+        raise NotBoolean("operation requires a boolean interval")
+    down, low = lat._down, 1 << a
+    atoms = [x for x in bits(between ^ low) if down[x] & between == low | 1 << x]
+    if size != 1 << len(atoms):
+        raise NotBoolean("operation requires a boolean interval")
+    join = lat.join
+    elems = [a]
+    for x in atoms:
+        elems += [int(join[e, x]) for e in elems]
+    if sum(1 << e for e in set(elems)) != between:
+        raise NotBoolean("operation requires a boolean interval")
+    return elems
 
 
 def interval(lat: FiniteLattice, a: int, b: int) -> FiniteLattice:

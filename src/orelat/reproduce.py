@@ -19,6 +19,7 @@ from . import characters as ch
 from . import intervals as iv
 from . import lattice as lat
 from . import totients as tt
+from .errors import NotBoolean
 
 TARGETS = (
     "factor-list",
@@ -219,22 +220,18 @@ def run_catalog_primitivity() -> tuple:
     boolean_count = 0
     for name, group in cat.scan_groups(200):
         full = cat.cached_full_lattice(name)
-        sizes = [len(s) for s in full._member_sets]
         lattice = full.lattice
+        model = tt.from_group_interval(full)
         for lo in range(lattice.n):
-            for hi in range(lattice.n):
-                if lo == hi or not lattice.leq[lo, hi]:
-                    continue
-                sub = lat.interval(lattice, lo, hi)
-                if not lat.is_boolean(sub):
+            for hi in lat.bits(lattice._up[lo] ^ (1 << lo)):
+                try:
+                    sub = tt.boolean_between(model, lo, hi)
+                except NotBoolean:
                     continue
                 boolean_count += 1
-                labels = [sizes[hi] // sizes[x] for x in lat.members_between(lattice, lo, hi)]
-                model = tt.IndexedInterval(sub, labels)
-                phihat = tt.dual_totient(model)
-                rank = sub.height()
-                if phihat < 2 ** (rank - 1):
-                    monitor_violations.append([name, lo, hi, phihat, rank])
+                phihat = tt.dual_totient(sub)
+                if phihat < 2 ** (sub.n - 1):
+                    monitor_violations.append([name, lo, hi, phihat, sub.n])
     bound_entries = []
     for n in (1, 2, 3):
         interval = cat.catalog_interval(f"s2xs3_{n}/base")

@@ -20,7 +20,6 @@ from . import lattice as lat
 from .errors import (
     InvalidParameters,
     NotACoatom,
-    NotBoolean,
     NotComparable,
     NotDistributive,
     NotGraded,
@@ -172,23 +171,13 @@ def from_group_interval(interval: GroupInterval) -> IndexedInterval:
 def boolean_between(model: Union[IndexedInterval, BooleanInterval], a: int, b: int) -> BooleanInterval:
     """The interval [a, b] of a concrete model as labels relative to b.
 
-    The atoms of [a, b], in ascending element id, become the bits, and each
-    mask is mapped to the join of its atoms through the join table.  Raises
-    NotBoolean unless that map is a bijection onto [a, b], which holds
-    exactly when the interval is boolean.
+    The masks follow `lattice.boolean_elements`: the atoms of [a, b], in
+    ascending element id, are the bits.  Raises NotBoolean unless [a, b] is
+    boolean.
     """
-    lattice = model.lattice
-    members = lat.members_between(lattice, a, b)
-    atoms = [x for x in members if lattice.covers[a, x]]
-    if len(members) != 1 << len(atoms):
-        raise NotBoolean("operation requires a boolean interval")
-    elems = [a]
-    for x in atoms:
-        elems += [int(lattice.join[e, x]) for e in elems]
-    if sorted(elems) != members:
-        raise NotBoolean("operation requires a boolean interval")
+    elems = lat.boolean_elements(model.lattice, a, b)
     base = model.idx[b]
-    return BooleanInterval(len(atoms), [model.idx[e] // base for e in elems], elems)
+    return BooleanInterval(len(elems).bit_length() - 1, [model.idx[e] // base for e in elems], elems)
 
 
 def to_boolean(model: Union[IndexedInterval, BooleanInterval]) -> BooleanInterval:

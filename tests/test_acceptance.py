@@ -197,7 +197,7 @@ def test_criterion_9_conjecture_monitor():
     for name, _group in cat.scan_groups(200):
         full = cat.cached_full_lattice(name)
         lattice = full.lattice
-        sizes = [len(s) for s in full._member_sets]
+        sizes = [m.order for m in full.members]
         for lo in range(lattice.n):
             for hi in range(lattice.n):
                 if lo == hi or not lattice.leq[lo, hi]:

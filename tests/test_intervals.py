@@ -1,12 +1,95 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orelat import catalog as cat
+from orelat import characters as ch
 from orelat import intervals as iv
 from orelat import lattice as lat
 from orelat.errors import CapExceeded, NotASubgroup, NotDistributive
-from orelat.perm import Permutation, subgroup_generated, trivial_group
+from orelat.perm import FiniteGroup, Permutation, generate, subgroup_generated, trivial_group
+
+RANDOM_ORDER_CAP = 120
+
+
+def reference_overgroups(group, sub):
+    """Element sets of every K with sub <= K <= group, by pairwise joins.
+
+    The single-element extensions <H, g> are closed under pairwise join,
+    which yields every overgroup of H: any K >= H is the join of its
+    single-element extensions.  Products come from Permutation composition,
+    not from the ambient multiplication table.
+    """
+    elems = group.elements
+    index = {p: i for i, p in enumerate(elems)}
+    mul = [[index[a * b] for b in elems] for a in elems]
+    identity = index[group.identity]
+
+    def closure(gens):
+        seen = {identity}
+        stack = [identity]
+        while stack:
+            row = mul[stack.pop()]
+            for g in gens:
+                y = row[g]
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return frozenset(seen)
+
+    h_set = frozenset(index[p] for p in sub.elements)
+    h_gens = ()
+    for x in sorted(h_set):
+        if x not in closure(h_gens):
+            h_gens += (x,)
+    found = {h_set: h_gens}
+    for g in range(len(elems)):
+        if g not in h_set:
+            found.setdefault(closure(h_gens + (g,)), h_gens + (g,))
+    ordered = list(found)
+    i = 0
+    while i < len(ordered):
+        a = ordered[i]
+        for b in ordered[:i]:
+            if a >= b or a <= b:
+                continue
+            k = closure(found[a] + found[b])
+            if k not in found:
+                found[k] = found[a] + found[b]
+                ordered.append(k)
+        i += 1
+    return {frozenset(elems[x] for x in k) for k in found}
+
+
+def member_sets(interval):
+    return {m.element_set() for m in interval.members}
+
+
+@st.composite
+def groups_with_base(draw):
+    """A group from 2-3 random permutations of degree <= 6, order-capped, and a random subgroup."""
+    degree = draw(st.integers(2, 6))
+    gens = []
+    for images in draw(st.lists(st.permutations(range(degree)), min_size=2, max_size=3)):
+        try:
+            generate(degree, gens + [Permutation(images)], cap=RANDOM_ORDER_CAP)
+        except CapExceeded:
+            continue
+        gens.append(Permutation(images))
+    group = generate(degree, gens)
+    picks = draw(st.lists(st.integers(0, group.order - 1), max_size=2))
+    return group, subgroup_generated(group, [group.elements[i] for i in picks])
+
+
+def brute_force_classes(group):
+    """Conjugation orbits under every element, as sorted element-id lists."""
+    index = {p: i for i, p in enumerate(group.elements)}
+    classes = {
+        frozenset(index[g * x * g.inverse()] for g in group.elements) for x in group.elements
+    }
+    return sorted(sorted(c) for c in classes)
 
 
 def a3_in_s3():
@@ -56,6 +139,47 @@ class TestOvergroupInterval:
                     assert interval.index_of[x] > interval.index_of[y]
                     assert interval.index_of[x] % interval.index_of[y] == 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(groups_with_base())
+    def test_matches_reference_on_random_groups(self, pair):
+        group, base = pair
+        interval = iv.overgroup_interval(group, base)
+        assert member_sets(interval) == reference_overgroups(group, base)
+        full = iv.full_subgroup_lattice(group)
+        assert member_sets(interval) == {
+            m.element_set() for m in full.members if base <= m
+        }
+
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_matches_reference_on_scan_groups(self, name):
+        group = cat.catalog_group(name)
+        full = cat.cached_full_lattice(name)
+        assert member_sets(full) == reference_overgroups(group, trivial_group(group.degree))
+
+    def test_members_ordered_by_size_then_element_ids(self):
+        full = cat.cached_full_lattice("s4")
+        elems = full.ambient.elements
+        keys = [
+            (m.order, sorted(elems.index(p) for p in m.elements)) for m in full.members
+        ]
+        assert keys == sorted(keys)
+
+    @settings(max_examples=20, deadline=None)
+    @given(groups_with_base())
+    def test_multiplication_table_matches_composition(self, pair):
+        group, _ = pair
+        amb = iv._ambient(group)
+        elems = group.elements
+        for a in range(group.order):
+            for b in range(group.order):
+                assert elems[amb.mul[a][b]] == elems[a] * elems[b]
+            assert elems[amb.inv[a]] == elems[a].inverse()
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_trivial_group_table(self, degree):
+        amb = iv._ambient(trivial_group(degree))
+        assert amb.mul == [(0,)] and amb.inv == [0]
+
     def test_member_id_roundtrip(self):
         interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
         for i, member in enumerate(interval.members):
@@ -82,6 +206,7 @@ class TestFullLattices:
         assert len(cat.cached_full_lattice("a5")) == 59
         assert len(cat.cached_full_lattice("s5")) == 156
         assert len(cat.cached_full_lattice("psl2_7")) == 179
+        assert len(cat.cached_full_lattice("s2xs3_2")) == 206
 
     def test_sub_interval_matches_direct_enumeration(self):
         full = cat.cached_full_lattice("s4")
@@ -131,6 +256,15 @@ class TestBblCfl:
     def test_bbl_between_equals_bbl_from_trivial(self):
         group = cat.symmetric(3)
         assert iv.bbl_between(group, trivial_group(3)) == iv.bbl(group)
+
+    @pytest.mark.parametrize("name", ["v4", "s3", "d4", "a4", "s4", "d6", "s3xs3"])
+    def test_edge_table_matches_sliced_lattices(self, name):
+        lattice = cat.cached_full_lattice(name).lattice
+        edge = iv._bb_edge_table(lattice)
+        for u in range(lattice.n):
+            for v in lat.members_between(lattice, u, lattice.top):
+                if v != u:
+                    assert edge(u, v) == lat.is_bottom_boolean(lat.interval(lattice, u, v))
 
     @pytest.mark.parametrize("name", ["z2", "z4", "z6", "z8", "z12", "v4", "s3", "d4", "a4"])
     def test_cfl_at_most_bbl(self, name):
@@ -277,3 +411,14 @@ def _prime_multiset(n):
     if n > 1:
         out.append(n)
     return out
+
+
+class TestConjugacyClasses:
+    @settings(max_examples=40, deadline=None)
+    @given(groups_with_base())
+    def test_generator_orbits_match_all_element_orbits(self, pair):
+        group, _ = pair
+        expected = brute_force_classes(group)
+        assert [list(c) for c in ch.conjugacy_classes(group).classes] == expected
+        bare = FiniteGroup(group.degree, [], group.elements)
+        assert [list(c) for c in ch.conjugacy_classes(bare).classes] == expected
