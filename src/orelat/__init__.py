@@ -28,21 +28,13 @@ from .errors import (
 from .perm import (
     FiniteGroup,
     Permutation,
-    conjugate,
     generate,
-    index,
-    intersect,
-    is_normal,
-    join,
-    normal_core,
-    right_cosets,
     subgroup_generated,
     trivial_group,
 )
 from .lattice import (
     FiniteLattice,
     atoms,
-    bottom_interval,
     build_lattice,
     coatoms,
     complement,
@@ -50,9 +42,7 @@ from .lattice import (
     is_bottom_boolean,
     is_boolean,
     is_distributive,
-    rank,
     subset_lattice,
-    top_interval,
 )
 from .intervals import (
     GroupInterval,
@@ -61,7 +51,6 @@ from .intervals import (
     cfl,
     full_subgroup_lattice,
     generating_coset_count,
-    minimal_overgroups,
     overgroup_interval,
     sub_interval,
     verify_ore,
@@ -91,7 +80,6 @@ from .characters import (
     fixed_dim,
     index_identity_holds,
     is_linearly_primitive,
-    pointwise_stabilizer_closure,
 )
 from .certifier import (
     Certificate,

@@ -2,7 +2,8 @@
 
 Every invocation emits one structured report document (JSON by default, a
 plain table behind --format table).  Exit codes: 0 success, 1 claim
-mismatch, 2 input error, 3 resource cap.
+mismatch, 2 input error, 3 resource cap, 4 internal error (a computed table
+or invariant failed its own check).
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from . import reproduce as rp
 from . import totients as tt
 from .errors import (
     CapExceeded,
-    InvalidParameters,
+    NotAnInteger,
     NotASubgroup,
+    OreViolation,
     OrelatError,
     ParseError,
+    ValidationFailed,
 )
 from .perm import FiniteGroup, Permutation, generate, trivial_group
 
@@ -33,6 +36,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def load_group_file(path: str, cap: int) -> FiniteGroup:
@@ -134,7 +138,7 @@ def cmd_totient(args) -> dict:
 
 def cmd_primitive(args) -> dict:
     interval = _resolve_interval(args)
-    table = ch.character_table(interval.ambient, seed=args.seed)
+    table = ch.character_table(interval.ambient)
     primitive, witness = ch.is_linearly_primitive(interval, table)
     results = {
         "linearly_primitive": primitive,
@@ -236,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--cap", type=int, default=100_000,
                        help="element / member budget for closures")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for the character table splitting")
 
     p = sub.add_parser("interval", help="members, Hasse diagram and flags of [H, G]")
     common(p)
@@ -274,12 +276,15 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except CapExceeded as exc:
-        print(json.dumps({"error": str(exc), "exit": EXIT_CAP}), file=sys.stderr)
-        return EXIT_CAP
-    except (ParseError, NotASubgroup, InvalidParameters, OrelatError) as exc:
-        print(json.dumps({"error": str(exc), "exit": EXIT_INPUT}), file=sys.stderr)
-        return EXIT_INPUT
+    except OrelatError as exc:
+        if isinstance(exc, CapExceeded):
+            code = EXIT_CAP
+        elif isinstance(exc, (ValidationFailed, NotAnInteger, OreViolation)):
+            code = EXIT_INTERNAL
+        else:
+            code = EXIT_INPUT
+        print(json.dumps({"error": str(exc), "exit": code}), file=sys.stderr)
+        return code
     if args.format == "table":
         print(render_table(report))
     else:

@@ -19,8 +19,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import lattice as lat
-from .errors import CapExceeded, NotASubgroup, NotBoolean, NotDistributive, OreViolation
-from .perm import FiniteGroup, Permutation, normal_core, trivial_group
+from .errors import CapExceeded, NotASubgroup, NotDistributive, OreViolation
+from .perm import FiniteGroup, Permutation, trivial_group
 
 DEFAULT_MEMBER_CAP = 10_000
 
@@ -52,11 +52,13 @@ class _Ambient:
         images = [p.images for p in group.elements]
         self.index = index = {img: i for i, img in enumerate(images)}
         self.identity = index[group.identity.images]
-        gens = [index[p.images] for p in group.generators] or range(self.n)
-        self.mul = _multiplication_table(images, index, gens, self.identity)
+        gens = [index[p.images] for p in group.generators]
+        self.mul = _multiplication_table(images, index, gens or range(self.n), self.identity)
         self.inv = [row.index(self.identity) for row in self.mul]
         self.bit = [1 << i for i in range(self.n)]
         self.trivial = _Subgroup([self.identity], self.bit[self.identity], ())
+        # generator ids: the group's own, else a generating set picked from all elements
+        self.gens = tuple(gens) or self.generated(range(self.n)).gens
 
     def idx_of(self, perm: Permutation) -> int:
         return self.index[perm.images]
@@ -119,6 +121,23 @@ class _Ambient:
 
     def to_group(self, k: _Subgroup) -> FiniteGroup:
         return FiniteGroup(self.group.degree, [], [self.elems[i] for i in k.elems])
+
+    def core(self, mask: int) -> int:
+        """The bitset of the largest normal subgroup inside the subgroup bitset `mask`.
+
+        `mask` is intersected with its conjugates s·K·s⁻¹ under the generators
+        s until it stops shrinking.  The fixed point is a subgroup normalized
+        by every generator, hence normal, and no step removes an element of
+        the core, so the fixed point is the core.
+        """
+        mul, inv, bit = self.mul, self.inv, self.bit
+        while True:
+            before = mask
+            for s in self.gens:
+                row, s_inv = mul[s], inv[s]
+                mask &= sum(bit[mul[row[x]][s_inv]] for x in lat.bits(mask))
+            if mask == before:
+                return mask
 
 
 def _multiplication_table(images: list, index: dict, gens: Sequence[int], identity: int) -> list:
@@ -232,11 +251,6 @@ def full_subgroup_lattice(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> 
     return overgroup_interval(group, trivial_group(group.degree), cap)
 
 
-def minimal_overgroups(interval: GroupInterval) -> list:
-    """The atoms of the interval, as member groups."""
-    return [interval.members[a] for a in lat.atoms(interval.lattice)]
-
-
 def sub_interval(interval: GroupInterval, lo: int, hi: int) -> GroupInterval:
     """The interval [members[lo], members[hi]] re-rooted with its own labels."""
     ids = lat.members_between(interval.lattice, lo, hi)
@@ -251,10 +265,6 @@ def sub_interval(interval: GroupInterval, lo: int, hi: int) -> GroupInterval:
         interval._amb,
         [interval._masks[i] for i in ids],
     )
-
-
-def is_bottom_boolean(interval: GroupInterval) -> bool:
-    return lat.is_bottom_boolean(interval.lattice)
 
 
 def _bb_edge_table(lattice: lat.FiniteLattice):
@@ -273,11 +283,7 @@ def _bb_edge_table(lattice: lat.FiniteLattice):
             b = u
             for a in lat.bits(covers_up[u] & lattice._down[v]):
                 b = int(join[b, a])
-            try:
-                lat.boolean_elements(lattice, u, b)
-                cache[key] = True
-            except NotBoolean:
-                cache[key] = False
+            cache[key] = lat.is_boolean_interval(lattice, u, b)
         return cache[key]
 
     return edge
@@ -320,10 +326,12 @@ def bbl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
 def cfl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
     """Minimum of bbl_between(group, H) over core-free subgroups H."""
     full = full_subgroup_lattice(group, cap)
+    amb = full._amb
+    trivial = amb.trivial.mask
     edge = _bb_edge_table(full.lattice)
     best: Optional[int] = None
-    for i, member in enumerate(full.members):
-        if normal_core(group, member).order != 1:
+    for i, mask in enumerate(full._masks):
+        if amb.core(mask) != trivial:
             continue
         steps = _shortest_bb_chain(full.lattice, i, edge)
         if best is None or steps < best:

@@ -3,8 +3,10 @@
 The order relation is held as a read-only boolean matrix.  Meet and join
 tables are precomputed and their existence/uniqueness verified eagerly at
 construction, so every downstream operation may assume the lattice axioms.
-Rank is longest-path depth over the Hasse diagram; gradedness is only
-enforced where an operation needs it.
+Rank is longest-path depth over the Hasse diagram.  An interval [a, b] is
+boolean exactly when the joins of the subsets of its atoms are all distinct
+and fill it (`boolean_elements`); the boolean and bottom-boolean flags are
+that one test on [bottom, top] and on [bottom, join of the atoms].
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    NotAPartialOrder,
-    NotALattice,
-    NotBoolean,
-    NotComparable,
-    NotGraded,
-)
+from .errors import NotAPartialOrder, NotALattice, NotBoolean, NotComparable
 
 
 class FiniteLattice:
@@ -59,11 +55,6 @@ class FiniteLattice:
         self._graded = bool((ranks[ys] == ranks[xs] + 1).all())
         self._distributive: Optional[bool] = None
         self._boolean: Optional[bool] = None
-
-    # -- basic queries ---------------------------------------------------
-
-    def le(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b])
 
     def is_graded(self) -> bool:
         return self._graded
@@ -183,32 +174,17 @@ def complement_of(lat: FiniteLattice, x: int) -> Optional[int]:
 
 
 def is_boolean(lat: FiniteLattice) -> bool:
-    """Distributive with every element complemented; cached per lattice.
+    """Whether the lattice is boolean; cached per lattice.
 
-    When true the complement is automatically unique, the size is a power
-    of two, and every element is the join of the atoms below it; these are
-    asserted rather than searched.
+    The test is `boolean_elements` on [bottom, top]: the joins of the
+    subsets of the atoms must be distinct and make up the whole lattice.
+    That map then preserves order both ways (join S <= join T gives
+    join(S | T) = join T, so S is a subset of T), so the lattice is the
+    subset lattice of its atoms.
     """
     if lat._boolean is None:
-        lat._boolean = _boolean_scan(lat)
+        lat._boolean = is_boolean_interval(lat, lat.bottom, lat.top)
     return lat._boolean
-
-
-def _boolean_scan(lat: FiniteLattice) -> bool:
-    if not is_distributive(lat):
-        return False
-    comps = (lat.meet == lat.bottom) & (lat.join == lat.top)
-    counts = comps.sum(axis=1)
-    if not (counts >= 1).all():
-        return False
-    assert (counts == 1).all(), "complement not unique in a distributive lattice"
-    ats = atoms(lat)
-    assert lat.n == 1 << len(ats)
-    for x in range(lat.n):
-        below = [a for a in ats if lat.leq[a, x]]
-        joined = reduce(lambda u, v: int(lat.join[u, v]), below, lat.bottom)
-        assert joined == x, "element is not the join of the atoms below it"
-    return True
 
 
 def complement(lat: FiniteLattice, x: int) -> int:
@@ -265,6 +241,15 @@ def boolean_elements(lat: FiniteLattice, a: int, b: int) -> list:
     return elems
 
 
+def is_boolean_interval(lat: FiniteLattice, a: int, b: int) -> bool:
+    """Whether [a, b] is boolean, i.e. whether `boolean_elements` succeeds on it."""
+    try:
+        boolean_elements(lat, a, b)
+    except NotBoolean:
+        return False
+    return True
+
+
 def interval(lat: FiniteLattice, a: int, b: int) -> FiniteLattice:
     """The induced sublattice on [a, b].
 
@@ -288,16 +273,6 @@ def interval(lat: FiniteLattice, a: int, b: int) -> FiniteLattice:
     )
 
 
-def top_interval(lat: FiniteLattice) -> FiniteLattice:
-    """[t, top] with t the meet of all coatoms."""
-    return interval(lat, top_interval_base(lat), lat.top)
-
-
-def bottom_interval(lat: FiniteLattice) -> FiniteLattice:
-    """[bottom, b] with b the join of all atoms."""
-    return interval(lat, lat.bottom, bottom_interval_join(lat))
-
-
 def top_interval_base(lat: FiniteLattice) -> int:
     return reduce(lambda u, v: int(lat.meet[u, v]), coatoms(lat), lat.top)
 
@@ -306,15 +281,9 @@ def bottom_interval_join(lat: FiniteLattice) -> int:
     return reduce(lambda u, v: int(lat.join[u, v]), atoms(lat), lat.bottom)
 
 
-def rank(lat: FiniteLattice, x: int) -> int:
-    """Maximal chain length from bottom to x; requires a graded lattice."""
-    if not lat.is_graded():
-        raise NotGraded("rank is only defined on graded lattices")
-    return lat._ranks[x]
-
-
 def is_bottom_boolean(lat: FiniteLattice) -> bool:
-    return is_boolean(bottom_interval(lat))
+    """Whether [bottom, b] is boolean, with b the join of all atoms."""
+    return is_boolean_interval(lat, lat.bottom, bottom_interval_join(lat))
 
 
 def maximal_chains(lat: FiniteLattice) -> list:

@@ -3,7 +3,9 @@
 Groups are stored with their full element sets (every target here has small
 order), canonically sorted, so subgroup equality is plain set equality and
 lattice deduplication is deterministic.  Points are 0-based; cycle notation
-is accepted only at the I/O boundary (`Permutation.from_cycles`).
+is accepted only at the I/O boundary (`Permutation.from_cycles`).  This
+module builds groups; subgroup arithmetic (intersections, joins, cores) runs
+on bitsets over the ambient multiplication table in `intervals`.
 """
 
 from __future__ import annotations
@@ -11,13 +13,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .errors import (
-    CapExceeded,
-    DegreeMismatch,
-    ElementOutsideGroup,
-    NotASubgroup,
-    ParseError,
-)
+from .errors import CapExceeded, DegreeMismatch, ElementOutsideGroup, ParseError
 
 DEFAULT_CAP = 100_000
 
@@ -179,13 +175,6 @@ class FiniteGroup:
     def element_set(self) -> frozenset:
         return self._element_set
 
-    def is_abelian(self) -> bool:
-        gens = self.generators if self.generators else self.elements
-        return all(a * b == b * a for a in gens for b in gens)
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
 
 def _closure(degree: int, generators: Sequence[Permutation], cap: int) -> set:
     ident = Permutation.identity(degree)
@@ -224,98 +213,6 @@ def subgroup_generated(group: FiniteGroup, seed: Sequence[Permutation], cap: int
         if s not in group:
             raise ElementOutsideGroup(f"seed element {s} lies outside the group")
     return FiniteGroup(group.degree, list(seed), _closure(group.degree, list(seed), cap))
-
-
-def intersect(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    if a.degree != b.degree:
-        raise DegreeMismatch("cannot intersect groups of different degree")
-    common = a.element_set() & b.element_set()
-    return FiniteGroup(a.degree, [], common)
-
-
-def join(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """Smallest group containing both: closure of the union of element sets."""
-    if a.degree != b.degree:
-        raise DegreeMismatch("cannot join groups of different degree")
-    if a.element_set() >= b.element_set():
-        return a
-    if b.element_set() >= a.element_set():
-        return b
-    gens = list(a.generators or a.elements) + list(b.generators or b.elements)
-    closed = _closure(a.degree, gens, cap)
-    return FiniteGroup(a.degree, gens, closed)
-
-
-def _require_subgroup(group: FiniteGroup, sub: FiniteGroup) -> None:
-    if group.degree != sub.degree or not sub.element_set() <= group.element_set():
-        raise NotASubgroup("second argument is not a subgroup of the first")
-
-
-def index(group: FiniteGroup, sub: FiniteGroup) -> int:
-    _require_subgroup(group, sub)
-    assert group.order % sub.order == 0
-    return group.order // sub.order
-
-
-def conjugate(group: FiniteGroup, sub: FiniteGroup, g: Permutation) -> FiniteGroup:
-    """The conjugate subgroup g H g^-1."""
-    _require_subgroup(group, sub)
-    if g not in group:
-        raise ElementOutsideGroup("conjugating element lies outside the group")
-    ginv = g.inverse()
-    return FiniteGroup(group.degree, [], {g * h * ginv for h in sub.elements})
-
-
-def is_normal(group: FiniteGroup, sub: FiniteGroup) -> bool:
-    _require_subgroup(group, sub)
-    members = sub.element_set()
-    gens = group.generators or group.elements
-    for g in gens:
-        ginv = g.inverse()
-        if any(g * h * ginv not in members for h in sub.elements):
-            return False
-    return True
-
-
-def normal_core(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:
-    """Largest normal subgroup of `group` inside `sub`: the intersection of all conjugates."""
-    _require_subgroup(group, sub)
-    members = sub.element_set()
-    core = set()
-    for h in sub.elements:
-        if all((g * h) * g.inverse() in members for g in group.elements):
-            core.add(h)
-    return FiniteGroup(group.degree, [], core)
-
-
-def right_cosets(group: FiniteGroup, sub: FiniteGroup) -> list:
-    """Representatives of the cosets Hg, each the minimal element of its coset."""
-    _require_subgroup(group, sub)
-    remaining = set(group.elements)
-    reps = []
-    for g in group.elements:
-        if g in remaining:
-            coset = {h * g for h in sub.elements}
-            reps.append(min(coset))
-            remaining -= coset
-    assert len(reps) == group.order // sub.order
-    return reps
-
-
-def product_set_size(a: FiniteGroup, b: FiniteGroup) -> int:
-    """|AB| for the element-wise product set AB = {xy : x in A, y in B}."""
-    if a.degree != b.degree:
-        raise DegreeMismatch("groups act on different point sets")
-    return len({x * y for x in a.elements for y in b.elements})
-
-
-def element_orders(group: FiniteGroup) -> dict:
-    """Map order -> count over the element set."""
-    counts: dict = {}
-    for g in group.elements:
-        k = g.order()
-        counts[k] = counts.get(k, 0) + 1
-    return counts
 
 
 def trivial_group(degree: int) -> FiniteGroup:

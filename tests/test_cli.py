@@ -140,6 +140,19 @@ class TestGroupFiles:
     def test_no_selection(self):
         assert main(["interval"]) == 2
 
+    def test_internal_error_exits_4(self, capsys, monkeypatch):
+        from orelat import characters
+        from orelat.errors import ValidationFailed
+
+        def failing_table(*args, **kwargs):
+            raise ValidationFailed("row orthogonality failed")
+
+        monkeypatch.setattr(characters, "character_table", failing_table)
+        assert main(["primitive", "--catalog", "s3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "row orthogonality failed", "exit": 4}
+
 
 class TestReproduce:
     def test_factor_list_passes(self, capsys):

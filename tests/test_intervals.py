@@ -10,6 +10,7 @@ from orelat import intervals as iv
 from orelat import lattice as lat
 from orelat.errors import CapExceeded, NotASubgroup, NotDistributive
 from orelat.perm import FiniteGroup, Permutation, generate, subgroup_generated, trivial_group
+from test_lattice import assert_flags_match_reference, reference_is_bottom_boolean
 
 RANDOM_ORDER_CAP = 120
 
@@ -90,6 +91,19 @@ def brute_force_classes(group):
         frozenset(index[g * x * g.inverse()] for g in group.elements) for x in group.elements
     }
     return sorted(sorted(c) for c in classes)
+
+
+def brute_force_core(group, sub):
+    """Elements h of sub with g h g^-1 in sub for every g in group, by Permutation arithmetic."""
+    members = sub.element_set()
+    pairs = [(g, g.inverse()) for g in group.elements]
+    return {h for h in sub.elements if all(g * h * g_inv in members for g, g_inv in pairs)}
+
+
+def table_core(full, i):
+    """The core of member i of a full lattice, from the multiplication table, as permutations."""
+    amb = full._amb
+    return {amb.elems[x] for x in lat.bits(amb.core(full._masks[i]))}
 
 
 def a3_in_s3():
@@ -219,19 +233,23 @@ class TestFullLattices:
             }
 
 
+def atom_orders(interval):
+    return [interval.members[a].order for a in lat.atoms(interval.lattice)]
+
+
 class TestMinimalOvergroups:
     def test_two_chain(self):
         interval = iv.overgroup_interval(cat.symmetric(3), a3_in_s3())
-        assert [m.order for m in iv.minimal_overgroups(interval)] == [6]
+        assert atom_orders(interval) == [6]
 
     def test_d8_psl(self):
         interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
-        assert [m.order for m in iv.minimal_overgroups(interval)] == [24, 24]
+        assert atom_orders(interval) == [24, 24]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_product_interval_has_n_plus_one_atoms(self, n):
         interval = cat.catalog_interval(f"s2xs3_{n}/base")
-        assert len(iv.minimal_overgroups(interval)) == n + 1
+        assert len(atom_orders(interval)) == n + 1
         assert len(interval) == 2 ** (n + 1)
         assert lat.is_boolean(interval.lattice)
 
@@ -264,12 +282,29 @@ class TestBblCfl:
         for u in range(lattice.n):
             for v in lat.members_between(lattice, u, lattice.top):
                 if v != u:
-                    assert edge(u, v) == lat.is_bottom_boolean(lat.interval(lattice, u, v))
+                    assert edge(u, v) == reference_is_bottom_boolean(lat.interval(lattice, u, v))
 
     @pytest.mark.parametrize("name", ["z2", "z4", "z6", "z8", "z12", "v4", "s3", "d4", "a4"])
     def test_cfl_at_most_bbl(self, name):
         group = cat.catalog_group(name)
         assert iv.cfl(group) <= iv.bbl(group)
+
+
+class TestCore:
+    @settings(max_examples=40, deadline=None)
+    @given(groups_with_base())
+    def test_table_core_matches_conjugation_on_random_groups(self, pair):
+        group, _ = pair
+        full = iv.full_subgroup_lattice(group)
+        for i, member in enumerate(full.members):
+            assert table_core(full, i) == brute_force_core(group, member)
+
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_table_core_matches_conjugation_on_scan_groups(self, name):
+        group = cat.catalog_group(name)
+        full = cat.cached_full_lattice(name)
+        for i, member in enumerate(full.members):
+            assert table_core(full, i) == brute_force_core(group, member)
 
 
 class TestOre:
@@ -398,6 +433,12 @@ class TestStructureLemmas:
                         interval.index_of[lat.complement(lattice, a)] == 2
                         for a in atoms_below_y
                     ), name
+
+
+class TestBooleanReference:
+    @pytest.mark.parametrize("name", SMALL_SCAN)
+    def test_flags_match_the_complement_scan(self, name):
+        assert_flags_match_reference(cat.cached_full_lattice(name).lattice)
 
 
 def _prime_multiset(n):

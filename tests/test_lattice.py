@@ -1,14 +1,49 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from orelat import lattice as lat
-from orelat.errors import (
-    NotALattice,
-    NotAPartialOrder,
-    NotBoolean,
-    NotComparable,
-    NotGraded,
-)
+from orelat.errors import NotALattice, NotAPartialOrder, NotBoolean, NotComparable
+
+
+def reference_is_boolean(lattice):
+    """Boolean by complements: distributive, and every element has a complement.
+
+    The complements are searched in the meet and join tables, independently
+    of the atom-bitmask test behind `lat.is_boolean`.  When the lattice is
+    boolean the complement is unique, the size is a power of two and every
+    element is the join of the atoms below it; these are asserted.
+    """
+    if not lat.is_distributive(lattice):
+        return False
+    comps = (lattice.meet == lattice.bottom) & (lattice.join == lattice.top)
+    counts = comps.sum(axis=1)
+    if not (counts >= 1).all():
+        return False
+    assert (counts == 1).all(), "complement not unique in a distributive lattice"
+    ats = lat.atoms(lattice)
+    assert lattice.n == 1 << len(ats)
+    for x in range(lattice.n):
+        below = [a for a in ats if lattice.leq[a, x]]
+        joined = reduce(lambda u, v: int(lattice.join[u, v]), below, lattice.bottom)
+        assert joined == x, "element is not the join of the atoms below it"
+    return True
+
+
+def reference_is_bottom_boolean(lattice):
+    """`reference_is_boolean` on the sliced lattice [bottom, join of the atoms]."""
+    top = lat.bottom_interval_join(lattice)
+    return reference_is_boolean(lat.interval(lattice, lattice.bottom, top))
+
+
+def assert_flags_match_reference(lattice):
+    """On every [lo, hi]: is_boolean and is_bottom_boolean agree with the references."""
+    for lo in range(lattice.n):
+        for hi in lat.members_between(lattice, lo, lattice.top):
+            sub = lat.interval(lattice, lo, hi)
+            assert lat.is_boolean(sub) == reference_is_boolean(sub), (lo, hi)
+            assert lat.is_bottom_boolean(sub) == reference_is_bottom_boolean(sub), (lo, hi)
 
 
 def chain(n):
@@ -30,6 +65,16 @@ def pentagon_n5():
     leq = np.eye(5, dtype=bool)
     for x, y in [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)]:
         leq[x, y] = True
+    return lat.build_lattice(leq)
+
+
+def eight_with_three_atoms():
+    # 8 elements and 3 atoms a(1), b(2), c(3), yet not boolean: d(4) sits
+    # between a and a v b(5), and b v c is the top(7); a v c is 6
+    leq = np.eye(8, dtype=bool)
+    for x, y in [(1, 4), (1, 5), (1, 6), (2, 5), (3, 6), (4, 5)]:
+        leq[x, y] = True
+    leq[0, :] = leq[:, 7] = True
     return lat.build_lattice(leq)
 
 
@@ -149,20 +194,32 @@ class TestIntervals:
             lat.interval(b3, 0b001, 0b110)
 
 
+class TestBooleanReference:
+    @pytest.mark.parametrize("lattice", [
+        diamond_m3(), pentagon_n5(), chain(1), chain(2), chain(4),
+        divisor_lattice(12), divisor_lattice(30), divisor_lattice(36),
+        lat.subset_lattice(3), eight_with_three_atoms(),
+    ], ids=["m3", "n5", "chain1", "chain2", "chain4", "div12", "div30", "div36", "b3", "eight"])
+    def test_flags_match_the_complement_scan(self, lattice):
+        assert_flags_match_reference(lattice)
+
+
 class TestTopBottomIntervals:
     def test_boolean_bottom_interval_is_everything(self):
         b3 = lat.subset_lattice(3)
-        assert lat.bottom_interval(b3).n == b3.n
+        assert lat.bottom_interval_join(b3) == b3.top
+        assert len(lat.boolean_elements(b3, b3.bottom, b3.top)) == b3.n
 
     def test_chain_bottom_interval(self):
         three = chain(3)
-        assert lat.bottom_interval(three).n == 2
+        b = lat.bottom_interval_join(three)
+        assert lat.boolean_elements(three, three.bottom, b) == [0, 1]
 
     def test_distributive_has_boolean_top_and_bottom(self):
         for n in (12, 30, 8, 36):
             lattice = divisor_lattice(n)
-            assert lat.is_boolean(lat.top_interval(lattice))
-            assert lat.is_boolean(lat.bottom_interval(lattice))
+            lat.boolean_elements(lattice, lat.top_interval_base(lattice), lattice.top)
+            lat.boolean_elements(lattice, lattice.bottom, lat.bottom_interval_join(lattice))
 
     def test_bottom_boolean(self):
         assert lat.is_bottom_boolean(lat.subset_lattice(2))
@@ -174,15 +231,13 @@ class TestRank:
     def test_rank_of_top_in_bn(self):
         for n in (1, 2, 3, 4):
             bn = lat.subset_lattice(n)
-            assert lat.rank(bn, bn.top) == n
+            assert bn.is_graded()
+            assert bn.ranks()[bn.top] == n
+            assert bn.ranks() == tuple(x.bit_count() for x in range(bn.n))
 
     def test_graded_flags(self):
         assert lat.subset_lattice(3).is_graded()
         assert not pentagon_n5().is_graded()
-
-    def test_rank_requires_graded(self):
-        with pytest.raises(NotGraded):
-            lat.rank(pentagon_n5(), 2)
 
     def test_maximal_chains_of_b3(self):
         assert len(lat.maximal_chains(lat.subset_lattice(3))) == 6

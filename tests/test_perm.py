@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,22 +11,11 @@ from orelat.errors import (
     NotASubgroup,
     ParseError,
 )
-from orelat.perm import (
-    Permutation,
-    element_orders,
-    generate,
-    index,
-    intersect,
-    is_normal,
-    join,
-    normal_core,
-    conjugate,
-    product_set_size,
-    right_cosets,
-    subgroup_generated,
-    trivial_group,
-)
+from orelat.perm import Permutation, generate, subgroup_generated
 from orelat import catalog as cat
+from orelat import characters as ch
+from orelat import intervals as iv
+from orelat import lattice as lat
 
 
 def s3():
@@ -107,7 +98,7 @@ class TestGenerate:
 
     def test_element_orders_psl(self):
         # orders 1,2,3,4,7 with classical multiplicities
-        counts = element_orders(cat.psl2_7())
+        counts = Counter(g.order() for g in cat.psl2_7().elements)
         assert counts == {1: 1, 2: 21, 3: 56, 4: 42, 7: 48}
 
 
@@ -126,74 +117,86 @@ class TestSubgroups:
         assert cat.psl2_7_d8().order == 8
 
     def test_intersect(self):
-        group = s3()
-        a = subgroup_generated(group, [Permutation.from_cycles("(1 2)", 3)])
-        b = subgroup_generated(group, [Permutation.from_cycles("(1 3)", 3)])
-        assert intersect(a, a) == a
-        assert intersect(a, b).order == 1
+        full = iv.full_subgroup_lattice(s3())
+        a = full.member_id(subgroup_generated(s3(), [Permutation.from_cycles("(1 2)", 3)]))
+        b = full.member_id(subgroup_generated(s3(), [Permutation.from_cycles("(1 3)", 3)]))
+        assert full.lattice.meet[a, a] == a
+        assert full.members[full.lattice.meet[a, b]].order == 1
 
     def test_intersect_psl_overgroups(self):
-        from orelat.intervals import minimal_overgroups, overgroup_interval
-        interval = overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
-        k, ell = minimal_overgroups(interval)
-        assert intersect(k, ell).order == 8
-        assert join(k, ell).order == 168
+        interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
+        lattice = interval.lattice
+        k, ell = lat.atoms(lattice)
+        assert interval.members[lattice.meet[k, ell]].order == 8
+        assert interval.members[lattice.join[k, ell]].order == 168
 
     def test_join(self):
-        group = s3()
-        a = subgroup_generated(group, [Permutation.from_cycles("(1 2)", 3)])
-        assert join(a, trivial_group(3)) == a
-        assert join(a, a3_in(group)).order == 6
+        full = iv.full_subgroup_lattice(s3())
+        a = full.member_id(subgroup_generated(s3(), [Permutation.from_cycles("(1 2)", 3)]))
+        a3 = full.member_id(a3_in(s3()))
+        assert full.lattice.join[a, full.lattice.bottom] == a
+        assert full.members[full.lattice.join[a, a3]].order == 6
 
     def test_index(self):
-        group = s3()
-        assert index(group, a3_in(group)) == 2
-        assert index(group, group) == 1
-        assert index(cat.psl2_7(), cat.psl2_7_d8()) == 168 // 8 == 21
+        interval = iv.overgroup_interval(s3(), a3_in(s3()))
+        assert interval.index_of == (2, 1)
+        psl = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
+        assert psl.index_of[psl.lattice.bottom] == 168 // 8 == 21
 
     def test_index_multiplicative(self):
         group = cat.symmetric(4)
         a4 = subgroup_generated(group, [Permutation([1, 2, 0, 3]), Permutation([0, 2, 3, 1])])
         v4 = subgroup_generated(group, [Permutation([1, 0, 3, 2]), Permutation([2, 3, 0, 1])])
-        assert index(group, v4) == index(group, a4) * index(a4, v4)
+        interval = iv.overgroup_interval(group, v4)
+        lower = iv.overgroup_interval(a4, v4)
+        assert interval.index_of[interval.lattice.bottom] == (
+            interval.index_of[interval.member_id(a4)] * lower.index_of[lower.lattice.bottom]
+        )
 
     def test_not_a_subgroup(self):
         with pytest.raises(NotASubgroup):
-            index(a3_in(s3()), s3())
+            iv.overgroup_interval(a3_in(s3()), s3())
 
 
 class TestNormality:
     def test_core_of_normal_subgroup(self):
-        group = s3()
-        a3 = a3_in(group)
-        assert normal_core(group, a3) == a3
-        assert is_normal(group, a3)
+        full = iv.full_subgroup_lattice(s3())
+        a3 = full.member_id(a3_in(s3()))
+        assert full._amb.core(full._masks[a3]) == full._masks[a3]
 
     def test_core_free(self):
-        group = s3()
-        z2 = subgroup_generated(group, [Permutation.from_cycles("(1 2)", 3)])
-        assert normal_core(group, z2).order == 1
-        assert not is_normal(group, z2)
+        full = iv.full_subgroup_lattice(s3())
+        z2 = full.member_id(subgroup_generated(s3(), [Permutation.from_cycles("(1 2)", 3)]))
+        assert full._amb.core(full._masks[z2]) == full._masks[full.lattice.bottom]
 
     def test_psl_is_simple_so_core_trivial(self):
         group = cat.psl2_7()
-        d8 = cat.psl2_7_d8()
         # independent simplicity check: the conjugates of any single
         # nontrivial element already generate the whole group
         g = group.elements[1]
         conjugates = {x * g * x.inverse() for x in group.elements}
         assert subgroup_generated(group, sorted(conjugates)).order == group.order
-        assert normal_core(group, d8).order == 1
+        full = cat.cached_full_lattice("psl2_7")
+        trivial = full._masks[full.lattice.bottom]
+        d8 = full.member_id(cat.psl2_7_d8())
+        assert full._amb.core(full._masks[d8]) == trivial
+        assert [i for i, m in enumerate(full._masks) if full._amb.core(m) != trivial] == [full.lattice.top]
 
     def test_conjugate(self):
-        group = s3()
-        sub = subgroup_generated(group, [Permutation.from_cycles("(1 2)", 3)])
-        moved = conjugate(group, sub, Permutation.from_cycles("(2 3)", 3))
-        assert Permutation.from_cycles("(1 3)", 3) in moved
+        classes = ch.conjugacy_classes(s3())
+        elems = s3().elements
+        moved = Permutation.from_cycles("(2 3)", 3) * Permutation.from_cycles("(1 2)", 3) \
+            * Permutation.from_cycles("(2 3)", 3).inverse()
+        assert moved == Permutation.from_cycles("(1 3)", 3)
+        t12 = elems.index(Permutation.from_cycles("(1 2)", 3))
+        t13 = elems.index(moved)
+        assert classes.class_of[t12] == classes.class_of[t13]
 
     def test_right_cosets(self):
         group = s3()
-        reps = right_cosets(group, a3_in(group))
+        amb = iv._ambient(group)
+        a3 = amb.subgroup(a3_in(group))
+        reps = [group.elements[g] for g in iv._coset_rep_indices(amb, a3)]
         assert len(reps) == 2
         cosets = [{h * g for h in a3_in(group).elements} for g in reps]
         assert set().union(*cosets) == group.element_set()
@@ -203,11 +206,11 @@ class TestNormality:
 class TestProductFormula:
     @pytest.mark.parametrize("name", ["s3", "d4", "a4", "z12"])
     def test_product_formula(self, name):
-        from orelat.intervals import full_subgroup_lattice
-        full = full_subgroup_lattice(cat.catalog_group(name))
-        members = full.members
-        for a in members:
-            for b in members:
+        full = cat.cached_full_lattice(name)
+        members, lattice = full.members, full.lattice
+        for i, a in enumerate(members):
+            for j, b in enumerate(members):
                 lhs = a.order * b.order
-                assert lhs == product_set_size(a, b) * intersect(a, b).order
-                assert lhs <= join(a, b).order * intersect(a, b).order
+                meet = members[lattice.meet[i, j]].order
+                assert lhs == len({x * y for x in a.elements for y in b.elements}) * meet
+                assert lhs <= members[lattice.join[i, j]].order * meet
