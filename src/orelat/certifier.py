@@ -309,12 +309,20 @@ def certify(obj: Union[GroupInterval, IndexedInterval, BooleanInterval, IndexedM
     model = _as_model(obj)
     if isinstance(model, BooleanInterval):
         return _certify_boolean(model, [])
-    lattice = model.lattice
-    if not lat.is_distributive(lattice):
+    if not lat.is_distributive(model.lattice):
         raise NotDistributive("certification requires a distributive interval")
+    return certify_above(model, model.lattice.bottom)
+
+
+def certify_above(model: IndexedInterval, a: int) -> Certificate:
+    """The rule chain on the distributive interval [a, top] of a concrete model.
+
+    R1 reduces it to [a, join of its atoms], where the boolean rules decide.
+    """
+    lattice = model.lattice
     steps: list = []
-    bottom_join = lat.bottom_interval_join(lattice)
-    work = tt.boolean_between(model, lattice.bottom, bottom_join)
+    bottom_join = lat.covers_join(lattice, a)
+    work = tt.boolean_between(model, a, bottom_join)
     if bottom_join != lattice.top:
         steps.append(CertStep(
             "R1-bottom-interval",

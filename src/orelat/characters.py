@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import lattice as lat
-from .errors import NotAnInteger, NotASubgroup, ValidationFailed
+from .errors import NotAnInteger, ValidationFailed
 from .intervals import GroupInterval, _ambient
 from .perm import FiniteGroup
 
@@ -87,15 +87,14 @@ class CharacterTable:
         return len(self.degrees)
 
     def _class_counts(self, sub: FiniteGroup) -> np.ndarray:
-        """Number of elements of the subgroup in each conjugacy class."""
-        amb = _ambient(self.group)
-        key = amb.subgroup_mask(sub)
-        if key not in self._fixed_counts:
+        """Elements of the subgroup per conjugacy class; cached per subgroup, checked on a miss."""
+        counts = self._fixed_counts.get(sub)
+        if counts is None:
             counts = np.zeros(len(self.classes), dtype=np.int64)
-            for i in lat.bits(key):
+            for i in lat.bits(_ambient(self.group).subgroup_mask(sub)):
                 counts[self.classes.class_of[i]] += 1
-            self._fixed_counts[key] = counts
-        return self._fixed_counts[key]
+            self._fixed_counts[sub] = counts
+        return counts
 
     def __repr__(self) -> str:
         return f"CharacterTable(|G|={self.group.order}, degrees={self.degrees})"
@@ -186,8 +185,6 @@ def _row_sort_key(chi: np.ndarray) -> tuple:
 
 def fixed_dim(table: CharacterTable, row: int, sub: FiniteGroup) -> int:
     """dim V^K = (1/|K|) sum over K of chi, validated to a nonnegative integer."""
-    if not sub <= table.group:
-        raise NotASubgroup("fixed spaces are only defined for subgroups")
     counts = table._class_counts(sub)
     value = complex(np.dot(counts, table.values[row])) / sub.order
     if abs(value.imag) > TOLERANCE:
@@ -207,20 +204,22 @@ def index_identity_holds(table: CharacterTable, sub: FiniteGroup) -> bool:
 
 
 def is_linearly_primitive(interval: GroupInterval, table: Optional[CharacterTable] = None):
-    """Decide whether some irreducible has pointwise stabilizer exactly the base.
-
-    Returns (verdict, witness_row); the witness is None when not primitive.
-    A row is a witness iff every minimal overgroup strictly drops dim V^H.
-    """
+    """Decide whether some irreducible has pointwise stabilizer exactly the base (`linear_witness`)."""
     if table is None:
         table = character_table(interval.ambient)
-    atoms = lat.atoms(interval.lattice)
+    atoms = [interval.members[a] for a in lat.atoms(interval.lattice)]
+    return linear_witness(table, interval.base, atoms)
+
+
+def linear_witness(table: CharacterTable, base: FiniteGroup, overgroups: Sequence[FiniteGroup]):
+    """(verdict, witness_row) for a base H and its minimal overgroups; the row is None when not primitive.
+
+    A row is a witness iff every minimal overgroup strictly drops dim V^H.
+    """
     for row in range(len(table)):
-        base_dim = fixed_dim(table, row, interval.base)
-        if base_dim == 0 and atoms:
+        base_dim = fixed_dim(table, row, base)
+        if base_dim == 0 and overgroups:
             continue
-        if all(
-            fixed_dim(table, row, interval.members[a]) < base_dim for a in atoms
-        ):
+        if all(fixed_dim(table, row, k) < base_dim for k in overgroups):
             return True, row
     return False, None

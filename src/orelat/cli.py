@@ -13,6 +13,8 @@ import json
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from . import catalog as cat
 from . import characters as ch
@@ -91,12 +93,6 @@ def _report(command: str, results: dict, claims: Optional[list] = None) -> dict:
 
 def _interval_results(interval: iv.GroupInterval) -> dict:
     lattice = interval.lattice
-    hasse = [
-        [int(x), int(y)]
-        for x in range(lattice.n)
-        for y in range(lattice.n)
-        if lattice.covers[x, y]
-    ]
     return {
         "ambient_order": interval.ambient.order,
         "base_order": interval.base.order,
@@ -104,7 +100,7 @@ def _interval_results(interval: iv.GroupInterval) -> dict:
             {"id": i, "order": m.order, "index": interval.index_of[i]}
             for i, m in enumerate(interval.members)
         ],
-        "hasse_edges": hasse,
+        "hasse_edges": np.argwhere(lattice.covers).tolist(),
         "boolean": lat.is_boolean(lattice),
         "distributive": lat.is_distributive(lattice),
         "bottom_boolean": lat.is_bottom_boolean(lattice),

@@ -60,9 +60,6 @@ class _Ambient:
         # generator ids: the group's own, else a generating set picked from all elements
         self.gens = tuple(gens) or self.generated(range(self.n)).gens
 
-    def idx_of(self, perm: Permutation) -> int:
-        return self.index[perm.images]
-
     def subgroup_mask(self, sub: FiniteGroup) -> int:
         try:
             return sum(self.bit[self.index[p.images]] for p in sub.elements)
@@ -114,10 +111,7 @@ class _Ambient:
         return k
 
     def subgroup(self, sub: FiniteGroup) -> _Subgroup:
-        try:
-            return self.generated(sorted(self.index[p.images] for p in sub.elements))
-        except KeyError as exc:
-            raise NotASubgroup("subgroup has elements outside the ambient group") from exc
+        return self.generated(lat.bits(self.subgroup_mask(sub)))
 
     def to_group(self, k: _Subgroup) -> FiniteGroup:
         return FiniteGroup(self.group.degree, [], [self.elems[i] for i in k.elems])

@@ -46,7 +46,7 @@ class FiniteLattice:
         self.covers = covers
         self._down, self._up = _order_masks(leq)
         ranks = np.zeros(self.n, dtype=np.int64)
-        for x in _linear_extension(leq):
+        for x in np.argsort(leq.sum(axis=0), kind="stable").tolist():
             below = np.flatnonzero(covers[:, x])
             if below.size:
                 ranks[x] = int(ranks[below].max()) + 1
@@ -80,18 +80,6 @@ def _order_masks(leq: np.ndarray) -> tuple:
     return down, up
 
 
-def _linear_extension(leq: np.ndarray) -> list:
-    order = np.argsort(leq.sum(axis=0), kind="stable")
-    return [int(x) for x in order]
-
-
-def _find_extremum(leq: np.ndarray, rows: bool) -> Optional[int]:
-    """Row-all gives the bottom (below everything), column-all the top."""
-    axis = leq.all(axis=1 if rows else 0)
-    hits = np.flatnonzero(axis)
-    return int(hits[0]) if len(hits) else None
-
-
 def build_lattice(leq) -> FiniteLattice:
     """Validate a relation and precompute meet/join tables.
 
@@ -111,38 +99,46 @@ def build_lattice(leq) -> FiniteLattice:
         raise NotAPartialOrder("relation is not transitive")
 
     down, up = _order_masks(mat)
-    meet = np.zeros((n, n), dtype=np.int32)
-    join = np.zeros((n, n), dtype=np.int32)
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            m = _unique_bound(down, down[a] & down[b])
+            m = _unique_bound(down, down[a] & down[b], highest_first=True)
             if m is None:
                 raise NotALattice(f"elements {a} and {b} have no unique meet")
-            j = _unique_bound(up, up[a] & up[b])
+            j = _unique_bound(up, up[a] & up[b], highest_first=False)
             if j is None:
                 raise NotALattice(f"elements {a} and {b} have no unique join")
-            meet[a, b] = meet[b, a] = m
-            join[a, b] = join[b, a] = j
-    bottom = _find_extremum(mat, rows=True)
-    top = _find_extremum(mat, rows=False)
-    assert bottom is not None and top is not None
-    return FiniteLattice(mat.copy(), meet, join, bottom, top)
+            meet[a][b] = meet[b][a] = m
+            join[a][b] = join[b][a] = j
+    everything = (1 << n) - 1
+    return FiniteLattice(mat.copy(), np.array(meet, dtype=np.int32), np.array(join, dtype=np.int32),
+                         up.index(everything), down.index(everything))
 
 
-def _unique_bound(masks, candidates: int) -> Optional[int]:
-    """The element of `candidates` whose mask covers all of them, if any."""
+def _unique_bound(masks, candidates: int, highest_first: bool) -> Optional[int]:
+    """The element of `candidates` whose mask covers all of them, if any.
+
+    Tried from the highest id down or the lowest up: in a linear extension,
+    as subgroup intervals number their members, the meet is the highest
+    common lower bound and the join the lowest common upper bound.
+    """
     rest = candidates
     while rest:
-        low = rest & -rest
-        x = low.bit_length() - 1
+        x = rest.bit_length() - 1 if highest_first else (rest & -rest).bit_length() - 1
         if candidates & ~masks[x] == 0:
             return x
-        rest ^= low
+        rest ^= 1 << x
     return None
 
 
+def upper_covers(lat: FiniteLattice, a: int) -> list:
+    """The elements covering a, ascending: the atoms of [a, top]."""
+    return np.flatnonzero(lat.covers[a]).tolist()
+
+
 def atoms(lat: FiniteLattice) -> list:
-    return [x for x in range(lat.n) if lat.covers[lat.bottom, x]]
+    return upper_covers(lat, lat.bottom)
 
 
 def coatoms(lat: FiniteLattice) -> list:
@@ -152,25 +148,20 @@ def coatoms(lat: FiniteLattice) -> list:
 def is_distributive(lat: FiniteLattice) -> bool:
     """Exhaustive check of a v (b ^ c) == (a v b) ^ (a v c); cached per lattice."""
     if lat._distributive is None:
-        lat._distributive = _distributive_scan(lat)
+        lat._distributive = _distributive_scan(lat, np.arange(lat.n))
     return lat._distributive
 
 
-def _distributive_scan(lat: FiniteLattice) -> bool:
+def _distributive_scan(lat: FiniteLattice, ids: np.ndarray) -> bool:
+    """Whether a v (b ^ c) == (a v b) ^ (a v c) on `ids`, a set closed under meet and join."""
     meet, join = lat.meet, lat.join
-    for a in range(lat.n):
-        left = join[a][meet]
+    inner = meet[ids[:, None], ids]
+    for a in ids.tolist():
         row = join[a]
-        right = meet[row[:, None], row[None, :]]
-        if not np.array_equal(left, right):
+        outer = row[ids]
+        if not np.array_equal(row[inner], meet[outer[:, None], outer]):
             return False
     return True
-
-
-def complement_of(lat: FiniteLattice, x: int) -> Optional[int]:
-    """Some complement of x, or None."""
-    hits = np.flatnonzero((lat.meet[x] == lat.bottom) & (lat.join[x] == lat.top))
-    return int(hits[0]) if len(hits) else None
 
 
 def is_boolean(lat: FiniteLattice) -> bool:
@@ -190,9 +181,7 @@ def is_boolean(lat: FiniteLattice) -> bool:
 def complement(lat: FiniteLattice, x: int) -> int:
     if not is_boolean(lat):
         raise NotBoolean("complements are only defined on boolean lattices")
-    c = complement_of(lat, x)
-    assert c is not None
-    return c
+    return int(np.flatnonzero((lat.meet[x] == lat.bottom) & (lat.join[x] == lat.top))[0])
 
 
 def bits(mask: int) -> list:
@@ -277,8 +266,13 @@ def top_interval_base(lat: FiniteLattice) -> int:
     return reduce(lambda u, v: int(lat.meet[u, v]), coatoms(lat), lat.top)
 
 
+def covers_join(lat: FiniteLattice, a: int) -> int:
+    """The join of the atoms of [a, top]."""
+    return reduce(lambda u, v: int(lat.join[u, v]), upper_covers(lat, a), a)
+
+
 def bottom_interval_join(lat: FiniteLattice) -> int:
-    return reduce(lambda u, v: int(lat.join[u, v]), atoms(lat), lat.bottom)
+    return covers_join(lat, lat.bottom)
 
 
 def is_bottom_boolean(lat: FiniteLattice) -> bool:

@@ -191,35 +191,42 @@ def _cached_table(name: str):
     return ch.character_table(cat.catalog_group(name))
 
 
-def _distributive_top_intervals(name: str):
-    """(member_id, interval) for every distributive [H, G] of a scan group."""
-    full = cat.cached_full_lattice(name)
-    top = full.lattice.top
-    for h in range(full.lattice.n):
-        interval = iv.sub_interval(full, h, top)
-        if lat.is_distributive(interval.lattice):
-            yield h, interval
+def _top_intervals(full: iv.GroupInterval, table: ch.CharacterTable):
+    """(h, certificate, witness row or None) for each distributive [h, G], read off a full lattice.
+
+    An interval of a distributive lattice is distributive, so once [h, G]
+    passes every h' >= h passes untested.  Witnesses are sought only for
+    certified intervals.
+    """
+    lattice = full.lattice
+    model = tt.from_group_interval(full)
+    passed = 0
+    for h in range(lattice.n):
+        if not passed >> h & 1:
+            if not lat._distributive_scan(lattice, lattice.leq[h].nonzero()[0]):
+                continue
+            passed |= lattice._up[h]
+        cert = cf.certify_above(model, h)
+        witness = None
+        if cert.is_primitive:
+            overgroups = [full.members[k] for k in lat.upper_covers(lattice, h)]
+            _, witness = ch.linear_witness(table, full.members[h], overgroups)
+        yield h, cert, witness
 
 
 def run_catalog_primitivity() -> tuple:
     loc = "main theorem soundness / conjecture 4.13"
     counterexamples = []
-    certified = 0
-    scanned = 0
-    for name, group in cat.scan_groups(200):
-        table = _cached_table(name)
-        for h, interval in _distributive_top_intervals(name):
-            scanned += 1
-            cert = cf.certify(interval)
-            if cert.is_primitive:
-                certified += 1
-                primitive, _ = ch.is_linearly_primitive(interval, table)
-                if not primitive:
-                    counterexamples.append([name, h])
     monitor_violations = []
-    boolean_count = 0
+    scanned = certified = boolean_count = 0
     for name, group in cat.scan_groups(200):
         full = cat.cached_full_lattice(name)
+        for h, cert, witness in _top_intervals(full, _cached_table(name)):
+            scanned += 1
+            if cert.is_primitive:
+                certified += 1
+                if witness is None:
+                    counterexamples.append([name, h])
         lattice = full.lattice
         model = tt.from_group_interval(full)
         for lo in range(lattice.n):

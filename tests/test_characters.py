@@ -5,7 +5,8 @@ from orelat import catalog as cat
 from orelat import characters as ch
 from orelat import intervals as iv
 from orelat import lattice as lat
-from orelat.perm import trivial_group
+from orelat.errors import NotASubgroup
+from orelat.perm import FiniteGroup, Permutation, generate, trivial_group
 
 CLASSICAL_DEGREES = {
     "z5": [1, 1, 1, 1, 1],
@@ -96,6 +97,20 @@ class TestFixedDim:
         table = ch.character_table(group)
         for row in range(len(table)):
             assert ch.fixed_dim(table, row, trivial_group(8)) == table.degrees[row]
+
+    def test_non_subgroup_raises_cold_and_after_caching(self):
+        table = ch.character_table(cat.alternating(4))
+        transposition = generate(4, [Permutation.from_cycles("(1 2)", 4)])
+        with pytest.raises(NotASubgroup):
+            ch.fixed_dim(table, 0, transposition)
+        double = generate(4, [Permutation.from_cycles("(1 2)(3 4)", 4)])
+        dims = [ch.fixed_dim(table, row, double) for row in range(len(table))]
+        copy = FiniteGroup(4, [], double.elements)
+        assert [ch.fixed_dim(table, row, copy) for row in range(len(table))] == dims
+        with pytest.raises(NotASubgroup):
+            ch.fixed_dim(table, 0, transposition)
+        with pytest.raises(NotASubgroup):
+            ch.fixed_dim(table, 0, trivial_group(5))
 
     @pytest.mark.parametrize("name", ["s3", "d4", "a4", "s4", "z12", "psl2_7"])
     def test_index_identity(self, name):

@@ -1,8 +1,9 @@
-"""Golden output: the byte-stable reports of the single-interval commands.
+"""Golden output: the byte-stable reports of the single-interval commands and suites.
 
 Every catalog group and named interval except the S2 x S3^3 stretch pair is
-run through `interval`, `totient`, `certify`, `primitive` and `bbl`.  The
-stored digest is the sha256 of stdout, next to the exit code and stderr.
+run through `interval`, `totient`, `certify`, `primitive` and `bbl`, and
+every `reproduce` target is run once.  The stored digest is the sha256 of
+stdout, next to the exit code and stderr.
 
 Regenerate (only when a report is meant to change) with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -18,6 +19,7 @@ import pytest
 
 from orelat import catalog as cat
 from orelat.cli import main
+from orelat.reproduce import TARGETS
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 COMMANDS = ("interval", "totient", "certify", "primitive", "bbl")
@@ -30,14 +32,16 @@ def golden_pairs() -> list:
 
 
 def golden_cases() -> list:
-    return [f"{command} {name}" for name in golden_pairs() for command in COMMANDS]
+    singles = [f"{command} {name}" for name in golden_pairs() for command in COMMANDS]
+    return singles + [f"reproduce {target}" for target in TARGETS]
 
 
 def run_case(case: str) -> dict:
     command, name = case.split(" ")
+    argv = [command, name] if command == "reproduce" else [command, "--catalog", name]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--catalog", name])
+        code = main(argv)
     return {
         "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
         "exit": code,

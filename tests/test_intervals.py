@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orelat import catalog as cat
+from orelat import certifier as cf
 from orelat import characters as ch
 from orelat import intervals as iv
 from orelat import lattice as lat
+from orelat import reproduce as rp
 from orelat.errors import CapExceeded, NotASubgroup, NotDistributive
 from orelat.perm import FiniteGroup, Permutation, generate, subgroup_generated, trivial_group
 from test_lattice import assert_flags_match_reference, reference_is_bottom_boolean
@@ -463,3 +465,39 @@ class TestConjugacyClasses:
         assert [list(c) for c in ch.conjugacy_classes(group).classes] == expected
         bare = FiniteGroup(group.degree, [], group.elements)
         assert [list(c) for c in ch.conjugacy_classes(bare).classes] == expected
+
+
+def sliced_top_verdicts(full, table) -> dict:
+    """{h: (certificate, (verdict, witness row))} for each distributive [h, G], sliced out one by one."""
+    top = full.lattice.top
+    verdicts = {}
+    for h in range(full.lattice.n):
+        interval = iv.sub_interval(full, h, top)
+        if lat.is_distributive(interval.lattice):
+            verdicts[h] = (cf.certify(interval).to_dict(), ch.is_linearly_primitive(interval, table))
+    return verdicts
+
+
+def assert_top_scan_matches_slices(full, table):
+    """`reproduce._top_intervals` reads [h, G] off the full lattice; each h is sliced as the reference."""
+    expected = sliced_top_verdicts(full, table)
+    scanned = list(rp._top_intervals(full, table))
+    assert [h for h, _, _ in scanned] == sorted(expected)
+    for h, cert, witness in scanned:
+        reference_cert, reference_primitive = expected[h]
+        assert cert.to_dict() == reference_cert, h
+        assert witness == (reference_primitive[1] if cert.is_primitive else None), h
+        covers = [full.members[k] for k in lat.upper_covers(full.lattice, h)]
+        assert ch.linear_witness(table, full.members[h], covers) == reference_primitive, h
+
+
+class TestTopIntervalScan:
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_matches_sliced_intervals_on_scan_groups(self, name):
+        assert_top_scan_matches_slices(cat.cached_full_lattice(name), rp._cached_table(name))
+
+    @settings(max_examples=25, deadline=None)
+    @given(groups_with_base())
+    def test_matches_sliced_intervals_on_random_groups(self, pair):
+        group, _ = pair
+        assert_top_scan_matches_slices(iv.full_subgroup_lattice(group), ch.character_table(group))
