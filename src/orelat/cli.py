@@ -59,6 +59,8 @@ def load_group_file(path: str, cap: int) -> FiniteGroup:
 
 
 def _resolve_pair(args) -> tuple:
+    if args.cap < 1:
+        raise ParseError(f"--cap must be at least 1, got {args.cap}")
     if args.catalog:
         return cat.catalog_pair(args.catalog)
     if not args.group_file:
@@ -150,8 +152,11 @@ def cmd_certify(args) -> dict:
         rank = args.model_rank if args.model_rank is not None else 7
         known = ()
         if args.model_type:
-            entries = tuple(int(x) for x in args.model_type.replace(" ", "").split(","))
-            known = (entries,)
+            try:
+                known = (tuple(int(x) for x in args.model_type.replace(" ", "").split(",")),)
+            except ValueError as exc:
+                raise ParseError(f"--model-type must be comma-separated integers, "
+                                 f"got {args.model_type!r}") from exc
         cert = run_certify(IndexedModel(rank, args.model_index, known))
         results = {"scenario": {"rank": rank, "index": args.model_index},
                    "certificate": cert.to_dict()}
@@ -233,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--catalog", help="catalog name, e.g. psl2_7/d8 or z12")
             p.add_argument("--group-file", help="JSON group document")
             p.add_argument("--subgroup-file", help="JSON subgroup document")
+            p.add_argument("--cap", type=int, default=100_000,
+                           help="element / member budget for closures, at least 1")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--cap", type=int, default=100_000,
-                       help="element / member budget for closures")
 
     p = sub.add_parser("interval", help="members, Hasse diagram and flags of [H, G]")
     common(p)

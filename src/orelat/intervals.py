@@ -8,6 +8,11 @@ list by adding whole cosets of K (Dimino), so no member is closed again
 from its generators.  One g is tried per double coset KgK, since
 <K, kgk'> = <K, g>.  Every overgroup is reached, because it is the end of
 a chain of single-element extensions that starts at H.
+
+Each interval is memoized on its ambient group's `_Ambient`, by the bitset
+of its base, for as long as the `_ambient` LRU (32 groups) keeps that group.
+Later calls return the same object, which is shared and must not be
+mutated; the member cap is checked on every call.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ class _Subgroup:
 
 
 class _Ambient:
-    """Multiplication table, inverses and subgroup extension over one ambient group."""
+    """Multiplication table, inverses, subgroup extension and built intervals of one ambient group."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
@@ -59,6 +64,8 @@ class _Ambient:
         self.trivial = _Subgroup([self.identity], self.bit[self.identity], ())
         # generator ids: the group's own, else a generating set picked from all elements
         self.gens = tuple(gens) or self.generated(range(self.n)).gens
+        # overgroup intervals built so far, by the bitset of their base
+        self.intervals: dict = {}
 
     def subgroup_mask(self, sub: FiniteGroup) -> int:
         try:
@@ -219,9 +226,20 @@ def _build_interval(amb: _Ambient, subgroups: Iterable[_Subgroup]) -> GroupInter
 
 
 def overgroup_interval(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> GroupInterval:
-    """Enumerate every K with sub <= K <= group and build the labelled lattice."""
+    """Every K with sub <= K <= group, as a labelled lattice, memoized on the ambient group.
+
+    The interval is enumerated once per base for as long as `_ambient` keeps
+    the group (its LRU holds 32); later calls return the same object, which
+    is shared and must not be mutated.  `cap` is checked on every call.
+    """
     amb = _ambient(group)
-    base = amb.subgroup(sub)
+    key = amb.subgroup_mask(sub)
+    if key in amb.intervals:
+        interval = amb.intervals[key]
+        if len(interval) > cap:
+            raise CapExceeded(f"interval has more than {cap} members")
+        return interval
+    base = amb.generated(lat.bits(key))
     found = {base.mask: base}
     queue = [base]
     everything = (1 << amb.n) - 1
@@ -237,7 +255,8 @@ def overgroup_interval(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_
                 if len(found) > cap:
                     raise CapExceeded(f"interval has more than {cap} members")
             covered |= amb.double_coset(k, g)
-    return _build_interval(amb, found.values())
+    interval = amb.intervals[key] = _build_interval(amb, found.values())
+    return interval
 
 
 def full_subgroup_lattice(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> GroupInterval:

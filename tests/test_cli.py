@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from orelat.cli import main
 
 
@@ -91,6 +93,15 @@ class TestCertify:
         assert code == 0
         assert report["results"]["certificate"]["verdict"] == "primitive"
 
+    def test_non_integer_model_type_is_an_input_error(self, capsys):
+        code = main(["certify", "--model-index", "12", "--model-type", "a,b"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "--model-type must be comma-separated integers, got 'a,b'", "exit": 2,
+        }
+
 
 class TestBbl:
     def test_s3(self, capsys):
@@ -137,6 +148,13 @@ class TestGroupFiles:
         path.write_text(json.dumps(doc))
         assert main(["interval", "--group-file", str(path), "--cap", "10"]) == 3
 
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_cap_below_one_is_an_input_error(self, capsys, cap):
+        assert main(["interval", "--catalog", "z12", "--cap", cap]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"--cap must be at least 1, got {cap}", "exit": 2,
+        }
+
     def test_no_selection(self):
         assert main(["interval"]) == 2
 
@@ -166,6 +184,12 @@ class TestReproduce:
         _, first = run(capsys, "reproduce", "factor-list")
         _, second = run(capsys, "reproduce", "factor-list")
         assert first == second
+
+    def test_cap_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "rank2-table", "--cap", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
 
     def test_table_rendering(self, capsys):
         code, out = run(capsys, "reproduce", "factor-list", "--format", "table")

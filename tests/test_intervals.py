@@ -235,6 +235,73 @@ class TestFullLattices:
             }
 
 
+@pytest.fixture
+def cold_intervals():
+    """Forget every ambient group, and with them every memoized interval."""
+    iv._ambient.cache_clear()
+    yield
+    iv._ambient.cache_clear()
+
+
+class TestIntervalMemo:
+    def test_repeated_call_returns_the_same_interval(self):
+        group = cat.psl2_7()
+        first = iv.overgroup_interval(group, cat.psl2_7_d8())
+        assert iv.overgroup_interval(group, cat.psl2_7_d8()) is first
+
+    def test_equal_group_from_other_generators_hits_the_memo(self):
+        s4 = generate(4, [Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])])
+        again = generate(4, [Permutation([1, 2, 0, 3]), Permutation([0, 2, 3, 1]),
+                             Permutation([3, 1, 2, 0])])
+        assert again == s4 and again.generators != s4.generators
+        first = iv.full_subgroup_lattice(s4)
+        assert iv.full_subgroup_lattice(again) is first
+        assert iv.overgroup_interval(again, trivial_group(4)) is first
+
+    def test_other_base_gets_its_own_interval(self):
+        group = cat.symmetric(3)
+        full = iv.full_subgroup_lattice(group)
+        above = iv.overgroup_interval(group, a3_in_s3())
+        assert above is not full
+        assert (len(full), len(above)) == (6, 2)
+        assert above.base.order == 3 and full.base.order == 1
+        assert iv.overgroup_interval(group, a3_in_s3()) is above
+        # two transposition subgroups: same order, different intervals
+        for images in ([1, 0, 2], [0, 2, 1]):
+            base = subgroup_generated(group, [Permutation(images)])
+            assert iv.overgroup_interval(group, base).base == base
+
+    def test_cap_is_checked_on_a_hit(self):
+        group = cat.symmetric(4)
+        full = iv.full_subgroup_lattice(group)
+        assert len(full) == 30
+        with pytest.raises(CapExceeded, match="^interval has more than 29 members$"):
+            iv.full_subgroup_lattice(group, cap=29)
+        assert iv.full_subgroup_lattice(group, cap=30) is full
+
+    def test_capped_call_stores_nothing(self, cold_intervals):
+        group = cat.dihedral(6)
+        with pytest.raises(CapExceeded, match="^interval has more than 5 members$"):
+            iv.full_subgroup_lattice(group, cap=5)
+        assert iv._ambient(group).intervals == {}
+        full = iv.full_subgroup_lattice(group)
+        assert len(full) == 16
+        assert list(iv._ambient(group).intervals.values()) == [full]
+
+    def test_bbl_and_cfl_share_one_full_lattice(self, cold_intervals, monkeypatch):
+        built = []
+        init = lat.FiniteLattice.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(lat.FiniteLattice, "__init__", counting_init)
+        group = cat.symmetric(4)
+        assert (iv.bbl(group), iv.cfl(group)) == (2, 1)
+        assert len(built) == 1
+
+
 def atom_orders(interval):
     return [interval.members[a].order for a in lat.atoms(interval.lattice)]
 
