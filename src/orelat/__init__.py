@@ -35,10 +35,7 @@ from .perm import (
 from .lattice import (
     FiniteLattice,
     atoms,
-    build_lattice,
     coatoms,
-    complement,
-    interval,
     is_bottom_boolean,
     is_boolean,
     is_distributive,
@@ -52,7 +49,6 @@ from .intervals import (
     full_subgroup_lattice,
     generating_coset_count,
     overgroup_interval,
-    sub_interval,
     verify_ore,
 )
 from .totients import (

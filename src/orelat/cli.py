@@ -51,10 +51,14 @@ def load_group_file(path: str, cap: int) -> FiniteGroup:
     except json.JSONDecodeError as exc:
         raise ParseError(f"group file {path} is not valid JSON: {exc}") from exc
     try:
-        degree = int(doc["degree"])
-        gens = [Permutation.from_cycles(s, degree) for s in doc["generators"]]
+        degree, cycles = doc["degree"], doc["generators"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"group file {path} needs 'degree' and 'generators'") from exc
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+        raise ParseError(f"group file {path}: 'degree' must be an integer of at least 1, got {degree!r}")
+    if not isinstance(cycles, list) or not all(isinstance(c, str) for c in cycles):
+        raise ParseError(f"group file {path}: 'generators' must be a list of cycle strings")
+    gens = [Permutation.from_cycles(c, degree) for c in cycles]
     return generate(degree, gens, cap=cap)
 
 

@@ -7,7 +7,9 @@ for each member K and each g outside K, <K, g> is grown from K's element
 list by adding whole cosets of K (Dimino), so no member is closed again
 from its generators.  One g is tried per double coset KgK, since
 <K, kgk'> = <K, g>.  Every overgroup is reached, because it is the end of
-a chain of single-element extensions that starts at H.
+a chain of single-element extensions that starts at H.  The same search
+yields the Hasse diagram: a cover L of K is <K, g> for every g in L outside
+K, so the minimal <K, g> formed over K are exactly the upper covers of K.
 
 Each interval is memoized on its ambient group's `_Ambient`, by the bitset
 of its base, for as long as the `_ambient` LRU (32 groups) keeps that group.
@@ -20,8 +22,6 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from . import lattice as lat
 from .errors import CapExceeded, NotASubgroup, NotDistributive, OreViolation
@@ -213,13 +213,24 @@ class GroupInterval:
         )
 
 
-def _build_interval(amb: _Ambient, subgroups: Iterable[_Subgroup]) -> GroupInterval:
+def _build_interval(amb: _Ambient, subgroups: Iterable[_Subgroup], extensions: dict) -> GroupInterval:
+    """The interval of `subgroups`, numbered by size then element ids, a linear extension.
+
+    `extensions` maps the bitset of each member K to the bitsets <K, g>
+    formed over it.  Taken in id order, one is an upper cover of K unless it
+    contains a cover already found.
+    """
     ordered = sorted(subgroups, key=lambda k: (len(k.elems), sorted(k.elems)))
     masks = [k.mask for k in ordered]
-    outside = [~m for m in masks]
-    leq = np.array([[not a & b for b in outside] for a in masks], dtype=bool)
-    lattice = lat.build_lattice(leq)
-    assert lattice.bottom == 0
+    ids = {m: i for i, m in enumerate(masks)}
+    lower: list = [[] for _ in masks]
+    for i, m in enumerate(masks):
+        covers: list = []
+        for e in sorted(extensions[m], key=ids.__getitem__):
+            if all(c & ~e for c in covers):
+                covers.append(e)
+                lower[ids[e]].append(i)
+    lattice = lat.FiniteLattice(lower)
     groups = [amb.to_group(k) for k in ordered]
     index_of = [amb.n // len(k.elems) for k in ordered]
     return GroupInterval(amb.group, groups[0], groups, lattice, index_of, amb, masks)
@@ -241,21 +252,24 @@ def overgroup_interval(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_
         return interval
     base = amb.generated(lat.bits(key))
     found = {base.mask: base}
+    extensions: dict = {}
     queue = [base]
     everything = (1 << amb.n) - 1
     for k in queue:
         covered = k.mask
+        formed = extensions[k.mask] = set()
         while covered != everything:
             free = everything & ~covered
             g = (free & -free).bit_length() - 1
             ext = amb.extend(k, g)
+            formed.add(ext.mask)
             if ext.mask not in found:
                 found[ext.mask] = ext
                 queue.append(ext)
                 if len(found) > cap:
                     raise CapExceeded(f"interval has more than {cap} members")
             covered |= amb.double_coset(k, g)
-    interval = amb.intervals[key] = _build_interval(amb, found.values())
+    interval = amb.intervals[key] = _build_interval(amb, found.values(), extensions)
     return interval
 
 
@@ -264,38 +278,20 @@ def full_subgroup_lattice(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> 
     return overgroup_interval(group, trivial_group(group.degree), cap)
 
 
-def sub_interval(interval: GroupInterval, lo: int, hi: int) -> GroupInterval:
-    """The interval [members[lo], members[hi]] re-rooted with its own labels."""
-    ids = lat.members_between(interval.lattice, lo, hi)
-    sub_lat = lat.interval(interval.lattice, lo, hi)
-    top_order = interval.members[hi].order
-    return GroupInterval(
-        interval.members[hi],
-        interval.members[lo],
-        [interval.members[i] for i in ids],
-        sub_lat,
-        [top_order // interval.members[i].order for i in ids],
-        interval._amb,
-        [interval._masks[i] for i in ids],
-    )
-
-
 def _bb_edge_table(lattice: lat.FiniteLattice):
     """Memoized test of whether [u, v] is bottom-boolean, over pairs of element ids.
 
     The atoms of [u, v] are the covers of u below v; [u, v] is bottom-boolean
     when [u, b] is boolean for b their join.
     """
-    covers_up = lat._order_masks(lattice.covers)[1]
-    join = lattice.join
     cache: dict = {}
 
     def edge(u: int, v: int) -> bool:
         key = (u, v)
         if key not in cache:
             b = u
-            for a in lat.bits(covers_up[u] & lattice._down[v]):
-                b = int(join[b, a])
+            for a in lat.bits(lattice._upper[u] & lattice._down[v]):
+                b = lattice.join(b, a)
             cache[key] = lat.is_boolean_interval(lattice, u, b)
         return cache[key]
 

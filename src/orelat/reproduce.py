@@ -203,7 +203,7 @@ def _top_intervals(full: iv.GroupInterval, table: ch.CharacterTable):
     passed = 0
     for h in range(lattice.n):
         if not passed >> h & 1:
-            if not lat._distributive_scan(lattice, lattice.leq[h].nonzero()[0]):
+            if not lat._distributive_above(lattice, h):
                 continue
             passed |= lattice._up[h]
         cert = cf.certify_above(model, h)

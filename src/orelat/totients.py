@@ -4,8 +4,9 @@ All arithmetic is exact (Python integers and fractions); the alternating
 sums cancel catastrophically in floating point.  A boolean interval is a
 label vector indexed by atom bitmask (`BooleanInterval`); synthetic index
 models are built in that form directly, so the closed formulas can be
-exercised without building any group or lattice.  `IndexedInterval` over a
-matrix lattice serves the graded intervals that are not boolean.
+exercised without building any group or lattice.  `IndexedInterval`, labels
+over a `FiniteLattice` read through its cover and order bitmasks, serves the
+graded intervals that are not boolean.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from . import lattice as lat
 from .errors import (
@@ -46,10 +45,11 @@ class IndexedInterval:
             raise InvalidParameters("the top element must have label 1")
         if any(v <= 0 for v in idx):
             raise InvalidParameters("labels must be positive")
-        xs, ys = np.nonzero(lattice.covers)
-        arr = np.array(idx, dtype=np.int64)
-        if ((arr[xs] % arr[ys]) != 0).any() or (arr[xs] // arr[ys] < 2).any():
-            raise InvalidParameters("labels must strictly divide downward along covers")
+        for x, v in enumerate(idx):
+            for y in lat.upper_covers(lattice, x):
+                w = idx[y]
+                if v % w or v == w:
+                    raise InvalidParameters("labels must strictly divide downward along covers")
         self.lattice = lattice
         self.idx = idx
 

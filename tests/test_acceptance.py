@@ -16,6 +16,7 @@ from orelat import lattice as lat
 from orelat import reproduce as rp
 from orelat import totients as tt
 from orelat.perm import Permutation, generate, subgroup_generated
+from dense_lattice import interval as slice_interval, leq, sub_interval
 
 SEVEN_FACTOR_NUMBERS = [
     2187, 2916, 3645, 3888, 4374, 4860, 5103, 5184, 5832, 6075, 6480, 6561,
@@ -131,7 +132,7 @@ def _distributive_catalog_intervals():
         full = cat.cached_full_lattice(name)
         top = full.lattice.top
         for h in range(full.lattice.n):
-            interval = iv.sub_interval(full, h, top)
+            interval = sub_interval(full, h, top)
             if lat.is_distributive(interval.lattice):
                 yield name, h, interval
 
@@ -200,9 +201,9 @@ def test_criterion_9_conjecture_monitor():
         sizes = [m.order for m in full.members]
         for lo in range(lattice.n):
             for hi in range(lattice.n):
-                if lo == hi or not lattice.leq[lo, hi]:
+                if lo == hi or not leq(lattice, lo, hi):
                     continue
-                sub = lat.interval(lattice, lo, hi)
+                sub = slice_interval(lattice, lo, hi)
                 if not lat.is_boolean(sub):
                     continue
                 monitored += 1

@@ -1,9 +1,9 @@
-"""Boolean label vectors cross-checked against the generic matrix-lattice route.
+"""Boolean label vectors cross-checked against the generic lattice route.
 
 The reference for every quantity is an `IndexedInterval` over
 `lattice.subset_lattice(n)` or over a catalog group's interval lattice, with
-sub-intervals sliced by `lattice.interval` and chain types read off
-`lattice.maximal_chains`.
+sub-intervals sliced by `dense_lattice.interval` and chain types read off
+`dense_lattice.maximal_chains`.
 """
 
 import numpy as np
@@ -13,31 +13,31 @@ from hypothesis import strategies as st
 
 from orelat import catalog as cat
 from orelat import certifier as cf
-from orelat import intervals as iv
 from orelat import lattice as lat
 from orelat import totients as tt
 from orelat.errors import InvalidParameters, NotACoatom, NotBoolean
+from dense_lattice import build_lattice, complement, interval, maximal_chains, sub_interval
 
 SMALL_SCAN = ["z6", "z8", "z12", "v4", "d4", "s3", "a4", "s4", "d6", "s2xs3", "psl2_7"]
 
 
 def reference_sub(model, a, b):
-    """[a, b] of an IndexedInterval on the sliced matrix lattice, relabelled by b."""
+    """[a, b] of an IndexedInterval on the sliced lattice, relabelled by b."""
     labels = [model.idx[x] // model.idx[b] for x in lat.members_between(model.lattice, a, b)]
-    return tt.IndexedInterval(lat.interval(model.lattice, a, b), labels)
+    return tt.IndexedInterval(interval(model.lattice, a, b), labels)
 
 
 def reference_split(model, coatom):
     lattice = model.lattice
     lower = reference_sub(model, lattice.bottom, coatom)
-    upper = reference_sub(model, lat.complement(lattice, coatom), lattice.top)
+    upper = reference_sub(model, complement(lattice, coatom), lattice.top)
     return model.idx[coatom] * tt.dual_totient(lower) - tt.dual_totient(upper)
 
 
 def reference_types(model):
     return {
         tuple(sorted(model.edge_index(x, y) for x, y in zip(chain, chain[1:])))
-        for chain in lat.maximal_chains(model.lattice)
+        for chain in maximal_chains(model.lattice)
     }
 
 
@@ -124,10 +124,9 @@ class TestSyntheticModels:
     @settings(max_examples=25, deadline=None)
     def test_shuffled_element_ids_keep_the_source_order(self, model, rng):
         # the conversion must visit atoms and coatoms, of the interval and of
-        # its sub-intervals, in the source lattice's element order
-        ids = list(range(len(model.idx)))
-        rng.shuffle(ids)
-        reference = _relabelled(model, ids)
+        # its sub-intervals, in the source lattice's element order; a lattice
+        # numbers its elements in a linear extension, so the ids are a random one
+        reference = _relabelled(model, _random_linear_extension(model.n, rng))
         top = model.top
         pairs = [(a, b) for b in range(top + 1) for a in range(b + 1) if a & ~b == 0]
         assert_routes_agree(tt.to_boolean(reference), reference, rng.sample(pairs, min(12, len(pairs))))
@@ -138,7 +137,7 @@ def catalog_boolean_top_intervals():
         full = cat.cached_full_lattice(name)
         top = full.lattice.top
         for h in range(full.lattice.n):
-            part = iv.sub_interval(full, h, top)
+            part = sub_interval(full, h, top)
             if lat.is_boolean(part.lattice):
                 yield tt.from_group_interval(part), f"{name}[{h}]"
 
@@ -166,6 +165,24 @@ class TestCatalogIntervals:
             tt.to_boolean(tt.from_group_interval(cat.cached_full_lattice(name)))
 
 
+def _random_linear_extension(n, rng):
+    """ids[s] for every mask s of rank n: a random numbering with each subset before its supersets."""
+    size = 1 << n
+    ids = [0] * size
+    missing = [s.bit_count() for s in range(size)]  # lower covers not yet numbered
+    ready = [0]
+    for i in range(size):
+        s = ready.pop(rng.randrange(len(ready)))
+        ids[s] = i
+        for j in range(n):
+            t = s | 1 << j
+            if t != s:
+                missing[t] -= 1
+                if not missing[t]:
+                    ready.append(t)
+    return ids
+
+
 def _relabelled(model, ids):
     """The boolean model on a lattice whose element ids[s] is mask s."""
     size = len(model.idx)
@@ -175,4 +192,4 @@ def _relabelled(model, ids):
         labels[ids[s]] = model.idx[s]
         for t in range(size):
             leq[ids[s], ids[t]] = s & ~t == 0
-    return tt.IndexedInterval(lat.build_lattice(leq), labels)
+    return tt.IndexedInterval(build_lattice(leq), labels)

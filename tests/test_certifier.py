@@ -10,6 +10,7 @@ from orelat import intervals as iv
 from orelat import lattice as lat
 from orelat import totients as tt
 from orelat.errors import InvalidParameters, NotBoolean, NotDistributive
+from dense_lattice import sub_interval
 
 SEVEN_FACTOR_NUMBERS = [
     2187, 2916, 3645, 3888, 4374, 4860, 5103, 5184, 5832, 6075, 6480, 6561,
@@ -261,7 +262,7 @@ class TestSoundness:
         full = cat.cached_full_lattice(name)
         top = full.lattice.top
         for h in range(full.lattice.n):
-            interval = iv.sub_interval(full, h, top)
+            interval = sub_interval(full, h, top)
             if not lat.is_distributive(interval.lattice):
                 continue
             cert = cf.certify(interval)

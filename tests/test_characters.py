@@ -7,6 +7,7 @@ from orelat import intervals as iv
 from orelat import lattice as lat
 from orelat.errors import NotASubgroup
 from orelat.perm import FiniteGroup, Permutation, generate, trivial_group
+from dense_lattice import leq, sub_interval
 
 CLASSICAL_DEGREES = {
     "z5": [1, 1, 1, 1, 1],
@@ -126,7 +127,7 @@ class TestFixedDim:
         lattice = full.lattice
         for x in range(lattice.n):
             for y in range(lattice.n):
-                if lattice.leq[x, y]:
+                if leq(lattice, x, y):
                     for row in range(len(table)):
                         assert ch.fixed_dim(table, row, full.members[y]) <= ch.fixed_dim(
                             table, row, full.members[x]
@@ -164,7 +165,7 @@ class TestLinearPrimitivity:
             full = cat.cached_full_lattice(name)
             top = full.lattice.top
             for co in lat.coatoms(full.lattice):
-                interval = iv.sub_interval(full, co, top)
+                interval = sub_interval(full, co, top)
                 primitive, _ = ch.is_linearly_primitive(interval, table)
                 assert primitive
 
@@ -175,7 +176,7 @@ class TestLinearPrimitivity:
             full = cat.cached_full_lattice(name)
             top = full.lattice.top
             for h in range(full.lattice.n):
-                interval = iv.sub_interval(full, h, top)
+                interval = sub_interval(full, h, top)
                 if 1 <= len(lat.atoms(interval.lattice)) <= 2:
                     primitive, _ = ch.is_linearly_primitive(interval, table)
                     assert primitive, (name, h)
@@ -189,13 +190,13 @@ class TestLinearPrimitivity:
             full = cat.cached_full_lattice(name)
             top = full.lattice.top
             for h in range(full.lattice.n):
-                interval = iv.sub_interval(full, h, top)
+                interval = sub_interval(full, h, top)
                 if not lat.is_boolean(interval.lattice):
                     continue
                 for co in lat.coatoms(interval.lattice):
                     if interval.index_of[co] != 2:
                         continue
-                    lower = iv.sub_interval(full, h, full.member_id(interval.members[co]))
+                    lower = sub_interval(full, h, full.member_id(interval.members[co]))
                     lower_prim, _ = ch.is_linearly_primitive(
                         lower, ch.character_table(lower.ambient))
                     if lower_prim:

@@ -139,6 +139,25 @@ class TestGroupFiles:
         path.write_text("{not json")
         assert main(["interval", "--group-file", str(path)]) == 2
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"degree": -1}, "'degree' must be an integer of at least 1, got -1"),
+        ({"degree": 0}, "'degree' must be an integer of at least 1, got 0"),
+        ({"degree": 3.7}, "'degree' must be an integer of at least 1, got 3.7"),
+        ({"degree": True}, "'degree' must be an integer of at least 1, got True"),
+        ({"degree": "3"}, "'degree' must be an integer of at least 1, got '3'"),
+        ({"generators": "(1 2)"}, "'generators' must be a list of cycle strings"),
+        ({"generators": [[1, 2]]}, "'generators' must be a list of cycle strings"),
+        ({"generators": None}, "'generators' must be a list of cycle strings"),
+    ], ids=["negative", "zero", "float", "bool", "string-degree", "string", "nested-list", "null"])
+    def test_bad_fields_are_input_errors(self, tmp_path, capsys, fields, message):
+        doc = {"name": "sym3", "degree": 3, "generators": ["(1 2)", "(1 2 3)"], **fields}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["interval", "--group-file", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"group file {path}: {message}", "exit": 2,
+        }
+
     def test_unknown_catalog(self):
         assert main(["interval", "--catalog", "nosuchgroup"]) == 2
 

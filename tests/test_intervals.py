@@ -12,7 +12,13 @@ from orelat import lattice as lat
 from orelat import reproduce as rp
 from orelat.errors import CapExceeded, NotASubgroup, NotDistributive
 from orelat.perm import FiniteGroup, Permutation, generate, subgroup_generated, trivial_group
-from test_lattice import assert_flags_match_reference, reference_is_bottom_boolean
+from dense_lattice import DenseLattice, complement, dense, leq, sub_interval
+from test_lattice import (
+    assert_flags_match_reference,
+    assert_matches_dense,
+    dense_slice,
+    reference_is_bottom_boolean,
+)
 
 RANDOM_ORDER_CAP = 120
 
@@ -228,7 +234,7 @@ class TestFullLattices:
         full = cat.cached_full_lattice("s4")
         top = full.lattice.top
         for lo in (0, 3, 7):
-            part = iv.sub_interval(full, lo, top)
+            part = sub_interval(full, lo, top)
             direct = iv.overgroup_interval(full.ambient, full.members[lo])
             assert {m.element_set() for m in part.members} == {
                 m.element_set() for m in direct.members
@@ -347,11 +353,12 @@ class TestBblCfl:
     @pytest.mark.parametrize("name", ["v4", "s3", "d4", "a4", "s4", "d6", "s3xs3"])
     def test_edge_table_matches_sliced_lattices(self, name):
         lattice = cat.cached_full_lattice(name).lattice
+        ref = dense(lattice)
         edge = iv._bb_edge_table(lattice)
         for u in range(lattice.n):
             for v in lat.members_between(lattice, u, lattice.top):
                 if v != u:
-                    assert edge(u, v) == reference_is_bottom_boolean(lat.interval(lattice, u, v))
+                    assert edge(u, v) == reference_is_bottom_boolean(dense_slice(ref, u, v))
 
     @pytest.mark.parametrize("name", ["z2", "z4", "z6", "z8", "z12", "v4", "s3", "d4", "a4"])
     def test_cfl_at_most_bbl(self, name):
@@ -408,7 +415,7 @@ def boolean_top_intervals(names):
         full = cat.cached_full_lattice(name)
         top = full.lattice.top
         for h in range(full.lattice.n):
-            part = iv.sub_interval(full, h, top)
+            part = sub_interval(full, h, top)
             if lat.is_boolean(part.lattice):
                 out.append((part, f"{name}[{h}]"))
     return out
@@ -453,17 +460,17 @@ class TestStructureLemmas:
             lattice = interval.lattice
             sizes = [m.order for m in interval.members]
             for a in lat.atoms(lattice):
-                comp = lat.complement(lattice, a)
+                comp = complement(lattice, a)
                 face = lat.members_between(lattice, lattice.bottom, comp)
                 face.sort(key=lambda x: sizes[x])
                 ratios = [
-                    sizes[int(lattice.join[k, a])] // sizes[k] for k in face
+                    sizes[lattice.join(k, a)] // sizes[k] for k in face
                 ]
                 for k1 in face:
                     for k2 in face:
-                        if lattice.leq[k1, k2]:
-                            r1 = sizes[int(lattice.join[k1, a])] // sizes[k1]
-                            r2 = sizes[int(lattice.join[k2, a])] // sizes[k2]
+                        if leq(lattice, k1, k2):
+                            r1 = sizes[lattice.join(k1, a)] // sizes[k1]
+                            r2 = sizes[lattice.join(k2, a)] // sizes[k2]
                             assert r1 <= r2, name
                 if interval.index_of[comp] == 2:
                     assert set(ratios) == {2}, name
@@ -496,10 +503,10 @@ class TestStructureLemmas:
                         continue
                     atoms_below_y = [
                         a for a in lat.atoms(lattice)
-                        if int(lattice.join[x, a]) == y
+                        if lattice.join(x, a) == y
                     ]
                     assert any(
-                        interval.index_of[lat.complement(lattice, a)] == 2
+                        interval.index_of[complement(lattice, a)] == 2
                         for a in atoms_below_y
                     ), name
 
@@ -508,6 +515,29 @@ class TestBooleanReference:
     @pytest.mark.parametrize("name", SMALL_SCAN)
     def test_flags_match_the_complement_scan(self, name):
         assert_flags_match_reference(cat.cached_full_lattice(name).lattice)
+
+
+def assert_matches_subgroup_inclusion(interval):
+    """The interval's lattice against a dense reference whose order is subgroup inclusion."""
+    masks = interval._masks
+    ref = DenseLattice([[a & ~b == 0 for b in masks] for a in masks])
+    assert_matches_dense(interval.lattice, ref)
+    assert_flags_match_reference(interval.lattice, ref)
+
+
+class TestDenseReference:
+    """Covers from the enumeration, meet/join from masks and Birkhoff's count, against dense tables."""
+
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_scan_groups(self, name):
+        assert_matches_subgroup_inclusion(cat.cached_full_lattice(name))
+
+    @settings(max_examples=25, deadline=None)
+    @given(groups_with_base())
+    def test_random_groups(self, pair):
+        group, base = pair
+        assert_matches_subgroup_inclusion(iv.overgroup_interval(group, base))
+        assert_matches_subgroup_inclusion(iv.full_subgroup_lattice(group))
 
 
 def _prime_multiset(n):
@@ -539,7 +569,7 @@ def sliced_top_verdicts(full, table) -> dict:
     top = full.lattice.top
     verdicts = {}
     for h in range(full.lattice.n):
-        interval = iv.sub_interval(full, h, top)
+        interval = sub_interval(full, h, top)
         if lat.is_distributive(interval.lattice):
             verdicts[h] = (cf.certify(interval).to_dict(), ch.is_linearly_primitive(interval, table))
     return verdicts

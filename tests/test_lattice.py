@@ -5,50 +5,92 @@ import pytest
 
 from orelat import lattice as lat
 from orelat.errors import NotALattice, NotAPartialOrder, NotBoolean, NotComparable
+from dense_lattice import (
+    DenseLattice,
+    build_lattice,
+    complement,
+    dense,
+    interval,
+    maximal_chains,
+)
 
 
-def reference_is_boolean(lattice):
+def reference_is_boolean(ref):
     """Boolean by complements: distributive, and every element has a complement.
 
-    The complements are searched in the meet and join tables, independently
-    of the atom-bitmask test behind `lat.is_boolean`.  When the lattice is
-    boolean the complement is unique, the size is a power of two and every
-    element is the join of the atoms below it; these are asserted.
+    Distributivity and the complements are read off the meet and join
+    tables of the `DenseLattice` `ref`, independently of the atom-bitmask
+    test behind `lat.is_boolean`.  When the lattice is boolean the
+    complement is unique, the size is a power of two and every element is
+    the join of the atoms below it; these are asserted.
     """
-    if not lat.is_distributive(lattice):
+    if not ref.distributive():
         return False
-    comps = (lattice.meet == lattice.bottom) & (lattice.join == lattice.top)
+    comps = (ref.meet == ref.bottom) & (ref.join == ref.top)
     counts = comps.sum(axis=1)
     if not (counts >= 1).all():
         return False
     assert (counts == 1).all(), "complement not unique in a distributive lattice"
-    ats = lat.atoms(lattice)
-    assert lattice.n == 1 << len(ats)
-    for x in range(lattice.n):
-        below = [a for a in ats if lattice.leq[a, x]]
-        joined = reduce(lambda u, v: int(lattice.join[u, v]), below, lattice.bottom)
+    ats = np.flatnonzero(ref.covers[ref.bottom]).tolist()
+    assert ref.n == 1 << len(ats)
+    for x in range(ref.n):
+        below = [a for a in ats if ref.leq[a, x]]
+        joined = reduce(lambda u, v: int(ref.join[u, v]), below, ref.bottom)
         assert joined == x, "element is not the join of the atoms below it"
     return True
 
 
-def reference_is_bottom_boolean(lattice):
-    """`reference_is_boolean` on the sliced lattice [bottom, join of the atoms]."""
-    top = lat.bottom_interval_join(lattice)
-    return reference_is_boolean(lat.interval(lattice, lattice.bottom, top))
+def dense_slice(ref, lo, hi):
+    """[lo, hi] of a `DenseLattice`, sliced from its order matrix."""
+    sel = np.flatnonzero(ref.leq[lo] & ref.leq[:, hi])
+    return DenseLattice(ref.leq[np.ix_(sel, sel)])
 
 
-def assert_flags_match_reference(lattice):
-    """On every [lo, hi]: is_boolean and is_bottom_boolean agree with the references."""
+def reference_is_bottom_boolean(ref):
+    """`reference_is_boolean` on [bottom, join of the atoms], all from the dense tables."""
+    ats = np.flatnonzero(ref.covers[ref.bottom]).tolist()
+    top = reduce(lambda u, v: int(ref.join[u, v]), ats, ref.bottom)
+    return reference_is_boolean(dense_slice(ref, ref.bottom, top))
+
+
+def assert_flags_match_reference(lattice, ref=None):
+    """On every [lo, hi]: the flags agree with the dense reference `ref` (default `dense(lattice)`).
+
+    is_boolean, is_bottom_boolean and is_distributive of the sliced lattice,
+    and is_boolean_interval on the whole one, are compared.
+    """
+    ref = dense(lattice) if ref is None else ref
     for lo in range(lattice.n):
         for hi in lat.members_between(lattice, lo, lattice.top):
-            sub = lat.interval(lattice, lo, hi)
-            assert lat.is_boolean(sub) == reference_is_boolean(sub), (lo, hi)
-            assert lat.is_bottom_boolean(sub) == reference_is_bottom_boolean(sub), (lo, hi)
+            sub = interval(lattice, lo, hi)
+            sub_ref = dense_slice(ref, lo, hi)
+            boolean = reference_is_boolean(sub_ref)
+            assert lat.is_boolean(sub) == boolean, (lo, hi)
+            assert lat.is_boolean_interval(lattice, lo, hi) == boolean, (lo, hi)
+            assert lat.is_bottom_boolean(sub) == reference_is_bottom_boolean(sub_ref), (lo, hi)
+            assert lat.is_distributive(sub) == sub_ref.distributive(), (lo, hi)
+
+
+def assert_matches_dense(lattice, ref):
+    """The bitmask lattice against a `DenseLattice` of the same order and ids.
+
+    Covers, meet and join on all pairs, ranks, gradedness, and the
+    distributivity of every [h, top] are compared.
+    """
+    n = lattice.n
+    assert (ref.bottom, ref.top) == (lattice.bottom, lattice.top)
+    assert np.array_equal(lattice.covers, ref.covers)
+    assert [[lattice.meet(a, b) for b in range(n)] for a in range(n)] == ref.meet.tolist()
+    assert [[lattice.join(a, b) for b in range(n)] for a in range(n)] == ref.join.tolist()
+    assert lattice.ranks() == ref.ranks
+    assert lattice.is_graded() == ref.graded
+    for h in range(n):
+        assert lat._distributive_above(lattice, h) == ref.distributive(np.flatnonzero(ref.leq[h])), h
 
 
 def chain(n):
     leq = np.triu(np.ones((n, n), dtype=bool))
-    return lat.build_lattice(leq)
+    return build_lattice(leq)
 
 
 def diamond_m3():
@@ -57,7 +99,7 @@ def diamond_m3():
     for x in (1, 2, 3):
         leq[0, x] = leq[x, 4] = True
     leq[0, 4] = True
-    return lat.build_lattice(leq)
+    return build_lattice(leq)
 
 
 def pentagon_n5():
@@ -65,7 +107,7 @@ def pentagon_n5():
     leq = np.eye(5, dtype=bool)
     for x, y in [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)]:
         leq[x, y] = True
-    return lat.build_lattice(leq)
+    return build_lattice(leq)
 
 
 def eight_with_three_atoms():
@@ -75,7 +117,7 @@ def eight_with_three_atoms():
     for x, y in [(1, 4), (1, 5), (1, 6), (2, 5), (3, 6), (4, 5)]:
         leq[x, y] = True
     leq[0, :] = leq[:, 7] = True
-    return lat.build_lattice(leq)
+    return build_lattice(leq)
 
 
 def divisor_lattice(n):
@@ -85,7 +127,7 @@ def divisor_lattice(n):
     for i, d in enumerate(divs):
         for j, e in enumerate(divs):
             leq[i, j] = e % d == 0
-    return lat.build_lattice(leq)
+    return build_lattice(leq)
 
 
 class TestBuild:
@@ -99,18 +141,18 @@ class TestBuild:
             for b in (2, 3):
                 leq[a, b] = True
         with pytest.raises(NotALattice):
-            lat.build_lattice(leq)
+            build_lattice(leq)
 
     def test_not_transitive(self):
         leq = np.eye(3, dtype=bool)
         leq[0, 1] = leq[1, 2] = True
         with pytest.raises(NotAPartialOrder):
-            lat.build_lattice(leq)
+            build_lattice(leq)
 
     def test_not_antisymmetric(self):
         leq = np.ones((2, 2), dtype=bool)
         with pytest.raises(NotAPartialOrder):
-            lat.build_lattice(leq)
+            build_lattice(leq)
 
     def test_subset_lattice_is_b3(self):
         b3 = lat.subset_lattice(3)
@@ -146,9 +188,8 @@ class TestDistributive:
     def test_intervals_inherit_distributivity(self):
         b4 = lat.subset_lattice(4)
         for a in range(b4.n):
-            for b in range(b4.n):
-                if b4.leq[a, b]:
-                    assert lat.is_distributive(lat.interval(b4, a, b))
+            for b in lat.members_between(b4, a, b4.top):
+                assert lat.is_distributive(interval(b4, a, b))
 
 
 class TestBoolean:
@@ -163,45 +204,81 @@ class TestBoolean:
 
     def test_complement_in_b3(self):
         b3 = lat.subset_lattice(3)
-        assert lat.complement(b3, 0b001) == 0b110
-        assert lat.complement(b3, b3.bottom) == b3.top
+        assert complement(b3, 0b001) == 0b110
+        assert complement(b3, b3.bottom) == b3.top
 
     def test_complement_is_involutive_and_swaps_atoms_coatoms(self):
         b4 = lat.subset_lattice(4)
         for x in range(b4.n):
-            assert lat.complement(b4, lat.complement(b4, x)) == x
+            assert complement(b4, complement(b4, x)) == x
         for a in lat.atoms(b4):
-            assert lat.complement(b4, a) in lat.coatoms(b4)
+            assert complement(b4, a) in lat.coatoms(b4)
 
     def test_complement_requires_boolean(self):
         with pytest.raises(NotBoolean):
-            lat.complement(chain(3), 1)
+            complement(chain(3), 1)
 
 
 class TestIntervals:
     def test_whole_interval(self):
         b3 = lat.subset_lattice(3)
-        assert lat.interval(b3, b3.bottom, b3.top).n == b3.n
+        assert interval(b3, b3.bottom, b3.top).n == b3.n
 
     def test_upper_interval_of_b3_is_b2(self):
         b3 = lat.subset_lattice(3)
-        sub = lat.interval(b3, 0b001, b3.top)
+        sub = interval(b3, 0b001, b3.top)
         assert sub.n == 4 and lat.is_boolean(sub) and sub.height() == 2
 
     def test_not_comparable(self):
         b3 = lat.subset_lattice(3)
         with pytest.raises(NotComparable):
-            lat.interval(b3, 0b001, 0b110)
+            interval(b3, 0b001, 0b110)
+
+
+SMALL_LATTICES = pytest.mark.parametrize("lattice", [
+    diamond_m3(), pentagon_n5(), chain(1), chain(2), chain(4),
+    divisor_lattice(12), divisor_lattice(30), divisor_lattice(36),
+    lat.subset_lattice(3), eight_with_three_atoms(),
+], ids=["m3", "n5", "chain1", "chain2", "chain4", "div12", "div30", "div36", "b3", "eight"])
 
 
 class TestBooleanReference:
-    @pytest.mark.parametrize("lattice", [
-        diamond_m3(), pentagon_n5(), chain(1), chain(2), chain(4),
-        divisor_lattice(12), divisor_lattice(30), divisor_lattice(36),
-        lat.subset_lattice(3), eight_with_three_atoms(),
-    ], ids=["m3", "n5", "chain1", "chain2", "chain4", "div12", "div30", "div36", "b3", "eight"])
+    @SMALL_LATTICES
     def test_flags_match_the_complement_scan(self, lattice):
         assert_flags_match_reference(lattice)
+
+    @SMALL_LATTICES
+    def test_masks_match_the_dense_tables(self, lattice):
+        assert_matches_dense(lattice, dense(lattice))
+
+
+class TestMaskLattice:
+    def test_subset_lattice_meet_and_join_are_and_and_or(self):
+        b4 = lat.subset_lattice(4)
+        for a in range(b4.n):
+            for b in range(b4.n):
+                assert (b4.meet(a, b), b4.join(a, b)) == (a & b, a | b)
+
+    def test_covers_are_read_only(self):
+        with pytest.raises(ValueError):
+            lat.subset_lattice(2).covers[0, 3] = True
+
+    @pytest.mark.parametrize("lower, error", [
+        ([], NotAPartialOrder),
+        ([[1], []], NotAPartialOrder),
+        ([[], [1]], NotAPartialOrder),
+        ([[], [], [0, 1]], NotALattice),
+        ([[], [0], [0]], NotALattice),
+    ], ids=["empty", "cover-above", "self-cover", "two-bottoms", "two-tops"])
+    def test_lower_covers_are_checked(self, lower, error):
+        with pytest.raises(error):
+            lat.FiniteLattice(lower)
+
+    def test_shuffled_ids_are_refused_by_the_reference(self):
+        leq = np.eye(3, dtype=bool)
+        leq[0, :] = leq[2, 1] = True
+        with pytest.raises(NotAPartialOrder):
+            build_lattice(leq)
 
 
 class TestTopBottomIntervals:
@@ -240,9 +317,9 @@ class TestRank:
         assert not pentagon_n5().is_graded()
 
     def test_maximal_chains_of_b3(self):
-        assert len(lat.maximal_chains(lat.subset_lattice(3))) == 6
+        assert len(maximal_chains(lat.subset_lattice(3))) == 6
 
     def test_boolean_maximal_chains_have_equal_length(self):
         b4 = lat.subset_lattice(4)
-        lengths = {len(c) for c in lat.maximal_chains(b4)}
+        lengths = {len(c) for c in maximal_chains(b4)}
         assert lengths == {5}

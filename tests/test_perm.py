@@ -120,22 +120,22 @@ class TestSubgroups:
         full = iv.full_subgroup_lattice(s3())
         a = full.member_id(subgroup_generated(s3(), [Permutation.from_cycles("(1 2)", 3)]))
         b = full.member_id(subgroup_generated(s3(), [Permutation.from_cycles("(1 3)", 3)]))
-        assert full.lattice.meet[a, a] == a
-        assert full.members[full.lattice.meet[a, b]].order == 1
+        assert full.lattice.meet(a, a) == a
+        assert full.members[full.lattice.meet(a, b)].order == 1
 
     def test_intersect_psl_overgroups(self):
         interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
         lattice = interval.lattice
         k, ell = lat.atoms(lattice)
-        assert interval.members[lattice.meet[k, ell]].order == 8
-        assert interval.members[lattice.join[k, ell]].order == 168
+        assert interval.members[lattice.meet(k, ell)].order == 8
+        assert interval.members[lattice.join(k, ell)].order == 168
 
     def test_join(self):
         full = iv.full_subgroup_lattice(s3())
         a = full.member_id(subgroup_generated(s3(), [Permutation.from_cycles("(1 2)", 3)]))
         a3 = full.member_id(a3_in(s3()))
-        assert full.lattice.join[a, full.lattice.bottom] == a
-        assert full.members[full.lattice.join[a, a3]].order == 6
+        assert full.lattice.join(a, full.lattice.bottom) == a
+        assert full.members[full.lattice.join(a, a3)].order == 6
 
     def test_index(self):
         interval = iv.overgroup_interval(s3(), a3_in(s3()))
@@ -211,6 +211,6 @@ class TestProductFormula:
         for i, a in enumerate(members):
             for j, b in enumerate(members):
                 lhs = a.order * b.order
-                meet = members[lattice.meet[i, j]].order
+                meet = members[lattice.meet(i, j)].order
                 assert lhs == len({x * y for x in a.elements for y in b.elements}) * meet
-                assert lhs <= members[lattice.join[i, j]].order * meet
+                assert lhs <= members[lattice.join(i, j)].order * meet

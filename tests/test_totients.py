@@ -15,6 +15,7 @@ from orelat.errors import (
     NotGraded,
     SplitConditionFails,
 )
+from dense_lattice import build_lattice, sub_interval
 
 
 def group_model(name):
@@ -30,7 +31,7 @@ def pentagon_model():
     leq = np.eye(5, dtype=bool)
     for x, y in [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)]:
         leq[x, y] = True
-    lattice = lat.build_lattice(leq)
+    lattice = build_lattice(leq)
     return tt.IndexedInterval(lattice, [8, 4, 2, 2, 1])
 
 
@@ -208,7 +209,7 @@ def boolean_top_intervals(names):
         full = cat.cached_full_lattice(name)
         top = full.lattice.top
         for h in range(full.lattice.n):
-            part = iv.sub_interval(full, h, top)
+            part = sub_interval(full, h, top)
             if lat.is_boolean(part.lattice):
                 out.append((tt.from_group_interval(part), f"{name}[{h}]"))
     return out
@@ -261,7 +262,7 @@ class TestCatalogInvariants:
             full = cat.cached_full_lattice(name)
             top = full.lattice.top
             for h in range(full.lattice.n):
-                part = iv.sub_interval(full, h, top)
+                part = sub_interval(full, h, top)
                 if lat.is_distributive(part.lattice):
                     assert tt.euler_totient(tt.from_group_interval(part)) > 0
 
