@@ -224,7 +224,7 @@ def _single_divergent_shape(chain_type: Sequence[int]) -> Optional[tuple]:
 
 
 class ScanResult(NamedTuple):
-    minimum: Fraction
+    minimum: int
     bound: int
     passed: bool
 
@@ -247,10 +247,10 @@ def _phihat_bounds(chain_type: tuple) -> tuple:
     if key in _BOUNDS_MEMO:
         return _BOUNDS_MEMO[key]
     if len(key) == 0:
-        result = (Fraction(1), Fraction(1))
+        result = (1, 1)
     elif len(set(key)) == 1:
         p = key[0]
-        v = Fraction((p - 1) ** len(key))
+        v = (p - 1) ** len(key)
         result = (v, v)
     else:
         shape = _single_divergent_shape(key)
@@ -259,11 +259,7 @@ def _phihat_bounds(chain_type: tuple) -> tuple:
             # entry, so the admissible coatom counts are 1..n.
             p, q = shape
             n = len(key)
-            values = [
-                Fraction((p - 1) ** n)
-                * (1 + Fraction(q - p, p) * (1 - Fraction(1, (1 - p) ** m)))
-                for m in range(1, n + 1)
-            ]
+            values = [tt.closed_form_p_n_q(p, q, n, m) for m in range(1, n + 1)]
             result = (min(values), max(values))
         else:
             c = max(key)

@@ -1,18 +1,22 @@
 """Euler totient and dual Euler totient of indexed intervals.
 
-All arithmetic is exact (Python integers and fractions); the alternating
-sums cancel catastrophically in floating point.  A boolean interval is a
-label vector indexed by atom bitmask (`BooleanInterval`); synthetic index
-models are built in that form directly, so the closed formulas can be
-exercised without building any group or lattice.  `IndexedInterval`, labels
+All arithmetic is on Python integers; the alternating sums cancel
+catastrophically in floating point.  A boolean interval is a label vector
+indexed by atom bitmask (`BooleanInterval`); synthetic index models are
+built in that form directly, as Kronecker products of per-block factors, so
+the closed formulas can be exercised without building any group or lattice.
+A walk over a label vector is a few C-level `map`/`sum`/`itemgetter` calls
+over mask tables cached per rank: the popcount signs, the two ends of every
+cover and the masks of a sub-interval.  `IndexedInterval`, labels
 over a `FiniteLattice` read through its cover and order bitmasks, serves the
 graded intervals that are not boolean.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import prod
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import eq, floordiv, itemgetter, mod, mul, or_
 from typing import Optional, Sequence, Union
 
 from . import lattice as lat
@@ -59,7 +63,8 @@ class IndexedInterval:
 
     def edge_index(self, x: int, y: int) -> int:
         """Relative index across the cover x -> y."""
-        assert self.lattice.covers[x, y]
+        if not self.lattice.covers[x, y]:
+            raise NotComparable(f"{y} does not cover {x}")
         return self.idx[x] // self.idx[y]
 
     def below_index(self, x: int) -> int:
@@ -84,22 +89,17 @@ class BooleanInterval:
     __slots__ = ("n", "idx", "ids")
 
     def __init__(self, n: int, labels: Sequence[int], ids: Optional[Sequence[int]] = None):
-        idx = tuple(int(v) for v in labels)
+        idx = tuple(map(int, labels))
         if n < 0 or len(idx) != 1 << n:
             raise InvalidParameters("one label per atom bitmask is required")
         if idx[-1] != 1:
             raise InvalidParameters("the top element must have label 1")
-        if any(v <= 0 for v in idx):
+        if min(idx) <= 0:
             raise InvalidParameters("labels must be positive")
-        top = len(idx) - 1
-        for s, v in enumerate(idx):
-            rest = top & ~s
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                w = idx[s | bit]
-                if v % w or v == w:
-                    raise InvalidParameters("labels must strictly divide downward along covers")
+        lower, upper = _cover_pickers(n)
+        lo, hi = lower(idx), upper(idx)
+        if any(map(mod, lo, hi)) or any(map(eq, lo, hi)):
+            raise InvalidParameters("labels must strictly divide downward along covers")
         self._set(n, idx, ids)
 
     def _set(self, n: int, idx: tuple, ids) -> None:
@@ -122,7 +122,8 @@ class BooleanInterval:
 
     def edge_index(self, x: int, y: int) -> int:
         """Relative index across the cover x -> y."""
-        assert x & ~y == 0 and (x ^ y).bit_count() == 1
+        if x & ~y or (x ^ y).bit_count() != 1:
+            raise NotComparable(f"{y} does not cover {x}")
         return self.idx[x] // self.idx[y]
 
     def below_index(self, x: int) -> int:
@@ -146,22 +147,48 @@ class BooleanInterval:
         """[a, b] on the bits of b & ~a, in order, relabelled relative to b."""
         if a & ~b:
             raise NotComparable(f"{a} is not below {b}")
-        masks = [a]
-        free = b & ~a
-        while free:
-            bit = free & -free
-            free ^= bit
-            masks += [m | bit for m in masks]
+        pick = _sub_picker(a, b)
         idx = self.idx
-        base = idx[b]
-        ids = None if self.ids is None else [self.ids[m] for m in masks]
+        ids = None if self.ids is None else pick(self.ids)
         # A sub-interval of validated labels is valid: skip the checks.
         sub = BooleanInterval.__new__(BooleanInterval)
-        sub._set((b & ~a).bit_count(), tuple(idx[m] // base for m in masks), ids)
+        sub._set((b & ~a).bit_count(), tuple(map(floordiv, pick(idx), repeat(idx[b]))), ids)
         return sub
 
     def __repr__(self) -> str:
         return f"BooleanInterval(n={self.n}, index={self.total_index})"
+
+
+def _picker(keys: Sequence[int]) -> itemgetter:
+    """An itemgetter of `keys` that returns a tuple for any number of keys."""
+    if len(keys) == 1:  # itemgetter(k) would return the bare item
+        return itemgetter(slice(keys[0], keys[0] + 1))
+    return itemgetter(*keys) if keys else itemgetter(slice(0))
+
+
+@lru_cache(maxsize=16)
+def _signs(n: int) -> tuple:
+    """(-1)^popcount(s) for every mask s of rank n."""
+    return tuple(-1 if s.bit_count() & 1 else 1 for s in range(1 << n))
+
+
+@lru_cache(maxsize=16)
+def _cover_pickers(n: int) -> tuple:
+    """Pickers of the lower and of the upper ends of the n * 2^(n-1) covers s -> s | bit."""
+    covers = [(s, s | 1 << i) for i in range(n) for s in range(1 << n) if not s >> i & 1]
+    return _picker([lo for lo, _ in covers]), _picker([hi for _, hi in covers])
+
+
+@lru_cache(maxsize=256)
+def _sub_picker(a: int, b: int) -> itemgetter:
+    """Picker of the masks of [a, b], ordered by the bits of b & ~a from the lowest."""
+    masks = (a,)
+    free = b & ~a
+    while free:
+        bit = free & -free
+        free ^= bit
+        masks += tuple(map(or_, masks, repeat(bit)))
+    return _picker(masks)
 
 
 def from_group_interval(interval: GroupInterval) -> IndexedInterval:
@@ -196,7 +223,7 @@ def _require_graded(model: IndexedInterval) -> tuple:
 def dual_totient(model: Union[IndexedInterval, BooleanInterval]) -> int:
     """Alternating sum of labels, sign by rank above the bottom."""
     if isinstance(model, BooleanInterval):
-        return sum(-v if s.bit_count() & 1 else v for s, v in enumerate(model.idx))
+        return sum(map(mul, _signs(model.n), model.idx))
     ranks = _require_graded(model)
     return sum(
         (-1) ** ranks[x] * model.idx[x] for x in range(model.lattice.n)
@@ -207,11 +234,8 @@ def euler_totient(model: Union[IndexedInterval, BooleanInterval]) -> int:
     """Alternating sum of indices over the bottom, sign by corank."""
     total = model.total_index
     if isinstance(model, BooleanInterval):
-        n = model.n
-        return sum(
-            -(total // v) if (n - s.bit_count()) & 1 else total // v
-            for s, v in enumerate(model.idx)
-        )
+        result = sum(map(mul, _signs(model.n), map(floordiv, repeat(total), model.idx)))
+        return -result if model.n & 1 else result
     ranks = _require_graded(model)
     height = model.lattice.height()
     result = 0
@@ -254,15 +278,14 @@ def closed_form_p_n_q(p: int, q: int, n: int, m: int) -> int:
 
     `m` counts the coatoms L of relative index q, i.e. with |G : L| = q; the
     value is (p-1)^n * [1 + ((q-p)/p) (1 - 1/(1-p)^m)], always a positive
-    integer at least (p-1)^n.
+    integer at least (p-1)^n.  In integers that is (p-1)^n plus
+    (q-p) (-1)^m (p-1)^(n-m) ((1-p)^m - 1) / p, and p divides (1-p)^m - 1.
     """
     if not (2 <= p <= q) or n < 1 or not (0 <= m <= n):
         raise InvalidParameters("need 2 <= p <= q, n >= 1 and 0 <= m <= n")
-    value = (p - 1) ** n * (
-        1 + Fraction(q - p, p) * (1 - Fraction(1, (1 - p) ** m))
-    )
-    assert value.denominator == 1
-    result = int(value)
+    numerator = (q - p) * (-1) ** m * (p - 1) ** (n - m) * ((1 - p) ** m - 1)
+    assert numerator % p == 0
+    result = (p - 1) ** n + numerator // p
     assert result >= (p - 1) ** n
     return result
 
@@ -322,26 +345,32 @@ def boolean_index_model(p: int, n: int, specials: Sequence = ()) -> BooleanInter
     """A boolean rank-n model whose chains have type (p, ..., p, q1, ..., qk).
 
     `specials` is a sequence of (q, block_size) pairs assigned to disjoint
-    blocks of atoms; crossing the last missing atom of a block costs q, every
-    other cover costs p.  With one special (q, m) this realizes every chain
-    type (p, ..., p, q) with exactly m coatoms of relative index q; with
-    single-atom blocks it realizes fully split models.
+    blocks of atoms from bit 0 up; crossing the last missing atom of a block
+    costs q, every other cover costs p.  With one special (q, m) this
+    realizes every chain type (p, ..., p, q) with exactly m coatoms of
+    relative index q; with single-atom blocks it realizes fully split models.
+
+    The labels are the Kronecker product of one factor vector per block, the
+    lowest bits varying fastest: a block of size k with j bits set
+    contributes p^(k-j-1) q until it is complete and 1 once it is, a free
+    atom contributes p^(1-j).
     """
     if p < 2 or n < 1:
         raise InvalidParameters("need p >= 2 and n >= 1")
     blocks = []
-    start = 0
     for q, size in specials:
         if q < 2 or size < 1:
             raise InvalidParameters("special blocks need q >= 2 and size >= 1")
-        blocks.append((int(q), ((1 << size) - 1) << start))
-        start += size
-    if start > n:
+        blocks.append((int(q), size))
+    free = n - sum(size for _, size in blocks)
+    if free < 0:
         raise InvalidParameters("special blocks exceed the number of atoms")
-    labels = []
-    for s in range(1 << n):
-        incomplete = [q for q, block in blocks if block & ~s]
-        labels.append(p ** (n - s.bit_count() - len(incomplete)) * prod(incomplete))
+    factors = [
+        [p ** (k - 1 - t.bit_count()) * q for t in range((1 << k) - 1)] + [1] for q, k in blocks
+    ]
+    labels = (1,)
+    for factor in factors + [(p, 1)] * free:
+        labels = tuple(chain.from_iterable(map(mul, labels, repeat(f)) for f in factor))
     return BooleanInterval(n, labels)
 
 

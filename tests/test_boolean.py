@@ -3,8 +3,13 @@
 The reference for every quantity is an `IndexedInterval` over
 `lattice.subset_lattice(n)` or over a catalog group's interval lattice, with
 sub-intervals sliced by `dense_lattice.interval` and chain types read off
-`dense_lattice.maximal_chains`.
+`dense_lattice.maximal_chains`.  The label-vector arithmetic, which runs
+over cached mask tables, is also compared against the plain per-mask loops
+kept here as `reference_*` functions.
 """
+
+from fractions import Fraction
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -15,7 +20,7 @@ from orelat import catalog as cat
 from orelat import certifier as cf
 from orelat import lattice as lat
 from orelat import totients as tt
-from orelat.errors import InvalidParameters, NotACoatom, NotBoolean
+from orelat.errors import InvalidParameters, NotACoatom, NotBoolean, NotComparable
 from dense_lattice import build_lattice, complement, interval, maximal_chains, sub_interval
 
 SMALL_SCAN = ["z6", "z8", "z12", "v4", "d4", "s3", "a4", "s4", "d6", "s2xs3", "psl2_7"]
@@ -193,3 +198,203 @@ def _relabelled(model, ids):
         for t in range(size):
             leq[ids[s], ids[t]] = s & ~t == 0
     return tt.IndexedInterval(build_lattice(leq), labels)
+
+
+# -- per-mask references for the mask-table arithmetic of `totients` ----------
+
+
+def reference_refusal(n, labels):
+    """The per-cover validation loop: None when the labels are valid, else the refusal."""
+    idx = tuple(int(v) for v in labels)
+    if n < 0 or len(idx) != 1 << n:
+        return "one label per atom bitmask"
+    if idx[-1] != 1:
+        return "the top element must have label 1"
+    if any(v <= 0 for v in idx):
+        return "labels must be positive"
+    top = len(idx) - 1
+    for s, v in enumerate(idx):
+        rest = top & ~s
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = idx[s | bit]
+            if v % w or v == w:
+                return "labels must strictly divide downward along covers"
+    return None
+
+
+def reference_dual(idx):
+    return sum(-v if s.bit_count() & 1 else v for s, v in enumerate(idx))
+
+
+def reference_euler(n, idx):
+    total = idx[0]
+    return sum(-(total // v) if (n - s.bit_count()) & 1 else total // v for s, v in enumerate(idx))
+
+
+def reference_sub_labels(idx, a, b):
+    masks = [a]
+    free = b & ~a
+    while free:
+        bit = free & -free
+        free ^= bit
+        masks += [m | bit for m in masks]
+    return [idx[m] // idx[b] for m in masks], masks
+
+
+def reference_model_labels(p, n, specials):
+    """The per-mask label loop of `boolean_index_model`, without its parameter checks."""
+    blocks = []
+    start = 0
+    for q, size in specials:
+        blocks.append((q, ((1 << size) - 1) << start))
+        start += size
+    labels = []
+    for s in range(1 << n):
+        incomplete = [q for q, block in blocks if block & ~s]
+        labels.append(p ** (n - s.bit_count() - len(incomplete)) * prod(incomplete))
+    return labels
+
+
+def reference_closed_form(p, q, n, m):
+    value = (p - 1) ** n * (1 + Fraction(q - p, p) * (1 - Fraction(1, (1 - p) ** m)))
+    assert value.denominator == 1
+    return int(value)
+
+
+@st.composite
+def valid_vectors(draw, max_rank=7):
+    """(n, labels): each label a multiple of the lcm of its upper covers' labels, strictly above each."""
+    n = draw(st.integers(0, max_rank))
+    top = (1 << n) - 1
+    labels = [0] * (top + 1)
+    labels[top] = 1
+    for s in sorted(range(top), key=lambda s: -s.bit_count()):
+        upper = [labels[s | 1 << i] for i in range(n) if not s >> i & 1]
+        v = lcm(*upper) * draw(st.sampled_from((1, 1, 2, 3, 5)))
+        labels[s] = 2 * v if v in upper else v
+    return n, labels
+
+
+class TestMaskTablesMatchPerMaskLoops:
+    @given(valid_vectors(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_validation_matches_the_per_cover_loop(self, vector, data):
+        n, labels = vector
+        assert reference_refusal(n, labels) is None
+        assert tt.BooleanInterval(n, labels).idx == tuple(labels)
+        s = data.draw(st.integers(0, len(labels) - 1))
+        neighbours = [labels[s ^ 1 << i] for i in range(n)]
+        labels[s] = data.draw(st.one_of(
+            st.integers(-3, 40),
+            st.sampled_from(neighbours or [0]),
+            st.sampled_from((2, 3, 6)).map(lambda k: labels[s] * k),
+            st.sampled_from((2, 3, 6)).map(lambda k: labels[s] // k),
+        ))
+        refusal = reference_refusal(n, labels)
+        if refusal is None:
+            assert tt.BooleanInterval(n, labels).idx == tuple(labels)
+        else:
+            with pytest.raises(InvalidParameters, match=refusal):
+                tt.BooleanInterval(n, labels)
+
+    @pytest.mark.parametrize("n, labels, refusal", [
+        (1, [2, 1, 1], "one label per atom bitmask"),
+        (-1, [1], "one label per atom bitmask"),
+        (0, [2], "the top element must have label 1"),
+        (1, [2, 3], "the top element must have label 1"),
+        (1, [0, 1], "labels must be positive"),
+        (2, [4, 2, -2, 1], "labels must be positive"),
+        (1, [1, 1], "labels must strictly divide downward along covers"),
+        (1, [3, 1], None),
+        (2, [6, 3, 4, 1], "labels must strictly divide downward along covers"),
+        (2, [6, 3, 3, 1], None),
+        (2, [6, 6, 2, 1], "labels must strictly divide downward along covers"),
+        (3, [8, 4, 4, 2, 4, 2, 2, 1], None),
+        (3, [8, 4, 4, 2, 4, 2, 1, 1], "labels must strictly divide downward along covers"),
+    ])
+    def test_every_refusal_is_reached(self, n, labels, refusal):
+        assert reference_refusal(n, labels) == refusal
+        if refusal is None:
+            assert tt.BooleanInterval(n, labels).idx == tuple(labels)
+        else:
+            with pytest.raises(InvalidParameters, match=refusal):
+                tt.BooleanInterval(n, labels)
+
+    @given(valid_vectors(max_rank=4))
+    @settings(max_examples=100, deadline=None)
+    def test_sums_and_sub_intervals_match_the_per_mask_loops(self, vector):
+        n, labels = vector
+        model = tt.BooleanInterval(n, labels, [3 * s + 1 for s in range(len(labels))])
+        assert tt.dual_totient(model) == reference_dual(labels)
+        assert tt.euler_totient(model) == reference_euler(n, labels)
+        for b in range(len(labels)):
+            for a in range(b + 1):
+                if a & ~b:
+                    with pytest.raises(NotComparable):
+                        model.sub(a, b)
+                    continue
+                sub = model.sub(a, b)
+                expected, masks = reference_sub_labels(labels, a, b)
+                assert sub.idx == tuple(expected)
+                assert sub.ids == tuple(3 * m + 1 for m in masks)
+                assert sub.n == (b & ~a).bit_count()
+                assert tt.dual_totient(sub) == reference_dual(expected)
+                assert tt.euler_totient(sub) == reference_euler(sub.n, expected)
+
+    def test_models_match_over_the_totient_formulas_grid(self):
+        for p in range(2, 14):
+            for n in range(1, 8):
+                assert tt.uniform_model(p, n).idx == tuple(reference_model_labels(p, n, []))
+            for q in range(p, 14):
+                for n in range(1, 8):
+                    for m in range(1, n + 1):
+                        expected = tuple(reference_model_labels(p, n, [(q, m)]))
+                        assert tt.pq_model(p, q, n, m).idx == expected
+        for p in (2, 3):
+            for n in range(1, 7):
+                for m in range(1, n + 1):
+                    expected = tuple(reference_model_labels(p, n, [(p * p, m)]))
+                    assert tt.pq_model(p, p * p, n, m).idx == expected
+
+    @given(st.integers(-1, 13), st.integers(-1, 7),
+           st.lists(st.tuples(st.integers(0, 13), st.integers(0, 7)), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_models_with_several_blocks_match_the_per_mask_loop(self, p, n, specials):
+        valid = (p >= 2 and n >= 1 and all(q >= 2 and size >= 1 for q, size in specials)
+                 and sum(size for _, size in specials) <= n)
+        if not valid:
+            with pytest.raises(InvalidParameters):
+                tt.boolean_index_model(p, n, specials)
+            return
+        expected = reference_model_labels(p, n, specials)
+        assert tt.boolean_index_model(p, n, specials).idx == tuple(expected)
+
+    def test_integer_closed_form_equals_the_fraction_form(self):
+        for p in range(2, 14):
+            for q in range(p, 14):
+                for n in range(1, 8):
+                    for m in range(0, n + 1):
+                        assert tt.closed_form_p_n_q(p, q, n, m) == reference_closed_form(p, q, n, m)
+
+
+class TestEdgeIndex:
+    def test_boolean_interval_refuses_non_covers(self):
+        model = tt.pq_model(3, 5, 3, 2)
+        assert model.edge_index(0b001, 0b011) == model.idx[1] // model.idx[3]
+        for x, y in [(0b001, 0b001), (0b001, 0b111), (0b011, 0b001), (0b001, 0b110), (0, 0b110)]:
+            with pytest.raises(NotComparable):
+                model.edge_index(x, y)
+
+    def test_indexed_interval_refuses_non_covers(self):
+        reference = tt.from_group_interval(cat.cached_full_lattice("s3"))
+        lattice = reference.lattice
+        covers = {(x, y) for x in range(lattice.n) for y in lat.upper_covers(lattice, x)}
+        for x in range(lattice.n):
+            for y in range(lattice.n):
+                if (x, y) in covers:
+                    assert reference.edge_index(x, y) == reference.idx[x] // reference.idx[y]
+                else:
+                    with pytest.raises(NotComparable):
+                        reference.edge_index(x, y)
