@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 from . import lattice as lat
 from . import totients as tt
 from .errors import InvalidParameters, NotBoolean, NotDistributive
-from .intervals import GroupInterval
-from .totients import BooleanInterval, IndexedInterval
+from .intervals import IndexedInterval
+from .totients import BooleanInterval
 
 ALLSPLIT_PRODUCT_LIMIT = 32
 FORBIDDEN_EDGE = 7
@@ -78,6 +78,9 @@ class IndexedModel:
     def __post_init__(self):
         if self.rank < 1 or self.index < 2:
             raise InvalidParameters("need rank >= 1 and index >= 2")
+        if self.index.bit_length() <= self.rank:
+            raise InvalidParameters(f"index {self.index} is below 2^{self.rank}, the least index "
+                                    f"of a boolean interval of rank {self.rank}")
         for t in self.known_types:
             if len(t) != self.rank:
                 raise InvalidParameters(f"chain type {t} does not match rank {self.rank}")
@@ -91,20 +94,13 @@ class IndexedModel:
 # -- chain types and factor enumeration --------------------------------------
 
 
-def _as_model(obj: Union[GroupInterval, IndexedInterval, BooleanInterval]):
-    if isinstance(obj, GroupInterval):
-        return tt.from_group_interval(obj)
-    return obj
-
-
-def chain_types(obj: Union[GroupInterval, IndexedInterval, BooleanInterval]) -> set:
+def chain_types(obj: Union[IndexedInterval, BooleanInterval]) -> set:
     """Distinct multisets of cover indices over all maximal chains.
 
     A dynamic program over subsets: the types of the chains from the bottom
     to a mask s extend those to s minus one bit by the edge into s.
     """
-    model = tt.to_boolean(_as_model(obj))
-    idx = model.idx
+    idx = tt.to_boolean(obj).idx
     types = [{()}]
     for s in range(1, len(idx)):
         here = set()
@@ -184,7 +180,7 @@ def allsplit_small_ok(chain_type: Sequence[int]) -> bool:
     return all(u * v < ALLSPLIT_PRODUCT_LIMIT for u, v in _pairs(chain_type))
 
 
-def check_allsplit_small(obj: Union[GroupInterval, IndexedInterval, BooleanInterval]) -> bool:
+def check_allsplit_small(obj: Union[IndexedInterval, BooleanInterval]) -> bool:
     """True when some maximal chain satisfies the small-products hypothesis."""
     return any(allsplit_small_ok(t) for t in chain_types(obj))
 
@@ -298,16 +294,15 @@ def lemma_check_scan(a: int, b: int, c: int, n: int) -> ScanResult:
 # -- the certifying pipeline --------------------------------------------------
 
 
-def certify(obj: Union[GroupInterval, IndexedInterval, BooleanInterval, IndexedModel]) -> Certificate:
+def certify(obj: Union[IndexedInterval, BooleanInterval, IndexedModel]) -> Certificate:
     """Decide linear primitivity by chaining the reduction rules."""
     if isinstance(obj, IndexedModel):
         return _certify_scenario(obj)
-    model = _as_model(obj)
-    if isinstance(model, BooleanInterval):
-        return _certify_boolean(model, [])
-    if not lat.is_distributive(model.lattice):
+    if isinstance(obj, BooleanInterval):
+        return _certify_boolean(obj, [])
+    if not lat.is_distributive(obj.lattice):
         raise NotDistributive("certification requires a distributive interval")
-    return certify_above(model, model.lattice.bottom)
+    return certify_above(obj, obj.lattice.bottom)
 
 
 def certify_above(model: IndexedInterval, a: int) -> Certificate:
@@ -544,38 +539,34 @@ def _trusted_two_case(index: int, rank: int, uncovered: Sequence[tuple], steps: 
 
 
 def _forced_type_step(chain_type: tuple) -> Optional[CertStep]:
-    """A totient bound valid when every maximal chain has this exact type."""
-    values = set(chain_type)
-    if len(values) == 1:
-        p = chain_type[0]
-        value = tt.closed_form_p_n(p, len(chain_type))
+    """A totient bound valid when every maximal chain has this exact type.
+
+    The bound is `_phihat_bounds`' minimum; the rule named is the one its
+    shape was evaluated by.
+    """
+    lo, _ = _phihat_bounds(chain_type)
+    if lo <= 0:
+        return None
+    if len(set(chain_type)) == 1:
         return CertStep(
             "R8-uniform-type",
             "all edges share one index: dual totient is (p-1)^n",
-            {"type": list(chain_type), "phihat": value},
+            {"type": list(chain_type), "phihat": lo},
         )
     shape = _single_divergent_shape(chain_type)
     if shape is not None:
         p, q = shape
-        n = len(chain_type)
-        values_by_m = [tt.closed_form_p_n_q(p, q, n, m) for m in range(1, n + 1)]
-        if min(values_by_m) > 0:
-            return CertStep(
-                "R8-single-divergent-type",
-                "type (p, ..., p, q): the closed formula is positive for every "
-                "admissible coatom count",
-                {"type": list(chain_type), "p": p, "q": q,
-                 "minimum": min(values_by_m)},
-            )
-        return None
-    lo, _ = _phihat_bounds(chain_type)
-    if lo > 0:
         return CertStep(
-            "R8-iterative-bound",
-            "coatom recursion over every branch keeps the dual totient positive",
-            {"type": list(chain_type), "minimum": str(lo)},
+            "R8-single-divergent-type",
+            "type (p, ..., p, q): the closed formula is positive for every "
+            "admissible coatom count",
+            {"type": list(chain_type), "p": p, "q": q, "minimum": lo},
         )
-    return None
+    return CertStep(
+        "R8-iterative-bound",
+        "coatom recursion over every branch keeps the dual totient positive",
+        {"type": list(chain_type), "minimum": str(lo)},
+    )
 
 
 def _is_prime(n: int) -> bool:
@@ -609,17 +600,16 @@ def rank2_index_table(limit: int, groups: Optional[Sequence] = None) -> list:
 
     results = []
     for name, full in fulls:
-        lattice = full.lattice
-        model = tt.from_group_interval(full)
+        lattice, idx = full.lattice, full.idx
         for lo in range(lattice.n):
             up_lo = lattice._up[lo]
             for hi in lat.bits(up_lo):
-                if full.index_of[lo] // full.index_of[hi] >= limit:
+                if idx[lo] // idx[hi] >= limit:
                     continue
                 if (up_lo & lattice._down[hi]).bit_count() != 4:
                     continue
                 try:
-                    sub = tt.boolean_between(model, lo, hi)
+                    sub = tt.boolean_between(full, lo, hi)
                 except NotBoolean:
                     continue
                 # bits 1 and 2 are the middle members K < L, in element order

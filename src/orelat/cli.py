@@ -13,8 +13,6 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from . import catalog as cat
 from . import characters as ch
@@ -103,10 +101,10 @@ def _interval_results(interval: iv.GroupInterval) -> dict:
         "ambient_order": interval.ambient.order,
         "base_order": interval.base.order,
         "members": [
-            {"id": i, "order": m.order, "index": interval.index_of[i]}
+            {"id": i, "order": m.order, "index": interval.idx[i]}
             for i, m in enumerate(interval.members)
         ],
-        "hasse_edges": np.argwhere(lattice.covers).tolist(),
+        "hasse_edges": lat.hasse_edges(lattice),
         "boolean": lat.is_boolean(lattice),
         "distributive": lat.is_distributive(lattice),
         "bottom_boolean": lat.is_bottom_boolean(lattice),
@@ -122,17 +120,17 @@ def cmd_interval(args) -> dict:
 
 def cmd_totient(args) -> dict:
     interval = _resolve_interval(args)
-    model = tt.from_group_interval(interval)
+    lattice = interval.lattice
     results = {
-        "index": model.total_index,
-        "graded": model.lattice.is_graded(),
+        "index": interval.total_index,
+        "graded": lattice.is_graded(),
     }
-    if model.lattice.is_graded():
-        results["dual_totient"] = tt.dual_totient(model)
-        results["euler_totient"] = tt.euler_totient(model)
-    if lat.is_distributive(model.lattice):
-        results["euler_totient_distributive"] = tt.euler_totient_distributive(model)
-        results["dual_totient_distributive"] = tt.dual_totient_distributive(model)
+    if lattice.is_graded():
+        results["dual_totient"] = tt.dual_totient(interval)
+        results["euler_totient"] = tt.euler_totient(interval)
+    if lat.is_distributive(lattice):
+        results["euler_totient_distributive"] = tt.euler_totient_distributive(interval)
+        results["dual_totient_distributive"] = tt.dual_totient_distributive(interval)
         results["generating_cosets"] = iv.generating_coset_count(interval)
         results["ore_witness"] = iv.verify_ore(interval).to_cycles()
     return _report("totient", results)
@@ -281,8 +279,10 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except OrelatError as exc:
-        if isinstance(exc, CapExceeded):
+    except (OrelatError, RecursionError) as exc:
+        # a scenario recurses once per rank (R5 halvings, factorizations), so
+        # a scenario too deep for the interpreter's stack exhausts a budget
+        if isinstance(exc, (CapExceeded, RecursionError)):
             code = EXIT_CAP
         elif isinstance(exc, (ValidationFailed, NotAnInteger, OreViolation)):
             code = EXIT_INTERNAL

@@ -11,6 +11,9 @@ a chain of single-element extensions that starts at H.  The same search
 yields the Hasse diagram: a cover L of K is <K, g> for every g in L outside
 K, so the minimal <K, g> formed over K are exactly the upper covers of K.
 
+A `GroupInterval` is an `IndexedInterval` labelled by the indices |G:K|,
+checked once when it is built; the totients and the certifier take it as is.
+
 Each interval is memoized on its ambient group's `_Ambient`, by the bitset
 of its base, for as long as the `_ambient` LRU (32 groups) keeps that group.
 Later calls return the same object, which is shared and must not be
@@ -24,7 +27,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import lattice as lat
-from .errors import CapExceeded, NotASubgroup, NotDistributive, OreViolation
+from .errors import CapExceeded, InvalidParameters, NotASubgroup, NotComparable, NotDistributive, OreViolation
 from .perm import FiniteGroup, Permutation, trivial_group
 
 DEFAULT_MEMBER_CAP = 10_000
@@ -177,22 +180,68 @@ def _ambient(group: FiniteGroup) -> _Ambient:
     return _Ambient(group)
 
 
-class GroupInterval:
-    """The lattice of all subgroups K with H <= K <= G, with index labels."""
+class IndexedInterval:
+    """A graded-capable lattice with a positive integer label per element.
 
-    __slots__ = ("ambient", "base", "members", "lattice", "index_of", "_amb", "_masks", "_mask_to_id")
+    For concrete intervals the label of K is the index |G:K|; synthetic
+    models carry abstract labels.  Labels divide along the order: the top is
+    1 and every cover strictly divides downward.
+    """
+
+    __slots__ = ("lattice", "idx")
+
+    def __init__(self, lattice: lat.FiniteLattice, idx: Sequence[int]):
+        idx = tuple(int(v) for v in idx)
+        if len(idx) != lattice.n:
+            raise InvalidParameters("one label per lattice element is required")
+        if idx[lattice.top] != 1:
+            raise InvalidParameters("the top element must have label 1")
+        if any(v <= 0 for v in idx):
+            raise InvalidParameters("labels must be positive")
+        for x, v in enumerate(idx):
+            if any(v % idx[y] or v == idx[y] for y in lat.upper_covers(lattice, x)):
+                raise InvalidParameters("labels must strictly divide downward along covers")
+        self.lattice = lattice
+        self.idx = idx
+
+    @property
+    def total_index(self) -> int:
+        return self.idx[self.lattice.bottom]
+
+    def edge_index(self, x: int, y: int) -> int:
+        """Relative index across the cover x -> y."""
+        if not self.lattice._upper[x] >> y & 1:
+            raise NotComparable(f"{y} does not cover {x}")
+        return self.idx[x] // self.idx[y]
+
+    def below_index(self, x: int) -> int:
+        """Relative index of x over the bottom element."""
+        return self.idx[self.lattice.bottom] // self.idx[x]
+
+    def __repr__(self) -> str:
+        return f"IndexedInterval(n={self.lattice.n}, index={self.total_index})"
+
+
+class GroupInterval(IndexedInterval):
+    """The lattice of all subgroups K with H <= K <= G, labelled by the indices |G:K|."""
+
+    __slots__ = ("ambient", "base", "members", "_amb", "_masks", "_mask_to_id")
 
     def __init__(self, ambient: FiniteGroup, base: FiniteGroup, members: Sequence[FiniteGroup],
                  lattice: lat.FiniteLattice, index_of: Sequence[int],
                  amb: _Ambient, masks: Sequence[int]):
+        super().__init__(lattice, index_of)
         self.ambient = ambient
         self.base = base
         self.members = tuple(members)
-        self.lattice = lattice
-        self.index_of = tuple(index_of)
         self._amb = amb
         self._masks = tuple(masks)
         self._mask_to_id = {s: i for i, s in enumerate(masks)}
+
+    @property
+    def index_of(self) -> tuple:
+        """The labels |G:K| by member id; the same tuple as `idx`."""
+        return self.idx
 
     def __len__(self) -> int:
         return len(self.members)

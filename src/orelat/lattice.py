@@ -4,12 +4,12 @@ The ids are a linear extension of the order: every lower cover of x has a
 smaller id, the bottom is 0 and the top n-1.  A lattice is built in one
 pass from each element's lower covers and holds, per element, the bitmasks
 of its down-set, its up-set and its upper and lower covers, plus the ranks
-(longest-chain depth over the Hasse diagram), gradedness and the read-only
-cover matrix.  No meet or join table is kept: in a linear extension the
-meet of a and b is the highest id in down[a] & down[b] and their join the
-lowest id in up[a] & up[b].  The lattice axioms are not re-checked; the
-callers build subgroup intervals, which are lattices by theorem, and
-subset lattices.
+(longest-chain depth over the Hasse diagram) and gradedness; the read-only
+`covers` matrix is built from the cover masks on first use.  No meet or
+join table is kept: in a linear extension the meet of a and b is the
+highest id in down[a] & down[b] and their join the lowest id in
+up[a] & up[b].  The lattice axioms are not re-checked; the callers build
+subgroup intervals, which are lattices by theorem, and subset lattices.
 
 [a, top] is distributive exactly when its member count equals the number
 of down-sets of its join-irreducibles (Birkhoff 1937): x -> {join-
@@ -25,21 +25,18 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import NotAPartialOrder, NotALattice, NotBoolean, NotComparable
 
 
 class FiniteLattice:
     """A finite lattice from the lower covers of each element, ids in a linear extension.
 
-    Instances are immutable; `covers` is a read-only boolean matrix with
-    covers[x, y] when y covers x.
+    Instances are immutable.
     """
 
     __slots__ = (
-        "n", "bottom", "top", "covers",
-        "_down", "_up", "_lower", "_upper", "_ranks", "_graded", "_distributive", "_boolean",
+        "n", "bottom", "top",
+        "_down", "_up", "_lower", "_upper", "_ranks", "_graded", "_distributive", "_boolean", "_covers",
     )
 
     def __init__(self, lower_covers: Sequence[Iterable[int]]):
@@ -48,7 +45,6 @@ class FiniteLattice:
             raise NotAPartialOrder("a lattice has at least one element")
         down, lower, upper, ranks = [], [], [0] * n, []
         graded = True
-        covers = np.zeros((n, n), dtype=bool)
         for x, below in enumerate(lower_covers):
             below = list(below)
             if any(not 0 <= c < x for c in below):
@@ -66,7 +62,6 @@ class FiniteLattice:
             down.append(mask)
             lower.append(sum(1 << c for c in below))
             ranks.append(rank)
-            covers[below, x] = True
         if down[-1] != (1 << n) - 1:
             raise NotALattice(f"element {n - 1} is not above every element")
         up = [0] * n
@@ -75,11 +70,9 @@ class FiniteLattice:
             for y in bits(upper[x]):
                 mask |= up[y]
             up[x] = mask
-        covers.flags.writeable = False
         self.n = n
         self.bottom = 0
         self.top = n - 1
-        self.covers = covers
         self._down = tuple(down)
         self._up = tuple(up)
         self._lower = tuple(lower)
@@ -88,6 +81,19 @@ class FiniteLattice:
         self._graded = graded
         self._distributive: Optional[bool] = None
         self._boolean: Optional[bool] = None
+        self._covers = None
+
+    @property
+    def covers(self):
+        """Read-only n x n boolean matrix with covers[x, y] when y covers x, built once on first use."""
+        if self._covers is None:
+            import numpy as np
+            edges = hasse_edges(self)
+            covers = np.zeros((self.n, self.n), dtype=bool)
+            covers[[x for x, _ in edges], [y for _, y in edges]] = True
+            covers.flags.writeable = False
+            self._covers = covers
+        return self._covers
 
     def meet(self, a: int, b: int) -> int:
         """The greatest lower bound: the highest id below both."""
@@ -115,6 +121,11 @@ class FiniteLattice:
 def upper_covers(lat: FiniteLattice, a: int) -> list:
     """The elements covering a, ascending: the atoms of [a, top]."""
     return bits(lat._upper[a])
+
+
+def hasse_edges(lat: FiniteLattice) -> list:
+    """Every cover as [x, y], y covering x, sorted by x and then by y."""
+    return [[x, y] for x in range(lat.n) for y in bits(lat._upper[x])]
 
 
 def atoms(lat: FiniteLattice) -> list:

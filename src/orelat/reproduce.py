@@ -199,14 +199,13 @@ def _top_intervals(full: iv.GroupInterval, table: ch.CharacterTable):
     certified intervals.
     """
     lattice = full.lattice
-    model = tt.from_group_interval(full)
     passed = 0
     for h in range(lattice.n):
         if not passed >> h & 1:
             if not lat._distributive_above(lattice, h):
                 continue
             passed |= lattice._up[h]
-        cert = cf.certify_above(model, h)
+        cert = cf.certify_above(full, h)
         witness = None
         if cert.is_primitive:
             overgroups = [full.members[k] for k in lat.upper_covers(lattice, h)]
@@ -228,11 +227,10 @@ def run_catalog_primitivity() -> tuple:
                 if witness is None:
                     counterexamples.append([name, h])
         lattice = full.lattice
-        model = tt.from_group_interval(full)
         for lo in range(lattice.n):
             for hi in lat.bits(lattice._up[lo] ^ (1 << lo)):
                 try:
-                    sub = tt.boolean_between(model, lo, hi)
+                    sub = tt.boolean_between(full, lo, hi)
                 except NotBoolean:
                     continue
                 boolean_count += 1
@@ -242,9 +240,8 @@ def run_catalog_primitivity() -> tuple:
     bound_entries = []
     for n in (1, 2, 3):
         interval = cat.catalog_interval(f"s2xs3_{n}/base")
-        model = tt.from_group_interval(interval)
-        direct = tt.dual_totient(model)
-        product = tt.dual_totient_allsplit(model)
+        direct = tt.dual_totient(interval)
+        product = tt.dual_totient_allsplit(interval)
         rank = interval.rank()
         bound_entries.append({
             "n": n, "rank": rank, "direct": direct, "allsplit": product,

@@ -7,9 +7,9 @@ built in that form directly, as Kronecker products of per-block factors, so
 the closed formulas can be exercised without building any group or lattice.
 A walk over a label vector is a few C-level `map`/`sum`/`itemgetter` calls
 over mask tables cached per rank: the popcount signs, the two ends of every
-cover and the masks of a sub-interval.  `IndexedInterval`, labels
+cover and the masks of a sub-interval.  `intervals.IndexedInterval`, labels
 over a `FiniteLattice` read through its cover and order bitmasks, serves the
-graded intervals that are not boolean.
+graded intervals that are not boolean, a `GroupInterval` among them.
 """
 
 from __future__ import annotations
@@ -28,51 +28,7 @@ from .errors import (
     NotGraded,
     SplitConditionFails,
 )
-from .intervals import GroupInterval
-
-
-class IndexedInterval:
-    """A graded-capable lattice with a positive integer label per element.
-
-    For concrete intervals the label of K is the index |G:K|; synthetic
-    models carry abstract labels.  Labels divide along the order: the top is
-    1 and every cover strictly divides downward.
-    """
-
-    __slots__ = ("lattice", "idx")
-
-    def __init__(self, lattice: lat.FiniteLattice, idx: Sequence[int]):
-        idx = tuple(int(v) for v in idx)
-        if len(idx) != lattice.n:
-            raise InvalidParameters("one label per lattice element is required")
-        if idx[lattice.top] != 1:
-            raise InvalidParameters("the top element must have label 1")
-        if any(v <= 0 for v in idx):
-            raise InvalidParameters("labels must be positive")
-        for x, v in enumerate(idx):
-            for y in lat.upper_covers(lattice, x):
-                w = idx[y]
-                if v % w or v == w:
-                    raise InvalidParameters("labels must strictly divide downward along covers")
-        self.lattice = lattice
-        self.idx = idx
-
-    @property
-    def total_index(self) -> int:
-        return self.idx[self.lattice.bottom]
-
-    def edge_index(self, x: int, y: int) -> int:
-        """Relative index across the cover x -> y."""
-        if not self.lattice.covers[x, y]:
-            raise NotComparable(f"{y} does not cover {x}")
-        return self.idx[x] // self.idx[y]
-
-    def below_index(self, x: int) -> int:
-        """Relative index of x over the bottom element."""
-        return self.idx[self.lattice.bottom] // self.idx[x]
-
-    def __repr__(self) -> str:
-        return f"IndexedInterval(n={self.lattice.n}, index={self.total_index})"
+from .intervals import IndexedInterval
 
 
 class BooleanInterval:
@@ -191,8 +147,9 @@ def _sub_picker(a: int, b: int) -> itemgetter:
     return _picker(masks)
 
 
-def from_group_interval(interval: GroupInterval) -> IndexedInterval:
-    return IndexedInterval(interval.lattice, interval.index_of)
+def from_group_interval(interval: IndexedInterval) -> IndexedInterval:
+    """The labelled model of a group interval: the interval itself."""
+    return interval
 
 
 def boolean_between(model: Union[IndexedInterval, BooleanInterval], a: int, b: int) -> BooleanInterval:

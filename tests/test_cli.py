@@ -102,6 +102,25 @@ class TestCertify:
             "error": "--model-type must be comma-separated integers, got 'a,b'", "exit": 2,
         }
 
+    @pytest.mark.parametrize("rank, index", [(9, 40), (900, 2 ** 62)], ids=["rank-9", "rank-900"])
+    def test_scenario_index_below_two_to_the_rank_is_an_input_error(self, capsys, rank, index):
+        code = main(["certify", "--model-rank", str(rank), "--model-index", str(index)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": f"index {index} is below 2^{rank}, the least index of a boolean interval of rank {rank}",
+            "exit": 2,
+        }
+
+    def test_scenario_too_deep_to_recurse_exhausts_the_budget(self, capsys):
+        code = main(["certify", "--model-rank", "1000", "--model-index", str(2 ** 1005)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line)["exit"] == 3
+
 
 class TestBbl:
     def test_s3(self, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from orelat import characters as ch
 from orelat import intervals as iv
 from orelat import lattice as lat
 from orelat import reproduce as rp
+from orelat import totients as tt
 from orelat.errors import CapExceeded, NotASubgroup, NotDistributive
 from orelat.perm import FiniteGroup, Permutation, generate, subgroup_generated, trivial_group
 from dense_lattice import DenseLattice, complement, dense, leq, sub_interval
@@ -127,6 +129,13 @@ class TestOvergroupInterval:
         interval = iv.overgroup_interval(cat.symmetric(3), a3_in_s3())
         assert len(interval) == 2
         assert interval.rank() == 1
+
+    def test_interval_is_its_own_labelled_model(self):
+        interval = iv.overgroup_interval(cat.symmetric(3), a3_in_s3())
+        assert isinstance(interval, iv.IndexedInterval)
+        assert tt.from_group_interval(interval) is interval
+        assert interval.index_of is interval.idx
+        assert interval.idx == (2, 1)
 
     def test_d8_in_psl(self):
         interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
@@ -518,9 +527,13 @@ class TestBooleanReference:
 
 
 def assert_matches_subgroup_inclusion(interval):
-    """The interval's lattice against a dense reference whose order is subgroup inclusion."""
+    """The interval's lattice, and the Hasse edges read off its cover masks, against a dense reference.
+
+    The reference's order is subgroup inclusion.
+    """
     masks = interval._masks
     ref = DenseLattice([[a & ~b == 0 for b in masks] for a in masks])
+    assert lat.hasse_edges(interval.lattice) == np.argwhere(ref.covers).tolist()
     assert_matches_dense(interval.lattice, ref)
     assert_flags_match_reference(interval.lattice, ref)
 

@@ -263,6 +263,12 @@ class TestMaskLattice:
         with pytest.raises(ValueError):
             lat.subset_lattice(2).covers[0, 3] = True
 
+    def test_covers_are_built_once(self):
+        lattice = lat.FiniteLattice([[], [0], [0], [1, 2]])
+        assert lattice.covers is lattice.covers
+        edges = [[0, 1], [0, 2], [1, 3], [2, 3]]
+        assert np.argwhere(lattice.covers).tolist() == lat.hasse_edges(lattice) == edges
+
     @pytest.mark.parametrize("lower, error", [
         ([], NotAPartialOrder),
         ([[1], []], NotAPartialOrder),
