@@ -398,6 +398,18 @@ def _index_two_reduction(model: BooleanInterval, steps: list) -> Optional[Certif
 
 
 def _certify_scenario(scenario: IndexedModel) -> Certificate:
+    """Walk the R5 halvings down to an odd index or rank below 7, then fold the verdicts back up."""
+    chain = [scenario]
+    while chain[-1].rank >= 7 and chain[-1].index % 2 == 0:
+        chain.append(IndexedModel(chain[-1].rank - 1, chain[-1].index // 2))
+    inner = None
+    for model in reversed(chain):
+        inner = _scenario_step(model, inner)
+    return inner
+
+
+def _scenario_step(scenario: IndexedModel, halved: Optional[Certificate]) -> Certificate:
+    """The certificate of one scenario, given that of its R5 halving when it has one."""
     steps: list = []
     if scenario.known_types:
         steps.append(CertStep(
@@ -409,17 +421,15 @@ def _certify_scenario(scenario: IndexedModel) -> Certificate:
         steps.append(CertStep(
             "R6-rank-below-seven", "boolean of rank below seven", {"rank": scenario.rank}))
         return Certificate("primitive", steps)
-    if scenario.index % 2 == 0:
-        halved = IndexedModel(scenario.rank - 1, scenario.index // 2)
-        inner = _certify_scenario(halved)
+    if halved is not None:
         steps.append(CertStep(
             "R5-index-two-reduction",
             "if any edge has index 2, an index-2 coatom exists and the smaller interval decides",
-            {"reduced_rank": halved.rank, "reduced_index": halved.index,
-             "reduced_verdict": inner.verdict},
+            {"reduced_rank": scenario.rank - 1, "reduced_index": scenario.index // 2,
+             "reduced_verdict": halved.verdict},
         ))
-        if not inner.is_primitive:
-            return Certificate("undecided", steps, inner.frontier)
+        if not halved.is_primitive:
+            return Certificate("undecided", steps, halved.frontier)
     possible = factorizations(scenario.index, scenario.rank, min_factor=3)
     if not possible:
         steps.append(CertStep(

@@ -280,8 +280,8 @@ def main(argv: Optional[list] = None) -> int:
     try:
         report = args.func(args)
     except (OrelatError, RecursionError) as exc:
-        # a scenario recurses once per rank (R5 halvings, factorizations), so
-        # a scenario too deep for the interpreter's stack exhausts a budget
+        # a scenario's factorizations recurse once per factor, so one with
+        # more factors than the interpreter's stack holds exhausts a budget
         if isinstance(exc, (CapExceeded, RecursionError)):
             code = EXIT_CAP
         elif isinstance(exc, (ValidationFailed, NotAnInteger, OreViolation)):

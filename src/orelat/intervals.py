@@ -2,14 +2,30 @@
 
 A subgroup is a Python-int bitset over the element indices of its ambient
 group, whose multiplication table is built once per group.  The overgroups
-of H are enumerated breadth first by cyclic extension (Neubüser's method):
-for each member K and each g outside K, <K, g> is grown from K's element
-list by adding whole cosets of K (Dimino), so no member is closed again
-from its generators.  One g is tried per double coset KgK, since
-<K, kgk'> = <K, g>.  Every overgroup is reached, because it is the end of
-a chain of single-element extensions that starts at H.  The same search
-yields the Hasse diagram: a cover L of K is <K, g> for every g in L outside
-K, so the minimal <K, g> formed over K are exactly the upper covers of K.
+of H are enumerated breadth first by cyclic extension (Neubüser's method),
+up to conjugacy by the normalizer N = N_G(H).  For a representative K and
+each g outside K, <K, g> is grown from K's element list by adding whole
+cosets of K (Dimino), so no member is closed again from its generators.
+One g is tried per double coset KgK, since <K, kgk'> = <K, g>.
+
+N permutes the members of [H, G] and their covers, since s·<K, g>·s⁻¹ =
+<sKs⁻¹, sgs⁻¹>.  N is read off the multiplication table: s normalizes H
+when s·h·s⁻¹ lies in H for each generator h of H, one pass over the
+elements per generator.  A new <K, g> is closed under conjugation by N's
+generators outside H (those in H fix every member), and each conjugate is
+recorded with the member and the map that reached it: a Schreier tree of
+bitsets.  Only the orbit's first member, its representative, is
+extended.  Every overgroup is reached: it ends a chain H = K0 < K1 < ...
+of single-element extensions K(i+1) = <Ki, g>, and if Ki = s·R·s⁻¹ for a
+representative R and s in N, then K(i+1) = s·<R, s⁻¹·g·s>·s⁻¹ is in the
+orbit of an extension formed over R.  N is found only once a member other
+than H and G turns up; when N = H nothing is conjugated and every member
+is its own representative.
+
+The same search yields the Hasse diagram: a cover L of K is <K, g> for
+every g in L outside K, so the minimal <K, g> formed over a representative
+(taken by size) are exactly its upper covers.  The covers of any other
+member are its tree parent's covers, carried along the tree edge's map.
 
 A `GroupInterval` is an `IndexedInterval` labelled by the indices |G:K|,
 checked once when it is built; the totients and the certifier take it as is.
@@ -23,7 +39,8 @@ mutated; the member cap is checked on every call.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
+from itertools import compress
+from operator import getitem, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import lattice as lat
@@ -31,6 +48,19 @@ from .errors import CapExceeded, InvalidParameters, NotASubgroup, NotComparable,
 from .perm import FiniteGroup, Permutation, trivial_group
 
 DEFAULT_MEMBER_CAP = 10_000
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _element_ids(mask: int) -> list:
+    """The element ids in a subgroup bitset, ascending.
+
+    A sparse mask is walked bit by bit (`lat.bits`); a dense one is read off
+    its binary digits in one pass, which is faster from about a sixth full.
+    """
+    n = mask.bit_length()
+    if mask.bit_count() * 6 < n:
+        return lat.bits(mask)
+    return list(compress(range(n), format(mask, "b")[::-1].encode().translate(_ZERO_ONE)))
 
 
 class _Subgroup:
@@ -69,6 +99,8 @@ class _Ambient:
         self.gens = tuple(gens) or self.generated(range(self.n)).gens
         # overgroup intervals built so far, by the bitset of their base
         self.intervals: dict = {}
+        # conjugation tables built so far, by element id
+        self._conjugations: dict = {}
 
     def subgroup_mask(self, sub: FiniteGroup) -> int:
         try:
@@ -123,8 +155,32 @@ class _Ambient:
     def subgroup(self, sub: FiniteGroup) -> _Subgroup:
         return self.generated(lat.bits(self.subgroup_mask(sub)))
 
-    def to_group(self, k: _Subgroup) -> FiniteGroup:
-        return FiniteGroup(self.group.degree, [], [self.elems[i] for i in k.elems])
+    def conjugate(self, mask: int, s: int) -> int:
+        """The bitset s·K·s⁻¹ of the subgroup bitset `mask`, by the table x -> s·x·s⁻¹ built once per s."""
+        table = self._conjugations.get(s)
+        if table is None:
+            column = tuple(map(itemgetter(self.inv[s]), self.mul))  # y -> y·s⁻¹
+            table = self._conjugations[s] = tuple(map(column.__getitem__, self.mul[s]))
+        bit = self.bit
+        return sum(bit[table[x]] for x in _element_ids(mask))
+
+    def normalizer_gens(self, k: _Subgroup) -> tuple:
+        """Element ids that generate N_G(K) together with K's generators.
+
+        N_G(K) is the set of s with s·h·s⁻¹ in K for every generator h of K,
+        read for every s at once from column h of the table: one pass over
+        the elements per generator.
+        """
+        mul = self.mul
+        in_k = format(k.mask, f"0{self.n}b")[::-1]  # in_k[x] is "1" when x is in K
+        inside = (1 << self.n) - 1
+        for h in k.gens:
+            conjugates = map(getitem, map(mul.__getitem__, map(itemgetter(h), mul)), self.inv)  # s·h·s⁻¹, by s
+            inside &= int("".join(map(in_k.__getitem__, conjugates))[::-1], 2)
+        normalizer = k
+        for s in lat.bits(inside & ~k.mask):
+            normalizer = self.extend(normalizer, s)
+        return normalizer.gens[len(k.gens):]
 
     def core(self, mask: int) -> int:
         """The bitset of the largest normal subgroup inside the subgroup bitset `mask`.
@@ -134,12 +190,10 @@ class _Ambient:
         by every generator, hence normal, and no step removes an element of
         the core, so the fixed point is the core.
         """
-        mul, inv, bit = self.mul, self.inv, self.bit
         while True:
             before = mask
             for s in self.gens:
-                row, s_inv = mul[s], inv[s]
-                mask &= sum(bit[mul[row[x]][s_inv]] for x in lat.bits(mask))
+                mask &= self.conjugate(mask, s)
             if mask == before:
                 return mask
 
@@ -262,27 +316,70 @@ class GroupInterval(IndexedInterval):
         )
 
 
-def _build_interval(amb: _Ambient, subgroups: Iterable[_Subgroup], extensions: dict) -> GroupInterval:
-    """The interval of `subgroups`, numbered by size then element ids, a linear extension.
+def _build_interval(amb: _Ambient, covers: dict) -> GroupInterval:
+    """The interval of the member bitsets `covers` maps to their upper covers.
 
-    `extensions` maps the bitset of each member K to the bitsets <K, g>
-    formed over it.  Taken in id order, one is an upper cover of K unless it
-    contains a cover already found.
+    Members are numbered by size, then element ids: a linear extension.
     """
-    ordered = sorted(subgroups, key=lambda k: (len(k.elems), sorted(k.elems)))
-    masks = [k.mask for k in ordered]
-    ids = {m: i for i, m in enumerate(masks)}
-    lower: list = [[] for _ in masks]
-    for i, m in enumerate(masks):
-        covers: list = []
-        for e in sorted(extensions[m], key=ids.__getitem__):
-            if all(c & ~e for c in covers):
-                covers.append(e)
-                lower[ids[e]].append(i)
+    ordered = sorted((m.bit_count(), _element_ids(m), m) for m in covers)
+    ids = {m: i for i, (_, _, m) in enumerate(ordered)}
+    lower: list = [[] for _ in ordered]
+    for i, (_, _, m) in enumerate(ordered):
+        for c in covers[m]:
+            lower[ids[c]].append(i)
     lattice = lat.FiniteLattice(lower)
-    groups = [amb.to_group(k) for k in ordered]
-    index_of = [amb.n // len(k.elems) for k in ordered]
+    degree, elems = amb.group.degree, amb.elems
+    groups = [FiniteGroup(degree, [], [elems[x] for x in ids_of]) for _, ids_of, _ in ordered]
+    index_of = [amb.n // size for size, _, _ in ordered]
+    masks = [m for _, _, m in ordered]
     return GroupInterval(amb.group, groups[0], groups, lattice, index_of, amb, masks)
+
+
+def _overgroups(amb: _Ambient, base: _Subgroup, cap: int) -> tuple:
+    """The upper covers of every member of [base, G], by bitset, and the members extended.
+
+    Only one representative per N_G(base)-orbit is extended; see the
+    module docstring.  `found` maps each member to None for a
+    representative, else to the tree edge (member, element of N) that
+    reached it, by conjugation.
+    """
+    conjugators = None  # N's generators outside H, once a member other than H and G is found
+    everything = (1 << amb.n) - 1
+    found: dict = {base.mask: None}
+    covers: dict = {}
+    reps = [base]
+    for k in reps:  # grows while it is read
+        covered = k.mask
+        formed = set()
+        while covered != everything:
+            free = everything & ~covered
+            g = (free & -free).bit_length() - 1
+            ext = amb.extend(k, g)
+            formed.add(ext.mask)
+            if ext.mask not in found:
+                reps.append(ext)
+                found[ext.mask] = None
+                if conjugators is None and ext.mask != everything:
+                    conjugators = amb.normalizer_gens(base)
+                orbit = [ext.mask]
+                for m in orbit:  # grows while it is read
+                    if len(found) > cap:
+                        raise CapExceeded(f"interval has more than {cap} members")
+                    for s in conjugators or ():
+                        image = amb.conjugate(m, s)
+                        if image not in found:
+                            found[image] = (m, s)
+                            orbit.append(image)
+            covered |= amb.double_coset(k, g)
+        up = covers[k.mask] = []
+        for e in sorted(formed, key=int.bit_count):
+            if all(c & ~e for c in up):
+                up.append(e)
+    for m, edge in found.items():
+        if edge is not None:
+            parent, s = edge
+            covers[m] = [amb.conjugate(c, s) for c in covers[parent]]
+    return covers, reps
 
 
 def overgroup_interval(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> GroupInterval:
@@ -299,26 +396,8 @@ def overgroup_interval(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_
         if len(interval) > cap:
             raise CapExceeded(f"interval has more than {cap} members")
         return interval
-    base = amb.generated(lat.bits(key))
-    found = {base.mask: base}
-    extensions: dict = {}
-    queue = [base]
-    everything = (1 << amb.n) - 1
-    for k in queue:
-        covered = k.mask
-        formed = extensions[k.mask] = set()
-        while covered != everything:
-            free = everything & ~covered
-            g = (free & -free).bit_length() - 1
-            ext = amb.extend(k, g)
-            formed.add(ext.mask)
-            if ext.mask not in found:
-                found[ext.mask] = ext
-                queue.append(ext)
-                if len(found) > cap:
-                    raise CapExceeded(f"interval has more than {cap} members")
-            covered |= amb.double_coset(k, g)
-    interval = amb.intervals[key] = _build_interval(amb, found.values(), extensions)
+    covers, _ = _overgroups(amb, amb.generated(lat.bits(key)), cap)
+    interval = amb.intervals[key] = _build_interval(amb, covers)
     return interval
 
 

@@ -228,6 +228,71 @@ class TestScenarioCertificates:
         assert "frontier" in blob
 
 
+def recursive_certify_scenario(scenario):
+    """The scenario certifier as it was written first: one recursive call per R5 halving."""
+    steps = []
+    if scenario.known_types:
+        steps.append(cf.CertStep(
+            "scenario-declared-types",
+            "chain types asserted to occur; recorded only, never assumed exhaustive",
+            {"types": [list(t) for t in scenario.known_types]},
+        ))
+    if scenario.rank < 7:
+        steps.append(cf.CertStep(
+            "R6-rank-below-seven", "boolean of rank below seven", {"rank": scenario.rank}))
+        return cf.Certificate("primitive", steps)
+    if scenario.index % 2 == 0:
+        halved = cf.IndexedModel(scenario.rank - 1, scenario.index // 2)
+        inner = recursive_certify_scenario(halved)
+        steps.append(cf.CertStep(
+            "R5-index-two-reduction",
+            "if any edge has index 2, an index-2 coatom exists and the smaller interval decides",
+            {"reduced_rank": halved.rank, "reduced_index": halved.index,
+             "reduced_verdict": inner.verdict},
+        ))
+        if not inner.is_primitive:
+            return cf.Certificate("undecided", steps, inner.frontier)
+    possible = cf.factorizations(scenario.index, scenario.rank, min_factor=3)
+    if not possible:
+        steps.append(cf.CertStep(
+            "R8-chain-type-analysis",
+            "no chain type without index-2 edges is arithmetically possible",
+            {"possible_types": []},
+        ))
+        return cf.Certificate("primitive", steps)
+    return cf._certify_types(scenario.index, scenario.rank, possible, steps, exact_types=False)
+
+
+def scenarios_of_rank(rank):
+    """Scenarios whose halving chains end in R6, an odd index, a frontier or a trusted case."""
+    yield cf.IndexedModel(rank, 2 ** (rank + 1))
+    yield cf.IndexedModel(rank, 5 * 2 ** (rank + 1))
+    yield cf.IndexedModel(rank, 3 ** rank)
+    yield cf.IndexedModel(rank, 8 * 3 ** rank, ((3,) * (rank - 3) + (6, 6, 6),))
+    yield cf.IndexedModel(rank, 9720 * 2 ** (rank - 7))
+    yield cf.IndexedModel(rank, 8748 * 2 ** (rank - 7))
+    yield cf.IndexedModel(rank, 12096 * 2 ** (rank - 7))
+
+
+class TestScenarioLoop:
+    @pytest.mark.parametrize("rank", range(7, 61))
+    def test_matches_the_recursive_certifier(self, rank):
+        for scenario in scenarios_of_rank(rank):
+            want = recursive_certify_scenario(scenario)
+            got = cf.certify(scenario)
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()), scenario
+            assert got.frontier == want.frontier
+
+    def test_the_chains_reach_every_kind_of_end(self):
+        verdicts = {
+            scenario.index: cf.certify(scenario).verdict
+            for rank in (7, 20) for scenario in scenarios_of_rank(rank)
+        }
+        assert verdicts[9720 * 2 ** 13] == "undecided"
+        assert verdicts[8748 * 2 ** 13] == "primitive"
+        assert verdicts[3 ** 20] == "primitive"
+
+
 class TestVanishingDualTotient:
     def test_zero_totient_model_still_certified_structurally(self):
         # smallest boolean labelling with vanishing dual totient:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from orelat import cli
 from orelat.cli import main
 
 
@@ -113,13 +114,36 @@ class TestCertify:
             "exit": 2,
         }
 
-    def test_scenario_too_deep_to_recurse_exhausts_the_budget(self, capsys):
-        code = main(["certify", "--model-rank", "1000", "--model-index", str(2 ** 1005)])
+    def test_long_halving_chain_gets_a_verdict_at_any_stack_depth(self, capsys):
+        argv = ["certify", "--model-rank", "1000", "--model-index", str(2 ** 1005)]
+
+        def deeper(frames):
+            return main(argv) if frames == 0 else deeper(frames - 1)
+
+        reports = []
+        for frames in (0, 50):
+            code = deeper(frames)
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            reports.append(json.loads(captured.out))
+        assert reports[0] == reports[1]
+        certificate = reports[0]["results"]["certificate"]
+        assert certificate["verdict"] == "primitive"
+        assert [s["rule"] for s in certificate["steps"]] == [
+            "R5-index-two-reduction", "R8-chain-type-analysis",
+        ]
+        assert certificate["steps"][0]["evidence"]["reduced_verdict"] == "primitive"
+
+    def test_recursion_error_exhausts_the_budget(self, capsys, monkeypatch):
+        def too_deep(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cmd_certify", too_deep)
+        code = main(["certify", "--model-index", "2187"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert json.loads(line)["exit"] == 3
+        assert json.loads(captured.err) == {"error": "maximum recursion depth exceeded", "exit": 3}
 
 
 class TestBbl:

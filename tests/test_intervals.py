@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orelat import catalog as cat
@@ -92,6 +92,36 @@ def groups_with_base(draw):
     group = generate(degree, gens)
     picks = draw(st.lists(st.integers(0, group.order - 1), max_size=2))
     return group, subgroup_generated(group, [group.elements[i] for i in picks])
+
+
+def brute_force_normalizer(group, sub):
+    """Elements g of group with g h g^-1 in sub for every h in sub, by Permutation arithmetic."""
+    members = sub.element_set()
+    return {
+        g for g in group.elements
+        if all(g * h * g.inverse() in members for h in sub.elements)
+    }
+
+
+@st.composite
+def groups_with_normalized_base(draw):
+    """A `groups_with_base` group and a base H with N_G(H) > H.
+
+    H is the trivial group, the normal closure of an element, or a cyclic
+    subgroup of a non-abelian group.
+    """
+    group, _ = draw(groups_with_base())
+    x = group.elements[draw(st.integers(0, group.order - 1))]
+    kind = draw(st.sampled_from(["trivial", "normal closure", "cyclic"]))
+    if kind == "trivial":
+        base = trivial_group(group.degree)
+    elif kind == "normal closure":
+        base = subgroup_generated(group, [g * x * g.inverse() for g in group.elements])
+    else:
+        assume(any(a * b != b * a for a in group.generators for b in group.generators))
+        base = subgroup_generated(group, [x])
+    assume(len(brute_force_normalizer(group, base)) > base.order)
+    return group, base
 
 
 def brute_force_classes(group):
@@ -390,6 +420,65 @@ class TestCore:
         full = cat.cached_full_lattice(name)
         for i, member in enumerate(full.members):
             assert table_core(full, i) == brute_force_core(group, member)
+
+
+class TestNormalizerOrbits:
+    """Members and covers reached by conjugation under N_G(H) instead of by extension."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(groups_with_normalized_base())
+    def test_matches_reference(self, pair):
+        group, base = pair
+        interval = iv.overgroup_interval(group, base)
+        assert member_sets(interval) == reference_overgroups(group, base)
+        assert_matches_subgroup_inclusion(interval)
+
+    @settings(max_examples=40, deadline=None)
+    @given(groups_with_normalized_base())
+    def test_normalizer_matches_conjugation(self, pair):
+        group, base = pair
+        amb = iv._ambient(group)
+        k = amb.subgroup(base)
+        normalizer = amb.generated(k.gens + amb.normalizer_gens(k))
+        assert {amb.elems[x] for x in normalizer.elems} == brute_force_normalizer(group, base)
+
+    @settings(max_examples=30, deadline=None)
+    @given(groups_with_normalized_base(), st.randoms(use_true_random=False))
+    def test_normalizer_elements_permute_members_and_covers(self, pair, rng):
+        group, base = pair
+        interval = iv.overgroup_interval(group, base)
+        upper = interval.lattice._upper
+        outside = sorted(brute_force_normalizer(group, base) - base.element_set())
+        for s in rng.sample(outside, min(3, len(outside))):
+            s_inv = s.inverse()
+            image = [
+                interval.member_id(FiniteGroup(group.degree, [], [s * p * s_inv for p in m.elements]))
+                for m in interval.members
+            ]
+            assert sorted(image) == list(range(len(interval)))
+            for x in range(len(interval)):
+                assert {image[y] for y in lat.bits(upper[x])} == set(lat.bits(upper[image[x]]))
+
+    @pytest.mark.parametrize("name, classes", [("psl2_7", 15), ("s5", 19), ("s2xs3_2", 69)])
+    def test_one_representative_per_conjugacy_class(self, name, classes):
+        amb = iv._ambient(cat.catalog_group(name))
+        covers, reps = iv._overgroups(amb, amb.trivial, iv.DEFAULT_MEMBER_CAP)
+        assert len(reps) == classes
+        assert sorted(covers) == sorted(cat.cached_full_lattice(name)._masks)
+
+    def test_self_normalizing_base_extends_every_member(self):
+        amb = iv._ambient(cat.psl2_7())
+        base = amb.subgroup(cat.psl2_7_d8())
+        assert amb.normalizer_gens(base) == ()
+        covers, reps = iv._overgroups(amb, base, iv.DEFAULT_MEMBER_CAP)
+        assert len(reps) == len(covers) == 4
+
+    @pytest.mark.parametrize("name, members", [("s4", 30), ("psl2_7", 179)])
+    def test_cap_counts_conjugates_on_a_build(self, cold_intervals, name, members):
+        group = cat.catalog_group(name)
+        with pytest.raises(CapExceeded, match=f"^interval has more than {members - 1} members$"):
+            iv.full_subgroup_lattice(group, cap=members - 1)
+        assert len(iv.full_subgroup_lattice(group, cap=members)) == members
 
 
 class TestOre:
