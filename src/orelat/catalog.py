@@ -177,9 +177,15 @@ def catalog_names() -> list:
 
 
 def catalog_group(name: str) -> FiniteGroup:
+    """The named group, built once per normalized name."""
     key = name.strip().lower()
     if key not in _GROUPS:
         raise ParseError(f"unknown catalog group {name!r}; known: {', '.join(catalog_names())}")
+    return _named_group(key)
+
+
+@lru_cache(maxsize=None)
+def _named_group(key: str) -> FiniteGroup:
     return _GROUPS[key]()
 
 
@@ -194,7 +200,7 @@ def catalog_pair(name: str):
         if sub_name in ("1", "trivial"):
             return ambient, trivial_group(ambient.degree)
         if sub_name in _GROUPS:
-            base = _GROUPS[sub_name]()
+            base = _named_group(sub_name)
             if base.degree == ambient.degree and base <= ambient:
                 return ambient, base
         raise ParseError(f"unknown catalog interval {name!r}")

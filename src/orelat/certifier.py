@@ -115,21 +115,34 @@ def chain_types(obj: Union[IndexedInterval, BooleanInterval]) -> set:
 
 
 def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
-    """All nondecreasing tuples of `parts` integers >= min_factor multiplying to number."""
-    result: list = []
+    """All nondecreasing tuples of `parts` integers >= min_factor multiplying to number, ascending.
 
-    def rec(remaining: int, count: int, lowest: int, acc: tuple):
+    A depth-first walk on an explicit stack, so the number of parts is not
+    bounded by the interpreter's recursion limit.  Each node is (remaining,
+    lowest next factor, factors so far); its children are pushed largest
+    factor first, so they are popped in ascending order.
+    """
+    result: list = []
+    stack = [(number, min_factor, ())]
+    while stack:
+        remaining, lowest, acc = stack.pop()
+        count = parts - len(acc)
         if count == 0:
             if remaining == 1:
                 result.append(acc)
-            return
+            continue
+        if count == 1:
+            # the last factor is what remains
+            if remaining >= lowest:
+                stack.append((1, remaining, acc + (remaining,)))
+            continue
+        children = []
         f = lowest
         while f ** count <= remaining:
             if remaining % f == 0:
-                rec(remaining // f, count - 1, f, acc + (f,))
+                children.append((remaining // f, f, acc + (f,)))
             f += 1
-
-    rec(number, parts, min_factor, ())
+        stack.extend(reversed(children))
     return result
 
 

@@ -5,10 +5,18 @@ multiplication matrices.  The linear algebra is numeric, but every quantity
 consumed downstream (degrees, fixed-space dimensions, orthogonality sums)
 must pass an exact-integer validation gate; the table is rejected otherwise.
 Splitting is deterministically seeded so runs are reproducible.
+
+Each per-group step works on whole rows: the class matrices are one
+`bincount` over the group's products with the class representatives, the
+eigenvectors are normalized to characters as one array, and their sort
+keys are rounded by numpy a row at a time.  A table caches, per subgroup,
+the sum of every character over it (one matrix-vector product), which is
+all `fixed_dim` reads.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,7 +81,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
 class CharacterTable:
     """Irreducible character values per conjugacy class, rows sorted by degree."""
 
-    __slots__ = ("group", "classes", "values", "degrees", "_fixed_counts")
+    __slots__ = ("group", "classes", "values", "degrees", "_sums")
 
     def __init__(self, group: FiniteGroup, classes: ConjugacyClasses, values: np.ndarray, degrees: Sequence[int]):
         self.group = group
@@ -81,39 +89,45 @@ class CharacterTable:
         values.flags.writeable = False
         self.values = values
         self.degrees = tuple(int(d) for d in degrees)
-        self._fixed_counts: dict = {}
+        self._sums: dict = {}
 
     def __len__(self) -> int:
         return len(self.degrees)
 
-    def _class_counts(self, sub: FiniteGroup) -> np.ndarray:
-        """Elements of the subgroup per conjugacy class; cached per subgroup, checked on a miss."""
-        counts = self._fixed_counts.get(sub)
-        if counts is None:
-            counts = np.zeros(len(self.classes), dtype=np.int64)
-            for i in lat.bits(_ambient(self.group).subgroup_mask(sub)):
-                counts[self.classes.class_of[i]] += 1
-            self._fixed_counts[sub] = counts
-        return counts
+    def _subgroup_sums(self, sub: FiniteGroup) -> list:
+        """Sum over the subgroup of every irreducible character, by row; cached per subgroup, checked on a miss.
+
+        The subgroup's elements are counted per conjugacy class, and one
+        matrix-vector product sums every row at once.
+        """
+        sums = self._sums.get(sub)
+        if sums is None:
+            counts = [0] * len(self.classes)
+            for c in map(self.classes.class_of.__getitem__, lat.bits(_ambient(self.group).subgroup_mask(sub))):
+                counts[c] += 1
+            sums = self._sums[sub] = (self.values @ np.array(counts, dtype=np.float64)).tolist()
+        return sums
 
     def __repr__(self) -> str:
         return f"CharacterTable(|G|={self.group.order}, degrees={self.degrees})"
 
 
 def _class_matrices(classes: ConjugacyClasses, amb) -> list:
-    """Matrices A_i with (A_i)[j, k] = #{x in C_i : x^-1 z_k in C_j}."""
+    """Matrices A_i with (A_i)[j, k] = #{x in C_i : x^-1 z_k in C_j}.
+
+    Every x in G is read once, at the class representatives z_k of its
+    inverse's row, and all r matrices are counted by one `bincount` over
+    the flat keys (i·r + j)·r + k.
+    """
     mul, inv = amb.mul, amb.inv
     r = len(classes)
     reps = classes.representatives
-    mats = []
-    for i in range(r):
-        mat = np.zeros((r, r), dtype=np.int64)
-        for k in range(r):
-            zk = reps[k]
-            for x in classes.classes[i]:
-                mat[classes.class_of[mul[inv[x]][zk]], k] += 1
-        mats.append(mat)
-    return mats
+    # itemgetter of a single index returns a scalar, not a tuple
+    at_reps = itemgetter(*reps) if r > 1 else (lambda row, z=reps[0]: (row[z],))
+    class_of = np.array(classes.class_of)
+    products = np.array(list(map(at_reps, map(mul.__getitem__, inv))))  # x^-1·z_k, by x and k
+    keys = (class_of[:, None] * r + class_of[products]) * r + np.arange(r)
+    return list(np.bincount(keys.ravel(), minlength=r ** 3).reshape(r, r, r))
 
 
 def character_table(group: FiniteGroup) -> CharacterTable:
@@ -147,27 +161,27 @@ def character_table(group: FiniteGroup) -> CharacterTable:
 
 
 def _table_from_eigenvectors(group, classes, vecs, sizes, order) -> CharacterTable:
+    """Normalize every eigenvector column to a character at once; validate degrees and orthogonality."""
     r = len(classes)
-    rows = []
-    for j in range(r):
-        v = vecs[:, j]
-        if abs(v[0]) < 1e-9:
-            raise ValidationFailed("eigenvector vanishes at the identity class")
-        omega = v / v[0]
-        denom = float(np.sum(np.abs(omega) ** 2 / sizes).real)
-        if denom <= 0:
-            raise ValidationFailed("nonpositive norm in degree computation")
-        deg = (order / denom) ** 0.5
-        deg_int = round(deg)
-        if abs(deg - deg_int) > TOLERANCE or deg_int < 1:
-            raise ValidationFailed(f"degree {deg} is not a positive integer")
-        chi = deg_int * omega / sizes
-        rows.append((deg_int, chi))
-    if sum(d * d for d, _ in rows) != order:
+    if np.min(np.abs(vecs[0])) < 1e-9:
+        raise ValidationFailed("eigenvector vanishes at the identity class")
+    omega = (vecs / vecs[0]).T  # one row per eigenvector, 1 at the identity class
+    denom = np.sum(np.abs(omega) ** 2 / sizes, axis=1).real
+    if np.min(denom) <= 0:
+        raise ValidationFailed("nonpositive norm in degree computation")
+    deg = (order / denom) ** 0.5
+    deg_int = np.rint(deg)
+    bad = (np.abs(deg - deg_int) > TOLERANCE) | (deg_int < 1)
+    if bad.any():
+        raise ValidationFailed(f"degree {deg[bad.argmax()]} is not a positive integer")
+    degrees = deg_int.astype(np.int64).tolist()
+    if sum(d * d for d in degrees) != order:
         raise ValidationFailed("sum of squared degrees does not match the group order")
-    rows.sort(key=lambda item: (item[0], _row_sort_key(item[1])))
-    degrees = [d for d, _ in rows]
-    values = np.array([chi for _, chi in rows])
+    chi = deg_int[:, None] * omega / sizes
+    keys = _row_sort_keys(chi)
+    rows = sorted(range(r), key=lambda j: (degrees[j], keys[j]))
+    degrees = [degrees[j] for j in rows]
+    values = chi[rows]
     weights = sizes / order
     gram = (values * weights) @ values.conj().T
     if np.max(np.abs(gram - np.eye(r))) > TOLERANCE:
@@ -179,14 +193,14 @@ def _table_from_eigenvectors(group, classes, vecs, sizes, order) -> CharacterTab
     return CharacterTable(group, classes, values, degrees)
 
 
-def _row_sort_key(chi: np.ndarray) -> tuple:
-    return tuple((round(z.real, 6), round(z.imag, 6)) for z in chi)
+def _row_sort_keys(chi: np.ndarray) -> list:
+    """Per row, its (real, imaginary) pairs rounded to 6 decimals by numpy, as Python floats."""
+    return [tuple(zip(re, im)) for re, im in zip(np.round(chi.real, 6).tolist(), np.round(chi.imag, 6).tolist())]
 
 
 def fixed_dim(table: CharacterTable, row: int, sub: FiniteGroup) -> int:
     """dim V^K = (1/|K|) sum over K of chi, validated to a nonnegative integer."""
-    counts = table._class_counts(sub)
-    value = complex(np.dot(counts, table.values[row])) / sub.order
+    value = table._subgroup_sums(sub)[row] / sub.order
     if abs(value.imag) > TOLERANCE:
         raise NotAnInteger(f"fixed dimension has imaginary part {value.imag}")
     nearest = round(value.real)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 from operator import getitem, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import lattice as lat
 from .errors import CapExceeded, InvalidParameters, NotASubgroup, NotComparable, NotDistributive, OreViolation
@@ -461,20 +461,33 @@ def bbl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
 
 
 def cfl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
-    """Minimum of bbl_between(group, H) over core-free subgroups H."""
+    """Minimum of bbl_between(group, H) over core-free subgroups H.
+
+    One breadth-first search runs down from the top over the bottom-boolean
+    edges [u, v], read backwards, so it finds every member's distance to
+    the top in increasing order; the first level that holds a core-free
+    member gives the minimum.  The trivial subgroup is core-free, so the
+    search always ends there.
+    """
     full = full_subgroup_lattice(group, cap)
-    amb = full._amb
+    lattice, amb, masks = full.lattice, full._amb, full._masks
     trivial = amb.trivial.mask
-    edge = _bb_edge_table(full.lattice)
-    best: Optional[int] = None
-    for i, mask in enumerate(full._masks):
-        if amb.core(mask) != trivial:
-            continue
-        steps = _shortest_bb_chain(full.lattice, i, edge)
-        if best is None or steps < best:
-            best = steps
-    assert best is not None, "the trivial subgroup is always core-free"
-    return best
+    edge = _bb_edge_table(lattice)
+    reached = 1 << lattice.top
+    frontier = [lattice.top]
+    steps = 0
+    while frontier:
+        if any(amb.core(masks[v]) == trivial for v in frontier):
+            return steps
+        steps += 1
+        nxt = []
+        for v in frontier:
+            for u in lat.bits(lattice._down[v] & ~reached):
+                if edge(u, v):
+                    reached |= 1 << u
+                    nxt.append(u)
+        frontier = nxt
+    raise AssertionError("a maximal chain of rank-1 steps reaches the top from every member")
 
 
 def _generating_coset_reps(interval: GroupInterval):

@@ -5,12 +5,15 @@ order), canonically sorted, so subgroup equality is plain set equality and
 lattice deduplication is deterministic.  Points are 0-based; cycle notation
 is accepted only at the I/O boundary (`Permutation.from_cycles`).  This
 module builds groups; subgroup arithmetic (intersections, joins, cores) runs
-on bitsets over the ambient multiplication table in `intervals`.
+on bitsets over the ambient multiplication table in `intervals`.  A group is
+closed on plain image tuples, one `itemgetter` call per product, and its
+elements become `Permutation` objects only once, at the end.
 """
 
 from __future__ import annotations
 
 import re
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DegreeMismatch, ElementOutsideGroup, ParseError
@@ -45,10 +48,14 @@ class Permutation:
         if len(self.images) != len(other.images):
             raise DegreeMismatch("cannot compose permutations of different degree")
         s = self.images
+        return Permutation._trusted(tuple(s[x] for x in other.images))
+
+    @staticmethod
+    def _trusted(images: tuple) -> "Permutation":
+        """Wrap an image tuple already known to be a bijection, without checking it."""
         p = Permutation.__new__(Permutation)
-        imgs = tuple(s[x] for x in other.images)
-        p.images = imgs
-        p._hash = hash(imgs)
+        p.images = images
+        p._hash = hash(images)
         return p
 
     def inverse(self) -> "Permutation":
@@ -145,7 +152,7 @@ class FiniteGroup:
     def __init__(self, degree: int, generators: Sequence[Permutation], elements: Iterable[Permutation]):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
+        self.elements = tuple(sorted(elements, key=attrgetter("images")))
         self.order = len(self.elements)
         self._element_set = frozenset(self.elements)
 
@@ -176,15 +183,24 @@ class FiniteGroup:
         return self._element_set
 
 
-def _closure(degree: int, generators: Sequence[Permutation], cap: int) -> set:
-    ident = Permutation.identity(degree)
+def _closure(degree: int, generators: Sequence[Permutation], cap: int) -> list:
+    """Every product of the generators, closed breadth first on image tuples.
+
+    Right multiplication by g reads x at g's images, one `itemgetter` call;
+    a product of bijections is a bijection, so the tuples are wrapped
+    without being checked again.
+    """
+    ident = tuple(range(degree))
+    # on fewer than two points every generator is the identity, and
+    # itemgetter of a single index returns a scalar, not a tuple
+    times = [itemgetter(*g.images) for g in generators] if degree > 1 else []
     elements = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in generators:
-                y = x * g
+            for g in times:
+                y = g(x)
                 if y not in elements:
                     elements.add(y)
                     nxt.append(y)
@@ -193,7 +209,7 @@ def _closure(degree: int, generators: Sequence[Permutation], cap: int) -> set:
                             f"group closure exceeded cap of {cap} elements"
                         )
         frontier = nxt
-    return elements
+    return [Permutation._trusted(x) for x in elements]
 
 
 def generate(degree: int, generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> FiniteGroup:

@@ -1,7 +1,10 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orelat import catalog as cat
 from orelat import certifier as cf
@@ -17,6 +20,25 @@ SEVEN_FACTOR_NUMBERS = [
     6804, 6912, 7290, 7776, 8019, 8100, 8505, 8640, 8748, 9072, 9216, 9477,
     9720,
 ]
+
+
+def recursive_factorizations(number, parts, min_factor=3):
+    """The one-call-per-factor enumeration, as a reference for the explicit-stack walk."""
+    result = []
+
+    def rec(remaining, count, lowest, acc):
+        if count == 0:
+            if remaining == 1:
+                result.append(acc)
+            return
+        f = lowest
+        while f ** count <= remaining:
+            if remaining % f == 0:
+                rec(remaining // f, count - 1, f, acc + (f,))
+            f += 1
+
+    rec(number, parts, min_factor, ())
+    return result
 
 
 class TestFactorEnumeration:
@@ -38,6 +60,21 @@ class TestFactorEnumeration:
 
     def test_strict_limit_boundary(self):
         assert cf.factor_products(2187, 3, 7) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5000), st.integers(0, 6), st.integers(1, 5))
+    def test_factorizations_match_recursive_reference(self, number, parts, min_factor):
+        assert cf.factorizations(number, parts, min_factor) == recursive_factorizations(number, parts, min_factor)
+
+    @pytest.mark.parametrize("number,parts", [(3 ** 12, 6), (2 ** 10 * 3 ** 4, 5), (9720, 7), (1, 0), (7, 1)])
+    def test_factorizations_match_recursive_reference_on_fixed_cases(self, number, parts):
+        for min_factor in (1, 2, 3):
+            assert cf.factorizations(number, parts, min_factor) == recursive_factorizations(number, parts, min_factor)
+
+    def test_factorizations_deeper_than_the_recursion_limit(self):
+        parts = sys.getrecursionlimit() + 500
+        assert cf.factorizations(3 ** parts, parts) == [(3,) * parts]
+        assert cf.factorizations(3 ** (parts - 1) * 4, parts) == [(3,) * (parts - 1) + (4,)]
 
     def test_witness_factorizations_present(self):
         entries = dict(cf.factor_products(10125, 3, 7))

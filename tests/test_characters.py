@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from orelat import catalog as cat
 from orelat import characters as ch
 from orelat import intervals as iv
 from orelat import lattice as lat
-from orelat.errors import NotASubgroup
+from orelat.errors import NotASubgroup, ValidationFailed
 from orelat.perm import FiniteGroup, Permutation, generate, trivial_group
 from dense_lattice import leq, sub_interval
+from test_intervals import groups_with_base
 
 CLASSICAL_DEGREES = {
     "z5": [1, 1, 1, 1, 1],
@@ -202,3 +204,121 @@ class TestLinearPrimitivity:
                     if lower_prim:
                         outer_prim, _ = ch.is_linearly_primitive(interval, table)
                         assert outer_prim, (name, h)
+
+
+# -- the per-scalar formulas the table code replaced, kept as references -------
+
+
+def reference_class_matrices(classes, amb):
+    """(A_i)[j, k] = #{x in C_i : x^-1 z_k in C_j}, one numpy scalar at a time."""
+    mul, inv = amb.mul, amb.inv
+    r = len(classes)
+    mats = []
+    for i in range(r):
+        mat = np.zeros((r, r), dtype=np.int64)
+        for k in range(r):
+            zk = classes.representatives[k]
+            for x in classes.classes[i]:
+                mat[classes.class_of[mul[inv[x]][zk]], k] += 1
+        mats.append(mat)
+    return mats
+
+
+def reference_row_sort_key(chi):
+    return tuple((round(z.real, 6), round(z.imag, 6)) for z in chi)
+
+
+def reference_rows(classes, vecs, sizes, order):
+    """(degrees, values) normalized one eigenvector at a time and sorted by `reference_row_sort_key`."""
+    rows = []
+    for j in range(len(classes)):
+        v = vecs[:, j]
+        if abs(v[0]) < 1e-9:
+            raise ValidationFailed("eigenvector vanishes at the identity class")
+        omega = v / v[0]
+        deg = (order / float(np.sum(np.abs(omega) ** 2 / sizes).real)) ** 0.5
+        deg_int = round(deg)
+        if abs(deg - deg_int) > ch.TOLERANCE or deg_int < 1:
+            raise ValidationFailed("degree is not a positive integer")
+        rows.append((deg_int, deg_int * omega / sizes))
+    if sum(d * d for d, _ in rows) != order:
+        raise ValidationFailed("sum of squared degrees does not match the group order")
+    rows.sort(key=lambda item: (item[0], reference_row_sort_key(item[1])))
+    values = np.array([chi for _, chi in rows])
+    gram = (values * (sizes / order)) @ values.conj().T
+    col = values.conj().T @ values
+    if (np.max(np.abs(gram - np.eye(len(rows)))) > ch.TOLERANCE
+            or np.max(np.abs(col - np.diag(order / sizes))) > ch.TOLERANCE):
+        raise ValidationFailed("orthogonality failed")
+    return [d for d, _ in rows], values
+
+
+def reference_table(group):
+    """(degrees, values) by the same seeded draws as `character_table`."""
+    classes = ch.conjugacy_classes(group)
+    mats = reference_class_matrices(classes, iv._ambient(group))
+    sizes = np.array(classes.sizes, dtype=np.float64)
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        coeffs = rng.normal(size=len(classes))
+        combo = sum(c * m for c, m in zip(coeffs, mats)).astype(np.complex128)
+        try:
+            return reference_rows(classes, np.linalg.eig(combo)[1], sizes, group.order)
+        except ValidationFailed:
+            continue
+    raise AssertionError("no draw passed validation")
+
+
+def reference_fixed_dim(table, row, sub):
+    """One np.dot per call over the subgroup's numpy class counts."""
+    counts = np.zeros(len(table.classes), dtype=np.int64)
+    for p in sub.elements:
+        counts[table.classes.class_of[table.group.elements.index(p)]] += 1
+    value = complex(np.dot(counts, table.values[row])) / sub.order
+    assert abs(value.imag) <= ch.TOLERANCE
+    nearest = round(value.real)
+    assert abs(value.real - nearest) <= ch.TOLERANCE and nearest >= 0
+    return int(nearest)
+
+
+def assert_table_matches_reference(group, full):
+    table = ch.character_table(group)
+    degrees, values = reference_table(group)
+    assert list(table.degrees) == degrees
+    assert table.values.dtype == values.dtype and np.array_equal(table.values, values)
+    for member in full.members:
+        for row in range(len(table)):
+            assert ch.fixed_dim(table, row, member) == reference_fixed_dim(table, row, member)
+
+
+class TestAgainstPerScalarFormulas:
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_scan_groups(self, name):
+        assert_table_matches_reference(cat.catalog_group(name), cat.cached_full_lattice(name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(groups_with_base())
+    def test_random_groups(self, pair):
+        group, _ = pair
+        assert_table_matches_reference(group, iv.full_subgroup_lattice(group))
+
+    @pytest.mark.parametrize("name", ["s3", "a5", "psl2_7"])
+    def test_class_matrices(self, name):
+        group = cat.catalog_group(name)
+        classes = ch.conjugacy_classes(group)
+        got = ch._class_matrices(classes, iv._ambient(group))
+        ref = reference_class_matrices(classes, iv._ambient(group))
+        assert len(got) == len(ref)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_trivial_group(self):
+        group = trivial_group(3)
+        assert_table_matches_reference(group, iv.full_subgroup_lattice(group))
+        assert ch.character_table(group).degrees == (1,)
+
+    def test_rounding_uses_numpy_not_python_floats(self):
+        # Python's round gives 2.500001 and 1.000001 here, numpy's 2.5 and 1.000002
+        chi = np.array([[2.5000005 + 1.0000015j, 1.0000005 - 0.0000005j]])
+        assert ch._row_sort_keys(chi) == [reference_row_sort_key(chi[0])]
+        assert ch._row_sort_keys(chi)[0][0] == (2.5, 1.000002)
+        assert (round(2.5000005, 6), round(1.0000015, 6)) == (2.500001, 1.000001)

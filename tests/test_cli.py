@@ -134,6 +134,19 @@ class TestCertify:
         ]
         assert certificate["steps"][0]["evidence"]["reduced_verdict"] == "primitive"
 
+    def test_many_odd_factors_get_a_verdict_at_any_stack_depth(self, capsys):
+        argv = ["certify", "--model-rank", "1500", "--model-index", str(3 ** 1500)]
+
+        def deeper(frames):
+            return main(argv) if frames == 0 else deeper(frames - 1)
+
+        for frames in (0, 50):
+            code = deeper(frames)
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            certificate = json.loads(captured.out)["results"]["certificate"]
+            assert certificate["verdict"] == "primitive" and certificate["frontier"] == []
+
     def test_recursion_error_exhausts_the_budget(self, capsys, monkeypatch):
         def too_deep(args):
             raise RecursionError("maximum recursion depth exceeded")

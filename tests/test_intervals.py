@@ -404,6 +404,28 @@ class TestBblCfl:
         group = cat.catalog_group(name)
         assert iv.cfl(group) <= iv.bbl(group)
 
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_cfl_matches_one_search_per_start_on_scan_groups(self, name):
+        group = cat.catalog_group(name)
+        assert iv.cfl(group) == reference_cfl(group)
+
+    @settings(max_examples=40, deadline=None)
+    @given(groups_with_base())
+    def test_cfl_matches_one_search_per_start_on_random_groups(self, pair):
+        group, _ = pair
+        assert iv.cfl(group) == reference_cfl(group)
+
+
+def reference_cfl(group):
+    """Minimum over the core-free members of a forward search from each of them."""
+    full = iv.full_subgroup_lattice(group)
+    edge = iv._bb_edge_table(full.lattice)
+    return min(
+        iv._shortest_bb_chain(full.lattice, i, edge)
+        for i, member in enumerate(full.members)
+        if brute_force_core(group, member) == {group.identity}
+    )
+
 
 class TestCore:
     @settings(max_examples=40, deadline=None)

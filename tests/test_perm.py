@@ -102,6 +102,70 @@ class TestGenerate:
         assert counts == {1: 1, 2: 21, 3: 56, 4: 42, 7: 48}
 
 
+def reference_closure(degree, generators):
+    """Every product of the generators, by breadth-first `Permutation` multiplication."""
+    ident = Permutation.identity(degree)
+    elements = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in generators:
+                y = x * g
+                if y not in elements:
+                    elements.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(elements)
+
+
+@st.composite
+def generating_sets(draw):
+    """1-3 random permutations of degree 1-7."""
+    degree = draw(st.integers(1, 7))
+    images = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return degree, [Permutation(i) for i in images]
+
+
+class TestTupleClosure:
+    @settings(max_examples=60, deadline=None)
+    @given(generating_sets())
+    def test_matches_permutation_products(self, case):
+        degree, gens = case
+        group = generate(degree, gens)
+        ref = reference_closure(degree, gens)
+        assert list(group.elements) == ref
+        assert group.generators == tuple(gens)
+        for p in group.elements:
+            assert type(p) is Permutation
+            checked = Permutation(p.images)
+            assert p == checked and hash(p) == hash(checked)
+
+    @settings(max_examples=40, deadline=None)
+    @given(generating_sets())
+    def test_cap_boundary(self, case):
+        degree, gens = case
+        order = len(reference_closure(degree, gens))
+        assert generate(degree, gens, cap=order).order == order
+        if order > 1:
+            with pytest.raises(CapExceeded, match=f"^group closure exceeded cap of {order - 1} elements$"):
+                generate(degree, gens, cap=order - 1)
+
+    @pytest.mark.parametrize("name", ["s4", "a5", "s5", "psl2_7", "s2xs3_2"])
+    def test_catalog_groups_match_permutation_products(self, name):
+        group = cat.catalog_group(name)
+        assert list(group.elements) == reference_closure(group.degree, list(group.generators))
+
+    def test_subgroup_generated_closes_tuples_too(self):
+        group = cat.psl2_7()
+        seed = [group.elements[5], group.elements[40]]
+        assert list(subgroup_generated(group, seed).elements) == reference_closure(8, seed)
+
+    def test_degree_zero_and_one(self):
+        assert generate(1, [Permutation([0])], cap=1).elements == (Permutation([0]),)
+        assert generate(0, [Permutation([])]).elements == (Permutation([]),)
+
+
 class TestSubgroups:
     def test_subgroup_generated(self):
         group = s3()
