@@ -9,9 +9,13 @@ Splitting is deterministically seeded so runs are reproducible.
 Each per-group step works on whole rows: the class matrices are one
 `bincount` over the group's products with the class representatives, the
 eigenvectors are normalized to characters as one array, and their sort
-keys are rounded by numpy a row at a time.  A table caches, per subgroup,
-the sum of every character over it (one matrix-vector product), which is
-all `fixed_dim` reads.
+keys are rounded by numpy a row at a time.
+
+A subgroup is the bitset of its element ids in the group's `_Ambient`, as
+an interval's `masks` hold it.  A table caches, per bitset, the sum of
+every character over the subgroup (one matrix-vector product), which is
+all `fixed_dim` reads.  `index_identity_holds` is the one entry point that
+takes a `FiniteGroup` and turns it into a bitset.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import lattice as lat
-from .errors import NotAnInteger, ValidationFailed
-from .intervals import GroupInterval, _ambient
+from .errors import InvalidParameters, NotAnInteger, ValidationFailed
+from .intervals import GroupInterval, _ambient, _element_ids
 from .perm import FiniteGroup
 
 TOLERANCE = 1e-6
@@ -94,18 +98,18 @@ class CharacterTable:
     def __len__(self) -> int:
         return len(self.degrees)
 
-    def _subgroup_sums(self, sub: FiniteGroup) -> list:
-        """Sum over the subgroup of every irreducible character, by row; cached per subgroup, checked on a miss.
+    def _subgroup_sums(self, mask: int) -> list:
+        """Sum over the subgroup bitset `mask` of every irreducible character, by row; cached per bitset.
 
         The subgroup's elements are counted per conjugacy class, and one
         matrix-vector product sums every row at once.
         """
-        sums = self._sums.get(sub)
+        sums = self._sums.get(mask)
         if sums is None:
             counts = [0] * len(self.classes)
-            for c in map(self.classes.class_of.__getitem__, lat.bits(_ambient(self.group).subgroup_mask(sub))):
+            for c in map(self.classes.class_of.__getitem__, _element_ids(mask)):
                 counts[c] += 1
-            sums = self._sums[sub] = (self.values @ np.array(counts, dtype=np.float64)).tolist()
+            sums = self._sums[mask] = (self.values @ np.array(counts, dtype=np.float64)).tolist()
         return sums
 
     def __repr__(self) -> str:
@@ -198,9 +202,9 @@ def _row_sort_keys(chi: np.ndarray) -> list:
     return [tuple(zip(re, im)) for re, im in zip(np.round(chi.real, 6).tolist(), np.round(chi.imag, 6).tolist())]
 
 
-def fixed_dim(table: CharacterTable, row: int, sub: FiniteGroup) -> int:
-    """dim V^K = (1/|K|) sum over K of chi, validated to a nonnegative integer."""
-    value = table._subgroup_sums(sub)[row] / sub.order
+def fixed_dim(table: CharacterTable, row: int, mask: int) -> int:
+    """dim V^K = (1/|K|) sum over K of chi, for K the subgroup bitset `mask`; validated to a nonnegative integer."""
+    value = table._subgroup_sums(mask)[row] / mask.bit_count()
     if abs(value.imag) > TOLERANCE:
         raise NotAnInteger(f"fixed dimension has imaginary part {value.imag}")
     nearest = round(value.real)
@@ -210,23 +214,28 @@ def fixed_dim(table: CharacterTable, row: int, sub: FiniteGroup) -> int:
 
 
 def index_identity_holds(table: CharacterTable, sub: FiniteGroup) -> bool:
-    """|G:H| == sum of deg_i * dim V_i^H, exactly."""
-    total = sum(
-        table.degrees[i] * fixed_dim(table, i, sub) for i in range(len(table))
-    )
+    """|G:H| == sum of deg_i * dim V_i^H, exactly; NotASubgroup when H has elements outside G."""
+    mask = _ambient(table.group).subgroup_mask(sub)
+    total = sum(d * fixed_dim(table, i, mask) for i, d in enumerate(table.degrees))
     return total == table.group.order // sub.order
 
 
 def is_linearly_primitive(interval: GroupInterval, table: Optional[CharacterTable] = None):
-    """Decide whether some irreducible has pointwise stabilizer exactly the base (`linear_witness`)."""
+    """Decide whether some irreducible has pointwise stabilizer exactly the base (`linear_witness`).
+
+    `table` must be of the interval's ambient group, whose element ids the
+    member bitsets use.
+    """
     if table is None:
         table = character_table(interval.ambient)
-    atoms = [interval.members[a] for a in lat.atoms(interval.lattice)]
-    return linear_witness(table, interval.base, atoms)
+    elif table.group != interval.ambient:
+        raise InvalidParameters("the character table is not of the interval's ambient group")
+    masks = interval.masks
+    return linear_witness(table, masks[0], [masks[a] for a in lat.atoms(interval.lattice)])
 
 
-def linear_witness(table: CharacterTable, base: FiniteGroup, overgroups: Sequence[FiniteGroup]):
-    """(verdict, witness_row) for a base H and its minimal overgroups; the row is None when not primitive.
+def linear_witness(table: CharacterTable, base: int, overgroups: Sequence[int]):
+    """(verdict, witness_row) for a base H and its minimal overgroups, as subgroup bitsets; the row is None when not primitive.
 
     A row is a witness iff every minimal overgroup strictly drops dim V^H.
     """

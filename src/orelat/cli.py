@@ -97,13 +97,11 @@ def _report(command: str, results: dict, claims: Optional[list] = None) -> dict:
 
 def _interval_results(interval: iv.GroupInterval) -> dict:
     lattice = interval.lattice
+    order = interval.ambient.order
     return {
-        "ambient_order": interval.ambient.order,
-        "base_order": interval.base.order,
-        "members": [
-            {"id": i, "order": m.order, "index": interval.idx[i]}
-            for i, m in enumerate(interval.members)
-        ],
+        "ambient_order": order,
+        "base_order": order // interval.total_index,
+        "members": [{"id": i, "order": order // idx, "index": idx} for i, idx in enumerate(interval.idx)],
         "hasse_edges": lat.hasse_edges(lattice),
         "boolean": lat.is_boolean(lattice),
         "distributive": lat.is_distributive(lattice),
@@ -280,8 +278,9 @@ def main(argv: Optional[list] = None) -> int:
     try:
         report = args.func(args)
     except (OrelatError, RecursionError) as exc:
-        # a scenario's factorizations recurse once per factor, so one with
-        # more factors than the interpreter's stack holds exhausts a budget
+        # certifier._phihat_bounds recurses once per chain entry, so a
+        # scenario with more factors than the interpreter's stack holds
+        # exhausts a budget
         if isinstance(exc, (CapExceeded, RecursionError)):
             code = EXIT_CAP
         elif isinstance(exc, (ValidationFailed, NotAnInteger, OreViolation)):

@@ -29,6 +29,10 @@ member are its tree parent's covers, carried along the tree edge's map.
 
 A `GroupInterval` is an `IndexedInterval` labelled by the indices |G:K|,
 checked once when it is built; the totients and the certifier take it as is.
+Its members are the bitsets `masks`, over the element ids of
+`_ambient(interval.ambient)`, and nothing else: the library reads them
+directly (the characters count their elements per class), and `members`
+decodes them to `FiniteGroup`s only when first read.
 
 Each interval is memoized on its ambient group's `_Ambient`, by the bitset
 of its base, for as long as the `_ambient` LRU (32 groups) keeps that group.
@@ -152,9 +156,6 @@ class _Ambient:
             k = self.extend(k, x)
         return k
 
-    def subgroup(self, sub: FiniteGroup) -> _Subgroup:
-        return self.generated(lat.bits(self.subgroup_mask(sub)))
-
     def conjugate(self, mask: int, s: int) -> int:
         """The bitset s·K·s⁻¹ of the subgroup bitset `mask`, by the table x -> s·x·s⁻¹ built once per s."""
         table = self._conjugations.get(s)
@@ -277,20 +278,33 @@ class IndexedInterval:
 
 
 class GroupInterval(IndexedInterval):
-    """The lattice of all subgroups K with H <= K <= G, labelled by the indices |G:K|."""
+    """The lattice of all subgroups K with H <= K <= G, labelled by the indices |G:K|.
 
-    __slots__ = ("ambient", "base", "members", "_amb", "_masks", "_mask_to_id")
+    Member i is the bitset `masks[i]` over the element ids of the ambient
+    group's `_Ambient`; the base H is member 0.
+    """
 
-    def __init__(self, ambient: FiniteGroup, base: FiniteGroup, members: Sequence[FiniteGroup],
-                 lattice: lat.FiniteLattice, index_of: Sequence[int],
-                 amb: _Ambient, masks: Sequence[int]):
+    __slots__ = ("_amb", "masks", "_members")
+
+    def __init__(self, lattice: lat.FiniteLattice, index_of: Sequence[int], amb: _Ambient, masks: Sequence[int]):
         super().__init__(lattice, index_of)
-        self.ambient = ambient
-        self.base = base
-        self.members = tuple(members)
         self._amb = amb
-        self._masks = tuple(masks)
-        self._mask_to_id = {s: i for i, s in enumerate(masks)}
+        self.masks = tuple(masks)
+        self._members = None
+
+    @property
+    def ambient(self) -> FiniteGroup:
+        return self._amb.group
+
+    @property
+    def members(self) -> tuple:
+        """The members as `FiniteGroup`s, decoded from `masks` on first read."""
+        if self._members is None:
+            degree, elems = self._amb.group.degree, self._amb.elems
+            self._members = tuple(
+                FiniteGroup(degree, [], [elems[x] for x in _element_ids(m)]) for m in self.masks
+            )
+        return self._members
 
     @property
     def index_of(self) -> tuple:
@@ -298,22 +312,13 @@ class GroupInterval(IndexedInterval):
         return self.idx
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def member_id(self, sub: FiniteGroup) -> int:
-        key = self._amb.subgroup_mask(sub)
-        if key not in self._mask_to_id:
-            raise NotASubgroup("group is not a member of this interval")
-        return self._mask_to_id[key]
+        return len(self.masks)
 
     def rank(self) -> int:
         return self.lattice.height()
 
     def __repr__(self) -> str:
-        return (
-            f"GroupInterval(|G|={self.ambient.order}, |H|={self.base.order}, "
-            f"members={len(self.members)})"
-        )
+        return f"GroupInterval(|G|={self._amb.n}, |H|={self.masks[0].bit_count()}, members={len(self)})"
 
 
 def _build_interval(amb: _Ambient, covers: dict) -> GroupInterval:
@@ -327,12 +332,8 @@ def _build_interval(amb: _Ambient, covers: dict) -> GroupInterval:
     for i, (_, _, m) in enumerate(ordered):
         for c in covers[m]:
             lower[ids[c]].append(i)
-    lattice = lat.FiniteLattice(lower)
-    degree, elems = amb.group.degree, amb.elems
-    groups = [FiniteGroup(degree, [], [elems[x] for x in ids_of]) for _, ids_of, _ in ordered]
     index_of = [amb.n // size for size, _, _ in ordered]
-    masks = [m for _, _, m in ordered]
-    return GroupInterval(amb.group, groups[0], groups, lattice, index_of, amb, masks)
+    return GroupInterval(lat.FiniteLattice(lower), index_of, amb, [m for _, _, m in ordered])
 
 
 def _overgroups(amb: _Ambient, base: _Subgroup, cap: int) -> tuple:
@@ -426,34 +427,31 @@ def _bb_edge_table(lattice: lat.FiniteLattice):
     return edge
 
 
-def _shortest_bb_chain(lattice: lat.FiniteLattice, start: int, edge) -> int:
-    """Length of the shortest chain start < ... < top with bottom-boolean steps."""
-    top = lattice.top
-    if start == top:
-        return 0
-    dist = {start: 0}
-    frontier = [start]
-    steps = 0
-    while frontier:
-        steps += 1
-        nxt = []
-        for u in frontier:
-            for v in lat.bits(lattice._up[u]):
-                if v in dist:
-                    continue
+def _bb_levels(lattice: lat.FiniteLattice):
+    """The members by their distance to the top in bottom-boolean steps, one list per distance.
+
+    One breadth-first search runs down from the top over the bottom-boolean
+    edges [u, v], read backwards, so the levels come in increasing
+    distance.  Every cover is such an edge, so every member is reached.
+    """
+    edge = _bb_edge_table(lattice)
+    reached = 1 << lattice.top
+    level = [lattice.top]
+    while level:
+        yield level
+        below = []
+        for v in level:
+            for u in lat.bits(lattice._down[v] & ~reached):
                 if edge(u, v):
-                    if v == top:
-                        return steps
-                    dist[v] = steps
-                    nxt.append(v)
-        frontier = nxt
-    raise AssertionError("a maximal chain of rank-1 steps always reaches the top")
+                    reached |= 1 << u
+                    below.append(u)
+        level = below
 
 
 def bbl_between(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
     """Minimal number of bottom-boolean steps from sub up to group."""
     lattice = overgroup_interval(group, sub, cap).lattice
-    return _shortest_bb_chain(lattice, lattice.bottom, _bb_edge_table(lattice))
+    return next(d for d, level in enumerate(_bb_levels(lattice)) if lattice.bottom in level)
 
 
 def bbl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
@@ -463,37 +461,23 @@ def bbl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
 def cfl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
     """Minimum of bbl_between(group, H) over core-free subgroups H.
 
-    One breadth-first search runs down from the top over the bottom-boolean
-    edges [u, v], read backwards, so it finds every member's distance to
-    the top in increasing order; the first level that holds a core-free
-    member gives the minimum.  The trivial subgroup is core-free, so the
-    search always ends there.
+    The first level of `_bb_levels` on the full lattice that holds a
+    core-free member gives the minimum.  The trivial subgroup is core-free,
+    so some level always does.
     """
     full = full_subgroup_lattice(group, cap)
-    lattice, amb, masks = full.lattice, full._amb, full._masks
+    amb, masks = full._amb, full.masks
     trivial = amb.trivial.mask
-    edge = _bb_edge_table(lattice)
-    reached = 1 << lattice.top
-    frontier = [lattice.top]
-    steps = 0
-    while frontier:
-        if any(amb.core(masks[v]) == trivial for v in frontier):
-            return steps
-        steps += 1
-        nxt = []
-        for v in frontier:
-            for u in lat.bits(lattice._down[v] & ~reached):
-                if edge(u, v):
-                    reached |= 1 << u
-                    nxt.append(u)
-        frontier = nxt
-    raise AssertionError("a maximal chain of rank-1 steps reaches the top from every member")
+    return next(
+        d for d, level in enumerate(_bb_levels(full.lattice))
+        if any(amb.core(masks[v]) == trivial for v in level)
+    )
 
 
 def _generating_coset_reps(interval: GroupInterval):
     """Brute force: the least element id g of each right coset Hg with <H, g> = G, ascending."""
     amb = interval._amb
-    h = amb.subgroup(interval.base)
+    h = amb.generated(lat.bits(interval.masks[0]))
     return (g for g in _coset_rep_indices(amb, h) if len(amb.extend(h, g).elems) == amb.n)
 
 

@@ -208,8 +208,8 @@ def _top_intervals(full: iv.GroupInterval, table: ch.CharacterTable):
         cert = cf.certify_above(full, h)
         witness = None
         if cert.is_primitive:
-            overgroups = [full.members[k] for k in lat.upper_covers(lattice, h)]
-            _, witness = ch.linear_witness(table, full.members[h], overgroups)
+            overgroups = [full.masks[k] for k in lat.upper_covers(lattice, h)]
+            _, witness = ch.linear_witness(table, full.masks[h], overgroups)
         yield h, cert, witness
 
 

@@ -6,8 +6,8 @@ for every pair by a k^2 loop) and reads covers, ranks, gradedness and
 distributivity off its tables alone.  The bitmask lattices of
 `orelat.lattice` are cross-checked against it.  `build_lattice` turns a
 relation into an `orelat.lattice.FiniteLattice` through it; `interval`,
-`sub_interval`, `maximal_chains` and `complement` slice and walk lattices
-for the tests.
+`sub_interval`, `member_id`, `maximal_chains` and `complement` slice, look
+up and walk lattices for the tests.
 """
 
 from typing import Optional
@@ -16,7 +16,7 @@ import numpy as np
 
 from orelat import lattice as lat
 from orelat.errors import NotAPartialOrder, NotALattice, NotBoolean
-from orelat.intervals import GroupInterval
+from orelat.intervals import GroupInterval, _ambient
 
 
 def _order_masks(leq: np.ndarray) -> tuple:
@@ -140,18 +140,21 @@ def interval(lattice: lat.FiniteLattice, a: int, b: int) -> lat.FiniteLattice:
 
 
 def sub_interval(whole: GroupInterval, lo: int, hi: int) -> GroupInterval:
-    """The interval [members[lo], members[hi]] re-rooted with its own labels."""
+    """The interval [members[lo], members[hi]] re-rooted over members[hi], with its own labels and masks."""
     ids = lat.members_between(whole.lattice, lo, hi)
-    top_order = whole.members[hi].order
+    top = whole.members[hi]
+    amb = _ambient(top)
     return GroupInterval(
-        whole.members[hi],
-        whole.members[lo],
-        [whole.members[i] for i in ids],
         interval(whole.lattice, lo, hi),
-        [top_order // whole.members[i].order for i in ids],
-        whole._amb,
-        [whole._masks[i] for i in ids],
+        [top.order // whole.members[i].order for i in ids],
+        amb,
+        [amb.subgroup_mask(whole.members[i]) for i in ids],
     )
+
+
+def member_id(whole: GroupInterval, sub) -> int:
+    """The id of the member equal to the group `sub`."""
+    return whole.masks.index(_ambient(whole.ambient).subgroup_mask(sub))
 
 
 def maximal_chains(lattice: lat.FiniteLattice) -> list:

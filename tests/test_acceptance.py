@@ -144,7 +144,7 @@ def test_criterion_6_ore_property_suite():
         checked += 1
         witness = iv.verify_ore(interval)
         regenerated = subgroup_generated(
-            interval.ambient, list(interval.base.elements) + [witness]
+            interval.ambient, list(interval.members[0].elements) + [witness]
         )
         if regenerated.order != interval.ambient.order:
             ok = False

@@ -6,9 +6,9 @@ from orelat import catalog as cat
 from orelat import characters as ch
 from orelat import intervals as iv
 from orelat import lattice as lat
-from orelat.errors import NotASubgroup, ValidationFailed
+from orelat.errors import InvalidParameters, NotASubgroup, ValidationFailed
 from orelat.perm import FiniteGroup, Permutation, generate, trivial_group
-from dense_lattice import leq, sub_interval
+from dense_lattice import leq, member_id, sub_interval
 from test_intervals import groups_with_base
 
 CLASSICAL_DEGREES = {
@@ -22,6 +22,11 @@ CLASSICAL_DEGREES = {
     "s5": [1, 1, 4, 4, 5, 5, 6],
     "psl2_7": [1, 3, 3, 6, 7, 8],
 }
+
+
+def mask_of(group, sub):
+    """The bitset of `sub` over the element ids of `group`, as a character table reads subgroups."""
+    return iv._ambient(group).subgroup_mask(sub)
 
 
 class TestConjugacyClasses:
@@ -85,35 +90,35 @@ class TestFixedDim:
             if table.degrees[i] == 1 and np.allclose(table.values[i], 1)
         )
         full = iv.full_subgroup_lattice(group)
-        for member in full.members:
-            assert ch.fixed_dim(table, trivial_row, member) == 1
+        for mask in full.masks:
+            assert ch.fixed_dim(table, trivial_row, mask) == 1
 
     def test_nontrivial_irreducible_has_no_invariants_on_g(self):
         group = cat.symmetric(4)
         table = ch.character_table(group)
         for row in range(len(table)):
             expected = 1 if np.allclose(table.values[row], 1) else 0
-            assert ch.fixed_dim(table, row, group) == expected
+            assert ch.fixed_dim(table, row, mask_of(group, group)) == expected
 
     def test_fixed_dim_of_trivial_subgroup_is_degree(self):
         group = cat.psl2_7()
         table = ch.character_table(group)
         for row in range(len(table)):
-            assert ch.fixed_dim(table, row, trivial_group(8)) == table.degrees[row]
+            assert ch.fixed_dim(table, row, mask_of(group, trivial_group(8))) == table.degrees[row]
 
     def test_non_subgroup_raises_cold_and_after_caching(self):
         table = ch.character_table(cat.alternating(4))
         transposition = generate(4, [Permutation.from_cycles("(1 2)", 4)])
         with pytest.raises(NotASubgroup):
-            ch.fixed_dim(table, 0, transposition)
+            ch.index_identity_holds(table, transposition)
         double = generate(4, [Permutation.from_cycles("(1 2)(3 4)", 4)])
-        dims = [ch.fixed_dim(table, row, double) for row in range(len(table))]
-        copy = FiniteGroup(4, [], double.elements)
-        assert [ch.fixed_dim(table, row, copy) for row in range(len(table))] == dims
+        assert ch.index_identity_holds(table, double)
+        assert list(table._sums) == [mask_of(table.group, double)]
+        assert ch.index_identity_holds(table, FiniteGroup(4, [], double.elements))
         with pytest.raises(NotASubgroup):
-            ch.fixed_dim(table, 0, transposition)
+            ch.index_identity_holds(table, transposition)
         with pytest.raises(NotASubgroup):
-            ch.fixed_dim(table, 0, trivial_group(5))
+            ch.index_identity_holds(table, trivial_group(5))
 
     @pytest.mark.parametrize("name", ["s3", "d4", "a4", "s4", "z12", "psl2_7"])
     def test_index_identity(self, name):
@@ -131,8 +136,8 @@ class TestFixedDim:
             for y in range(lattice.n):
                 if leq(lattice, x, y):
                     for row in range(len(table)):
-                        assert ch.fixed_dim(table, row, full.members[y]) <= ch.fixed_dim(
-                            table, row, full.members[x]
+                        assert ch.fixed_dim(table, row, full.masks[y]) <= ch.fixed_dim(
+                            table, row, full.masks[x]
                         )
 
 
@@ -150,7 +155,7 @@ class TestLinearPrimitivity:
 
     def test_d8_psl_with_reciprocal_sum_below_two(self):
         interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
-        base = interval.base.order
+        base = interval.members[0].order
         total = sum(
             1 / (interval.members[a].order / base)
             for a in lat.atoms(interval.lattice)
@@ -158,6 +163,15 @@ class TestLinearPrimitivity:
         assert total == pytest.approx(2 / 3)
         primitive, _ = ch.is_linearly_primitive(interval)
         assert primitive
+
+    def test_table_of_another_group_is_refused(self):
+        interval = iv.full_subgroup_lattice(cat.symmetric(4))
+        with pytest.raises(InvalidParameters):
+            ch.is_linearly_primitive(interval, ch.character_table(cat.alternating(4)))
+        with pytest.raises(InvalidParameters):
+            ch.is_linearly_primitive(interval, ch.character_table(cat.cyclic(24)))
+        bare = FiniteGroup(4, [], cat.symmetric(4).elements)
+        assert ch.is_linearly_primitive(interval, ch.character_table(bare)) == ch.is_linearly_primitive(interval)
 
     def test_rank_one_intervals_are_primitive(self):
         # maximal subgroups of a few catalog groups
@@ -198,7 +212,7 @@ class TestLinearPrimitivity:
                 for co in lat.coatoms(interval.lattice):
                     if interval.index_of[co] != 2:
                         continue
-                    lower = sub_interval(full, h, full.member_id(interval.members[co]))
+                    lower = sub_interval(full, h, member_id(full, interval.members[co]))
                     lower_prim, _ = ch.is_linearly_primitive(
                         lower, ch.character_table(lower.ambient))
                     if lower_prim:
@@ -286,9 +300,9 @@ def assert_table_matches_reference(group, full):
     degrees, values = reference_table(group)
     assert list(table.degrees) == degrees
     assert table.values.dtype == values.dtype and np.array_equal(table.values, values)
-    for member in full.members:
+    for mask, member in zip(full.masks, full.members):
         for row in range(len(table)):
-            assert ch.fixed_dim(table, row, member) == reference_fixed_dim(table, row, member)
+            assert ch.fixed_dim(table, row, mask) == reference_fixed_dim(table, row, member)
 
 
 class TestAgainstPerScalarFormulas:

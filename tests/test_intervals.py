@@ -14,7 +14,7 @@ from orelat import reproduce as rp
 from orelat import totients as tt
 from orelat.errors import CapExceeded, NotASubgroup, NotDistributive
 from orelat.perm import FiniteGroup, Permutation, generate, subgroup_generated, trivial_group
-from dense_lattice import DenseLattice, complement, dense, leq, sub_interval
+from dense_lattice import DenseLattice, complement, dense, leq, member_id, sub_interval
 from test_lattice import (
     assert_flags_match_reference,
     assert_matches_dense,
@@ -76,6 +76,10 @@ def reference_overgroups(group, sub):
 
 def member_sets(interval):
     return {m.element_set() for m in interval.members}
+
+
+def labelled_member_sets(interval):
+    return {(m.element_set(), interval.idx[i]) for i, m in enumerate(interval.members)}
 
 
 @st.composite
@@ -143,7 +147,7 @@ def brute_force_core(group, sub):
 def table_core(full, i):
     """The core of member i of a full lattice, from the multiplication table, as permutations."""
     amb = full._amb
-    return {amb.elems[x] for x in lat.bits(amb.core(full._masks[i]))}
+    return {amb.elems[x] for x in lat.bits(amb.core(full.masks[i]))}
 
 
 def a3_in_s3():
@@ -241,10 +245,23 @@ class TestOvergroupInterval:
         amb = iv._ambient(trivial_group(degree))
         assert amb.mul == [(0,)] and amb.inv == [0]
 
-    def test_member_id_roundtrip(self):
-        interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
-        for i, member in enumerate(interval.members):
-            assert interval.member_id(member) == i
+    @pytest.mark.parametrize("name", ["psl2_7/d8", "s4", "s2xs3_2"])
+    def test_members_decode_the_masks(self, name):
+        interval = cat.catalog_interval(name)
+        amb = iv._ambient(interval.ambient)
+        assert amb is interval._amb
+        assert len(interval.members) == len(interval.masks) == len(interval)
+        for mask, member in zip(interval.masks, interval.members):
+            assert member.element_set() == {amb.elems[x] for x in lat.bits(mask)}
+            assert amb.subgroup_mask(member) == mask
+        assert interval.members is interval.members
+
+    def test_len_does_not_build_members(self):
+        full = cat.cached_full_lattice("s4")
+        fresh = iv.GroupInterval(full.lattice, full.idx, full._amb, full.masks)
+        assert len(fresh) == 30
+        assert fresh._members is None
+        assert fresh.members == full.members
 
 
 class TestFullLattices:
@@ -270,14 +287,18 @@ class TestFullLattices:
         assert len(cat.cached_full_lattice("s2xs3_2")) == 206
 
     def test_sub_interval_matches_direct_enumeration(self):
-        full = cat.cached_full_lattice("s4")
-        top = full.lattice.top
-        for lo in (0, 3, 7):
-            part = sub_interval(full, lo, top)
-            direct = iv.overgroup_interval(full.ambient, full.members[lo])
-            assert {m.element_set() for m in part.members} == {
-                m.element_set() for m in direct.members
-            }
+        # every slice [lo, hi]; one below the top is the interval over
+        # members[hi], so it counts generating cosets with |members[hi]|
+        for name in ("s3", "d4", "s4"):
+            full = cat.cached_full_lattice(name)
+            members = full.members
+            for lo in range(full.lattice.n):
+                for hi in lat.members_between(full.lattice, lo, full.lattice.top):
+                    part = sub_interval(full, lo, hi)
+                    direct = iv.overgroup_interval(members[hi], members[lo])
+                    assert part.ambient == direct.ambient == members[hi]
+                    assert labelled_member_sets(part) == labelled_member_sets(direct), (name, lo, hi)
+                    assert iv.generating_coset_count(part) == iv.generating_coset_count(direct), (name, lo, hi)
 
 
 @pytest.fixture
@@ -309,12 +330,12 @@ class TestIntervalMemo:
         above = iv.overgroup_interval(group, a3_in_s3())
         assert above is not full
         assert (len(full), len(above)) == (6, 2)
-        assert above.base.order == 3 and full.base.order == 1
+        assert above.members[0].order == 3 and full.members[0].order == 1
         assert iv.overgroup_interval(group, a3_in_s3()) is above
         # two transposition subgroups: same order, different intervals
         for images in ([1, 0, 2], [0, 2, 1]):
             base = subgroup_generated(group, [Permutation(images)])
-            assert iv.overgroup_interval(group, base).base == base
+            assert iv.overgroup_interval(group, base).members[0] == base
 
     def test_cap_is_checked_on_a_hit(self):
         group = cat.symmetric(4)
@@ -415,16 +436,58 @@ class TestBblCfl:
         group, _ = pair
         assert iv.cfl(group) == reference_cfl(group)
 
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_bbl_between_matches_a_forward_search_from_every_base_on_scan_groups(self, name):
+        assert_bbl_between_matches_forward_search(cat.catalog_group(name))
+
+    @settings(max_examples=25, deadline=None)
+    @given(groups_with_base())
+    def test_bbl_between_matches_a_forward_search_from_every_base_on_random_groups(self, pair):
+        group, _ = pair
+        assert_bbl_between_matches_forward_search(group)
+
+
+def shortest_bb_chain(lattice, start, edge):
+    """Length of the shortest chain start < ... < top with bottom-boolean steps, searched forward from start."""
+    top = lattice.top
+    if start == top:
+        return 0
+    dist = {start: 0}
+    frontier = [start]
+    steps = 0
+    while frontier:
+        steps += 1
+        nxt = []
+        for u in frontier:
+            for v in lat.bits(lattice._up[u]):
+                if v in dist:
+                    continue
+                if edge(u, v):
+                    if v == top:
+                        return steps
+                    dist[v] = steps
+                    nxt.append(v)
+        frontier = nxt
+    raise AssertionError("a maximal chain of rank-1 steps always reaches the top")
+
 
 def reference_cfl(group):
     """Minimum over the core-free members of a forward search from each of them."""
     full = iv.full_subgroup_lattice(group)
     edge = iv._bb_edge_table(full.lattice)
     return min(
-        iv._shortest_bb_chain(full.lattice, i, edge)
+        shortest_bb_chain(full.lattice, i, edge)
         for i, member in enumerate(full.members)
         if brute_force_core(group, member) == {group.identity}
     )
+
+
+def assert_bbl_between_matches_forward_search(group):
+    """`bbl_between` from every member of the full lattice against one forward search from it."""
+    full = iv.full_subgroup_lattice(group)
+    edge = iv._bb_edge_table(full.lattice)
+    for i, member in enumerate(full.members):
+        assert iv.bbl_between(group, member) == shortest_bb_chain(full.lattice, i, edge), i
 
 
 class TestCore:
@@ -460,7 +523,7 @@ class TestNormalizerOrbits:
     def test_normalizer_matches_conjugation(self, pair):
         group, base = pair
         amb = iv._ambient(group)
-        k = amb.subgroup(base)
+        k = amb.generated(lat.bits(amb.subgroup_mask(base)))
         normalizer = amb.generated(k.gens + amb.normalizer_gens(k))
         assert {amb.elems[x] for x in normalizer.elems} == brute_force_normalizer(group, base)
 
@@ -474,7 +537,7 @@ class TestNormalizerOrbits:
         for s in rng.sample(outside, min(3, len(outside))):
             s_inv = s.inverse()
             image = [
-                interval.member_id(FiniteGroup(group.degree, [], [s * p * s_inv for p in m.elements]))
+                member_id(interval, FiniteGroup(group.degree, [], [s * p * s_inv for p in m.elements]))
                 for m in interval.members
             ]
             assert sorted(image) == list(range(len(interval)))
@@ -486,11 +549,11 @@ class TestNormalizerOrbits:
         amb = iv._ambient(cat.catalog_group(name))
         covers, reps = iv._overgroups(amb, amb.trivial, iv.DEFAULT_MEMBER_CAP)
         assert len(reps) == classes
-        assert sorted(covers) == sorted(cat.cached_full_lattice(name)._masks)
+        assert sorted(covers) == sorted(cat.cached_full_lattice(name).masks)
 
     def test_self_normalizing_base_extends_every_member(self):
         amb = iv._ambient(cat.psl2_7())
-        base = amb.subgroup(cat.psl2_7_d8())
+        base = amb.generated(lat.bits(amb.subgroup_mask(cat.psl2_7_d8())))
         assert amb.normalizer_gens(base) == ()
         covers, reps = iv._overgroups(amb, base, iv.DEFAULT_MEMBER_CAP)
         assert len(reps) == len(covers) == 4
@@ -519,7 +582,7 @@ class TestOre:
         interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
         witness = iv.verify_ore(interval)
         regen = subgroup_generated(
-            interval.ambient, list(interval.base.elements) + [witness]
+            interval.ambient, list(interval.members[0].elements) + [witness]
         )
         assert regen.order == 168
 
@@ -553,7 +616,7 @@ class TestStructureLemmas:
                 continue
             k, ell = lat.atoms(interval.lattice)
             top_pair = (interval.index_of[k], interval.index_of[ell])
-            base = interval.base.order
+            base = interval.members[0].order
             bottom_pair = (
                 interval.members[k].order // base,
                 interval.members[ell].order // base,
@@ -567,7 +630,7 @@ class TestStructureLemmas:
             if interval.rank() != 2:
                 continue
             k, ell = lat.atoms(interval.lattice)
-            base = interval.base.order
+            base = interval.members[0].order
             assert (interval.members[k].order // base == 2) == (
                 interval.index_of[ell] == 2
             ), name
@@ -642,7 +705,7 @@ def assert_matches_subgroup_inclusion(interval):
 
     The reference's order is subgroup inclusion.
     """
-    masks = interval._masks
+    masks = interval.masks
     ref = DenseLattice([[a & ~b == 0 for b in masks] for a in masks])
     assert lat.hasse_edges(interval.lattice) == np.argwhere(ref.covers).tolist()
     assert_matches_dense(interval.lattice, ref)
@@ -708,8 +771,8 @@ def assert_top_scan_matches_slices(full, table):
         reference_cert, reference_primitive = expected[h]
         assert cert.to_dict() == reference_cert, h
         assert witness == (reference_primitive[1] if cert.is_primitive else None), h
-        covers = [full.members[k] for k in lat.upper_covers(full.lattice, h)]
-        assert ch.linear_witness(table, full.members[h], covers) == reference_primitive, h
+        covers = [full.masks[k] for k in lat.upper_covers(full.lattice, h)]
+        assert ch.linear_witness(table, full.masks[h], covers) == reference_primitive, h
 
 
 class TestTopIntervalScan:
