@@ -241,6 +241,30 @@ class ScanResult(NamedTuple):
 _BOUNDS_MEMO: dict = {}
 
 
+def _leaf_bounds(key: tuple) -> Optional[tuple]:
+    """(min, max) of a sorted chain type that needs no sub-type, else None."""
+    if len(key) == 0:
+        return (1, 1)
+    if key[0] == key[-1]:
+        v = (key[0] - 1) ** len(key)
+        return (v, v)
+    shape = _single_divergent_shape(key)
+    if shape is None:
+        return None
+    # m = 0 would force every edge to p and contradict the divergent
+    # entry, so the admissible coatom counts are 1..n.
+    p, q = shape
+    n = len(key)
+    values = [tt.closed_form_p_n_q(p, q, n, m) for m in range(1, n + 1)]
+    return (min(values), max(values))
+
+
+def _without(key: tuple, v: int) -> tuple:
+    """The sorted chain type `key` with one entry v removed."""
+    i = key.index(v)
+    return key[:i] + key[i + 1:]
+
+
 def _phihat_bounds(chain_type: tuple) -> tuple:
     """(min, max) of the dual totient over every recursion branch.
 
@@ -251,43 +275,39 @@ def _phihat_bounds(chain_type: tuple) -> tuple:
     values are enumerated as an independent cross product, which can only
     widen the interval, so the minimum is a valid lower bound for every
     interval whose maximal chains all have this type.
+
+    The sub-types are walked with an explicit stack, not by recursion, so
+    a long chain type gets its bounds whatever the caller's stack depth: a
+    type is taken off the stack once the bounds of its sub-types are in
+    `_BOUNDS_MEMO`.
     """
-    key = tuple(sorted(chain_type))
-    if key in _BOUNDS_MEMO:
-        return _BOUNDS_MEMO[key]
-    if len(key) == 0:
-        result = (1, 1)
-    elif len(set(key)) == 1:
-        p = key[0]
-        v = (p - 1) ** len(key)
-        result = (v, v)
-    else:
-        shape = _single_divergent_shape(key)
-        if shape is not None:
-            # m = 0 would force every edge to p and contradict the divergent
-            # entry, so the admissible coatom counts are 1..n.
-            p, q = shape
-            n = len(key)
-            values = [tt.closed_form_p_n_q(p, q, n, m) for m in range(1, n + 1)]
-            result = (min(values), max(values))
-        else:
-            c = max(key)
-            rest = list(key)
-            rest.remove(c)
-            x_lo, x_hi = _phihat_bounds(tuple(rest))
+    wanted = tuple(sorted(chain_type))
+    stack = [wanted]
+    while stack:
+        key = stack[-1]
+        if key in _BOUNDS_MEMO:
+            stack.pop()
+            continue
+        result = _leaf_bounds(key)
+        if result is None:
+            c = key[-1]
+            rest = _without(key, c)
+            subs = [_without(key, v) for v in sorted(set(key)) if v != c]
+            missing = [k for k in [rest] + subs if k not in _BOUNDS_MEMO]
+            if missing:
+                stack += missing
+                continue
+            x_lo, x_hi = _BOUNDS_MEMO[rest]
             lows = [(c - 1) * x_lo]
             highs = [(c - 1) * x_hi]
-            for v in sorted(set(key)):
-                if v == c:
-                    continue
-                sub = list(key)
-                sub.remove(v)
-                y_lo, y_hi = _phihat_bounds(tuple(sub))
+            for sub in subs:
+                y_lo, y_hi = _BOUNDS_MEMO[sub]
                 lows.append(c * x_lo - y_hi)
                 highs.append(c * x_hi - y_lo)
             result = (min(lows), max(highs))
-    _BOUNDS_MEMO[key] = result
-    return result
+        _BOUNDS_MEMO[key] = result
+        stack.pop()
+    return _BOUNDS_MEMO[wanted]
 
 
 def lemma_check_scan(a: int, b: int, c: int, n: int) -> ScanResult:

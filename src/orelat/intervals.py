@@ -42,6 +42,7 @@ mutated; the member cap is checked on every call.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import compress
 from operator import getitem, itemgetter
@@ -95,8 +96,7 @@ class _Ambient:
         self.index = index = {img: i for i, img in enumerate(images)}
         self.identity = index[group.identity.images]
         gens = [index[p.images] for p in group.generators]
-        self.mul = _multiplication_table(images, index, gens or range(self.n), self.identity)
-        self.inv = [row.index(self.identity) for row in self.mul]
+        self.mul, self.inv = _multiplication_table(images, index, gens or range(self.n), self.identity)
         self.bit = [1 << i for i in range(self.n)]
         self.trivial = _Subgroup([self.identity], self.bit[self.identity], ())
         # generator ids: the group's own, else a generating set picked from all elements
@@ -199,40 +199,57 @@ class _Ambient:
                 return mask
 
 
-def _multiplication_table(images: list, index: dict, gens: Sequence[int], identity: int) -> list:
-    """Rows mul[a][b] = index of a * b, where (a * b)(x) = a(b(x)).
+def _multiplication_table(images: list, index: dict, gens: Sequence[int], identity: int) -> tuple:
+    """Rows mul[a][b] = index of a * b, where (a * b)(x) = a(b(x)), and the inverses inv[a].
 
     Only the generators' rows compose permutations (the images of s read at
-    the images of b).  Every other row follows from a row already known:
-    (s * a) * b = s * (a * b), so row s*a is row s read at row a.
+    the images of b).  Every other row follows along a breadth-first walk
+    from the identity by right multiplication: (a * s) * b = a * (s * b),
+    so row a*s is row a read at row s, through one reader per generator.
+    The inverses come along the same walk, as (a * s)^-1 = s^-1 * a^-1.
     """
     n = len(images)
     if n == 1:
         # itemgetter of a single index returns a scalar, not a tuple
-        return [(0,)]
+        return [(0,)], [0]
     mul: list = [None] * n
+    inv: list = [None] * n
     compose = [itemgetter(*b) for b in images]
     for s in gens:
         mul[s] = tuple(index[c(images[s])] for c in compose)
     mul[identity] = tuple(range(n))
+    inv[identity] = identity
+    # row s^-1 undoes row s: s^-1 * (s * x) = x
+    readers = [(s, itemgetter(*mul[s]), sorted(range(n), key=mul[s].__getitem__)) for s in gens]
     reached = [identity]
-    seen = {identity}
-    for a in reached:
-        read_a = itemgetter(*mul[a])
-        for s in gens:
-            b = mul[s][a]
-            if b not in seen:
-                seen.add(b)
+    for a in reached:  # grows while it is read
+        row, inverse = mul[a], inv[a]
+        for s, read_s, inv_row in readers:
+            b = row[s]
+            if inv[b] is None:
+                inv[b] = inv_row[inverse]
                 reached.append(b)
                 if mul[b] is None:
-                    mul[b] = read_a(mul[s])
+                    mul[b] = read_s(row)
     assert len(reached) == n, "the generators do not generate the group"
-    return mul
+    return mul, inv
 
 
 @lru_cache(maxsize=32)
 def _ambient(group: FiniteGroup) -> _Ambient:
     return _Ambient(group)
+
+
+def integer_labels(values: Iterable, what: str = "labels") -> tuple:
+    """`values` as a tuple of ints, read with `operator.index`.
+
+    Ints and numpy integers pass.  A float, a string or a fraction is
+    refused, even an integral one, where `int` would truncate or parse it.
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise InvalidParameters(f"{what} must be integers") from None
 
 
 class IndexedInterval:
@@ -246,7 +263,7 @@ class IndexedInterval:
     __slots__ = ("lattice", "idx")
 
     def __init__(self, lattice: lat.FiniteLattice, idx: Sequence[int]):
-        idx = tuple(int(v) for v in idx)
+        idx = integer_labels(idx)
         if len(idx) != lattice.n:
             raise InvalidParameters("one label per lattice element is required")
         if idx[lattice.top] != 1:

@@ -6,8 +6,13 @@ indexed by atom bitmask (`BooleanInterval`); synthetic index models are
 built in that form directly, as Kronecker products of per-block factors, so
 the closed formulas can be exercised without building any group or lattice.
 A walk over a label vector is a few C-level `map`/`sum`/`itemgetter` calls
-over mask tables cached per rank: the popcount signs, the two ends of every
-cover and the masks of a sub-interval.  `intervals.IndexedInterval`, labels
+over mask tables cached per rank or per pair of masks: the two ends of every
+cover, the masks of a sub-interval, and the parity pickers of [a, b], which
+pick its masks of even and of odd rank above a.  Every signed sum is the sum
+of the even picks less the sum of the odd ones, so no sign is multiplied in,
+and a coatom split sums its two sub-intervals in place without building
+them.  Labels are read with `operator.index`: a float, even an integral
+one, is refused, never truncated.  `intervals.IndexedInterval`, labels
 over a `FiniteLattice` read through its cover and order bitmasks, serves the
 graded intervals that are not boolean, a `GroupInterval` among them.
 """
@@ -28,7 +33,7 @@ from .errors import (
     NotGraded,
     SplitConditionFails,
 )
-from .intervals import IndexedInterval
+from .intervals import IndexedInterval, integer_labels
 
 
 class BooleanInterval:
@@ -45,7 +50,7 @@ class BooleanInterval:
     __slots__ = ("n", "idx", "ids")
 
     def __init__(self, n: int, labels: Sequence[int], ids: Optional[Sequence[int]] = None):
-        idx = tuple(map(int, labels))
+        idx = integer_labels(labels)
         if n < 0 or len(idx) != 1 << n:
             raise InvalidParameters("one label per atom bitmask is required")
         if idx[-1] != 1:
@@ -123,12 +128,6 @@ def _picker(keys: Sequence[int]) -> itemgetter:
 
 
 @lru_cache(maxsize=16)
-def _signs(n: int) -> tuple:
-    """(-1)^popcount(s) for every mask s of rank n."""
-    return tuple(-1 if s.bit_count() & 1 else 1 for s in range(1 << n))
-
-
-@lru_cache(maxsize=16)
 def _cover_pickers(n: int) -> tuple:
     """Pickers of the lower and of the upper ends of the n * 2^(n-1) covers s -> s | bit."""
     covers = [(s, s | 1 << i) for i in range(n) for s in range(1 << n) if not s >> i & 1]
@@ -145,6 +144,30 @@ def _sub_picker(a: int, b: int) -> itemgetter:
         free ^= bit
         masks += tuple(map(or_, masks, repeat(bit)))
     return _picker(masks)
+
+
+@lru_cache(maxsize=256)
+def _parity_pickers(a: int, b: int) -> tuple:
+    """Pickers of the masks of [a, b] whose rank above a is even, and of those whose rank is odd."""
+    even, odd = (a,), ()
+    free = b & ~a
+    while free:
+        bit = free & -free
+        free ^= bit
+        even, odd = even + tuple(map(or_, odd, repeat(bit))), odd + tuple(map(or_, even, repeat(bit)))
+    return _picker(even), _picker(odd)
+
+
+def _signed_sum(idx: tuple, a: int, b: int) -> int:
+    """Sum over s in [a, b] of (-1)^|s & ~a| * (idx[s] // idx[b]).
+
+    This is the dual totient of [a, b] with the labels `sub(a, b)` gives it.
+    """
+    even, odd = _parity_pickers(a, b)
+    base = idx[b]
+    if base == 1:
+        return sum(even(idx)) - sum(odd(idx))
+    return sum(map(floordiv, even(idx), repeat(base))) - sum(map(floordiv, odd(idx), repeat(base)))
 
 
 def from_group_interval(interval: IndexedInterval) -> IndexedInterval:
@@ -180,7 +203,7 @@ def _require_graded(model: IndexedInterval) -> tuple:
 def dual_totient(model: Union[IndexedInterval, BooleanInterval]) -> int:
     """Alternating sum of labels, sign by rank above the bottom."""
     if isinstance(model, BooleanInterval):
-        return sum(map(mul, _signs(model.n), model.idx))
+        return _signed_sum(model.idx, 0, model.top)
     ranks = _require_graded(model)
     return sum(
         (-1) ** ranks[x] * model.idx[x] for x in range(model.lattice.n)
@@ -191,7 +214,9 @@ def euler_totient(model: Union[IndexedInterval, BooleanInterval]) -> int:
     """Alternating sum of indices over the bottom, sign by corank."""
     total = model.total_index
     if isinstance(model, BooleanInterval):
-        result = sum(map(mul, _signs(model.n), map(floordiv, repeat(total), model.idx)))
+        even, odd = _parity_pickers(0, model.top)
+        result = sum(map(floordiv, repeat(total), even(model.idx)))
+        result -= sum(map(floordiv, repeat(total), odd(model.idx)))
         return -result if model.n & 1 else result
     ranks = _require_graded(model)
     height = model.lattice.height()
@@ -270,10 +295,9 @@ def dual_totient_coatom_split(model: Union[IndexedInterval, BooleanInterval], co
     top = boolean.top
     if not 0 <= mask < top or (top ^ mask).bit_count() != 1:
         raise NotACoatom(f"element {coatom} is not a coatom")
-    q = boolean.idx[mask]
-    lower = boolean.sub(0, mask)
-    upper = boolean.sub(top ^ mask, top)
-    return q * dual_totient(lower) - dual_totient(upper)
+    # phihat(H, L) and phihat(A, G) are summed in place, on the labels `sub` would give them
+    idx = boolean.idx
+    return idx[mask] * _signed_sum(idx, 0, mask) - _signed_sum(idx, top ^ mask, top)
 
 
 def dual_totient_allsplit(model: Union[IndexedInterval, BooleanInterval]) -> int:
@@ -314,11 +338,11 @@ def boolean_index_model(p: int, n: int, specials: Sequence = ()) -> BooleanInter
     """
     if p < 2 or n < 1:
         raise InvalidParameters("need p >= 2 and n >= 1")
-    blocks = []
-    for q, size in specials:
+    blocks = list(zip(integer_labels((q for q, _ in specials), "special block indices"),
+                      (size for _, size in specials)))
+    for q, size in blocks:
         if q < 2 or size < 1:
             raise InvalidParameters("special blocks need q >= 2 and size >= 1")
-        blocks.append((int(q), size))
     free = n - sum(size for _, size in blocks)
     if free < 0:
         raise InvalidParameters("special blocks exceed the number of atoms")
@@ -327,7 +351,9 @@ def boolean_index_model(p: int, n: int, specials: Sequence = ()) -> BooleanInter
     ]
     labels = (1,)
     for factor in factors + [(p, 1)] * free:
-        labels = tuple(chain.from_iterable(map(mul, labels, repeat(f)) for f in factor))
+        # labels * f for each entry f of the factor in turn, in one C-level pass
+        spread = chain.from_iterable(map(repeat, factor, repeat(len(labels))))
+        labels = tuple(map(mul, labels * len(factor), spread))
     return BooleanInterval(n, labels)
 
 
@@ -347,7 +373,7 @@ def pq_model(p: int, q: int, n: int, m: int) -> BooleanInterval:
 
 def allsplit_model(values: Sequence[int]) -> BooleanInterval:
     """Fully multiplicative model: atom i contributes factor values[i]."""
-    vals = [int(v) for v in values]
+    vals = integer_labels(values, "atom values")
     if any(v < 2 for v in vals):
         raise InvalidParameters("atom values must be at least 2")
     return boolean_index_model(2, len(vals), [(v, 1) for v in vals])

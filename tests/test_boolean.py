@@ -3,9 +3,12 @@
 The reference for every quantity is an `IndexedInterval` over
 `lattice.subset_lattice(n)` or over a catalog group's interval lattice, with
 sub-intervals sliced by `dense_lattice.interval` and chain types read off
-`dense_lattice.maximal_chains`.  The label-vector arithmetic, which runs
-over cached mask tables, is also compared against the plain per-mask loops
-kept here as `reference_*` functions.
+`dense_lattice.maximal_chains`.  The label-vector arithmetic runs over
+cached mask tables: every signed sum adds the labels its parity pickers
+take at even rank and subtracts those at odd rank, and a coatom split sums
+its two sub-intervals in place.  It is also compared against the plain
+per-mask loops kept here as `reference_*` functions, which sign each label
+by its popcount and slice sub-intervals with `BooleanInterval.sub`.
 """
 
 from fractions import Fraction
@@ -13,7 +16,7 @@ from math import lcm, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orelat import catalog as cat
@@ -33,6 +36,11 @@ def reference_sub(model, a, b):
 
 
 def reference_split(model, coatom):
+    """q * phihat(H, L) - phihat(A, G) on sliced sub-intervals: `sub` for a label vector."""
+    if isinstance(model, tt.BooleanInterval):
+        top = model.top
+        lower, upper = model.sub(0, coatom), model.sub(top ^ coatom, top)
+        return model.idx[coatom] * reference_dual(lower.idx) - reference_dual(upper.idx)
     lattice = model.lattice
     lower = reference_sub(model, lattice.bottom, coatom)
     upper = reference_sub(model, complement(lattice, coatom), lattice.top)
@@ -343,6 +351,35 @@ class TestMaskTablesMatchPerMaskLoops:
                 assert tt.dual_totient(sub) == reference_dual(expected)
                 assert tt.euler_totient(sub) == reference_euler(sub.n, expected)
 
+    @given(valid_vectors(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_signed_sums_match_the_per_mask_loops(self, vector, relabelled, data):
+        n, labels = vector
+        ids = data.draw(st.permutations(range(len(labels)))) if relabelled else None
+        model = tt.BooleanInterval(n, labels, ids)
+        assert tt.dual_totient(model) == reference_dual(labels)
+        assert tt.euler_totient(model) == reference_euler(n, labels)
+        for co in model.coatoms():
+            assert tt.dual_totient_coatom_split(model, co) == reference_split(model, co)
+
+    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
+    @settings(max_examples=200, deadline=None)
+    # rank 0 and 1: a picker of one key still returns a tuple, and one of none an empty tuple
+    @example((0, 0, 0))
+    @example((3, 5, 5))
+    @example((1, 0, 1))
+    @example((3, 2, 3))
+    @example((3, 7, 3))
+    def test_parity_pickers_match_a_popcount_filter(self, drawn):
+        n, a, b = drawn
+        a &= b
+        masks = [s for s in range(1 << n) if s & a == a and s & ~b == 0]
+        even, odd = tt._parity_pickers(a, b)
+        labels = tuple(range(1 << n))
+        assert sorted(even(labels)) == [s for s in masks if not (s & ~a).bit_count() & 1]
+        assert sorted(odd(labels)) == [s for s in masks if (s & ~a).bit_count() & 1]
+
     def test_models_match_over_the_totient_formulas_grid(self):
         for p in range(2, 14):
             for n in range(1, 8):
@@ -377,6 +414,33 @@ class TestMaskTablesMatchPerMaskLoops:
                 for n in range(1, 8):
                     for m in range(0, n + 1):
                         assert tt.closed_form_p_n_q(p, q, n, m) == reference_closed_form(p, q, n, m)
+
+
+NON_INTEGERS = [2.7, 2.0, np.float64(3.9), np.float64(3.0), "3", Fraction(3), Fraction(5, 2)]
+
+
+class TestLabelsAreExactIntegers:
+    """Each value below would pass as a valid label if it were truncated by `int`."""
+
+    @pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
+    def test_non_integers_are_refused(self, value):
+        with pytest.raises(InvalidParameters, match="labels must be integers"):
+            tt.BooleanInterval(1, [value, 1])
+        with pytest.raises(InvalidParameters, match="labels must be integers"):
+            tt.IndexedInterval(lat.subset_lattice(1), [value, 1])
+        with pytest.raises(InvalidParameters, match="atom values must be integers"):
+            tt.allsplit_model([3, value])
+        with pytest.raises(InvalidParameters, match="special block indices must be integers"):
+            tt.boolean_index_model(3, 2, [(value, 1)])
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint32])
+    def test_numpy_integers_are_accepted_as_python_ints(self, kind):
+        labels = np.array([6, 3, 2, 1], dtype=kind)
+        for model in (tt.BooleanInterval(2, labels), tt.IndexedInterval(lat.subset_lattice(2), labels)):
+            assert model.idx == (6, 3, 2, 1)
+            assert all(type(v) is int for v in model.idx)
+        assert tt.allsplit_model(np.array([3, 2], dtype=kind)).idx == tt.allsplit_model([3, 2]).idx
+        assert tt.boolean_index_model(3, 2, [(kind(5), 1)]).idx == tt.boolean_index_model(3, 2, [(5, 1)]).idx
 
 
 class TestEdgeIndex:

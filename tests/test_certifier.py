@@ -41,6 +41,43 @@ def recursive_factorizations(number, parts, min_factor=3):
     return result
 
 
+def recursive_phihat_bounds(chain_type, memo=None):
+    """The bounds walk as it was written first: one recursive call per sub-type, with its own memo."""
+    memo = {} if memo is None else memo
+    key = tuple(sorted(chain_type))
+    if key in memo:
+        return memo[key]
+    if len(key) == 0:
+        result = (1, 1)
+    elif len(set(key)) == 1:
+        v = (key[0] - 1) ** len(key)
+        result = (v, v)
+    else:
+        shape = cf._single_divergent_shape(key)
+        if shape is not None:
+            p, q = shape
+            values = [tt.closed_form_p_n_q(p, q, len(key), m) for m in range(1, len(key) + 1)]
+            result = (min(values), max(values))
+        else:
+            c = max(key)
+            rest = list(key)
+            rest.remove(c)
+            x_lo, x_hi = recursive_phihat_bounds(tuple(rest), memo)
+            lows = [(c - 1) * x_lo]
+            highs = [(c - 1) * x_hi]
+            for v in sorted(set(key)):
+                if v == c:
+                    continue
+                sub = list(key)
+                sub.remove(v)
+                y_lo, y_hi = recursive_phihat_bounds(tuple(sub), memo)
+                lows.append(c * x_lo - y_hi)
+                highs.append(c * x_hi - y_lo)
+            result = (min(lows), max(highs))
+    memo[key] = result
+    return result
+
+
 class TestFactorEnumeration:
     def test_factorizations_basic(self):
         assert cf.factorizations(36, 2) == [(3, 12), (4, 9), (6, 6)]
@@ -122,6 +159,28 @@ class TestLemmaScan:
     def test_out_of_range(self, args):
         with pytest.raises(InvalidParameters):
             cf.lemma_check_scan(*args)
+
+    def test_bounds_match_the_recursive_walk_on_every_lemma_check_type(self, monkeypatch):
+        # an empty memo, so the explicit-stack walk computes every sub-type itself
+        monkeypatch.setattr(cf, "_BOUNDS_MEMO", {})
+        types = [(a,) * n + (b, c) for a in range(3, 13) for b in range(a, 13) for c in range(b, 13)
+                 for n in range(1, 7)]
+        assert len(types) == 1320
+        reference: dict = {}
+        for chain_type in types:
+            assert cf._phihat_bounds(chain_type) == recursive_phihat_bounds(chain_type, reference)
+        assert cf._BOUNDS_MEMO == reference
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(2, 12), max_size=9))
+    def test_bounds_match_the_recursive_walk_on_random_types(self, chain_type):
+        saved = dict(cf._BOUNDS_MEMO)
+        cf._BOUNDS_MEMO.clear()
+        try:
+            assert cf._phihat_bounds(tuple(chain_type)) == recursive_phihat_bounds(chain_type)
+        finally:
+            cf._BOUNDS_MEMO.clear()
+            cf._BOUNDS_MEMO.update(saved)
 
     def test_minimum_is_exact_over_branch_enumeration(self):
         # independent oracle: enumerate the recursion directly with explicit

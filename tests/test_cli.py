@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from orelat import cli
+from orelat import certifier, cli
 from orelat.cli import main
 
 
@@ -146,6 +146,24 @@ class TestCertify:
             assert code == 0 and captured.err == ""
             certificate = json.loads(captured.out)["results"]["certificate"]
             assert certificate["verdict"] == "primitive" and certificate["frontier"] == []
+
+    def test_long_non_uniform_chain_type_gets_a_verdict_at_any_stack_depth(self, capsys, monkeypatch):
+        # one chain type, (3, ..., 3, 5, 7): its bounds walk passes 1,198 sub-types
+        argv = ["certify", "--model-rank", "1200", "--model-index", str(3 ** 1198 * 5 * 7)]
+        monkeypatch.setattr(certifier, "_BOUNDS_MEMO", {})
+
+        def deeper(frames):
+            return main(argv) if frames == 0 else deeper(frames - 1)
+
+        reports = []
+        for frames in (50, 0):  # the deeper call first, on an empty memo
+            code = deeper(frames)
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            reports.append(json.loads(captured.out))
+        assert reports[0] == reports[1]
+        certificate = reports[0]["results"]["certificate"]
+        assert certificate["verdict"] == "primitive" and certificate["frontier"] == []
 
     def test_recursion_error_exhausts_the_budget(self, capsys, monkeypatch):
         def too_deep(args):

@@ -244,6 +244,34 @@ class TestOvergroupInterval:
     def test_trivial_group_table(self, degree):
         amb = iv._ambient(trivial_group(degree))
         assert amb.mul == [(0,)] and amb.inv == [0]
+        assert amb.elems[amb.inv[0]] == amb.elems[0].inverse()
+
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES + ("s2xs3_3",))
+    def test_inverses_and_rows_match_permutations_on_scan_groups(self, name):
+        # the inverses are read along the table's walk, not searched for in its rows
+        group = cat.catalog_group(name)
+        amb = iv._ambient(group)
+        elems = group.elements
+        assert [elems[amb.inv[a]] for a in range(group.order)] == [p.inverse() for p in elems]
+        for a in {0, amb.identity, group.order // 2, group.order - 1}:
+            assert [elems[x] for x in amb.mul[a]] == [elems[a] * b for b in elems]
+            assert amb.mul[a][amb.inv[a]] == amb.mul[amb.inv[a]][a] == amb.identity
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)))
+    def test_inverses_match_permutations_with_redundant_generators(self, images):
+        # generators may repeat, be the identity or be each other's inverses
+        degree = len(images[0])
+        gens = []
+        for image in images:
+            p = Permutation(image)
+            gens += [p, p.inverse(), p]
+        try:
+            group = generate(degree, gens, cap=RANDOM_ORDER_CAP)
+        except CapExceeded:
+            return
+        amb = iv._ambient(group)
+        assert [group.elements[x] for x in amb.inv] == [p.inverse() for p in group.elements]
 
     @pytest.mark.parametrize("name", ["psl2_7/d8", "s4", "s2xs3_2"])
     def test_members_decode_the_masks(self, name):
