@@ -242,7 +242,16 @@ _BOUNDS_MEMO: dict = {}
 
 
 def _leaf_bounds(key: tuple) -> Optional[tuple]:
-    """(min, max) of a sorted chain type that needs no sub-type, else None."""
+    """(min, max) of a sorted chain type that needs no sub-type, else None.
+
+    A type (p, ..., p, q) with q > p ranges over the closed form at the
+    coatom counts m = 1..n (m = 0 would force every edge to p and
+    contradict the divergent entry).  The closed form is
+    (p-1)^n + (q-p)/p * [(p-1)^n - (-1)^m (p-1)^(n-m)], and (p-1)^(n-m)
+    does not grow with m, so the bracket is largest at the least odd m, 1,
+    and smallest at the least even m, 2 (at 1 when n = 1).  Only those two
+    counts are evaluated.
+    """
     if len(key) == 0:
         return (1, 1)
     if key[0] == key[-1]:
@@ -251,12 +260,9 @@ def _leaf_bounds(key: tuple) -> Optional[tuple]:
     shape = _single_divergent_shape(key)
     if shape is None:
         return None
-    # m = 0 would force every edge to p and contradict the divergent
-    # entry, so the admissible coatom counts are 1..n.
     p, q = shape
     n = len(key)
-    values = [tt.closed_form_p_n_q(p, q, n, m) for m in range(1, n + 1)]
-    return (min(values), max(values))
+    return (tt.closed_form_p_n_q(p, q, n, min(n, 2)), tt.closed_form_p_n_q(p, q, n, 1))
 
 
 def _without(key: tuple, v: int) -> tuple:

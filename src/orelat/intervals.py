@@ -6,7 +6,12 @@ of H are enumerated breadth first by cyclic extension (Neubüser's method),
 up to conjugacy by the normalizer N = N_G(H).  For a representative K and
 each g outside K, <K, g> is grown from K's element list by adding whole
 cosets of K (Dimino), so no member is closed again from its generators.
-One g is tried per double coset KgK, since <K, kgk'> = <K, g>.
+The closure marks the elements it reaches in a bytearray of ASCII digits,
+read as a bitset once at the end.  It stops at Lagrange's bound: a proper
+subgroup above K holds at most |G:K|/p cosets of K, for p the least prime
+factor of |G:K|, so once <K, g> holds more it is G, and when |G:K| is
+prime it is G at once.  One g is tried per double coset KgK, since
+<K, kgk'> = <K, g>.
 
 N permutes the members of [H, G] and their covers, since s·<K, g>·s⁻¹ =
 <sKs⁻¹, sgs⁻¹>.  N is read off the multiplication table: s normalizes H
@@ -54,6 +59,18 @@ from .perm import FiniteGroup, Permutation, trivial_group
 
 DEFAULT_MEMBER_CAP = 10_000
 _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+_ZERO, _ONE = b"01"
+
+
+@lru_cache(maxsize=256)
+def _least_prime_factor(m: int) -> int:
+    """The least prime factor of m >= 2."""
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            return p
+        p += 1
+    return m
 
 
 def _element_ids(mask: int) -> list:
@@ -99,6 +116,9 @@ class _Ambient:
         self.mul, self.inv = _multiplication_table(images, index, gens or range(self.n), self.identity)
         self.bit = [1 << i for i in range(self.n)]
         self.trivial = _Subgroup([self.identity], self.bit[self.identity], ())
+        # every element id, shared by each <K, g> found to be G; id 0 is the
+        # identity, since the elements are sorted by their images
+        self.all_ids = list(range(self.n))
         # generator ids: the group's own, else a generating set picked from all elements
         self.gens = tuple(gens) or self.generated(range(self.n)).gens
         # overgroup intervals built so far, by the bitset of their base
@@ -112,42 +132,62 @@ class _Ambient:
         except KeyError as exc:
             raise NotASubgroup("subgroup has elements outside the ambient group") from exc
 
-    def _left_cosets(self, k: _Subgroup, gens: tuple, g: int, mask: int) -> tuple:
+    def _left_cosets(self, k: _Subgroup, gens: tuple, g: int, seen: bytearray, room: int):
         """Close {g} under left multiplication by `gens`, a whole left coset r·K at a time.
 
-        `mask` holds the cosets already present.  Returns the element ids of
-        the cosets added and `mask` with their bits.  One representative per
-        coset is multiplied, since s·rK = (s·r)K.
+        `seen` holds b"1" at the element ids already present and b"0"
+        elsewhere; the cosets added are marked in it.  Returns their element
+        ids, or None once a coset beyond the first `room` turns up.  One
+        representative per coset is multiplied, since s·rK = (s·r)K.
         """
-        mul, bit, take = self.mul, self.bit, k.take
+        mul, take = self.mul, k.take
         added = list(take(mul[g]))
-        mask |= sum(map(bit.__getitem__, added))
+        for x in added:
+            seen[x] = _ONE
         reps = [g]
         for r in reps:  # grows while it is read
             for s in gens:
                 t = mul[s][r]
-                if not mask & bit[t]:
+                if seen[t] == _ZERO:
+                    if len(reps) == room:
+                        return None
                     coset = take(mul[t])
                     added += coset
-                    mask |= sum(map(bit.__getitem__, coset))
+                    for x in coset:
+                        seen[x] = _ONE
                     reps.append(t)
-        return added, mask
+        return added
 
     def extend(self, k: _Subgroup, g: int) -> _Subgroup:
         """<K, g>, as K's elements followed by whole left cosets r·K (Dimino).
 
         K and gK are closed under left multiplication by the generators of
         K and g, so their union with the cosets that reaches is <K, g>.
+        A subgroup strictly between K and G holds at most |G:K|/p cosets of
+        K, for p the least prime factor of |G:K| (Lagrange), so the closure
+        stops at the first coset past that count and returns G; when |G:K|
+        is prime nothing lies strictly between, and G is returned at once.
         """
         if k.mask & self.bit[g]:
             return k
         gens = k.gens + (g,)
-        added, mask = self._left_cosets(k, gens, g, k.mask)
-        return _Subgroup(k.elems + added, mask, gens)
+        n = self.n
+        index = n // len(k.elems)
+        p = _least_prime_factor(index)
+        if p < index:
+            seen = bytearray(b"0") * n
+            for x in k.elems:
+                seen[x] = _ONE
+            added = self._left_cosets(k, gens, g, seen, index // p - 1)
+            if added is not None:
+                return _Subgroup(k.elems + added, int(seen[::-1], 2), gens)
+        return _Subgroup(self.all_ids, (1 << n) - 1, gens)
 
     def double_coset(self, k: _Subgroup, g: int) -> int:
         """The bitset of KgK: the left cosets of K reached from gK by left multiplication by K."""
-        return self._left_cosets(k, k.gens, g, 0)[1]
+        seen = bytearray(b"0") * self.n
+        self._left_cosets(k, k.gens, g, seen, self.n)
+        return int(seen[::-1], 2)
 
     def generated(self, ids: Iterable[int]) -> _Subgroup:
         """The subgroup generated by `ids`; its generators are those that were not yet inside."""

@@ -63,6 +63,13 @@ class BooleanInterval:
             raise InvalidParameters("labels must strictly divide downward along covers")
         self._set(n, idx, ids)
 
+    @classmethod
+    def _trusted(cls, n: int, idx: tuple, ids=None) -> BooleanInterval:
+        """An interval on labels that are valid by construction, built without the checks."""
+        interval = cls.__new__(cls)
+        interval._set(n, idx, ids)
+        return interval
+
     def _set(self, n: int, idx: tuple, ids) -> None:
         self.n = n
         self.idx = idx
@@ -112,9 +119,7 @@ class BooleanInterval:
         idx = self.idx
         ids = None if self.ids is None else pick(self.ids)
         # A sub-interval of validated labels is valid: skip the checks.
-        sub = BooleanInterval.__new__(BooleanInterval)
-        sub._set((b & ~a).bit_count(), tuple(map(floordiv, pick(idx), repeat(idx[b]))), ids)
-        return sub
+        return BooleanInterval._trusted((b & ~a).bit_count(), tuple(map(floordiv, pick(idx), repeat(idx[b]))), ids)
 
     def __repr__(self) -> str:
         return f"BooleanInterval(n={self.n}, index={self.total_index})"
@@ -334,12 +339,19 @@ def boolean_index_model(p: int, n: int, specials: Sequence = ()) -> BooleanInter
     The labels are the Kronecker product of one factor vector per block, the
     lowest bits varying fastest: a block of size k with j bits set
     contributes p^(k-j-1) q until it is complete and 1 once it is, a free
-    atom contributes p^(1-j).
+    atom contributes p^(1-j).  With p, q >= 2 and block sizes >= 1 these
+    labels are valid by construction, and so the product is built without
+    the checks of `BooleanInterval`: each factor is positive and ends in 1,
+    and a cover of a block multiplies its label by p or q.  A cover of the
+    product changes the coordinate of exactly one block, so its ratio is a
+    cover ratio of that block's factor, and the top label is the product of
+    the factors' tops, 1.
     """
+    p, n = integer_labels((p, n), "p and n")
     if p < 2 or n < 1:
         raise InvalidParameters("need p >= 2 and n >= 1")
     blocks = list(zip(integer_labels((q for q, _ in specials), "special block indices"),
-                      (size for _, size in specials)))
+                      integer_labels((size for _, size in specials), "special block sizes")))
     for q, size in blocks:
         if q < 2 or size < 1:
             raise InvalidParameters("special blocks need q >= 2 and size >= 1")
@@ -354,7 +366,7 @@ def boolean_index_model(p: int, n: int, specials: Sequence = ()) -> BooleanInter
         # labels * f for each entry f of the factor in turn, in one C-level pass
         spread = chain.from_iterable(map(repeat, factor, repeat(len(labels))))
         labels = tuple(map(mul, labels * len(factor), spread))
-    return BooleanInterval(n, labels)
+    return BooleanInterval._trusted(n, labels)
 
 
 def uniform_model(p: int, n: int) -> BooleanInterval:

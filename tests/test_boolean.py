@@ -443,6 +443,39 @@ class TestLabelsAreExactIntegers:
         assert tt.boolean_index_model(3, 2, [(kind(5), 1)]).idx == tt.boolean_index_model(3, 2, [(5, 1)]).idx
 
 
+class TestModelsAreValidByConstruction:
+    """`boolean_index_model` checks its parameters and builds its labels without the full checks."""
+
+    def test_every_totient_formulas_model_passes_the_full_checks(self):
+        models = []
+        for p in range(2, 14):
+            models += [tt.uniform_model(p, n) for n in range(1, 8)]
+            models += [tt.pq_model(p, q, n, m) for q in range(p, 14) for n in range(1, 8) for m in range(n + 1)]
+        models += [tt.pq_model(p, p * p, n, m) for p in (2, 3) for n in range(1, 7) for m in range(1, n + 1)]
+        for model in models:
+            checked = tt.BooleanInterval(model.n, model.idx)
+            assert (checked.n, checked.idx, checked.ids) == (model.n, model.idx, model.ids)
+
+    @given(label_vectors())
+    @settings(max_examples=100, deadline=None)
+    def test_random_models_pass_the_full_checks(self, model):
+        assert tt.BooleanInterval(model.n, model.idx).idx == model.idx
+
+    @pytest.mark.parametrize("args", [
+        (1, 2), (3, 0), (3, 2, [(1, 1)]), (3, 2, [(5, 0)]), (3, 2, [(5, -1)]), (3, 2, [(5, 2), (7, 1)]),
+    ])
+    def test_invalid_parameters_are_refused(self, args):
+        with pytest.raises(InvalidParameters):
+            tt.boolean_index_model(*args)
+
+    @pytest.mark.parametrize("args", [
+        (3.0, 2), (2.5, 2), (3, 2.0), (3, 2, [(5.0, 1)]), (3, 2, [(5, 1.0)]), (Fraction(3), 2),
+    ], ids=repr)
+    def test_non_integer_parameters_are_refused(self, args):
+        with pytest.raises(InvalidParameters, match="must be integers"):
+            tt.boolean_index_model(*args)
+
+
 class TestEdgeIndex:
     def test_boolean_interval_refuses_non_covers(self):
         model = tt.pq_model(3, 5, 3, 2)

@@ -41,6 +41,12 @@ def recursive_factorizations(number, parts, min_factor=3):
     return result
 
 
+def enumerated_leaf_bounds(p, q, n):
+    """(min, max) of the closed form for (p, ..., p, q) over every coatom count m = 1..n."""
+    values = [tt.closed_form_p_n_q(p, q, n, m) for m in range(1, n + 1)]
+    return (min(values), max(values))
+
+
 def recursive_phihat_bounds(chain_type, memo=None):
     """The bounds walk as it was written first: one recursive call per sub-type, with its own memo."""
     memo = {} if memo is None else memo
@@ -55,9 +61,7 @@ def recursive_phihat_bounds(chain_type, memo=None):
     else:
         shape = cf._single_divergent_shape(key)
         if shape is not None:
-            p, q = shape
-            values = [tt.closed_form_p_n_q(p, q, len(key), m) for m in range(1, len(key) + 1)]
-            result = (min(values), max(values))
+            result = enumerated_leaf_bounds(*shape, len(key))
         else:
             c = max(key)
             rest = list(key)
@@ -181,6 +185,18 @@ class TestLemmaScan:
         finally:
             cf._BOUNDS_MEMO.clear()
             cf._BOUNDS_MEMO.update(saved)
+
+    def test_leaf_bounds_match_the_enumeration_over_coatom_counts(self):
+        for p in range(2, 8):
+            for q in range(p + 1, 12):
+                for n in range(1, 12):
+                    assert cf._leaf_bounds((p,) * (n - 1) + (q,)) == enumerated_leaf_bounds(p, q, n), (p, q, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 14), st.integers(1, 25), st.integers(1, 39))
+    def test_leaf_bounds_match_the_enumeration_on_random_types(self, p, gap, n):
+        q = p + gap
+        assert cf._leaf_bounds((p,) * (n - 1) + (q,)) == enumerated_leaf_bounds(p, q, n)
 
     def test_minimum_is_exact_over_branch_enumeration(self):
         # independent oracle: enumerate the recursion directly with explicit

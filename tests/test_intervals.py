@@ -594,6 +594,116 @@ class TestNormalizerOrbits:
         assert len(iv.full_subgroup_lattice(group, cap=members)) == members
 
 
+def reference_closure(amb, gens):
+    """The bitset of <gens>: the identity closed under left multiplication by `gens`, with no early exit."""
+    reached = {amb.identity}
+    frontier = [amb.identity]
+    for x in frontier:  # grows while it is read
+        for s in gens:
+            y = amb.mul[s][x]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return sum(1 << x for x in reached)
+
+
+def reference_extend(amb, mask, gens, g):
+    """(bitset, generators) of <K, g> for K = <gens> with bitset `mask`, as `extend` gives them."""
+    if mask >> g & 1:
+        return mask, gens
+    return reference_closure(amb, gens + (g,)), gens + (g,)
+
+
+def reference_extend_all(amb, mask, gens, ids):
+    """`reference_extend` by each id in turn: (bitset, generators)."""
+    for x in ids:
+        mask, gens = reference_extend(amb, mask, gens, x)
+    return mask, gens
+
+
+def assert_extends_like_the_reference(amb, k):
+    for g in range(amb.n):
+        ext = amb.extend(k, g)
+        assert (ext.mask, ext.gens) == reference_extend(amb, k.mask, k.gens, g)
+        assert ext.elems[0] == amb.identity
+        assert sorted(ext.elems) == lat.bits(ext.mask)
+
+
+def no_closure(*args):
+    raise AssertionError("the coset closure ran")
+
+
+class TestLagrangeStop:
+    """`extend` returns G once <K, g> holds more than |G:K|/p cosets of K, p the least prime factor of |G:K|."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(groups_with_base())
+    def test_extend_matches_a_closure_with_no_early_exit(self, pair):
+        group, base = pair
+        amb = iv._ambient(group)
+        k = amb.generated(lat.bits(amb.subgroup_mask(base)))
+        assert (k.mask, k.gens) == reference_extend_all(amb, amb.trivial.mask, (), lat.bits(amb.subgroup_mask(base)))
+        assert_extends_like_the_reference(amb, k)
+        assert_extends_like_the_reference(amb, amb.trivial)
+
+    @settings(max_examples=40, deadline=None)
+    @given(groups_with_base())
+    def test_generators_and_normalizer_generators_are_unchanged(self, pair):
+        group, base = pair
+        # with no generators given, the ambient group picks its own from all elements
+        amb = iv._Ambient(FiniteGroup(group.degree, [], group.elements))
+        assert amb.gens == reference_extend_all(amb, amb.trivial.mask, (), range(amb.n))[1]
+        k = amb.generated(lat.bits(amb.subgroup_mask(base)))
+        normalizing = [
+            s for s in range(amb.n)
+            if all(k.mask >> amb.mul[amb.mul[s][h]][amb.inv[s]] & 1 for h in k.gens)
+        ]
+        expected = reference_extend_all(amb, k.mask, k.gens, normalizing)[1][len(k.gens):]
+        assert amb.normalizer_gens(k) == expected
+
+    @pytest.mark.parametrize("group, sub", [
+        (cat.symmetric(3), a3_in_s3()),
+        (cat.symmetric(5), subgroup_generated(cat.symmetric(5), [p for p in cat.symmetric(5).elements if p(4) == 4])),
+    ], ids=["a3 in s3", "s4 in s5"])
+    def test_prime_index_base_gives_the_whole_group_with_no_closure(self, group, sub, monkeypatch):
+        amb = iv._Ambient(group)
+        k = amb.generated(lat.bits(amb.subgroup_mask(sub)))
+        assert amb.n // len(k.elems) in (2, 5)
+        monkeypatch.setattr(amb, "_left_cosets", no_closure)
+        for g in lat.bits(((1 << amb.n) - 1) & ~k.mask):
+            ext = amb.extend(k, g)
+            assert (ext.mask, ext.gens, ext.elems) == ((1 << amb.n) - 1, k.gens + (g,), list(range(amb.n)))
+
+    def test_trivial_subgroup_of_a_prime_cyclic_group(self, monkeypatch):
+        amb = iv._Ambient(cat.cyclic(7))
+        monkeypatch.setattr(amb, "_left_cosets", no_closure)
+        for g in range(1, 7):
+            ext = amb.extend(amb.trivial, g)
+            assert (ext.mask, ext.gens, ext.elems) == (0b1111111, (g,), list(range(7)))
+        assert amb.extend(amb.trivial, amb.identity) is amb.trivial
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_order_one_group(self, degree):
+        amb = iv._Ambient(trivial_group(degree))
+        assert amb.extend(amb.trivial, 0) is amb.trivial
+        assert amb.generated([0]) is amb.trivial
+        assert amb.double_coset(amb.trivial, 0) == 1
+        assert amb.normalizer_gens(amb.trivial) == ()
+        assert len(iv.full_subgroup_lattice(trivial_group(degree))) == 1
+
+    def test_double_coset_covering_most_of_the_group_does_not_stop_early(self):
+        # S5 is 2-transitive, so K g K = G minus K for the stabilizer K of a point and any g moving it
+        group = cat.symmetric(5)
+        amb = iv._Ambient(group)
+        stabilizer = [amb.index[p.images] for p in group.elements if p(4) == 4]
+        k = amb.generated(stabilizer)
+        assert len(k.elems) == 24
+        for g in lat.bits(((1 << amb.n) - 1) & ~k.mask):
+            double = amb.double_coset(k, g)
+            assert double == ((1 << amb.n) - 1) & ~k.mask
+            assert double == sum({1 << amb.mul[amb.mul[a][g]][b] for a in k.elems for b in k.elems})
+
+
 class TestOre:
     def test_a3_s3_witness_is_a_transposition(self):
         interval = iv.overgroup_interval(cat.symmetric(3), a3_in_s3())
