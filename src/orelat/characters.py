@@ -27,7 +27,7 @@ import numpy as np
 
 from . import lattice as lat
 from .errors import InvalidParameters, NotAnInteger, ValidationFailed
-from .intervals import GroupInterval, _ambient, _element_ids
+from .intervals import GroupInterval, _ambient
 from .perm import FiniteGroup
 
 TOLERANCE = 1e-6
@@ -53,11 +53,12 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
     """Conjugation orbits over element indices, ordered by first representative.
 
     An orbit is closed under conjugation by the group's generators only,
-    which generate every conjugation.
+    which generate every conjugation; each generator's table y -> g·y·g⁻¹
+    is the one `_Ambient.conjugation` builds and keeps for `core`.
     """
     amb = _ambient(group)
     n = amb.n
-    mul, inv, gens = amb.mul, amb.inv, amb.gens
+    tables = [amb.conjugation(g) for g in amb.gens]
     class_of = [-1] * n
     classes = []
     for x in range(n):
@@ -67,8 +68,8 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
         stack = [x]
         while stack:
             y = stack.pop()
-            for g in gens:
-                z = mul[mul[g][y]][inv[g]]
+            for table in tables:
+                z = table[y]
                 if z not in orbit:
                     orbit.add(z)
                     stack.append(z)
@@ -107,7 +108,7 @@ class CharacterTable:
         sums = self._sums.get(mask)
         if sums is None:
             counts = [0] * len(self.classes)
-            for c in map(self.classes.class_of.__getitem__, _element_ids(mask)):
+            for c in map(self.classes.class_of.__getitem__, _ambient(self.group).element_ids(mask)):
                 counts[c] += 1
             sums = self._sums[mask] = (self.values @ np.array(counts, dtype=np.float64)).tolist()
         return sums

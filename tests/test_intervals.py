@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orelat import catalog as cat
@@ -12,7 +12,7 @@ from orelat import intervals as iv
 from orelat import lattice as lat
 from orelat import reproduce as rp
 from orelat import totients as tt
-from orelat.errors import CapExceeded, NotASubgroup, NotDistributive
+from orelat.errors import CapExceeded, InvalidParameters, NotASubgroup, NotDistributive
 from orelat.perm import FiniteGroup, Permutation, generate, subgroup_generated, trivial_group
 from dense_lattice import DenseLattice, complement, dense, leq, member_id, sub_interval
 from test_lattice import (
@@ -235,6 +235,7 @@ class TestOvergroupInterval:
         group, _ = pair
         amb = iv._ambient(group)
         elems = group.elements
+        assert all(type(row) is bytes for row in amb.mul)
         for a in range(group.order):
             for b in range(group.order):
                 assert elems[amb.mul[a][b]] == elems[a] * elems[b]
@@ -243,7 +244,7 @@ class TestOvergroupInterval:
     @pytest.mark.parametrize("degree", [1, 3])
     def test_trivial_group_table(self, degree):
         amb = iv._ambient(trivial_group(degree))
-        assert amb.mul == [(0,)] and amb.inv == [0]
+        assert amb.mul == [b"\0"] and amb.inv == [0]
         assert amb.elems[amb.inv[0]] == amb.elems[0].inverse()
 
     @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES + ("s2xs3_3",))
@@ -290,6 +291,59 @@ class TestOvergroupInterval:
         assert len(fresh) == 30
         assert fresh._members is None
         assert fresh.members == full.members
+
+
+class TestTableRows:
+    """Rows are `bytes` up to order 256, composed by `bytes.translate`, and tuples above."""
+
+    @staticmethod
+    def assert_table_matches_composition(group, row_type):
+        amb = iv._ambient(group)
+        elems = group.elements
+        assert {type(row) for row in amb.mul} == {row_type}
+        assert [elems[x] for x in amb.inv] == [p.inverse() for p in elems]
+        for a, p in enumerate(elems):
+            assert [elems[x] for x in amb.mul[a]] == [p * q for q in elems]
+
+    @pytest.mark.parametrize("bare", [False, True])
+    @pytest.mark.parametrize("n, row_type", [(128, bytes), (129, tuple)])
+    def test_rows_match_composition_at_the_cut(self, n, row_type, bare):
+        # dihedral(128) has order 256, so its rows are padded by 0 bytes; a
+        # bare group is given no generators and takes every element, `gens or range(n)`
+        group = cat.dihedral(n)
+        if bare:
+            group = FiniteGroup(n, [], group.elements)
+            iv._ambient.cache_clear()
+        self.assert_table_matches_composition(group, row_type)
+
+    @pytest.mark.parametrize("n", [3, 129])
+    def test_generators_that_do_not_generate_are_refused(self, n):
+        # the rotation alone reaches half of the dihedral group, on either side of the cut
+        group = cat.dihedral(n)
+        rotation = Permutation([(i + 1) % n for i in range(n)])
+        partial = FiniteGroup(n, [rotation], group.elements)
+        for build in (iv._ambient, iv.full_subgroup_lattice, ch.conjugacy_classes):
+            # groups are equal by their elements, so a cached table of the whole group would answer
+            iv._ambient.cache_clear()
+            with pytest.raises(InvalidParameters, match=f"reach {n} of the group's {2 * n} elements"):
+                build(partial)
+
+
+class TestElementIds:
+    """`element_ids` walks sparse masks bit by bit and reads dense ones off their digits; both agree with `lat.bits`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([4, 5, 6]),
+        st.one_of(st.lists(st.integers(0, 719), max_size=60), st.integers(0, 2 ** 720 - 1)),
+    )
+    @example(6, 2 ** 720 - 1)
+    @example(6, [])
+    def test_sparse_and_dense_masks(self, degree, ids):
+        amb = iv._ambient(cat.symmetric(degree))
+        mask = sum({1 << x for x in ids}) if isinstance(ids, list) else ids
+        mask &= (1 << amb.n) - 1
+        assert amb.element_ids(mask) == lat.bits(mask)
 
 
 class TestFullLattices:
@@ -887,6 +941,24 @@ class TestConjugacyClasses:
         assert [list(c) for c in ch.conjugacy_classes(group).classes] == expected
         bare = FiniteGroup(group.degree, [], group.elements)
         assert [list(c) for c in ch.conjugacy_classes(bare).classes] == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(groups_with_base())
+    def test_conjugation_tables_match_permutations(self, pair):
+        group, _ = pair
+        amb = iv._ambient(group)
+        elems = group.elements
+        for s in {0, group.order - 1, *amb.gens}:
+            p, p_inv = elems[s], elems[s].inverse()
+            assert [elems[z] for z in amb.conjugation(s)] == [p * y * p_inv for y in elems]
+
+    def test_classes_read_the_conjugation_tables(self):
+        # `conjugacy_classes` builds the generators' tables that `core` reads
+        group = cat.dihedral(7)
+        amb = iv._ambient(group)
+        amb._conjugations.clear()
+        ch.conjugacy_classes(group)
+        assert set(amb._conjugations) == set(amb.gens)
 
 
 def sliced_top_verdicts(full, table) -> dict:
