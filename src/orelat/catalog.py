@@ -3,8 +3,10 @@
 The catalog is an artifact choice: cyclic and dihedral groups, symmetric and
 alternating groups through degree 5, a few direct products, the order-168
 projective group on 8 points, and the wreath-like products S2 x S3^n whose
-base interval realizes the conjectured lower bound.  Everything is cached;
-construction is deterministic.
+base interval realizes the conjectured lower bound.  Each named group is
+built once; its intervals are memoized with its multiplication table in
+`intervals`, so `catalog_interval` returns the same object on every call.
+Construction is deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from .errors import ParseError
 from .perm import FiniteGroup, Permutation, generate, subgroup_generated, trivial_group
-from .intervals import GroupInterval, full_subgroup_lattice, overgroup_interval
+from .intervals import GroupInterval, overgroup_interval
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -222,7 +224,6 @@ SCAN_GROUP_NAMES = (
 )
 
 
-@lru_cache(maxsize=None)
 def scan_groups(max_order: int = 200) -> tuple:
     """(name, group) pairs used by whole-catalog scans, order-capped."""
     pairs = []
@@ -231,12 +232,3 @@ def scan_groups(max_order: int = 200) -> tuple:
         if group.order <= max_order:
             pairs.append((name, group))
     return tuple(pairs)
-
-
-def rank2_scan_groups() -> tuple:
-    return scan_groups(200)
-
-
-@lru_cache(maxsize=None)
-def cached_full_lattice(name: str) -> GroupInterval:
-    return full_subgroup_lattice(catalog_group(name))

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from . import lattice as lat
 from . import totients as tt
 from .errors import InvalidParameters, NotBoolean, NotDistributive
-from .intervals import IndexedInterval
+from .intervals import IndexedInterval, _least_prime_factor
 from .totients import BooleanInterval
 
 ALLSPLIT_PRODUCT_LIMIT = 32
@@ -619,36 +619,25 @@ def _forced_type_step(chain_type: tuple) -> Optional[CertStep]:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 # -- the rank-2 census pattern ------------------------------------------------
 
 
-def rank2_index_table(limit: int, groups: Optional[Sequence] = None) -> list:
+def rank2_index_table(limit: int) -> list:
     """Quadruples (|G:K|, |G:L|, |L:H|, |K:H|) of catalog rank-2 boolean intervals.
 
-    Scans every pair of subgroups of every scan group (default: the
-    catalog's, through its cached full lattices) whose interval is boolean
-    of rank 2 with index below `limit`.  Returns (quadruple, where) rows;
-    `census_pattern_holds` tells which rows fit the census pattern.
+    Scans every pair of subgroups of every catalog scan group whose
+    interval is boolean of rank 2 with index below `limit`.  Returns
+    (quadruple, "name[lo,hi]") rows; `census_pattern_holds` tells which
+    rows fit the census pattern.
     """
-    if groups is None:
-        from .catalog import cached_full_lattice, rank2_scan_groups
-        fulls = [(name, cached_full_lattice(name)) for name, _ in rank2_scan_groups()]
-    else:
-        from .intervals import full_subgroup_lattice
-        fulls = [(name, full_subgroup_lattice(group)) for name, group in groups]
+    from .catalog import catalog_interval, scan_groups
 
     results = []
-    for name, full in fulls:
+    for name, _ in scan_groups(200):
+        full = catalog_interval(name)
         lattice, idx = full.lattice, full.idx
         for lo in range(lattice.n):
             up_lo = lattice._up[lo]

@@ -69,10 +69,9 @@ def _resolve_pair(args) -> tuple:
         raise ParseError("give either --catalog NAME or --group-file FILE")
     ambient = load_group_file(args.group_file, args.cap)
     if args.subgroup_file:
-        base_raw = load_group_file(args.subgroup_file, args.cap)
-        if base_raw.degree != ambient.degree:
+        base = load_group_file(args.subgroup_file, args.cap)
+        if base.degree != ambient.degree:
             raise ParseError("group and subgroup files have different degrees")
-        base = FiniteGroup(ambient.degree, base_raw.generators, base_raw.elements)
         if not base <= ambient:
             raise NotASubgroup("subgroup file is not contained in the group file")
         return ambient, base
@@ -278,9 +277,9 @@ def main(argv: Optional[list] = None) -> int:
     try:
         report = args.func(args)
     except (OrelatError, RecursionError) as exc:
-        # certifier._phihat_bounds recurses once per chain entry, so a
-        # scenario with more factors than the interpreter's stack holds
-        # exhausts a budget
+        # no library function recurses with the size of its input, so a
+        # RecursionError means a computation outgrew the interpreter's
+        # stack: like a cap, a budget was exhausted, not an input refused
         if isinstance(exc, (CapExceeded, RecursionError)):
             code = EXIT_CAP
         elif isinstance(exc, (ValidationFailed, NotAnInteger, OreViolation)):

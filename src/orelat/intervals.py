@@ -44,10 +44,13 @@ Its members are the bitsets `masks`, over the element ids of
 directly (the characters count their elements per class), and `members`
 decodes them to `FiniteGroup`s only when first read.
 
-Each interval is memoized on its ambient group's `_Ambient`, by the bitset
-of its base, for as long as the `_ambient` LRU (32 groups) keeps that group.
-Later calls return the same object, which is shared and must not be
-mutated; the member cap is checked on every call.
+A group's `_Ambient` is the one cache of what is derived from the group:
+its table, its conjugations and its intervals.  `_ambient` keeps the last 32,
+keyed by the group and its generators, since the generators build the table
+and groups compare equal by their elements alone.  Each interval is
+memoized on its `_Ambient` by the bitset of its base; later calls return
+the same object, which is shared and must not be mutated, and the member
+cap is checked on every call.
 """
 
 from __future__ import annotations
@@ -304,8 +307,13 @@ def _multiplication_table(images: list, index: dict, gens: Sequence[int], identi
     return mul, inv
 
 
-@lru_cache(maxsize=32)
 def _ambient(group: FiniteGroup) -> _Ambient:
+    """The group's `_Ambient`, shared by every equal group with the same generators."""
+    return _ambient_memo(group, group.generators)
+
+
+@lru_cache(maxsize=32)
+def _ambient_memo(group: FiniteGroup, generators: tuple) -> _Ambient:
     return _Ambient(group)
 
 
@@ -473,8 +481,8 @@ def overgroup_interval(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_
     """Every K with sub <= K <= group, as a labelled lattice, memoized on the ambient group.
 
     The interval is enumerated once per base for as long as `_ambient` keeps
-    the group (its LRU holds 32); later calls return the same object, which
-    is shared and must not be mutated.  `cap` is checked on every call.
+    the group; later calls return the same object, which is shared and must
+    not be mutated.  `cap` is checked on every call.
     """
     amb = _ambient(group)
     key = amb.subgroup_mask(sub)
@@ -493,24 +501,15 @@ def full_subgroup_lattice(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> 
     return overgroup_interval(group, trivial_group(group.degree), cap)
 
 
-def _bb_edge_table(lattice: lat.FiniteLattice):
-    """Memoized test of whether [u, v] is bottom-boolean, over pairs of element ids.
+def _is_bb_edge(lattice: lat.FiniteLattice, u: int, v: int) -> bool:
+    """Whether [u, v] is bottom-boolean: [u, b] is boolean for b the join of its atoms.
 
-    The atoms of [u, v] are the covers of u below v; [u, v] is bottom-boolean
-    when [u, b] is boolean for b their join.
+    The atoms of [u, v] are the covers of u below v.
     """
-    cache: dict = {}
-
-    def edge(u: int, v: int) -> bool:
-        key = (u, v)
-        if key not in cache:
-            b = u
-            for a in lat.bits(lattice._upper[u] & lattice._down[v]):
-                b = lattice.join(b, a)
-            cache[key] = lat.is_boolean_interval(lattice, u, b)
-        return cache[key]
-
-    return edge
+    b = u
+    for a in lat.bits(lattice._upper[u] & lattice._down[v]):
+        b = lattice.join(b, a)
+    return lat.is_boolean_interval(lattice, u, b)
 
 
 def _bb_levels(lattice: lat.FiniteLattice):
@@ -518,9 +517,9 @@ def _bb_levels(lattice: lat.FiniteLattice):
 
     One breadth-first search runs down from the top over the bottom-boolean
     edges [u, v], read backwards, so the levels come in increasing
-    distance.  Every cover is such an edge, so every member is reached.
+    distance.  Every cover is such an edge, so every member is reached, and
+    each v is expanded once, so no edge is tested twice.
     """
-    edge = _bb_edge_table(lattice)
     reached = 1 << lattice.top
     level = [lattice.top]
     while level:
@@ -528,7 +527,7 @@ def _bb_levels(lattice: lat.FiniteLattice):
         below = []
         for v in level:
             for u in lat.bits(lattice._down[v] & ~reached):
-                if edge(u, v):
+                if _is_bb_edge(lattice, u, v):
                     reached |= 1 << u
                     below.append(u)
         level = below

@@ -36,7 +36,7 @@ class FiniteLattice:
 
     __slots__ = (
         "n", "bottom", "top",
-        "_down", "_up", "_lower", "_upper", "_ranks", "_graded", "_distributive", "_boolean", "_covers",
+        "_down", "_up", "_lower", "_upper", "_ranks", "_graded", "_distributive", "_covers",
     )
 
     def __init__(self, lower_covers: Sequence[Iterable[int]]):
@@ -80,7 +80,6 @@ class FiniteLattice:
         self._ranks = tuple(ranks)
         self._graded = graded
         self._distributive: Optional[bool] = None
-        self._boolean: Optional[bool] = None
         self._covers = None
 
     @property
@@ -170,7 +169,7 @@ def _distributive_above(lat: FiniteLattice, a: int) -> bool:
 
 
 def is_boolean(lat: FiniteLattice) -> bool:
-    """Whether the lattice is boolean; cached per lattice.
+    """Whether the lattice is boolean.
 
     The test is `boolean_elements` on [bottom, top]: the joins of the
     subsets of the atoms must be distinct and make up the whole lattice.
@@ -178,9 +177,7 @@ def is_boolean(lat: FiniteLattice) -> bool:
     join(S | T) = join T, so S is a subset of T), so the lattice is the
     subset lattice of its atoms.
     """
-    if lat._boolean is None:
-        lat._boolean = is_boolean_interval(lat, lat.bottom, lat.top)
-    return lat._boolean
+    return is_boolean_interval(lat, lat.bottom, lat.top)
 
 
 def bits(mask: int) -> list:

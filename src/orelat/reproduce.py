@@ -9,7 +9,6 @@ carry the location of the published value they pin.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from importlib import resources
 from typing import Optional
 
@@ -186,11 +185,6 @@ def run_totient_formulas() -> tuple:
 # -- catalog-primitivity ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _cached_table(name: str):
-    return ch.character_table(cat.catalog_group(name))
-
-
 def _top_intervals(full: iv.GroupInterval, table: ch.CharacterTable):
     """(h, certificate, witness row or None) for each distributive [h, G], read off a full lattice.
 
@@ -219,8 +213,8 @@ def run_catalog_primitivity() -> tuple:
     monitor_violations = []
     scanned = certified = boolean_count = 0
     for name, group in cat.scan_groups(200):
-        full = cat.cached_full_lattice(name)
-        for h, cert, witness in _top_intervals(full, _cached_table(name)):
+        full = cat.catalog_interval(name)
+        for h, cert, witness in _top_intervals(full, ch.character_table(group)):
             scanned += 1
             if cert.is_primitive:
                 certified += 1

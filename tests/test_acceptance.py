@@ -119,7 +119,7 @@ def test_criterion_5_representation_identity():
         sizes = np.array(table.classes.sizes, dtype=float)
         gram = (table.values * sizes / group.order) @ table.values.conj().T
         ok = ok and np.max(np.abs(gram - np.eye(len(table)))) < 1e-6
-        full = cat.cached_full_lattice(name)
+        full = cat.catalog_interval(name)
         for member in full.members:
             pairs += 1
             if not ch.index_identity_holds(table, member):
@@ -129,7 +129,7 @@ def test_criterion_5_representation_identity():
 
 def _distributive_catalog_intervals():
     for name, _group in cat.scan_groups(200):
-        full = cat.cached_full_lattice(name)
+        full = cat.catalog_interval(name)
         top = full.lattice.top
         for h in range(full.lattice.n):
             interval = sub_interval(full, h, top)
@@ -196,7 +196,7 @@ def test_criterion_9_conjecture_monitor():
     violations = []
     monitored = 0
     for name, _group in cat.scan_groups(200):
-        full = cat.cached_full_lattice(name)
+        full = cat.catalog_interval(name)
         lattice = full.lattice
         sizes = [m.order for m in full.members]
         for lo in range(lattice.n):

@@ -147,7 +147,7 @@ class TestSyntheticModels:
 
 def catalog_boolean_top_intervals():
     for name in SMALL_SCAN:
-        full = cat.cached_full_lattice(name)
+        full = cat.catalog_interval(name)
         top = full.lattice.top
         for h in range(full.lattice.n):
             part = sub_interval(full, h, top)
@@ -175,7 +175,7 @@ class TestCatalogIntervals:
     @pytest.mark.parametrize("name", ["z12", "v4", "psl2_7"])
     def test_non_boolean_lattices_are_refused(self, name):
         with pytest.raises(NotBoolean):
-            tt.to_boolean(tt.from_group_interval(cat.cached_full_lattice(name)))
+            tt.to_boolean(tt.from_group_interval(cat.catalog_interval(name)))
 
 
 def _random_linear_extension(n, rng):
@@ -485,7 +485,7 @@ class TestEdgeIndex:
                 model.edge_index(x, y)
 
     def test_indexed_interval_refuses_non_covers(self):
-        reference = tt.from_group_interval(cat.cached_full_lattice("s3"))
+        reference = tt.from_group_interval(cat.catalog_interval("s3"))
         lattice = reference.lattice
         covers = {(x, y) for x in range(lattice.n) for y in lat.upper_covers(lattice, x)}
         for x in range(lattice.n):

@@ -124,13 +124,13 @@ class TestFixedDim:
     def test_index_identity(self, name):
         group = cat.catalog_group(name)
         table = ch.character_table(group)
-        for member in cat.cached_full_lattice(name).members:
+        for member in cat.catalog_interval(name).members:
             assert ch.index_identity_holds(table, member)
 
     def test_monotone_under_inclusion(self):
         group = cat.symmetric(4)
         table = ch.character_table(group)
-        full = cat.cached_full_lattice("s4")
+        full = cat.catalog_interval("s4")
         lattice = full.lattice
         for x in range(lattice.n):
             for y in range(lattice.n):
@@ -178,7 +178,7 @@ class TestLinearPrimitivity:
         for name in ("s3", "d4", "a4", "s4"):
             group = cat.catalog_group(name)
             table = ch.character_table(group)
-            full = cat.cached_full_lattice(name)
+            full = cat.catalog_interval(name)
             top = full.lattice.top
             for co in lat.coatoms(full.lattice):
                 interval = sub_interval(full, co, top)
@@ -189,7 +189,7 @@ class TestLinearPrimitivity:
         for name in ("s4", "d6", "z12", "a4"):
             group = cat.catalog_group(name)
             table = ch.character_table(group)
-            full = cat.cached_full_lattice(name)
+            full = cat.catalog_interval(name)
             top = full.lattice.top
             for h in range(full.lattice.n):
                 interval = sub_interval(full, h, top)
@@ -203,7 +203,7 @@ class TestLinearPrimitivity:
         for name in ("z6", "z12", "d4", "d6", "s4", "s2xs3"):
             group = cat.catalog_group(name)
             table = ch.character_table(group)
-            full = cat.cached_full_lattice(name)
+            full = cat.catalog_interval(name)
             top = full.lattice.top
             for h in range(full.lattice.n):
                 interval = sub_interval(full, h, top)
@@ -308,7 +308,7 @@ def assert_table_matches_reference(group, full):
 class TestAgainstPerScalarFormulas:
     @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
     def test_scan_groups(self, name):
-        assert_table_matches_reference(cat.catalog_group(name), cat.cached_full_lattice(name))
+        assert_table_matches_reference(cat.catalog_group(name), cat.catalog_interval(name))
 
     @settings(max_examples=30, deadline=None)
     @given(groups_with_base())

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -196,7 +197,7 @@ class TestOvergroupInterval:
             iv.full_subgroup_lattice(cat.symmetric(4), cap=5)
 
     def test_index_labels_are_order_reversing(self):
-        interval = cat.cached_full_lattice("s4")
+        interval = cat.catalog_interval("s4")
         lattice = interval.lattice
         for x in range(lattice.n):
             for y in range(lattice.n):
@@ -218,11 +219,11 @@ class TestOvergroupInterval:
     @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
     def test_matches_reference_on_scan_groups(self, name):
         group = cat.catalog_group(name)
-        full = cat.cached_full_lattice(name)
+        full = cat.catalog_interval(name)
         assert member_sets(full) == reference_overgroups(group, trivial_group(group.degree))
 
     def test_members_ordered_by_size_then_element_ids(self):
-        full = cat.cached_full_lattice("s4")
+        full = cat.catalog_interval("s4")
         elems = full.ambient.elements
         keys = [
             (m.order, sorted(elems.index(p) for p in m.elements)) for m in full.members
@@ -286,7 +287,7 @@ class TestOvergroupInterval:
         assert interval.members is interval.members
 
     def test_len_does_not_build_members(self):
-        full = cat.cached_full_lattice("s4")
+        full = cat.catalog_interval("s4")
         fresh = iv.GroupInterval(full.lattice, full.idx, full._amb, full.masks)
         assert len(fresh) == 30
         assert fresh._members is None
@@ -313,7 +314,6 @@ class TestTableRows:
         group = cat.dihedral(n)
         if bare:
             group = FiniteGroup(n, [], group.elements)
-            iv._ambient.cache_clear()
         self.assert_table_matches_composition(group, row_type)
 
     @pytest.mark.parametrize("n", [3, 129])
@@ -322,9 +322,10 @@ class TestTableRows:
         group = cat.dihedral(n)
         rotation = Permutation([(i + 1) % n for i in range(n)])
         partial = FiniteGroup(n, [rotation], group.elements)
+        # groups are equal by their elements, so the whole group's table must not answer
+        iv._ambient(group)
+        assert partial == group
         for build in (iv._ambient, iv.full_subgroup_lattice, ch.conjugacy_classes):
-            # groups are equal by their elements, so a cached table of the whole group would answer
-            iv._ambient.cache_clear()
             with pytest.raises(InvalidParameters, match=f"reach {n} of the group's {2 * n} elements"):
                 build(partial)
 
@@ -348,31 +349,31 @@ class TestElementIds:
 
 class TestFullLattices:
     def test_s3_has_six_subgroups(self):
-        assert len(cat.cached_full_lattice("s3")) == 6
+        assert len(cat.catalog_interval("s3")) == 6
 
     def test_z12_divisor_lattice(self):
-        full = cat.cached_full_lattice("z12")
+        full = cat.catalog_interval("z12")
         assert len(full) == 6
         assert lat.is_distributive(full.lattice)
         assert not lat.is_boolean(full.lattice)
 
     def test_v4_is_a_diamond(self):
-        full = cat.cached_full_lattice("v4")
+        full = cat.catalog_interval("v4")
         assert len(full) == 5
         assert not lat.is_distributive(full.lattice)
 
     def test_known_subgroup_counts(self):
-        assert len(cat.cached_full_lattice("s4")) == 30
-        assert len(cat.cached_full_lattice("a5")) == 59
-        assert len(cat.cached_full_lattice("s5")) == 156
-        assert len(cat.cached_full_lattice("psl2_7")) == 179
-        assert len(cat.cached_full_lattice("s2xs3_2")) == 206
+        assert len(cat.catalog_interval("s4")) == 30
+        assert len(cat.catalog_interval("a5")) == 59
+        assert len(cat.catalog_interval("s5")) == 156
+        assert len(cat.catalog_interval("psl2_7")) == 179
+        assert len(cat.catalog_interval("s2xs3_2")) == 206
 
     def test_sub_interval_matches_direct_enumeration(self):
         # every slice [lo, hi]; one below the top is the interval over
         # members[hi], so it counts generating cosets with |members[hi]|
         for name in ("s3", "d4", "s4"):
-            full = cat.cached_full_lattice(name)
+            full = cat.catalog_interval(name)
             members = full.members
             for lo in range(full.lattice.n):
                 for hi in lat.members_between(full.lattice, lo, full.lattice.top):
@@ -386,9 +387,9 @@ class TestFullLattices:
 @pytest.fixture
 def cold_intervals():
     """Forget every ambient group, and with them every memoized interval."""
-    iv._ambient.cache_clear()
+    iv._ambient_memo.cache_clear()
     yield
-    iv._ambient.cache_clear()
+    iv._ambient_memo.cache_clear()
 
 
 class TestIntervalMemo:
@@ -397,14 +398,16 @@ class TestIntervalMemo:
         first = iv.overgroup_interval(group, cat.psl2_7_d8())
         assert iv.overgroup_interval(group, cat.psl2_7_d8()) is first
 
-    def test_equal_group_from_other_generators_hits_the_memo(self):
+    def test_equal_groups_from_other_generators_give_the_same_interval(self):
+        # each generating set builds its own table; the element ids, and so the masks, agree
         s4 = generate(4, [Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])])
         again = generate(4, [Permutation([1, 2, 0, 3]), Permutation([0, 2, 3, 1]),
                              Permutation([3, 1, 2, 0])])
         assert again == s4 and again.generators != s4.generators
-        first = iv.full_subgroup_lattice(s4)
-        assert iv.full_subgroup_lattice(again) is first
-        assert iv.overgroup_interval(again, trivial_group(4)) is first
+        first, second = iv.full_subgroup_lattice(s4), iv.full_subgroup_lattice(again)
+        assert (second.masks, second.idx) == (first.masks, first.idx)
+        assert lat.hasse_edges(second.lattice) == lat.hasse_edges(first.lattice)
+        assert iv.overgroup_interval(again, trivial_group(4)) is second
 
     def test_other_base_gets_its_own_interval(self):
         group = cat.symmetric(3)
@@ -449,6 +452,29 @@ class TestIntervalMemo:
         assert (iv.bbl(group), iv.cfl(group)) == (2, 1)
         assert len(built) == 1
 
+    def test_catalog_scans_build_each_group_once(self, cold_intervals, monkeypatch):
+        # rank2-table and catalog-primitivity read the 22 scan groups' full
+        # lattices, and the latter the three s2xs3_n/base intervals; s2xs3_3
+        # is the one group outside the scan
+        ambients, intervals = [], []
+        init, build = iv._Ambient.__init__, iv._build_interval
+
+        def counting_init(self, group):
+            ambients.append(group)
+            init(self, group)
+
+        def counting_build(amb, covers):
+            intervals.append(amb.group)
+            return build(amb, covers)
+
+        monkeypatch.setattr(iv._Ambient, "__init__", counting_init)
+        monkeypatch.setattr(iv, "_build_interval", counting_build)
+        for target in ("rank2-table", "catalog-primitivity"):
+            _, claims = rp.run_target(target)
+            assert all(c["pass"] for c in claims), target
+        assert (len(ambients), len(intervals)) == (23, 25)
+        assert len(set(ambients)) == 23
+
 
 def atom_orders(interval):
     return [interval.members[a].order for a in lat.atoms(interval.lattice)]
@@ -483,7 +509,7 @@ class TestBblCfl:
         # [1, S3] is not bottom-boolean (4 atoms joining to the top but only
         # 6 subgroups), so two steps are needed; a transposition subgroup is
         # core-free with a rank-1 interval above it.
-        full = cat.cached_full_lattice("s3")
+        full = cat.catalog_interval("s3")
         assert not lat.is_bottom_boolean(full.lattice)
         assert iv.bbl(cat.symmetric(3)) == 2
         assert iv.cfl(cat.symmetric(3)) == 1
@@ -494,13 +520,12 @@ class TestBblCfl:
 
     @pytest.mark.parametrize("name", ["v4", "s3", "d4", "a4", "s4", "d6", "s3xs3"])
     def test_edge_table_matches_sliced_lattices(self, name):
-        lattice = cat.cached_full_lattice(name).lattice
+        lattice = cat.catalog_interval(name).lattice
         ref = dense(lattice)
-        edge = iv._bb_edge_table(lattice)
         for u in range(lattice.n):
             for v in lat.members_between(lattice, u, lattice.top):
                 if v != u:
-                    assert edge(u, v) == reference_is_bottom_boolean(dense_slice(ref, u, v))
+                    assert iv._is_bb_edge(lattice, u, v) == reference_is_bottom_boolean(dense_slice(ref, u, v))
 
     @pytest.mark.parametrize("name", ["z2", "z4", "z6", "z8", "z12", "v4", "s3", "d4", "a4"])
     def test_cfl_at_most_bbl(self, name):
@@ -527,6 +552,11 @@ class TestBblCfl:
     def test_bbl_between_matches_a_forward_search_from_every_base_on_random_groups(self, pair):
         group, _ = pair
         assert_bbl_between_matches_forward_search(group)
+
+
+def bb_edge(lattice):
+    """`_is_bb_edge` on `lattice`, memoized: the forward searches below ask an edge once per start."""
+    return functools.cache(functools.partial(iv._is_bb_edge, lattice))
 
 
 def shortest_bb_chain(lattice, start, edge):
@@ -556,7 +586,7 @@ def shortest_bb_chain(lattice, start, edge):
 def reference_cfl(group):
     """Minimum over the core-free members of a forward search from each of them."""
     full = iv.full_subgroup_lattice(group)
-    edge = iv._bb_edge_table(full.lattice)
+    edge = bb_edge(full.lattice)
     return min(
         shortest_bb_chain(full.lattice, i, edge)
         for i, member in enumerate(full.members)
@@ -567,7 +597,7 @@ def reference_cfl(group):
 def assert_bbl_between_matches_forward_search(group):
     """`bbl_between` from every member of the full lattice against one forward search from it."""
     full = iv.full_subgroup_lattice(group)
-    edge = iv._bb_edge_table(full.lattice)
+    edge = bb_edge(full.lattice)
     for i, member in enumerate(full.members):
         assert iv.bbl_between(group, member) == shortest_bb_chain(full.lattice, i, edge), i
 
@@ -584,7 +614,7 @@ class TestCore:
     @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
     def test_table_core_matches_conjugation_on_scan_groups(self, name):
         group = cat.catalog_group(name)
-        full = cat.cached_full_lattice(name)
+        full = cat.catalog_interval(name)
         for i, member in enumerate(full.members):
             assert table_core(full, i) == brute_force_core(group, member)
 
@@ -631,7 +661,7 @@ class TestNormalizerOrbits:
         amb = iv._ambient(cat.catalog_group(name))
         covers, reps = iv._overgroups(amb, amb.trivial, iv.DEFAULT_MEMBER_CAP)
         assert len(reps) == classes
-        assert sorted(covers) == sorted(cat.cached_full_lattice(name).masks)
+        assert sorted(covers) == sorted(cat.catalog_interval(name).masks)
 
     def test_self_normalizing_base_extends_every_member(self):
         amb = iv._ambient(cat.psl2_7())
@@ -765,7 +795,7 @@ class TestOre:
         assert witness.order() == 2
 
     def test_z12_witness_count_is_euler_phi(self):
-        full = cat.cached_full_lattice("z12")
+        full = cat.catalog_interval("z12")
         iv.verify_ore(full)
         brute = sum(1 for k in range(12) if math.gcd(k, 12) == 1)
         assert iv.generating_coset_count(full) == brute == 4
@@ -780,14 +810,14 @@ class TestOre:
 
     def test_requires_distributive(self):
         with pytest.raises(NotDistributive):
-            iv.verify_ore(cat.cached_full_lattice("v4"))
+            iv.verify_ore(cat.catalog_interval("v4"))
 
 
 def boolean_top_intervals(names):
     """(interval, name) for boolean [H, G] over the given scan groups."""
     out = []
     for name in names:
-        full = cat.cached_full_lattice(name)
+        full = cat.catalog_interval(name)
         top = full.lattice.top
         for h in range(full.lattice.n):
             part = sub_interval(full, h, top)
@@ -889,7 +919,7 @@ class TestStructureLemmas:
 class TestBooleanReference:
     @pytest.mark.parametrize("name", SMALL_SCAN)
     def test_flags_match_the_complement_scan(self, name):
-        assert_flags_match_reference(cat.cached_full_lattice(name).lattice)
+        assert_flags_match_reference(cat.catalog_interval(name).lattice)
 
 
 def assert_matches_subgroup_inclusion(interval):
@@ -909,7 +939,7 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
     def test_scan_groups(self, name):
-        assert_matches_subgroup_inclusion(cat.cached_full_lattice(name))
+        assert_matches_subgroup_inclusion(cat.catalog_interval(name))
 
     @settings(max_examples=25, deadline=None)
     @given(groups_with_base())
@@ -988,7 +1018,7 @@ def assert_top_scan_matches_slices(full, table):
 class TestTopIntervalScan:
     @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
     def test_matches_sliced_intervals_on_scan_groups(self, name):
-        assert_top_scan_matches_slices(cat.cached_full_lattice(name), rp._cached_table(name))
+        assert_top_scan_matches_slices(cat.catalog_interval(name), ch.character_table(cat.catalog_group(name)))
 
     @settings(max_examples=25, deadline=None)
     @given(groups_with_base())

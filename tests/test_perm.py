@@ -241,7 +241,7 @@ class TestNormality:
         g = group.elements[1]
         conjugates = {x * g * x.inverse() for x in group.elements}
         assert subgroup_generated(group, sorted(conjugates)).order == group.order
-        full = cat.cached_full_lattice("psl2_7")
+        full = cat.catalog_interval("psl2_7")
         trivial = full.masks[full.lattice.bottom]
         d8 = member_id(full, cat.psl2_7_d8())
         assert full._amb.core(full.masks[d8]) == trivial
@@ -271,7 +271,7 @@ class TestNormality:
 class TestProductFormula:
     @pytest.mark.parametrize("name", ["s3", "d4", "a4", "z12"])
     def test_product_formula(self, name):
-        full = cat.cached_full_lattice(name)
+        full = cat.catalog_interval(name)
         members, lattice = full.members, full.lattice
         for i, a in enumerate(members):
             for j, b in enumerate(members):

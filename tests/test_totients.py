@@ -19,7 +19,7 @@ from dense_lattice import build_lattice, sub_interval
 
 
 def group_model(name):
-    return tt.from_group_interval(cat.cached_full_lattice(name))
+    return tt.from_group_interval(cat.catalog_interval(name))
 
 
 def interval_model(name):
@@ -206,7 +206,7 @@ class TestAllSplit:
 def boolean_top_intervals(names):
     out = []
     for name in names:
-        full = cat.cached_full_lattice(name)
+        full = cat.catalog_interval(name)
         top = full.lattice.top
         for h in range(full.lattice.n):
             part = sub_interval(full, h, top)
@@ -259,7 +259,7 @@ class TestCatalogInvariants:
 
     def test_direct_euler_sum_positive_on_distributive_catalog_intervals(self):
         for name in SMALL_SCAN:
-            full = cat.cached_full_lattice(name)
+            full = cat.catalog_interval(name)
             top = full.lattice.top
             for h in range(full.lattice.n):
                 part = sub_interval(full, h, top)
