@@ -35,7 +35,8 @@ is its own representative.
 The same search yields the Hasse diagram: a cover L of K is <K, g> for
 every g in L outside K, so the minimal <K, g> formed over a representative
 (taken by size) are exactly its upper covers.  The covers of any other
-member are its tree parent's covers, carried along the tree edge's map.
+member are its tree parent's covers, carried along the tree edge's map
+and read back from the images the orbit search stored (N fixes G).
 
 A `GroupInterval` is an `IndexedInterval` labelled by the indices |G:K|,
 checked once when it is built; the totients and the certifier take it as is.
@@ -436,12 +437,13 @@ def _overgroups(amb: _Ambient, base: _Subgroup, cap: int) -> tuple:
     Only one representative per N_G(base)-orbit is extended; see the
     module docstring.  `found` maps each member to None for a
     representative, else to the tree edge (member, element of N) that
-    reached it, by conjugation.
+    reached it, by conjugation; `images` maps each (member, s) conjugated to s·member·s⁻¹.
     """
     conjugators = None  # N's generators outside H, once a member other than H and G is found
     everything = (1 << amb.n) - 1
     found: dict = {base.mask: None}
     covers: dict = {}
+    images: dict = {}
     reps = [base]
     for k in reps:  # grows while it is read
         covered = k.mask
@@ -456,12 +458,14 @@ def _overgroups(amb: _Ambient, base: _Subgroup, cap: int) -> tuple:
                 found[ext.mask] = None
                 if conjugators is None and ext.mask != everything:
                     conjugators = amb.normalizer_gens(base)
+                    # G, found before N was known, is never conjugated: it is fixed by every s
+                    images.update(((everything, s), everything) for s in conjugators)
                 orbit = [ext.mask]
                 for m in orbit:  # grows while it is read
                     if len(found) > cap:
                         raise CapExceeded(f"interval has more than {cap} members")
                     for s in conjugators or ():
-                        image = amb.conjugate(m, s)
+                        image = images[m, s] = amb.conjugate(m, s)
                         if image not in found:
                             found[image] = (m, s)
                             orbit.append(image)
@@ -473,7 +477,7 @@ def _overgroups(amb: _Ambient, base: _Subgroup, cap: int) -> tuple:
     for m, edge in found.items():
         if edge is not None:
             parent, s = edge
-            covers[m] = [amb.conjugate(c, s) for c in covers[parent]]
+            covers[m] = [images[c, s] for c in covers[parent]]
     return covers, reps
 
 

@@ -3,16 +3,18 @@
 All arithmetic is on Python integers; the alternating sums cancel
 catastrophically in floating point.  A boolean interval is a label vector
 indexed by atom bitmask (`BooleanInterval`); synthetic index models are
-built in that form directly, as Kronecker products of per-block factors, so
-the closed formulas can be exercised without building any group or lattice.
-A walk over a label vector is a few C-level `map`/`sum`/`itemgetter` calls
-over mask tables cached per rank or per pair of masks: the two ends of every
-cover, the masks of a sub-interval, and the parity pickers of [a, b], which
-pick its masks of even and of odd rank above a.  Every signed sum is the sum
-of the even picks less the sum of the odd ones, so no sign is multiplied in,
-and a coatom split sums its two sub-intervals in place without building
-them.  Labels are read with `operator.index`: a float, even an integral
-one, is refused, never truncated.  `intervals.IndexedInterval`, labels
+built in that form directly, as Kronecker products of cached factors (one
+per block, one uniform factor for the free atoms), each spread in one pass
+by a cached picker, so the closed formulas can be exercised without building
+any group or lattice.  A walk over a label vector is a few C-level
+`map`/`sum`/`itemgetter` calls over mask tables cached per rank or per pair
+of masks: the two ends of every cover, the masks of a sub-interval, and the
+parity pickers of [a, b], which pick its masks of even and of odd rank
+above a.  Every signed sum is the sum of the even picks less the sum of the
+odd ones, divided once by the label of b, which divides each of them, and a
+coatom split sums its two sub-intervals in place without building them.
+Labels are read with `operator.index`: a float, even an integral one, is
+refused, never truncated.  `intervals.IndexedInterval`, labels
 over a `FiniteLattice` read through its cover and order bitmasks, serves the
 graded intervals that are not boolean, a `GroupInterval` among them.
 """
@@ -20,7 +22,7 @@ graded intervals that are not boolean, a `GroupInterval` among them.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from operator import eq, floordiv, itemgetter, mod, mul, or_
 from typing import Optional, Sequence, Union
 
@@ -104,12 +106,14 @@ class BooleanInterval:
 
     def atoms(self) -> list:
         """Atom masks in the source lattice's element order."""
-        return sorted((1 << i for i in range(self.n)), key=self.element)
+        atoms = [1 << i for i in range(self.n)]  # ascending: the order when the masks are the ids
+        return atoms if self.ids is None else sorted(atoms, key=self.ids.__getitem__)
 
     def coatoms(self) -> list:
         """Coatom masks in the source lattice's element order."""
         top = self.top
-        return sorted((top ^ (1 << i) for i in range(self.n)), key=self.element)
+        coatoms = [top ^ (1 << i) for i in reversed(range(self.n))]  # ascending
+        return coatoms if self.ids is None else sorted(coatoms, key=self.ids.__getitem__)
 
     def sub(self, a: int, b: int) -> BooleanInterval:
         """[a, b] on the bits of b & ~a, in order, relabelled relative to b."""
@@ -167,12 +171,10 @@ def _signed_sum(idx: tuple, a: int, b: int) -> int:
     """Sum over s in [a, b] of (-1)^|s & ~a| * (idx[s] // idx[b]).
 
     This is the dual totient of [a, b] with the labels `sub(a, b)` gives it.
+    Every label of [a, b] is a multiple of idx[b], so the sum is divided once.
     """
     even, odd = _parity_pickers(a, b)
-    base = idx[b]
-    if base == 1:
-        return sum(even(idx)) - sum(odd(idx))
-    return sum(map(floordiv, even(idx), repeat(base))) - sum(map(floordiv, odd(idx), repeat(base)))
+    return (sum(even(idx)) - sum(odd(idx))) // idx[b]
 
 
 def from_group_interval(interval: IndexedInterval) -> IndexedInterval:
@@ -189,7 +191,8 @@ def boolean_between(model: Union[IndexedInterval, BooleanInterval], a: int, b: i
     """
     elems = lat.boolean_elements(model.lattice, a, b)
     base = model.idx[b]
-    return BooleanInterval(len(elems).bit_length() - 1, [model.idx[e] // base for e in elems], elems)
+    # labels of a checked model, relabelled over one of its intervals, are valid: skip the checks
+    return BooleanInterval._trusted(len(elems).bit_length() - 1, tuple([model.idx[e] // base for e in elems]), elems)
 
 
 def to_boolean(model: Union[IndexedInterval, BooleanInterval]) -> BooleanInterval:
@@ -297,11 +300,11 @@ def dual_totient_coatom_split(model: Union[IndexedInterval, BooleanInterval], co
     mask = coatom
     if boolean is not model:
         mask = boolean.ids.index(coatom) if coatom in boolean.ids else -1
-    top = boolean.top
+    idx = boolean.idx
+    top = len(idx) - 1
     if not 0 <= mask < top or (top ^ mask).bit_count() != 1:
         raise NotACoatom(f"element {coatom} is not a coatom")
     # phihat(H, L) and phihat(A, G) are summed in place, on the labels `sub` would give them
-    idx = boolean.idx
     return idx[mask] * _signed_sum(idx, 0, mask) - _signed_sum(idx, top ^ mask, top)
 
 
@@ -336,16 +339,19 @@ def boolean_index_model(p: int, n: int, specials: Sequence = ()) -> BooleanInter
     realizes every chain type (p, ..., p, q) with exactly m coatoms of
     relative index q; with single-atom blocks it realizes fully split models.
 
-    The labels are the Kronecker product of one factor vector per block, the
-    lowest bits varying fastest: a block of size k with j bits set
-    contributes p^(k-j-1) q until it is complete and 1 once it is, a free
-    atom contributes p^(1-j).  With p, q >= 2 and block sizes >= 1 these
+    The labels are the Kronecker product of one factor per block, the
+    lowest bits varying fastest, and one for all the free atoms above them.
+    At the mask t of its k atoms, a block contributes p^(k-|t|-1) q until it
+    is complete and 1 once it is; the free atoms' factor is that of a block
+    with q = p, the uniform vector p^(k-|t|).  Factors are cached, and each
+    one after the first takes one pass, spread by one cached picker, so a
+    `pq_model` is one pass.  With p, q >= 2 and block sizes >= 1 these
     labels are valid by construction, and so the product is built without
     the checks of `BooleanInterval`: each factor is positive and ends in 1,
-    and a cover of a block multiplies its label by p or q.  A cover of the
-    product changes the coordinate of exactly one block, so its ratio is a
-    cover ratio of that block's factor, and the top label is the product of
-    the factors' tops, 1.
+    and a cover of a factor multiplies its label by p or q.  A cover of the
+    product changes the coordinate of exactly one factor, so its ratio is a
+    cover ratio of that factor, and the top label is the product of the
+    factors' tops, 1.
     """
     p, n = integer_labels((p, n), "p and n")
     if p < 2 or n < 1:
@@ -358,15 +364,24 @@ def boolean_index_model(p: int, n: int, specials: Sequence = ()) -> BooleanInter
     free = n - sum(size for _, size in blocks)
     if free < 0:
         raise InvalidParameters("special blocks exceed the number of atoms")
-    factors = [
-        [p ** (k - 1 - t.bit_count()) * q for t in range((1 << k) - 1)] + [1] for q, k in blocks
-    ]
-    labels = (1,)
-    for factor in factors + [(p, 1)] * free:
+    factors = [_block_factor(p, q, k) for q, k in blocks + [(p, free)] * (free > 0)]
+    labels = factors[0]
+    for factor in factors[1:]:
         # labels * f for each entry f of the factor in turn, in one C-level pass
-        spread = chain.from_iterable(map(repeat, factor, repeat(len(labels))))
-        labels = tuple(map(mul, labels * len(factor), spread))
+        labels = tuple(map(mul, labels * len(factor), _spread_picker(len(factor), len(labels))(factor)))
     return BooleanInterval._trusted(n, labels)
+
+
+@lru_cache(maxsize=1024)
+def _block_factor(p: int, q: int, k: int) -> tuple:
+    """p^(k-|t|-1) q for each mask t of a block of k atoms but its top, and 1 at the top."""
+    return tuple([p ** (k - 1 - t.bit_count()) * q for t in range((1 << k) - 1)]) + (1,)
+
+
+@lru_cache(maxsize=64)
+def _spread_picker(size: int, times: int) -> itemgetter:
+    """Picker of a factor of `size` entries, each repeated `times` times in turn."""
+    return _picker([t for t in range(size) for _ in range(times)])
 
 
 def uniform_model(p: int, n: int) -> BooleanInterval:

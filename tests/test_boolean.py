@@ -416,6 +416,89 @@ class TestMaskTablesMatchPerMaskLoops:
                         assert tt.closed_form_p_n_q(p, q, n, m) == reference_closed_form(p, q, n, m)
 
 
+@st.composite
+def model_parameters(draw, max_rank=8):
+    """(p, n, specials) that `boolean_index_model` accepts: disjoint blocks and any free atoms left over."""
+    p = draw(st.integers(2, 13))
+    n = draw(st.integers(1, max_rank))
+    specials = []
+    left = n
+    for q, size in draw(st.lists(st.tuples(st.integers(2, 13), st.integers(1, max_rank)), max_size=4)):
+        size = min(size, left)
+        if size:
+            specials.append((q, size))
+            left -= size
+    return p, n, specials
+
+
+def sub_pairs(n):
+    """(a, b) with a below b: the masks of [a, b] are drawn from the masks of rank n."""
+    top = (1 << n) - 1
+    return st.tuples(st.integers(0, top), st.integers(0, top)).map(lambda ab: (ab[0] & ab[1], ab[1]))
+
+
+class TestLabelVectorKernels:
+    """The model build, the signed sums, the trusted sub-intervals and the atom order against plain loops."""
+
+    @given(model_parameters())
+    @settings(max_examples=150, deadline=None)
+    @example((2, 8, []))
+    @example((13, 8, [(13, 8)]))
+    @example((3, 8, [(5, 1)] * 8))
+    @example((2, 8, [(7, 3), (2, 2)]))
+    def test_model_labels_match_the_per_mask_formula(self, params):
+        p, n, specials = params
+        model = tt.boolean_index_model(p, n, specials)
+        assert model.n == n
+        assert model.idx == tuple(reference_model_labels(p, n, specials))
+        assert all(type(v) is int for v in model.idx)
+
+    @given(valid_vectors(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_signed_sums_match_the_per_term_quotients(self, vector, data):
+        n, labels = vector
+        model = tt.BooleanInterval(n, labels)
+        for a, b in data.draw(st.lists(sub_pairs(n), min_size=1, max_size=6)):
+            expected = sum(
+                -(labels[s] // labels[b]) if (s & ~a).bit_count() & 1 else labels[s] // labels[b]
+                for s in range(len(labels)) if s & a == a and s & ~b == 0
+            )
+            assert tt._signed_sum(model.idx, a, b) == expected
+            assert tt.dual_totient(model.sub(a, b)) == expected
+
+    @pytest.mark.parametrize("name", ["s4", "d6", "s2xs3", "psl2_7", "s2xs3_2/base"])
+    def test_trusted_sub_intervals_equal_the_validated_ones(self, name):
+        full = cat.catalog_interval(name)
+        lattice = full.lattice
+        checked = 0
+        for lo in range(lattice.n):
+            for hi in lat.bits(lattice._up[lo]):
+                try:
+                    elems = lat.boolean_elements(lattice, lo, hi)
+                except NotBoolean:
+                    with pytest.raises(NotBoolean):
+                        tt.boolean_between(full, lo, hi)
+                    continue
+                trusted = tt.boolean_between(full, lo, hi)
+                checked_labels = tt.BooleanInterval(trusted.n, [full.idx[e] // full.idx[hi] for e in elems], elems)
+                assert (trusted.n, trusted.idx, trusted.ids) == (checked_labels.n, checked_labels.idx, checked_labels.ids)
+                assert type(trusted.idx) is tuple
+                checked += 1
+        assert checked > lattice.n
+
+    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(st.just(n), st.none() | st.permutations(range(1 << n)))))
+    @settings(max_examples=100, deadline=None)
+    @example((0, None))
+    @example((3, None))
+    def test_atoms_and_coatoms_follow_the_element_order(self, drawn):
+        n, ids = drawn
+        top = (1 << n) - 1
+        model = tt.BooleanInterval._trusted(n, tuple(range(top + 1))[::-1], ids)
+        element = (lambda s: s) if ids is None else ids.__getitem__
+        assert model.atoms() == sorted((1 << i for i in range(n)), key=element)
+        assert model.coatoms() == sorted((top ^ 1 << i for i in range(n)), key=element)
+
+
 NON_INTEGERS = [2.7, 2.0, np.float64(3.9), np.float64(3.0), "3", Fraction(3), Fraction(5, 2)]
 
 

@@ -663,6 +663,34 @@ class TestNormalizerOrbits:
         assert len(reps) == classes
         assert sorted(covers) == sorted(cat.catalog_interval(name).masks)
 
+    @pytest.mark.parametrize("name", ["a5", "s5"])
+    def test_covers_carried_to_the_whole_group_found_before_the_normalizer(self, name):
+        # When the first extension <H, g> is G, G is found before N_G(H) is
+        # known and is never conjugated; the covers carried to a conjugate of
+        # a proper member outside N_G(H) still include G.
+        group = cat.catalog_group(name)
+        amb = iv._Ambient(group)
+        everything = (1 << amb.n) - 1
+        checked = 0
+        for mask in cat.catalog_interval(name).masks:
+            k = amb.generated(lat.bits(mask))
+            outside = everything & ~mask
+            if not outside or amb.extend(k, (outside & -outside).bit_length() - 1).mask != everything:
+                continue
+            normalizer = amb.generated(k.gens + amb.normalizer_gens(k)).mask
+            covers, reps = iv._overgroups(amb, k, iv.DEFAULT_MEMBER_CAP)
+            extended = {r.mask for r in reps}
+            carried = [m for m in covers if m not in extended and everything in covers[m]]
+            if not any(m & ~normalizer for m in carried):
+                continue
+            interval = iv._build_interval(amb, covers)
+            base = FiniteGroup(group.degree, [], [amb.elems[x] for x in lat.bits(mask)])
+            assert member_sets(interval) == reference_overgroups(group, base)
+            assert interval.idx == tuple(amb.n // m.bit_count() for m in interval.masks)
+            assert_matches_subgroup_inclusion(interval)
+            checked += 1
+        assert checked
+
     def test_self_normalizing_base_extends_every_member(self):
         amb = iv._ambient(cat.psl2_7())
         base = amb.generated(lat.bits(amb.subgroup_mask(cat.psl2_7_d8())))
