@@ -2,7 +2,8 @@
 
 The catalog is an artifact choice: cyclic and dihedral groups, symmetric and
 alternating groups through degree 5, a few direct products, the order-168
-projective group on 8 points, and the wreath-like products S2 x S3^n whose
+projective group on 8 points with a D8 and an S3 inside it, each given by
+pinned generators, and the wreath-like products S2 x S3^n whose
 base interval realizes the conjectured lower bound.  Each named group is
 built once; its intervals are memoized with its multiplication table in
 `intervals`, so `catalog_interval` returns the same object on every call.
@@ -87,32 +88,27 @@ def psl2_7() -> FiniteGroup:
     return group
 
 
+def _psl2_7_subgroup(*cycles: str) -> FiniteGroup:
+    """The subgroup of the order-168 group generated by 0-based cycle strings."""
+    return subgroup_generated(psl2_7(), [Permutation.from_cycles(c, 8, one_based=False) for c in cycles])
+
+
 @lru_cache(maxsize=None)
 def psl2_7_d8() -> FiniteGroup:
-    """A Sylow-2 subgroup (dihedral of order 8) of the order-168 group."""
-    group = psl2_7()
-    u = next(g for g in group.elements if g.order() == 4)
-    powers = {u, u * u, u * u * u}
-    u_inv = u.inverse()
-    t = next(
-        g for g in group.elements
-        if g.order() == 2 and g * u * g.inverse() == u_inv and g not in powers
-    )
-    sub = subgroup_generated(group, [u, t])
-    assert sub.order == 8
-    return sub
+    """A Sylow-2 subgroup (dihedral of order 8) of the order-168 group.
+
+    Its generators are an element of order 4 and an involution inverting it.
+    """
+    return _psl2_7_subgroup("(0 1 2 7)(3 5 4 6)", "(0 3)(1 6)(2 4)(5 7)")
 
 
 @lru_cache(maxsize=None)
 def psl2_7_s3() -> FiniteGroup:
-    """A nonabelian order-6 subgroup of the order-168 group."""
-    group = psl2_7()
-    a = next(g for g in group.elements if g.order() == 3)
-    a_inv = a.inverse()
-    b = next(g for g in group.elements if g.order() == 2 and g * a * g.inverse() == a_inv)
-    sub = subgroup_generated(group, [a, b])
-    assert sub.order == 6
-    return sub
+    """A nonabelian order-6 subgroup of the order-168 group.
+
+    Its generators are an element of order 3 and an involution inverting it.
+    """
+    return _psl2_7_subgroup("(2 6 7)(3 5 4)", "(0 1)(2 3)(4 6)(5 7)")
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,12 @@
 """Linear-primitivity certificates assembled from the published reduction rules.
 
-Two kinds of input are certified:
+Two kinds of input are certified, all through `certify`:
 
-* concrete intervals (group intervals or fully labelled boolean models),
-  where the dual totient is honestly computable, and
+* concrete intervals, where the dual totient is honestly computable: a
+  distributive `IndexedInterval` (a group interval among them) is reduced
+  by `boolean_between` to the label vector of its bottom interval, and a
+  `BooleanInterval` is taken as is.  The boolean rules and
+  `chain_types` read label vectors only; and
 
 * abstract scenarios (`IndexedModel`): a hypothetical boolean interval known
   only by rank and total index.  Here the analysis enumerates the chain
@@ -24,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from . import lattice as lat
 from . import totients as tt
 from .errors import InvalidParameters, NotBoolean, NotDistributive
-from .intervals import IndexedInterval, _least_prime_factor
+from .intervals import IndexedInterval, _least_prime_factor, integer_labels
 from .totients import BooleanInterval
 
 ALLSPLIT_PRODUCT_LIMIT = 32
@@ -76,6 +79,12 @@ class IndexedModel:
     known_types: tuple = ()
 
     def __post_init__(self):
+        rank, index = integer_labels((self.rank, self.index), "rank and index")
+        known = tuple(integer_labels(t, "chain type entries") for t in self.known_types)
+        # a frozen dataclass: the exact ints replace the fields once, here
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "known_types", known)
         if self.rank < 1 or self.index < 2:
             raise InvalidParameters("need rank >= 1 and index >= 2")
         if self.index.bit_length() <= self.rank:
@@ -94,13 +103,14 @@ class IndexedModel:
 # -- chain types and factor enumeration --------------------------------------
 
 
-def chain_types(obj: Union[IndexedInterval, BooleanInterval]) -> set:
+def chain_types(model: BooleanInterval) -> set:
     """Distinct multisets of cover indices over all maximal chains.
 
     A dynamic program over subsets: the types of the chains from the bottom
     to a mask s extend those to s minus one bit by the edge into s.
     """
-    idx = tt.to_boolean(obj).idx
+    tt._require(model, BooleanInterval, "chain_types")
+    idx = model.idx
     types = [{()}]
     for s in range(1, len(idx)):
         here = set()
@@ -191,11 +201,6 @@ def allsplit_small_ok(chain_type: Sequence[int]) -> bool:
     if FORBIDDEN_EDGE in chain_type:
         return False
     return all(u * v < ALLSPLIT_PRODUCT_LIMIT for u, v in _pairs(chain_type))
-
-
-def check_allsplit_small(obj: Union[IndexedInterval, BooleanInterval]) -> bool:
-    """True when some maximal chain satisfies the small-products hypothesis."""
-    return any(allsplit_small_ok(t) for t in chain_types(obj))
 
 
 def _extended_allsplit_ok(chain_type: Sequence[int]) -> bool:

@@ -147,6 +147,8 @@ def cmd_primitive(args) -> dict:
 
 
 def cmd_certify(args) -> dict:
+    if args.model_index is None and (args.model_rank is not None or args.model_type is not None):
+        raise ParseError("--model-rank and --model-type describe a scenario and need --model-index")
     if args.model_index is not None:
         rank = args.model_rank if args.model_rank is not None else 7
         known = ()

@@ -54,7 +54,7 @@ class NotACoatom(OrelatError):
 
 
 class InvalidParameters(OrelatError):
-    """Arguments are outside the admissible range of a closed formula."""
+    """Arguments a routine does not accept: out of range, not integers, or the wrong kind of model."""
 
 
 class SplitConditionFails(OrelatError):

@@ -63,7 +63,7 @@ from operator import getitem, itemgetter
 from typing import Iterable, Sequence
 
 from . import lattice as lat
-from .errors import CapExceeded, InvalidParameters, NotASubgroup, NotComparable, NotDistributive, OreViolation
+from .errors import CapExceeded, InvalidParameters, NotASubgroup, NotDistributive, OreViolation
 from .perm import FiniteGroup, Permutation, trivial_group
 
 DEFAULT_MEMBER_CAP = 10_000
@@ -358,16 +358,6 @@ class IndexedInterval:
     def total_index(self) -> int:
         return self.idx[self.lattice.bottom]
 
-    def edge_index(self, x: int, y: int) -> int:
-        """Relative index across the cover x -> y."""
-        if not self.lattice._upper[x] >> y & 1:
-            raise NotComparable(f"{y} does not cover {x}")
-        return self.idx[x] // self.idx[y]
-
-    def below_index(self, x: int) -> int:
-        """Relative index of x over the bottom element."""
-        return self.idx[self.lattice.bottom] // self.idx[x]
-
     def __repr__(self) -> str:
         return f"IndexedInterval(n={self.lattice.n}, index={self.total_index})"
 
@@ -408,9 +398,6 @@ class GroupInterval(IndexedInterval):
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def rank(self) -> int:
-        return self.lattice.height()
 
     def __repr__(self) -> str:
         return f"GroupInterval(|G|={self._amb.n}, |H|={self.masks[0].bit_count()}, members={len(self)})"

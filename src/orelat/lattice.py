@@ -9,7 +9,7 @@ of its down-set, its up-set and its upper and lower covers, plus the ranks
 join table is kept: in a linear extension the meet of a and b is the
 highest id in down[a] & down[b] and their join the lowest id in
 up[a] & up[b].  The lattice axioms are not re-checked; the callers build
-subgroup intervals, which are lattices by theorem, and subset lattices.
+subgroup intervals, which are lattices by theorem.
 
 [a, top] is distributive exactly when its member count equals the number
 of down-sets of its join-irreducibles (Birkhoff 1937): x -> {join-
@@ -22,7 +22,7 @@ flags are that one test on [bottom, top] and on [bottom, join of the atoms].
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotAPartialOrder, NotALattice, NotBoolean, NotComparable
@@ -196,11 +196,6 @@ def _between_mask(lat: FiniteLattice, a: int, b: int) -> int:
     return lat._up[a] & lat._down[b]
 
 
-def members_between(lat: FiniteLattice, a: int, b: int) -> list:
-    """Ids of the closed interval [a, b], ascending."""
-    return bits(_between_mask(lat, a, b))
-
-
 def boolean_elements(lat: FiniteLattice, a: int, b: int) -> list:
     """The elements of [a, b] indexed by atom bitmask.
 
@@ -250,9 +245,3 @@ def bottom_interval_join(lat: FiniteLattice) -> int:
 def is_bottom_boolean(lat: FiniteLattice) -> bool:
     """Whether [bottom, b] is boolean, with b the join of all atoms."""
     return is_boolean_interval(lat, lat.bottom, bottom_interval_join(lat))
-
-
-@lru_cache(maxsize=16)
-def subset_lattice(n: int) -> FiniteLattice:
-    """The boolean lattice of subsets of an n-set; element ids are bitmasks."""
-    return FiniteLattice([[s ^ 1 << i for i in bits(s)] for s in range(1 << n)])

@@ -67,15 +67,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
 
-    def order(self) -> int:
-        k = 1
-        p = self
-        ident = Permutation.identity(self.degree)
-        while p != ident:
-            p = p * self
-            k += 1
-        return k
-
     @staticmethod
     def identity(degree: int) -> "Permutation":
         return Permutation(range(degree))
@@ -178,9 +169,6 @@ class FiniteGroup:
     @property
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
-
-    def element_set(self) -> frozenset:
-        return self._element_set
 
 
 def _closure(degree: int, generators: Sequence[Permutation], cap: int) -> list:

@@ -1,28 +1,36 @@
 """Euler totient and dual Euler totient of indexed intervals.
 
 All arithmetic is on Python integers; the alternating sums cancel
-catastrophically in floating point.  A boolean interval is a label vector
-indexed by atom bitmask (`BooleanInterval`); synthetic index models are
-built in that form directly, as Kronecker products of cached factors (one
-per block, one uniform factor for the free atoms), each spread in one pass
-by a cached picker, so the closed formulas can be exercised without building
-any group or lattice.  A walk over a label vector is a few C-level
-`map`/`sum`/`itemgetter` calls over mask tables cached per rank or per pair
-of masks: the two ends of every cover, the masks of a sub-interval, and the
-parity pickers of [a, b], which pick its masks of even and of odd rank
-above a.  Every signed sum is the sum of the even picks less the sum of the
-odd ones, divided once by the label of b, which divides each of them, and a
-coatom split sums its two sub-intervals in place without building them.
-Labels are read with `operator.index`: a float, even an integral one, is
-refused, never truncated.  `intervals.IndexedInterval`, labels
-over a `FiniteLattice` read through its cover and order bitmasks, serves the
-graded intervals that are not boolean, a `GroupInterval` among them.
+catastrophically in floating point.  Each routine takes one kind of model:
+
+* a boolean interval is a label vector indexed by atom bitmask
+  (`BooleanInterval`).  `dual_totient_coatom_split` (whose coatom is a
+  mask), `dual_totient_allsplit` and `certifier.chain_types` take nothing
+  else.  Synthetic index models are built in that form directly, as
+  Kronecker products of cached factors (one per block, one uniform factor
+  for the free atoms), each spread in one pass by a cached picker, so the
+  closed formulas can be exercised without building any group or lattice.
+* `intervals.IndexedInterval`, labels over a `FiniteLattice` read through
+  its cover and order bitmasks, serves the intervals that are not boolean,
+  a `GroupInterval` among them.  `boolean_between` and the two
+  `*_distributive` extensions take nothing else; `boolean_between` is the
+  one conversion to a label vector.
+
+`dual_totient` and `euler_totient` take either.  A walk over a label vector
+is a few C-level `map`/`sum`/`itemgetter` calls over mask tables cached per
+rank or per pair of masks: the two ends of every cover, the masks of a
+sub-interval, and the parity pickers of [a, b], which pick its masks of
+even and of odd rank above a.  Every signed sum is the sum of the even
+picks less the sum of the odd ones, divided once by the label of b, which
+divides each of them, and a coatom split sums its two sub-intervals in
+place without building them.  Labels are read with `operator.index`: a
+float, even an integral one, is refused, never truncated.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import eq, floordiv, itemgetter, mod, mul, or_
 from typing import Optional, Sequence, Union
 
@@ -52,7 +60,8 @@ class BooleanInterval:
     __slots__ = ("n", "idx", "ids")
 
     def __init__(self, n: int, labels: Sequence[int], ids: Optional[Sequence[int]] = None):
-        idx = integer_labels(labels)
+        n, *idx = integer_labels(chain((n,), labels), "the rank and the labels")
+        idx = tuple(idx)
         if n < 0 or len(idx) != 1 << n:
             raise InvalidParameters("one label per atom bitmask is required")
         if idx[-1] != 1:
@@ -78,23 +87,12 @@ class BooleanInterval:
         self.ids = None if ids is None else tuple(ids)
 
     @property
-    def lattice(self) -> lat.FiniteLattice:
-        """The subset lattice of rank n; its element ids are the masks."""
-        return lat.subset_lattice(self.n)
-
-    @property
     def top(self) -> int:
         return len(self.idx) - 1
 
     @property
     def total_index(self) -> int:
         return self.idx[0]
-
-    def edge_index(self, x: int, y: int) -> int:
-        """Relative index across the cover x -> y."""
-        if x & ~y or (x ^ y).bit_count() != 1:
-            raise NotComparable(f"{y} does not cover {x}")
-        return self.idx[x] // self.idx[y]
 
     def below_index(self, x: int) -> int:
         """Relative index of x over the bottom element."""
@@ -177,29 +175,29 @@ def _signed_sum(idx: tuple, a: int, b: int) -> int:
     return (sum(even(idx)) - sum(odd(idx))) // idx[b]
 
 
+def _require(model, kind: type, routine: str) -> None:
+    """Refuse a model of another kind than the one `routine` takes."""
+    if not isinstance(model, kind):
+        raise InvalidParameters(f"{routine} takes a model of type {kind.__name__}, not {type(model).__name__}")
+
+
 def from_group_interval(interval: IndexedInterval) -> IndexedInterval:
     """The labelled model of a group interval: the interval itself."""
     return interval
 
 
-def boolean_between(model: Union[IndexedInterval, BooleanInterval], a: int, b: int) -> BooleanInterval:
-    """The interval [a, b] of a concrete model as labels relative to b.
+def boolean_between(model: IndexedInterval, a: int, b: int) -> BooleanInterval:
+    """The interval [a, b] of a labelled lattice as a label vector relative to b.
 
     The masks follow `lattice.boolean_elements`: the atoms of [a, b], in
-    ascending element id, are the bits.  Raises NotBoolean unless [a, b] is
-    boolean.
+    ascending element id, are the bits, and `ids` maps each mask back to
+    its element.  Raises NotBoolean unless [a, b] is boolean.
     """
+    _require(model, IndexedInterval, "boolean_between")
     elems = lat.boolean_elements(model.lattice, a, b)
     base = model.idx[b]
     # labels of a checked model, relabelled over one of its intervals, are valid: skip the checks
     return BooleanInterval._trusted(len(elems).bit_length() - 1, tuple([model.idx[e] // base for e in elems]), elems)
-
-
-def to_boolean(model: Union[IndexedInterval, BooleanInterval]) -> BooleanInterval:
-    """A model as a label vector; a concrete model must be boolean."""
-    if isinstance(model, BooleanInterval):
-        return model
-    return boolean_between(model, model.lattice.bottom, model.lattice.top)
 
 
 def _require_graded(model: IndexedInterval) -> tuple:
@@ -235,12 +233,13 @@ def euler_totient(model: Union[IndexedInterval, BooleanInterval]) -> int:
     return result
 
 
-def euler_totient_distributive(model: Union[IndexedInterval, BooleanInterval]) -> int:
+def euler_totient_distributive(model: IndexedInterval) -> int:
     """Totient of a distributive interval via its boolean top interval.
 
     Equals the direct sum when the interval is boolean, and counts the
     generating cosets in general (the direct alternating sum does not).
     """
+    _require(model, IndexedInterval, "euler_totient_distributive")
     if not lat.is_distributive(model.lattice):
         raise NotDistributive("the top-interval extension needs a distributive lattice")
     t = lat.top_interval_base(model.lattice)
@@ -248,8 +247,9 @@ def euler_totient_distributive(model: Union[IndexedInterval, BooleanInterval]) -
     return factor * euler_totient(boolean_between(model, t, model.lattice.top))
 
 
-def dual_totient_distributive(model: Union[IndexedInterval, BooleanInterval]) -> int:
+def dual_totient_distributive(model: IndexedInterval) -> int:
     """Dual totient of a distributive interval via its boolean bottom interval."""
+    _require(model, IndexedInterval, "dual_totient_distributive")
     if not lat.is_distributive(model.lattice):
         raise NotDistributive("the bottom-interval extension needs a distributive lattice")
     b = lat.bottom_interval_join(model.lattice)
@@ -289,42 +289,38 @@ def closed_form_p_n_p2(p: int, n: int, m: int) -> int:
     return result
 
 
-def dual_totient_coatom_split(model: Union[IndexedInterval, BooleanInterval], coatom: int) -> int:
+def dual_totient_coatom_split(model: BooleanInterval, coatom: int) -> int:
     """Recursion phihat(H,G) = q phihat(H,L) - phihat(A,G) for a coatom L.
 
     q is the relative index of the top over L and A the complement of L.
-    `coatom` is an element id of `model`, which for a label vector is a
-    mask.  Agrees with the direct sum on every boolean model.
+    `coatom` is the mask of L.  Agrees with the direct sum on every model.
     """
-    boolean = to_boolean(model)
-    mask = coatom
-    if boolean is not model:
-        mask = boolean.ids.index(coatom) if coatom in boolean.ids else -1
-    idx = boolean.idx
+    _require(model, BooleanInterval, "dual_totient_coatom_split")
+    idx = model.idx
     top = len(idx) - 1
-    if not 0 <= mask < top or (top ^ mask).bit_count() != 1:
-        raise NotACoatom(f"element {coatom} is not a coatom")
+    if not 0 <= coatom < top or (top ^ coatom).bit_count() != 1:
+        raise NotACoatom(f"mask {coatom} is not a coatom")
     # phihat(H, L) and phihat(A, G) are summed in place, on the labels `sub` would give them
-    return idx[mask] * _signed_sum(idx, 0, mask) - _signed_sum(idx, top ^ mask, top)
+    return idx[coatom] * _signed_sum(idx, 0, coatom) - _signed_sum(idx, top ^ coatom, top)
 
 
-def dual_totient_allsplit(model: Union[IndexedInterval, BooleanInterval]) -> int:
+def dual_totient_allsplit(model: BooleanInterval) -> int:
     """Product formula over atoms, valid under the all-split condition.
 
     The condition: for every atom A and every K in [H, complement(A)], the
     edge K -> K v A has the same index as A over the bottom.
     """
-    boolean = to_boolean(model)
-    idx = boolean.idx
+    _require(model, BooleanInterval, "dual_totient_allsplit")
+    idx = model.idx
     product = 1
-    for a in boolean.atoms():
-        v = boolean.below_index(a)
+    for a in model.atoms():
+        v = model.below_index(a)
         # source element order, so the reported edge is the first one there
-        for k in sorted((k for k in range(len(idx)) if not k & a), key=boolean.element):
+        for k in sorted((k for k in range(len(idx)) if not k & a), key=model.element):
             edge = idx[k] // idx[k | a]
             if edge != v:
                 raise SplitConditionFails(
-                    f"atom {boolean.element(a)}: edge over {boolean.element(k)} has index {edge} != {v}"
+                    f"atom {model.element(a)}: edge over {model.element(k)} has index {edge} != {v}"
                 )
         product *= v - 1
     return product
@@ -353,11 +349,12 @@ def boolean_index_model(p: int, n: int, specials: Sequence = ()) -> BooleanInter
     cover ratio of that factor, and the top label is the product of the
     factors' tops, 1.
     """
-    p, n = integer_labels((p, n), "p and n")
+    # one pass reads p, n and the blocks' (q, size) pairs, flattened
+    p, n, *flat = integer_labels(chain((p, n), (v for q, size in specials for v in (q, size))),
+                                 "p, n and the special blocks")
     if p < 2 or n < 1:
         raise InvalidParameters("need p >= 2 and n >= 1")
-    blocks = list(zip(integer_labels((q for q, _ in specials), "special block indices"),
-                      integer_labels((size for _, size in specials), "special block sizes")))
+    blocks = list(zip(flat[::2], flat[1::2]))
     for q, size in blocks:
         if q < 2 or size < 1:
             raise InvalidParameters("special blocks need q >= 2 and size >= 1")
@@ -396,11 +393,3 @@ def pq_model(p: int, q: int, n: int, m: int) -> BooleanInterval:
     if m == 0:
         return uniform_model(p, n)
     return boolean_index_model(p, n, [(q, m)])
-
-
-def allsplit_model(values: Sequence[int]) -> BooleanInterval:
-    """Fully multiplicative model: atom i contributes factor values[i]."""
-    vals = integer_labels(values, "atom values")
-    if any(v < 2 for v in vals):
-        raise InvalidParameters("atom values must be at least 2")
-    return boolean_index_model(2, len(vals), [(v, 1) for v in vals])

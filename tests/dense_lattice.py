@@ -5,17 +5,20 @@ antisymmetry, transitivity by a k^3 product, and a unique meet and join
 for every pair by a k^2 loop) and reads covers, ranks, gradedness and
 distributivity off its tables alone.  The bitmask lattices of
 `orelat.lattice` are cross-checked against it.  `build_lattice` turns a
-relation into an `orelat.lattice.FiniteLattice` through it; `interval`,
-`sub_interval`, `member_id`, `maximal_chains` and `complement` slice, look
-up and walk lattices for the tests.
+relation into an `orelat.lattice.FiniteLattice` through it;
+`subset_lattice` builds the boolean lattice whose ids are the bitmasks, and
+`members_between`, `interval`, `sub_interval`, `member_id`,
+`maximal_chains` and `complement` slice, look up and walk lattices for the
+tests.
 """
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from orelat import lattice as lat
-from orelat.errors import NotAPartialOrder, NotALattice, NotBoolean
+from orelat.errors import NotAPartialOrder, NotALattice, NotBoolean, NotComparable
 from orelat.intervals import GroupInterval, _ambient
 
 
@@ -127,12 +130,25 @@ def dense(lattice: lat.FiniteLattice) -> DenseLattice:
     return DenseLattice([[leq(lattice, a, b) for b in range(n)] for a in range(n)])
 
 
+@lru_cache(maxsize=16)
+def subset_lattice(n: int) -> lat.FiniteLattice:
+    """The boolean lattice of subsets of an n-set; element ids are bitmasks."""
+    return lat.FiniteLattice([[s ^ 1 << i for i in lat.bits(s)] for s in range(1 << n)])
+
+
+def members_between(lattice: lat.FiniteLattice, a: int, b: int) -> list:
+    """Ids of the closed interval [a, b], ascending; NotComparable unless a <= b."""
+    if not leq(lattice, a, b):
+        raise NotComparable(f"{a} is not below {b}")
+    return lat.bits(lattice._up[a] & lattice._down[b])
+
+
 def interval(lattice: lat.FiniteLattice, a: int, b: int) -> lat.FiniteLattice:
     """The sublattice [a, b], its members renumbered in ascending id.
 
     An interval's covers are the parent's covers between its members.
     """
-    ids = lat.members_between(lattice, a, b)
+    ids = members_between(lattice, a, b)
     position = {x: i for i, x in enumerate(ids)}
     return lat.FiniteLattice([
         [position[c] for c in lat.bits(lattice._lower[x]) if c in position] for x in ids
@@ -141,7 +157,7 @@ def interval(lattice: lat.FiniteLattice, a: int, b: int) -> lat.FiniteLattice:
 
 def sub_interval(whole: GroupInterval, lo: int, hi: int) -> GroupInterval:
     """The interval [members[lo], members[hi]] re-rooted over members[hi], with its own labels and masks."""
-    ids = lat.members_between(whole.lattice, lo, hi)
+    ids = members_between(whole.lattice, lo, hi)
     top = whole.members[hi]
     amb = _ambient(top)
     return GroupInterval(

@@ -16,7 +16,8 @@ from orelat import lattice as lat
 from orelat import reproduce as rp
 from orelat import totients as tt
 from orelat.perm import Permutation, generate, subgroup_generated
-from dense_lattice import interval as slice_interval, leq, sub_interval
+from dense_lattice import interval as slice_interval, leq, members_between, sub_interval
+from references import psl2_7_subgroups_by_search
 
 SEVEN_FACTOR_NUMBERS = [
     2187, 2916, 3645, 3888, 4374, 4860, 5103, 5184, 5832, 6075, 6480, 6561,
@@ -78,23 +79,16 @@ def test_criterion_4_concrete_interval_fixture():
         return (-pow(z, -1, 7)) % 7
 
     group = generate(8, [shift, Permutation([neg_inv(z) for z in range(8)])])
-    u = next(g for g in group.elements if g.order() == 4)
-    u_inv = u.inverse()
-    powers = {u, u * u, u_inv}
-    t = next(g for g in group.elements
-             if g.order() == 2 and g * u * g.inverse() == u_inv and g not in powers)
-    d8 = subgroup_generated(group, [u, t])
-    a = next(g for g in group.elements if g.order() == 3)
-    b = next(g for g in group.elements
-             if g.order() == 2 and g * a * g.inverse() == a.inverse())
-    s3 = subgroup_generated(group, [a, b])
+    d8, s3 = psl2_7_subgroups_by_search(group)
 
     ok = group.order == 168 and d8.order == 8 and s3.order == 6
+    # the catalog pins the generators this search finds
+    ok = ok and d8 == cat.psl2_7_d8() and s3 == cat.psl2_7_s3()
     quads = []
     for base in (d8, s3):
         interval = iv.overgroup_interval(group, base)
         ok = ok and len(interval) == 4 and lat.is_boolean(interval.lattice)
-        ok = ok and interval.rank() == 2
+        ok = ok and interval.lattice.height() == 2
         k, ell = lat.atoms(interval.lattice)
         quads.append((
             interval.index_of[k], interval.index_of[ell],
@@ -208,17 +202,16 @@ def test_criterion_9_conjecture_monitor():
                     continue
                 monitored += 1
                 labels = [sizes[hi] // sizes[x]
-                          for x in lat.members_between(lattice, lo, hi)]
+                          for x in members_between(lattice, lo, hi)]
                 phihat = tt.dual_totient(tt.IndexedInterval(sub, labels))
                 if phihat < 2 ** (sub.height() - 1):
                     violations.append((name, lo, hi, phihat))
     realized = True
     for n in (1, 2, 3):
         interval = cat.catalog_interval(f"s2xs3_{n}/base")
-        model = tt.from_group_interval(interval)
-        direct = tt.dual_totient(model)
-        product = tt.dual_totient_allsplit(model)
-        bound = 2 ** (interval.rank() - 1)
+        direct = tt.dual_totient(interval)
+        product = tt.dual_totient_allsplit(tt.boolean_between(interval, 0, interval.lattice.top))
+        bound = 2 ** (interval.lattice.height() - 1)
         realized = realized and direct == product == bound
     report(9, "conjecture-support: dual totient >= 2^(rank-1)",
            not violations and realized,

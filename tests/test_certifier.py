@@ -2,6 +2,7 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,8 @@ from orelat import intervals as iv
 from orelat import lattice as lat
 from orelat import totients as tt
 from orelat.errors import InvalidParameters, NotBoolean, NotDistributive
-from dense_lattice import sub_interval
+from dense_lattice import subset_lattice, sub_interval
+from references import label_vector
 
 SEVEN_FACTOR_NUMBERS = [
     2187, 2916, 3645, 3888, 4374, 4860, 5103, 5184, 5832, 6075, 6480, 6561,
@@ -129,24 +131,33 @@ class TestChainTypes:
         assert cf.chain_types(tt.uniform_model(3, 3)) == {(3, 3, 3)}
 
     def test_d8_psl(self):
-        interval = cat.catalog_interval("psl2_7/d8")
-        assert cf.chain_types(interval) == {(3, 7)}
+        assert cf.chain_types(label_vector(cat.catalog_interval("psl2_7/d8"))) == {(3, 7)}
 
-    def test_requires_boolean(self):
+    @pytest.mark.parametrize("name", ["psl2_7/d8", "z12"])
+    def test_takes_label_vectors_only(self, name):
+        # a group interval has labels `idx` too, boolean or not: it is refused, never summed
+        with pytest.raises(InvalidParameters, match="chain_types takes a model of type BooleanInterval"):
+            cf.chain_types(cat.catalog_interval(name))
+
+    def test_non_boolean_intervals_have_no_label_vector(self):
         with pytest.raises(NotBoolean):
-            cf.chain_types(tt.from_group_interval(cat.catalog_interval("z12")))
+            label_vector(cat.catalog_interval("z12"))
+
+
+def some_chain_allsplit_small(model):
+    return any(cf.allsplit_small_ok(t) for t in cf.chain_types(model))
 
 
 class TestAllsplitSmall:
     def test_all_threes(self):
-        assert cf.check_allsplit_small(tt.uniform_model(3, 5))
+        assert some_chain_allsplit_small(tt.uniform_model(3, 5))
 
     def test_four_ten_chain_fails(self):
         model = tt.boolean_index_model(3, 7, [(4, 1), (10, 1)])
-        assert not cf.check_allsplit_small(model)
+        assert not some_chain_allsplit_small(model)
 
     def test_chain_containing_seven_fails(self):
-        assert not cf.check_allsplit_small(cat.catalog_interval("psl2_7/d8"))
+        assert not some_chain_allsplit_small(label_vector(cat.catalog_interval("psl2_7/d8")))
 
 
 class TestLemmaScan:
@@ -334,6 +345,20 @@ class TestScenarioCertificates:
         with pytest.raises(InvalidParameters):
             cf.IndexedModel(2, 10, ((3, 3),))
 
+    @pytest.mark.parametrize("args", [
+        (7, 9720.0), (7.0, 9720), (7, Fraction(9720)), (7, "9720"),
+        (2, 15, ((3.0, 5),)), (2, 15, ((3, Fraction(5)),)),
+    ], ids=repr)
+    def test_non_integer_scenarios_are_refused(self, args):
+        # each would read as a valid scenario if it were truncated by int
+        with pytest.raises(InvalidParameters, match="must be integers"):
+            cf.IndexedModel(*args)
+
+    def test_scenario_fields_are_exact_ints(self):
+        scenario = cf.IndexedModel(np.int64(7), np.int64(9720), ([np.int8(3)] * 5 + [4, 10],))
+        assert (scenario.rank, scenario.index, scenario.known_types) == (7, 9720, ((3, 3, 3, 3, 3, 4, 10),))
+        assert all(type(v) is int for v in (scenario.rank, scenario.index, *scenario.known_types[0]))
+
     def test_certificates_serialize(self):
         cert = cf.certify(cf.IndexedModel(7, 9720))
         blob = json.dumps(cert.to_dict(), sort_keys=True)
@@ -410,7 +435,7 @@ class TestVanishingDualTotient:
         # smallest boolean labelling with vanishing dual totient:
         # 12 - (6+6+6) + (2+2+3) - 1 = 0; the reciprocal-sum rule still fires
         labels = [12, 6, 6, 2, 6, 2, 3, 1]
-        model = tt.IndexedInterval(lat.subset_lattice(3), labels)
+        model = tt.IndexedInterval(subset_lattice(3), labels)
         assert tt.dual_totient(model) == 0
         cert = cf.certify(model)
         assert cert.is_primitive

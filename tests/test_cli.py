@@ -103,6 +103,17 @@ class TestCertify:
             "error": "--model-type must be comma-separated integers, got 'a,b'", "exit": 2,
         }
 
+    @pytest.mark.parametrize("flags", [["--model-rank", "5"], ["--model-type", "3,4"],
+                                       ["--model-rank", "2", "--model-type", "3,4"]], ids=" ".join)
+    def test_scenario_flags_without_an_index_are_an_input_error(self, capsys, flags):
+        code = main(["certify", "--catalog", "z12", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "--model-rank and --model-type describe a scenario and need --model-index", "exit": 2,
+        }
+
     @pytest.mark.parametrize("rank, index", [(9, 40), (900, 2 ** 62)], ids=["rank-9", "rank-900"])
     def test_scenario_index_below_two_to_the_rank_is_an_input_error(self, capsys, rank, index):
         code = main(["certify", "--model-rank", str(rank), "--model-index", str(index)])

@@ -12,6 +12,8 @@ from dense_lattice import (
     dense,
     interval,
     maximal_chains,
+    members_between,
+    subset_lattice,
 )
 
 
@@ -61,7 +63,7 @@ def assert_flags_match_reference(lattice, ref=None):
     """
     ref = dense(lattice) if ref is None else ref
     for lo in range(lattice.n):
-        for hi in lat.members_between(lattice, lo, lattice.top):
+        for hi in members_between(lattice, lo, lattice.top):
             sub = interval(lattice, lo, hi)
             sub_ref = dense_slice(ref, lo, hi)
             boolean = reference_is_boolean(sub_ref)
@@ -155,7 +157,7 @@ class TestBuild:
             build_lattice(leq)
 
     def test_subset_lattice_is_b3(self):
-        b3 = lat.subset_lattice(3)
+        b3 = subset_lattice(3)
         assert b3.n == 8
         assert len(lat.atoms(b3)) == 3
         assert len(lat.coatoms(b3)) == 3
@@ -186,15 +188,15 @@ class TestDistributive:
         assert lat.is_distributive(divisor_lattice(12))
 
     def test_intervals_inherit_distributivity(self):
-        b4 = lat.subset_lattice(4)
+        b4 = subset_lattice(4)
         for a in range(b4.n):
-            for b in lat.members_between(b4, a, b4.top):
+            for b in members_between(b4, a, b4.top):
                 assert lat.is_distributive(interval(b4, a, b))
 
 
 class TestBoolean:
     def test_b3(self):
-        assert lat.is_boolean(lat.subset_lattice(3))
+        assert lat.is_boolean(subset_lattice(3))
 
     def test_chain_of_length_two_is_not(self):
         assert not lat.is_boolean(chain(3))
@@ -203,12 +205,12 @@ class TestBoolean:
         assert not lat.is_boolean(divisor_lattice(12))
 
     def test_complement_in_b3(self):
-        b3 = lat.subset_lattice(3)
+        b3 = subset_lattice(3)
         assert complement(b3, 0b001) == 0b110
         assert complement(b3, b3.bottom) == b3.top
 
     def test_complement_is_involutive_and_swaps_atoms_coatoms(self):
-        b4 = lat.subset_lattice(4)
+        b4 = subset_lattice(4)
         for x in range(b4.n):
             assert complement(b4, complement(b4, x)) == x
         for a in lat.atoms(b4):
@@ -221,16 +223,16 @@ class TestBoolean:
 
 class TestIntervals:
     def test_whole_interval(self):
-        b3 = lat.subset_lattice(3)
+        b3 = subset_lattice(3)
         assert interval(b3, b3.bottom, b3.top).n == b3.n
 
     def test_upper_interval_of_b3_is_b2(self):
-        b3 = lat.subset_lattice(3)
+        b3 = subset_lattice(3)
         sub = interval(b3, 0b001, b3.top)
         assert sub.n == 4 and lat.is_boolean(sub) and sub.height() == 2
 
     def test_not_comparable(self):
-        b3 = lat.subset_lattice(3)
+        b3 = subset_lattice(3)
         with pytest.raises(NotComparable):
             interval(b3, 0b001, 0b110)
 
@@ -238,7 +240,7 @@ class TestIntervals:
 SMALL_LATTICES = pytest.mark.parametrize("lattice", [
     diamond_m3(), pentagon_n5(), chain(1), chain(2), chain(4),
     divisor_lattice(12), divisor_lattice(30), divisor_lattice(36),
-    lat.subset_lattice(3), eight_with_three_atoms(),
+    subset_lattice(3), eight_with_three_atoms(),
 ], ids=["m3", "n5", "chain1", "chain2", "chain4", "div12", "div30", "div36", "b3", "eight"])
 
 
@@ -254,14 +256,14 @@ class TestBooleanReference:
 
 class TestMaskLattice:
     def test_subset_lattice_meet_and_join_are_and_and_or(self):
-        b4 = lat.subset_lattice(4)
+        b4 = subset_lattice(4)
         for a in range(b4.n):
             for b in range(b4.n):
                 assert (b4.meet(a, b), b4.join(a, b)) == (a & b, a | b)
 
     def test_covers_are_read_only(self):
         with pytest.raises(ValueError):
-            lat.subset_lattice(2).covers[0, 3] = True
+            subset_lattice(2).covers[0, 3] = True
 
     def test_covers_are_built_once(self):
         lattice = lat.FiniteLattice([[], [0], [0], [1, 2]])
@@ -289,7 +291,7 @@ class TestMaskLattice:
 
 class TestTopBottomIntervals:
     def test_boolean_bottom_interval_is_everything(self):
-        b3 = lat.subset_lattice(3)
+        b3 = subset_lattice(3)
         assert lat.bottom_interval_join(b3) == b3.top
         assert len(lat.boolean_elements(b3, b3.bottom, b3.top)) == b3.n
 
@@ -305,7 +307,7 @@ class TestTopBottomIntervals:
             lat.boolean_elements(lattice, lattice.bottom, lat.bottom_interval_join(lattice))
 
     def test_bottom_boolean(self):
-        assert lat.is_bottom_boolean(lat.subset_lattice(2))
+        assert lat.is_bottom_boolean(subset_lattice(2))
         assert lat.is_bottom_boolean(divisor_lattice(12))
         assert not lat.is_bottom_boolean(pentagon_n5())
 
@@ -313,19 +315,19 @@ class TestTopBottomIntervals:
 class TestRank:
     def test_rank_of_top_in_bn(self):
         for n in (1, 2, 3, 4):
-            bn = lat.subset_lattice(n)
+            bn = subset_lattice(n)
             assert bn.is_graded()
             assert bn.ranks()[bn.top] == n
             assert bn.ranks() == tuple(x.bit_count() for x in range(bn.n))
 
     def test_graded_flags(self):
-        assert lat.subset_lattice(3).is_graded()
+        assert subset_lattice(3).is_graded()
         assert not pentagon_n5().is_graded()
 
     def test_maximal_chains_of_b3(self):
-        assert len(maximal_chains(lat.subset_lattice(3))) == 6
+        assert len(maximal_chains(subset_lattice(3))) == 6
 
     def test_boolean_maximal_chains_have_equal_length(self):
-        b4 = lat.subset_lattice(4)
+        b4 = subset_lattice(4)
         lengths = {len(c) for c in maximal_chains(b4)}
         assert lengths == {5}

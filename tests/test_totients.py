@@ -10,12 +10,12 @@ from orelat import totients as tt
 from orelat.errors import (
     InvalidParameters,
     NotACoatom,
-    NotBoolean,
     NotDistributive,
     NotGraded,
     SplitConditionFails,
 )
-from dense_lattice import build_lattice, sub_interval
+from dense_lattice import build_lattice, subset_lattice, sub_interval
+from references import allsplit_model, label_vector
 
 
 def group_model(name):
@@ -158,12 +158,12 @@ class TestClosedForms:
 class TestCoatomSplit:
     def test_rank_one(self):
         model = tt.pq_model(3, 9, 1, 1)
-        (coatom,) = lat.coatoms(model.lattice)
+        (coatom,) = model.coatoms()
         assert tt.dual_totient_coatom_split(model, coatom) == 9 - 1
 
     def test_d8_psl_both_coatoms(self):
-        model = interval_model("psl2_7/d8")
-        for co in lat.coatoms(model.lattice):
+        model = label_vector(interval_model("psl2_7/d8"))
+        for co in model.coatoms():
             assert tt.dual_totient_coatom_split(model, co) == 8
 
     def test_identity_on_models_up_to_rank_four(self):
@@ -173,15 +173,12 @@ class TestCoatomSplit:
                     for m in range(0, n + 1):
                         model = tt.pq_model(p, q, n, m)
                         expected = tt.dual_totient(model)
-                        for co in lat.coatoms(model.lattice):
+                        for co in model.coatoms():
                             assert tt.dual_totient_coatom_split(model, co) == expected
 
-    def test_requires_boolean_and_coatom(self):
-        with pytest.raises(NotBoolean):
-            tt.dual_totient_coatom_split(group_model("z12"), 0)
-        model = tt.uniform_model(3, 3)
+    def test_requires_a_coatom_mask(self):
         with pytest.raises(NotACoatom):
-            tt.dual_totient_coatom_split(model, model.lattice.bottom)
+            tt.dual_totient_coatom_split(tt.uniform_model(3, 3), 0)
 
 
 class TestAllSplit:
@@ -190,17 +187,17 @@ class TestAllSplit:
 
     def test_product_interval(self):
         model = interval_model("s2xs3_2/base")
-        assert tt.dual_totient_allsplit(model) == 1 * 2 * 2 == 4
+        assert tt.dual_totient_allsplit(label_vector(model)) == 1 * 2 * 2 == 4
         assert tt.dual_totient(model) == 4
 
     def test_mixed_atom_values(self):
-        model = tt.allsplit_model([2, 3, 5])
+        model = allsplit_model([2, 3, 5])
         assert tt.dual_totient_allsplit(model) == 1 * 2 * 4
         assert tt.dual_totient(model) == 8
 
     def test_split_condition_fails_on_d8_psl(self):
         with pytest.raises(SplitConditionFails):
-            tt.dual_totient_allsplit(interval_model("psl2_7/d8"))
+            tt.dual_totient_allsplit(label_vector(interval_model("psl2_7/d8")))
 
 
 def boolean_top_intervals(names):
@@ -222,8 +219,9 @@ class TestCatalogInvariants:
     def test_coatom_split_identity_on_catalog_booleans(self):
         for model, name in boolean_top_intervals(SMALL_SCAN):
             expected = tt.dual_totient(model)
-            for co in lat.coatoms(model.lattice):
-                assert tt.dual_totient_coatom_split(model, co) == expected, name
+            boolean = label_vector(model)
+            for co in boolean.coatoms():
+                assert tt.dual_totient_coatom_split(boolean, co) == expected, name
 
     def test_prime_power_index_gives_the_uniform_closed_form(self):
         for model, name in boolean_top_intervals(SMALL_SCAN):
@@ -244,7 +242,7 @@ class TestCatalogInvariants:
             n = model.lattice.height()
             if n < 2:
                 continue
-            types = chain_types(model)
+            types = chain_types(label_vector(model))
             if len(types) != 1:
                 continue
             (t,) = types
@@ -270,16 +268,40 @@ class TestCatalogInvariants:
 class TestModelValidation:
     def test_top_label_must_be_one(self):
         with pytest.raises(InvalidParameters):
-            tt.IndexedInterval(lat.subset_lattice(1), [4, 2])
+            tt.IndexedInterval(subset_lattice(1), [4, 2])
 
     def test_labels_divide_along_covers(self):
         with pytest.raises(InvalidParameters):
-            tt.IndexedInterval(lat.subset_lattice(2), [6, 3, 4, 1])
+            tt.IndexedInterval(subset_lattice(2), [6, 3, 4, 1])
         with pytest.raises(InvalidParameters):
-            tt.IndexedInterval(lat.subset_lattice(1), [2, 2])
+            tt.IndexedInterval(subset_lattice(1), [2, 2])
 
     def test_chain_type_of_two_block_model(self):
         from orelat.certifier import chain_types
         model = tt.boolean_index_model(3, 7, [(4, 1), (10, 1)])
         assert chain_types(model) == {(3, 3, 3, 3, 3, 4, 10)}
         assert model.total_index == 9720
+
+
+class TestOneModelTypePerRoutine:
+    """The label-vector routines take a BooleanInterval only, the lattice routines an IndexedInterval only."""
+
+    @pytest.mark.parametrize("name", ["psl2_7/d8", "s2xs3_2/base", "z12"])
+    def test_label_vector_routines_refuse_group_intervals(self, name):
+        # boolean or not, a group interval has labels `idx` too: it is refused, never summed
+        interval = group_model(name)
+        refusal = "takes a model of type BooleanInterval, not GroupInterval"
+        with pytest.raises(InvalidParameters, match=f"dual_totient_coatom_split {refusal}"):
+            tt.dual_totient_coatom_split(interval, lat.coatoms(interval.lattice)[0])
+        with pytest.raises(InvalidParameters, match=f"dual_totient_allsplit {refusal}"):
+            tt.dual_totient_allsplit(interval)
+
+    @pytest.mark.parametrize("routine", [
+        lambda model: tt.boolean_between(model, 0, model.top),
+        tt.euler_totient_distributive,
+        tt.dual_totient_distributive,
+    ])
+    def test_lattice_routines_refuse_label_vectors(self, routine):
+        refusal = "takes a model of type IndexedInterval, not BooleanInterval"
+        with pytest.raises(InvalidParameters, match=refusal):
+            routine(tt.uniform_model(3, 2))
