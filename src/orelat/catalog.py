@@ -2,17 +2,19 @@
 
 The catalog is an artifact choice: cyclic and dihedral groups, symmetric and
 alternating groups through degree 5, a few direct products, the order-168
-projective group on 8 points with a D8 and an S3 inside it, each given by
-pinned generators, and the wreath-like products S2 x S3^n whose
-base interval realizes the conjectured lower bound.  Each named group is
-built once; its intervals are memoized with its multiplication table in
-`intervals`, so `catalog_interval` returns the same object on every call.
-Construction is deterministic.
+projective group on 8 points, and the wreath-like products S2 x S3^n.  A
+named interval is one row of `_INTERVALS`: the name of its group and the
+pinned generators of its base, as with the D8 and the S3 inside the
+order-168 group and the base of S2 x S3^n, whose interval realizes the
+conjectured lower bound.  One cache, keyed by the normalized name, builds
+each group and each pair once; the intervals are memoized with their
+multiplication table in `intervals`, so `catalog_interval` returns the same
+object on every call.  Construction is deterministic.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from .errors import ParseError
 from .perm import FiniteGroup, Permutation, generate, subgroup_generated, trivial_group
 from .intervals import GroupInterval, overgroup_interval
@@ -64,54 +66,18 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return generate(d, gens)
 
 
-def klein_four() -> FiniteGroup:
-    return generate(4, [Permutation([1, 0, 2, 3]), Permutation([0, 1, 3, 2])])
-
-
-@lru_cache(maxsize=None)
 def psl2_7() -> FiniteGroup:
     """Order-168 simple group: Moebius maps z -> z+1 and z -> -1/z on P1(F7).
 
     Point 7 plays the role of infinity; the order matches (7^3 - 7)/2.
     """
     shift = Permutation([1, 2, 3, 4, 5, 6, 0, 7])
-
-    def neg_inv(z: int) -> int:
-        if z == 7:
-            return 0
-        if z == 0:
-            return 7
-        return (-pow(z, -1, 7)) % 7
-
-    group = generate(8, [shift, Permutation([neg_inv(z) for z in range(8)])])
+    neg_inv = Permutation([7] + [-pow(z, -1, 7) % 7 for z in range(1, 7)] + [0])
+    group = generate(8, [shift, neg_inv])
     assert group.order == (7 ** 3 - 7) // 2
     return group
 
 
-def _psl2_7_subgroup(*cycles: str) -> FiniteGroup:
-    """The subgroup of the order-168 group generated by 0-based cycle strings."""
-    return subgroup_generated(psl2_7(), [Permutation.from_cycles(c, 8, one_based=False) for c in cycles])
-
-
-@lru_cache(maxsize=None)
-def psl2_7_d8() -> FiniteGroup:
-    """A Sylow-2 subgroup (dihedral of order 8) of the order-168 group.
-
-    Its generators are an element of order 4 and an involution inverting it.
-    """
-    return _psl2_7_subgroup("(0 1 2 7)(3 5 4 6)", "(0 3)(1 6)(2 4)(5 7)")
-
-
-@lru_cache(maxsize=None)
-def psl2_7_s3() -> FiniteGroup:
-    """A nonabelian order-6 subgroup of the order-168 group.
-
-    Its generators are an element of order 3 and an involution inverting it.
-    """
-    return _psl2_7_subgroup("(2 6 7)(3 5 4)", "(0 1)(2 3)(4 6)(5 7)")
-
-
-@lru_cache(maxsize=None)
 def s2_s3n(n: int) -> FiniteGroup:
     """The product S2 x S3^n on 2 + 3n points."""
     group = symmetric(2)
@@ -120,53 +86,31 @@ def s2_s3n(n: int) -> FiniteGroup:
     return group
 
 
-@lru_cache(maxsize=None)
-def s2_s3n_base(n: int) -> FiniteGroup:
-    """The subgroup 1 x S2^n: one transposition inside each S3 factor."""
-    group = s2_s3n(n)
-    gens = []
-    for i in range(n):
-        lo = 2 + 3 * i
-        images = list(range(group.degree))
-        images[lo], images[lo + 1] = images[lo + 1], images[lo]
-        gens.append(Permutation(images))
-    return subgroup_generated(group, gens)
-
-
 _GROUPS = {
-    "trivial": lambda: trivial_group(1),
-    "z2": lambda: cyclic(2),
-    "z3": lambda: cyclic(3),
-    "z4": lambda: cyclic(4),
-    "z5": lambda: cyclic(5),
-    "z6": lambda: cyclic(6),
-    "z7": lambda: cyclic(7),
-    "z8": lambda: cyclic(8),
-    "z9": lambda: cyclic(9),
-    "z12": lambda: cyclic(12),
-    "v4": klein_four,
-    "d4": lambda: dihedral(4),
-    "d5": lambda: dihedral(5),
-    "d6": lambda: dihedral(6),
-    "s3": lambda: symmetric(3),
-    "s4": lambda: symmetric(4),
-    "s5": lambda: symmetric(5),
-    "a4": lambda: alternating(4),
-    "a5": lambda: alternating(5),
+    "trivial": partial(trivial_group, 1),
+    **{f"z{n}": partial(cyclic, n) for n in (2, 3, 4, 5, 6, 7, 8, 9, 12)},
+    "v4": lambda: direct_product(cyclic(2), cyclic(2)),
+    **{f"d{n}": partial(dihedral, n) for n in (4, 5, 6)},
+    **{f"s{n}": partial(symmetric, n) for n in (3, 4, 5)},
+    **{f"a{n}": partial(alternating, n) for n in (4, 5)},
     "s3xs3": lambda: direct_product(symmetric(3), symmetric(3)),
-    "s2xs3": lambda: s2_s3n(1),
-    "s2xs3_2": lambda: s2_s3n(2),
-    "s2xs3_3": lambda: s2_s3n(3),
+    "s2xs3": partial(s2_s3n, 1),
+    "s2xs3_2": partial(s2_s3n, 2),
+    "s2xs3_3": partial(s2_s3n, 3),
     "psl2_7": psl2_7,
 }
 
+# Named intervals [H, G]: the name of G and the generators of H as 0-based cycles.
 _INTERVALS = {
-    "psl2_7/d8": lambda: (psl2_7(), psl2_7_d8()),
-    "psl2_7/s3": lambda: (psl2_7(), psl2_7_s3()),
-    "s2xs3_1/base": lambda: (s2_s3n(1), s2_s3n_base(1)),
-    "s2xs3_2/base": lambda: (s2_s3n(2), s2_s3n_base(2)),
-    "s2xs3_3/base": lambda: (s2_s3n(3), s2_s3n_base(3)),
-    "s3/a3": lambda: (symmetric(3), subgroup_generated(symmetric(3), [Permutation([1, 2, 0])])),
+    # A Sylow 2-subgroup, dihedral of order 8: an element of order 4 and an involution inverting it.
+    "psl2_7/d8": ("psl2_7", ("(0 1 2 7)(3 5 4 6)", "(0 3)(1 6)(2 4)(5 7)")),
+    # A nonabelian subgroup of order 6: an element of order 3 and an involution inverting it.
+    "psl2_7/s3": ("psl2_7", ("(2 6 7)(3 5 4)", "(0 1)(2 3)(4 6)(5 7)")),
+    # The base 1 x S2^n of S2 x S3^n: one transposition inside each S3 factor.
+    "s2xs3_1/base": ("s2xs3", ("(2 3)",)),
+    "s2xs3_2/base": ("s2xs3_2", ("(2 3)", "(5 6)")),
+    "s2xs3_3/base": ("s2xs3_3", ("(2 3)", "(5 6)", "(8 9)")),
+    "s3/a3": ("s3", ("(0 1 2)",)),
 }
 
 
@@ -179,31 +123,41 @@ def catalog_group(name: str) -> FiniteGroup:
     key = name.strip().lower()
     if key not in _GROUPS:
         raise ParseError(f"unknown catalog group {name!r}; known: {', '.join(catalog_names())}")
-    return _named_group(key)
-
-
-@lru_cache(maxsize=None)
-def _named_group(key: str) -> FiniteGroup:
-    return _GROUPS[key]()
+    return _resolve(key)[0]
 
 
 def catalog_pair(name: str):
     """Resolve 'group' or 'group/subgroup' to an (ambient, base) pair."""
-    key = name.strip().lower()
-    if key in _INTERVALS:
-        return _INTERVALS[key]()
-    if "/" in key:
-        amb_name, sub_name = key.split("/", 1)
-        ambient = catalog_group(amb_name)
-        if sub_name in ("1", "trivial"):
-            return ambient, trivial_group(ambient.degree)
-        if sub_name in _GROUPS:
-            base = _named_group(sub_name)
-            if base.degree == ambient.degree and base <= ambient:
-                return ambient, base
+    pair = _resolve(name.strip().lower())
+    if pair is None:
         raise ParseError(f"unknown catalog interval {name!r}")
-    group = catalog_group(key)
-    return group, trivial_group(group.degree)
+    return pair
+
+
+@lru_cache(maxsize=None)
+def _resolve(key: str):
+    """The (ambient, base) pair of a normalized name, or None for an unknown 'group/subgroup'.
+
+    A group stands over its trivial subgroup; a 'group/subgroup' outside
+    `_INTERVALS` takes a named group of the same degree, '1' or 'trivial'.
+    """
+    if key in _GROUPS:
+        group = _GROUPS[key]()
+        return group, trivial_group(group.degree)
+    if key in _INTERVALS:
+        group_name, cycles = _INTERVALS[key]
+        group = catalog_group(group_name)
+        gens = [Permutation.from_cycles(c, group.degree, one_based=False) for c in cycles]
+        return group, subgroup_generated(group, gens)
+    amb_name, _, sub_name = key.partition("/")
+    ambient = catalog_group(amb_name)
+    if sub_name in ("1", "trivial"):
+        return _resolve(amb_name)
+    if sub_name in _GROUPS:
+        base = catalog_group(sub_name)
+        if base.degree == ambient.degree and base <= ambient:
+            return ambient, base
+    return None
 
 
 def catalog_interval(name: str) -> GroupInterval:

@@ -20,8 +20,10 @@ verdict can be re-checked independently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import lattice as lat
@@ -124,14 +126,29 @@ def chain_types(model: BooleanInterval) -> set:
     return types[-1]
 
 
+def _divisors(number: int) -> list:
+    """The divisors of number >= 1, ascending, from its prime factors found by trial division."""
+    divisors = [1]
+    while number > 1:
+        p, powers = _least_prime_factor(number), [1]
+        while number % p == 0:
+            number //= p
+            powers.append(powers[-1] * p)
+        divisors = [d * q for d in divisors for q in powers]
+    return sorted(divisors)
+
+
 def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
     """All nondecreasing tuples of `parts` integers >= min_factor multiplying to number, ascending.
 
     A depth-first walk on an explicit stack, so the number of parts is not
     bounded by the interpreter's recursion limit.  Each node is (remaining,
     lowest next factor, factors so far); its children are pushed largest
-    factor first, so they are popped in ascending order.
+    factor first, so they are popped in ascending order.  Every factor
+    divides `number`, so the candidates come from its sorted divisors,
+    found once, not from counting up to a root of what remains.
     """
+    divisors = _divisors(number)
     result: list = []
     stack = [(number, min_factor, ())]
     while stack:
@@ -147,11 +164,11 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
                 stack.append((1, remaining, acc + (remaining,)))
             continue
         children = []
-        f = lowest
-        while f ** count <= remaining:
+        for f in islice(divisors, bisect_left(divisors, lowest), None):
+            if f ** count > remaining:
+                break
             if remaining % f == 0:
                 children.append((remaining // f, f, acc + (f,)))
-            f += 1
         stack.extend(reversed(children))
     return result
 

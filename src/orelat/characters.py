@@ -20,7 +20,6 @@ takes a `FiniteGroup` and turns it into a bitset.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from . import lattice as lat
 from .errors import InvalidParameters, NotAnInteger, ValidationFailed
 from .intervals import GroupInterval, _ambient
-from .perm import FiniteGroup
+from .perm import FiniteGroup, _picker
 
 TOLERANCE = 1e-6
 
@@ -127,8 +126,7 @@ def _class_matrices(classes: ConjugacyClasses, amb) -> list:
     mul, inv = amb.mul, amb.inv
     r = len(classes)
     reps = classes.representatives
-    # itemgetter of a single index returns a scalar, not a tuple
-    at_reps = itemgetter(*reps) if r > 1 else (lambda row, z=reps[0]: (row[z],))
+    at_reps = _picker(reps)
     class_of = np.array(classes.class_of)
     products = np.array(list(map(at_reps, map(mul.__getitem__, inv))))  # x^-1·z_k, by x and k
     keys = (class_of[:, None] * r + class_of[products]) * r + np.arange(r)

@@ -150,6 +150,10 @@ def cmd_certify(args) -> dict:
     if args.model_index is None and (args.model_rank is not None or args.model_type is not None):
         raise ParseError("--model-rank and --model-type describe a scenario and need --model-index")
     if args.model_index is not None:
+        for flag, value in (("--catalog", args.catalog), ("--group-file", args.group_file),
+                            ("--subgroup-file", args.subgroup_file)):
+            if value is not None:
+                raise ParseError(f"{flag} names an interval and cannot be given with --model-index")
         rank = args.model_rank if args.model_rank is not None else 7
         known = ()
         if args.model_type:

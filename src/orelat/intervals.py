@@ -51,7 +51,8 @@ keyed by the group and its generators, since the generators build the table
 and groups compare equal by their elements alone.  Each interval is
 memoized on its `_Ambient` by the bitset of its base; later calls return
 the same object, which is shared and must not be mutated, and the member
-cap is checked on every call.
+cap is checked on every call.  `bbl` and `cfl` read the bottom-boolean
+levels from `lattice.bb_levels`; this module reads no lattice bitmask.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from typing import Iterable, Sequence
 
 from . import lattice as lat
 from .errors import CapExceeded, InvalidParameters, NotASubgroup, NotDistributive, OreViolation
-from .perm import FiniteGroup, Permutation, trivial_group
+from .perm import FiniteGroup, Permutation, _picker, trivial_group
 
 DEFAULT_MEMBER_CAP = 10_000
 _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
@@ -95,8 +96,7 @@ class _Subgroup:
         self.elems = elems
         self.mask = mask
         self.gens = gens
-        # itemgetter of a single index returns a scalar, not a tuple
-        self.take = itemgetter(*elems) if len(elems) > 1 else (lambda row, e=elems[0]: (row[e],))
+        self.take = _picker(elems)
 
 
 class _Ambient:
@@ -275,13 +275,10 @@ def _multiplication_table(images: list, index: dict, gens: Sequence[int], identi
     element raise `InvalidParameters`.
     """
     n = len(images)
-    if n == 1:
-        # itemgetter of a single index returns a scalar, not a tuple
-        return [bytes(1)], [0]
     mul: list = [None] * n
     inv: list = [None] * n
     row_type = bytes if n <= 256 else tuple
-    compose = [itemgetter(*b) for b in images]
+    compose = [_picker(b) for b in images]
     for s in gens:
         mul[s] = row_type(index[c(images[s])] for c in compose)
     mul[identity] = row_type(range(n))
@@ -492,42 +489,10 @@ def full_subgroup_lattice(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> 
     return overgroup_interval(group, trivial_group(group.degree), cap)
 
 
-def _is_bb_edge(lattice: lat.FiniteLattice, u: int, v: int) -> bool:
-    """Whether [u, v] is bottom-boolean: [u, b] is boolean for b the join of its atoms.
-
-    The atoms of [u, v] are the covers of u below v.
-    """
-    b = u
-    for a in lat.bits(lattice._upper[u] & lattice._down[v]):
-        b = lattice.join(b, a)
-    return lat.is_boolean_interval(lattice, u, b)
-
-
-def _bb_levels(lattice: lat.FiniteLattice):
-    """The members by their distance to the top in bottom-boolean steps, one list per distance.
-
-    One breadth-first search runs down from the top over the bottom-boolean
-    edges [u, v], read backwards, so the levels come in increasing
-    distance.  Every cover is such an edge, so every member is reached, and
-    each v is expanded once, so no edge is tested twice.
-    """
-    reached = 1 << lattice.top
-    level = [lattice.top]
-    while level:
-        yield level
-        below = []
-        for v in level:
-            for u in lat.bits(lattice._down[v] & ~reached):
-                if _is_bb_edge(lattice, u, v):
-                    reached |= 1 << u
-                    below.append(u)
-        level = below
-
-
 def bbl_between(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
-    """Minimal number of bottom-boolean steps from sub up to group."""
+    """Minimal number of bottom-boolean steps from sub up to group: the level of `lattice.bb_levels` holding sub."""
     lattice = overgroup_interval(group, sub, cap).lattice
-    return next(d for d, level in enumerate(_bb_levels(lattice)) if lattice.bottom in level)
+    return next(d for d, level in enumerate(lat.bb_levels(lattice)) if lattice.bottom in level)
 
 
 def bbl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
@@ -537,7 +502,7 @@ def bbl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
 def cfl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
     """Minimum of bbl_between(group, H) over core-free subgroups H.
 
-    The first level of `_bb_levels` on the full lattice that holds a
+    The first level of `lattice.bb_levels` on the full lattice that holds a
     core-free member gives the minimum.  The trivial subgroup is core-free,
     so some level always does.
     """
@@ -545,7 +510,7 @@ def cfl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
     amb, masks = full._amb, full.masks
     trivial = amb.trivial.mask
     return next(
-        d for d, level in enumerate(_bb_levels(full.lattice))
+        d for d, level in enumerate(lat.bb_levels(full.lattice))
         if any(amb.core(masks[v]) == trivial for v in level)
     )
 

@@ -16,8 +16,9 @@ of down-sets of its join-irreducibles (Birkhoff 1937): x -> {join-
 irreducibles below x} embeds every finite lattice into those down-sets,
 and is onto exactly when the lattice is distributive.  An interval [a, b]
 is boolean exactly when the joins of the subsets of its atoms are all
-distinct and fill it (`boolean_elements`); the boolean and bottom-boolean
-flags are that one test on [bottom, top] and on [bottom, join of the atoms].
+distinct and fill it (`boolean_elements`).  [u, v] is bottom-boolean when
+[u, join of its atoms] is boolean: one test, run on [bottom, top] for the
+flag and by the breadth-first search of `bb_levels` down from the top.
 """
 
 from __future__ import annotations
@@ -238,10 +239,32 @@ def covers_join(lat: FiniteLattice, a: int) -> int:
     return reduce(lat.join, upper_covers(lat, a), a)
 
 
-def bottom_interval_join(lat: FiniteLattice) -> int:
-    return covers_join(lat, lat.bottom)
+def _is_bottom_boolean(lat: FiniteLattice, u: int, v: int) -> bool:
+    """Whether [u, j] is boolean for j the join of the atoms of [u, v], the covers of u below v."""
+    return is_boolean_interval(lat, u, reduce(lat.join, bits(lat._upper[u] & lat._down[v]), u))
 
 
 def is_bottom_boolean(lat: FiniteLattice) -> bool:
-    """Whether [bottom, b] is boolean, with b the join of all atoms."""
-    return is_boolean_interval(lat, lat.bottom, bottom_interval_join(lat))
+    """Whether [bottom, j] is boolean, with j the join of all atoms."""
+    return _is_bottom_boolean(lat, lat.bottom, lat.top)
+
+
+def bb_levels(lat: FiniteLattice):
+    """The elements by their distance to the top in bottom-boolean steps, one list per distance.
+
+    One breadth-first search runs down from the top over the bottom-boolean
+    intervals [u, v], read backwards, so the levels come in increasing
+    distance.  Every cover is such an interval, so every element is
+    reached, and each v is expanded once, so no interval is tested twice.
+    """
+    reached = 1 << lat.top
+    level = [lat.top]
+    while level:
+        yield level
+        below = []
+        for v in level:
+            for u in bits(lat._down[v] & ~reached):
+                if _is_bottom_boolean(lat, u, v):
+                    reached |= 1 << u
+                    below.append(u)
+        level = below

@@ -171,6 +171,16 @@ class FiniteGroup:
         return Permutation.identity(self.degree)
 
 
+def _picker(keys: Sequence[int]):
+    """`itemgetter(*keys)`, but a tuple for any number of keys, on tuple and bytes rows alike."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if keys:
+        key = keys[0]
+        return lambda row: (row[key],)  # itemgetter(key) would return the bare item
+    return lambda row: ()
+
+
 def _closure(degree: int, generators: Sequence[Permutation], cap: int) -> list:
     """Every product of the generators, closed breadth first on image tuples.
 
@@ -179,9 +189,7 @@ def _closure(degree: int, generators: Sequence[Permutation], cap: int) -> list:
     without being checked again.
     """
     ident = tuple(range(degree))
-    # on fewer than two points every generator is the identity, and
-    # itemgetter of a single index returns a scalar, not a tuple
-    times = [itemgetter(*g.images) for g in generators] if degree > 1 else []
+    times = [_picker(g.images) for g in generators]
     elements = {ident}
     frontier = [ident]
     while frontier:

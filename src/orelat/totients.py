@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import eq, floordiv, itemgetter, mod, mul, or_
-from typing import Optional, Sequence, Union
+from operator import eq, floordiv, mod, mul, or_
+from typing import Callable, Optional, Sequence, Union
 
 from . import lattice as lat
 from .errors import (
@@ -44,6 +44,7 @@ from .errors import (
     SplitConditionFails,
 )
 from .intervals import IndexedInterval, integer_labels
+from .perm import _picker
 
 
 class BooleanInterval:
@@ -127,13 +128,6 @@ class BooleanInterval:
         return f"BooleanInterval(n={self.n}, index={self.total_index})"
 
 
-def _picker(keys: Sequence[int]) -> itemgetter:
-    """An itemgetter of `keys` that returns a tuple for any number of keys."""
-    if len(keys) == 1:  # itemgetter(k) would return the bare item
-        return itemgetter(slice(keys[0], keys[0] + 1))
-    return itemgetter(*keys) if keys else itemgetter(slice(0))
-
-
 @lru_cache(maxsize=16)
 def _cover_pickers(n: int) -> tuple:
     """Pickers of the lower and of the upper ends of the n * 2^(n-1) covers s -> s | bit."""
@@ -142,7 +136,7 @@ def _cover_pickers(n: int) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _sub_picker(a: int, b: int) -> itemgetter:
+def _sub_picker(a: int, b: int) -> Callable:
     """Picker of the masks of [a, b], ordered by the bits of b & ~a from the lowest."""
     masks = (a,)
     free = b & ~a
@@ -252,7 +246,7 @@ def dual_totient_distributive(model: IndexedInterval) -> int:
     _require(model, IndexedInterval, "dual_totient_distributive")
     if not lat.is_distributive(model.lattice):
         raise NotDistributive("the bottom-interval extension needs a distributive lattice")
-    b = lat.bottom_interval_join(model.lattice)
+    b = lat.covers_join(model.lattice, model.lattice.bottom)
     return model.idx[b] * dual_totient(boolean_between(model, model.lattice.bottom, b))
 
 
@@ -376,7 +370,7 @@ def _block_factor(p: int, q: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _spread_picker(size: int, times: int) -> itemgetter:
+def _spread_picker(size: int, times: int) -> Callable:
     """Picker of a factor of `size` entries, each repeated `times` times in turn."""
     return _picker([t for t in range(size) for _ in range(times)])
 

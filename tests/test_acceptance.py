@@ -83,7 +83,7 @@ def test_criterion_4_concrete_interval_fixture():
 
     ok = group.order == 168 and d8.order == 8 and s3.order == 6
     # the catalog pins the generators this search finds
-    ok = ok and d8 == cat.psl2_7_d8() and s3 == cat.psl2_7_s3()
+    ok = ok and d8 == cat.catalog_pair("psl2_7/d8")[1] and s3 == cat.catalog_pair("psl2_7/s3")[1]
     quads = []
     for base in (d8, s3):
         interval = iv.overgroup_interval(group, base)

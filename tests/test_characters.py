@@ -149,12 +149,12 @@ class TestLinearPrimitivity:
         assert primitive
 
     def test_klein_four_is_not(self):
-        interval = iv.full_subgroup_lattice(cat.klein_four())
+        interval = iv.full_subgroup_lattice(cat.catalog_group("v4"))
         primitive, witness = ch.is_linearly_primitive(interval)
         assert not primitive and witness is None
 
     def test_d8_psl_with_reciprocal_sum_below_two(self):
-        interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
+        interval = iv.overgroup_interval(*cat.catalog_pair("psl2_7/d8"))
         base = interval.members[0].order
         total = sum(
             1 / (interval.members[a].order / base)

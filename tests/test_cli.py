@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -157,6 +158,27 @@ class TestCertify:
             assert code == 0 and captured.err == ""
             certificate = json.loads(captured.out)["results"]["certificate"]
             assert certificate["verdict"] == "primitive" and certificate["frontier"] == []
+
+    def test_scenario_with_many_divisors_gets_a_verdict_in_seconds(self, capsys):
+        # 3**40 at rank 7: the factor search walks its 41 divisors instead of
+        # counting up to the square root of what remains at the last two factors
+        start = time.perf_counter()
+        code, report = run_json(capsys, "certify", "--model-rank", "7", "--model-index", str(3 ** 40))
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        certificate = report["results"]["certificate"]
+        assert certificate["verdict"] == "primitive" and certificate["frontier"] == []
+
+    @pytest.mark.parametrize("flag, value", [("--catalog", "nosuchgroup"), ("--group-file", "group.json"),
+                                             ("--subgroup-file", "subgroup.json")], ids=lambda x: x)
+    def test_interval_flags_with_an_index_are_an_input_error(self, capsys, flag, value):
+        code = main(["certify", flag, value, "--model-index", "2187"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": f"{flag} names an interval and cannot be given with --model-index", "exit": 2,
+        }
 
     def test_long_non_uniform_chain_type_gets_a_verdict_at_any_stack_depth(self, capsys, monkeypatch):
         # one chain type, (3, ..., 3, 5, 7): its bounds walk passes 1,198 sub-types

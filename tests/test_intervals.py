@@ -174,7 +174,7 @@ class TestOvergroupInterval:
         assert interval.idx == (2, 1)
 
     def test_d8_in_psl(self):
-        interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
+        interval = iv.overgroup_interval(*cat.catalog_pair("psl2_7/d8"))
         assert len(interval) == 4
         assert lat.is_boolean(interval.lattice)
         assert interval.lattice.height() == 2
@@ -183,7 +183,7 @@ class TestOvergroupInterval:
         assert sorted(interval.members[a].order // 8 for a in atoms) == [3, 3]
 
     def test_s3_in_psl(self):
-        interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_s3())
+        interval = iv.overgroup_interval(*cat.catalog_pair("psl2_7/s3"))
         atoms = lat.atoms(interval.lattice)
         assert len(interval) == 4
         assert sorted(interval.index_of[a] for a in atoms) == [7, 7]
@@ -396,8 +396,8 @@ def cold_intervals():
 class TestIntervalMemo:
     def test_repeated_call_returns_the_same_interval(self):
         group = cat.psl2_7()
-        first = iv.overgroup_interval(group, cat.psl2_7_d8())
-        assert iv.overgroup_interval(group, cat.psl2_7_d8()) is first
+        first = iv.overgroup_interval(group, cat.catalog_pair("psl2_7/d8")[1])
+        assert iv.overgroup_interval(group, cat.catalog_pair("psl2_7/d8")[1]) is first
 
     def test_equal_groups_from_other_generators_give_the_same_interval(self):
         # each generating set builds its own table; the element ids, and so the masks, agree
@@ -487,7 +487,7 @@ class TestMinimalOvergroups:
         assert atom_orders(interval) == [6]
 
     def test_d8_psl(self):
-        interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
+        interval = iv.overgroup_interval(*cat.catalog_pair("psl2_7/d8"))
         assert atom_orders(interval) == [24, 24]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -526,7 +526,7 @@ class TestBblCfl:
         for u in range(lattice.n):
             for v in members_between(lattice, u, lattice.top):
                 if v != u:
-                    assert iv._is_bb_edge(lattice, u, v) == reference_is_bottom_boolean(dense_slice(ref, u, v))
+                    assert lat._is_bottom_boolean(lattice, u, v) == reference_is_bottom_boolean(dense_slice(ref, u, v))
 
     @pytest.mark.parametrize("name", ["z2", "z4", "z6", "z8", "z12", "v4", "s3", "d4", "a4"])
     def test_cfl_at_most_bbl(self, name):
@@ -556,8 +556,8 @@ class TestBblCfl:
 
 
 def bb_edge(lattice):
-    """`_is_bb_edge` on `lattice`, memoized: the forward searches below ask an edge once per start."""
-    return functools.cache(functools.partial(iv._is_bb_edge, lattice))
+    """`lattice._is_bottom_boolean` on `lattice`, memoized: the forward searches below ask an edge once per start."""
+    return functools.cache(functools.partial(lat._is_bottom_boolean, lattice))
 
 
 def shortest_bb_chain(lattice, start, edge):
@@ -694,7 +694,7 @@ class TestNormalizerOrbits:
 
     def test_self_normalizing_base_extends_every_member(self):
         amb = iv._ambient(cat.psl2_7())
-        base = amb.generated(lat.bits(amb.subgroup_mask(cat.psl2_7_d8())))
+        base = amb.generated(lat.bits(amb.subgroup_mask(cat.catalog_pair("psl2_7/d8")[1])))
         assert amb.normalizer_gens(base) == ()
         covers, reps = iv._overgroups(amb, base, iv.DEFAULT_MEMBER_CAP)
         assert len(reps) == len(covers) == 4
@@ -830,7 +830,7 @@ class TestOre:
         assert iv.generating_coset_count(full) == brute == 4
 
     def test_d8_psl_witness_found(self):
-        interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
+        interval = iv.overgroup_interval(*cat.catalog_pair("psl2_7/d8"))
         witness = iv.verify_ore(interval)
         regen = subgroup_generated(
             interval.ambient, list(interval.members[0].elements) + [witness]

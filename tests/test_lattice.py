@@ -292,19 +292,19 @@ class TestMaskLattice:
 class TestTopBottomIntervals:
     def test_boolean_bottom_interval_is_everything(self):
         b3 = subset_lattice(3)
-        assert lat.bottom_interval_join(b3) == b3.top
+        assert lat.covers_join(b3, b3.bottom) == b3.top
         assert len(lat.boolean_elements(b3, b3.bottom, b3.top)) == b3.n
 
     def test_chain_bottom_interval(self):
         three = chain(3)
-        b = lat.bottom_interval_join(three)
+        b = lat.covers_join(three, three.bottom)
         assert lat.boolean_elements(three, three.bottom, b) == [0, 1]
 
     def test_distributive_has_boolean_top_and_bottom(self):
         for n in (12, 30, 8, 36):
             lattice = divisor_lattice(n)
             lat.boolean_elements(lattice, lat.top_interval_base(lattice), lattice.top)
-            lat.boolean_elements(lattice, lattice.bottom, lat.bottom_interval_join(lattice))
+            lat.boolean_elements(lattice, lattice.bottom, lat.covers_join(lattice, lattice.bottom))
 
     def test_bottom_boolean(self):
         assert lat.is_bottom_boolean(subset_lattice(2))

@@ -11,7 +11,7 @@ from orelat.errors import (
     NotASubgroup,
     ParseError,
 )
-from orelat.perm import Permutation, generate, subgroup_generated
+from orelat.perm import Permutation, _picker, generate, subgroup_generated
 from orelat import catalog as cat
 from orelat import characters as ch
 from orelat import intervals as iv
@@ -168,6 +168,16 @@ class TestTupleClosure:
         assert generate(0, [Permutation([])]).elements == (Permutation([]),)
 
 
+class TestPicker:
+    @pytest.mark.parametrize("keys", [(), (2,), (4, 0, 2)], ids=["0-keys", "1-key", "3-keys"])
+    @pytest.mark.parametrize("row", [(7, 8, 9, 10, 11), bytes([7, 8, 9, 10, 11])], ids=["tuple", "bytes"])
+    def test_returns_a_tuple_of_ints(self, keys, row):
+        picked = _picker(keys)(row)
+        assert type(picked) is tuple
+        assert picked == tuple(7 + k for k in keys)
+        assert all(type(x) is int for x in picked)
+
+
 class TestSubgroups:
     def test_subgroup_generated(self):
         group = s3()
@@ -180,7 +190,7 @@ class TestSubgroups:
 
     def test_sylow_two_of_psl(self):
         # |G| = 168 = 8 * 21, so a Sylow 2-subgroup has order 8
-        assert cat.psl2_7_d8().order == 8
+        assert cat.catalog_pair("psl2_7/d8")[1].order == 8
 
     def test_intersect(self):
         full = iv.full_subgroup_lattice(s3())
@@ -190,7 +200,7 @@ class TestSubgroups:
         assert full.members[full.lattice.meet(a, b)].order == 1
 
     def test_intersect_psl_overgroups(self):
-        interval = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
+        interval = iv.overgroup_interval(*cat.catalog_pair("psl2_7/d8"))
         lattice = interval.lattice
         k, ell = lat.atoms(lattice)
         assert interval.members[lattice.meet(k, ell)].order == 8
@@ -206,7 +216,7 @@ class TestSubgroups:
     def test_index(self):
         interval = iv.overgroup_interval(s3(), a3_in(s3()))
         assert interval.index_of == (2, 1)
-        psl = iv.overgroup_interval(cat.psl2_7(), cat.psl2_7_d8())
+        psl = iv.overgroup_interval(*cat.catalog_pair("psl2_7/d8"))
         assert psl.index_of[psl.lattice.bottom] == 168 // 8 == 21
 
     def test_index_multiplicative(self):
@@ -244,7 +254,7 @@ class TestNormality:
         assert subgroup_generated(group, sorted(conjugates)).order == group.order
         full = cat.catalog_interval("psl2_7")
         trivial = full.masks[full.lattice.bottom]
-        d8 = member_id(full, cat.psl2_7_d8())
+        d8 = member_id(full, cat.catalog_pair("psl2_7/d8")[1])
         assert full._amb.core(full.masks[d8]) == trivial
         assert [i for i, m in enumerate(full.masks) if full._amb.core(m) != trivial] == [full.lattice.top]
 
