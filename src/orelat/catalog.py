@@ -14,7 +14,7 @@ object on every call.  Construction is deterministic.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from .errors import ParseError
 from .perm import FiniteGroup, Permutation, generate, subgroup_generated, trivial_group
 from .intervals import GroupInterval, overgroup_interval
@@ -72,8 +72,15 @@ def psl2_7() -> FiniteGroup:
     Point 7 plays the role of infinity; the order matches (7^3 - 7)/2.
     """
     shift = Permutation([1, 2, 3, 4, 5, 6, 0, 7])
-    neg_inv = Permutation([7] + [-pow(z, -1, 7) % 7 for z in range(1, 7)] + [0])
-    group = generate(8, [shift, neg_inv])
+
+    def neg_inv(z: int) -> int:
+        if z == 7:
+            return 0
+        if z == 0:
+            return 7
+        return (-pow(z, -1, 7)) % 7
+
+    group = generate(8, [shift, Permutation([neg_inv(z) for z in range(8)])])
     assert group.order == (7 ** 3 - 7) // 2
     return group
 
@@ -87,16 +94,29 @@ def s2_s3n(n: int) -> FiniteGroup:
 
 
 _GROUPS = {
-    "trivial": partial(trivial_group, 1),
-    **{f"z{n}": partial(cyclic, n) for n in (2, 3, 4, 5, 6, 7, 8, 9, 12)},
+    "trivial": lambda: trivial_group(1),
+    "z2": lambda: cyclic(2),
+    "z3": lambda: cyclic(3),
+    "z4": lambda: cyclic(4),
+    "z5": lambda: cyclic(5),
+    "z6": lambda: cyclic(6),
+    "z7": lambda: cyclic(7),
+    "z8": lambda: cyclic(8),
+    "z9": lambda: cyclic(9),
+    "z12": lambda: cyclic(12),
     "v4": lambda: direct_product(cyclic(2), cyclic(2)),
-    **{f"d{n}": partial(dihedral, n) for n in (4, 5, 6)},
-    **{f"s{n}": partial(symmetric, n) for n in (3, 4, 5)},
-    **{f"a{n}": partial(alternating, n) for n in (4, 5)},
+    "d4": lambda: dihedral(4),
+    "d5": lambda: dihedral(5),
+    "d6": lambda: dihedral(6),
+    "s3": lambda: symmetric(3),
+    "s4": lambda: symmetric(4),
+    "s5": lambda: symmetric(5),
+    "a4": lambda: alternating(4),
+    "a5": lambda: alternating(5),
     "s3xs3": lambda: direct_product(symmetric(3), symmetric(3)),
-    "s2xs3": partial(s2_s3n, 1),
-    "s2xs3_2": partial(s2_s3n, 2),
-    "s2xs3_3": partial(s2_s3n, 3),
+    "s2xs3": lambda: s2_s3n(1),
+    "s2xs3_2": lambda: s2_s3n(2),
+    "s2xs3_3": lambda: s2_s3n(3),
     "psl2_7": psl2_7,
 }
 

@@ -126,29 +126,19 @@ def chain_types(model: BooleanInterval) -> set:
     return types[-1]
 
 
-def _divisors(number: int) -> list:
-    """The divisors of number >= 1, ascending, from its prime factors found by trial division."""
-    divisors = [1]
-    while number > 1:
-        p, powers = _least_prime_factor(number), [1]
-        while number % p == 0:
-            number //= p
-            powers.append(powers[-1] * p)
-        divisors = [d * q for d in divisors for q in powers]
-    return sorted(divisors)
-
-
 def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
     """All nondecreasing tuples of `parts` integers >= min_factor multiplying to number, ascending.
 
     A depth-first walk on an explicit stack, so the number of parts is not
     bounded by the interpreter's recursion limit.  Each node is (remaining,
     lowest next factor, factors so far); its children are pushed largest
-    factor first, so they are popped in ascending order.  Every factor
-    divides `number`, so the candidates come from its sorted divisors,
-    found once, not from counting up to a root of what remains.
+    factor first, so they are popped in ascending order.  A node's
+    candidates f, with f ** count <= remaining, are the sorted divisors of
+    `number` built from the primes found so far: trial division of the
+    unfactored cofactor, by 2 and the odd numbers, goes on only up to that
+    count-th root, so no node counts further than its own candidates reach.
     """
-    divisors = _divisors(number)
+    divisors, cofactor, p = [1], number, 2
     result: list = []
     stack = [(number, min_factor, ())]
     while stack:
@@ -163,6 +153,17 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
             if remaining >= lowest:
                 stack.append((1, remaining, acc + (remaining,)))
             continue
+        # every prime factor of a candidate is at most its count-th root
+        while cofactor > 1 and p ** count <= remaining:
+            if p * p > cofactor:
+                p = cofactor
+            if cofactor % p == 0:
+                powers = [1]
+                while cofactor % p == 0:
+                    cofactor //= p
+                    powers.append(powers[-1] * p)
+                divisors = sorted(d * q for d in divisors for q in powers)
+            p += 2 if p > 2 else 1
         children = []
         for f in islice(divisors, bisect_left(divisors, lowest), None):
             if f ** count > remaining:

@@ -52,7 +52,7 @@ and groups compare equal by their elements alone.  Each interval is
 memoized on its `_Ambient` by the bitset of its base; later calls return
 the same object, which is shared and must not be mutated, and the member
 cap is checked on every call.  `bbl` and `cfl` read the bottom-boolean
-levels from `lattice.bb_levels`; this module reads no lattice bitmask.
+levels from `lattice._bb_levels`; this module reads no lattice bitmask.
 """
 
 from __future__ import annotations
@@ -490,9 +490,9 @@ def full_subgroup_lattice(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> 
 
 
 def bbl_between(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
-    """Minimal number of bottom-boolean steps from sub up to group: the level of `lattice.bb_levels` holding sub."""
+    """Minimal number of bottom-boolean steps from sub up to group: the level of `lattice._bb_levels` holding sub."""
     lattice = overgroup_interval(group, sub, cap).lattice
-    return next(d for d, level in enumerate(lat.bb_levels(lattice)) if lattice.bottom in level)
+    return next(d for d, level in enumerate(lat._bb_levels(lattice)) if lattice.bottom in level)
 
 
 def bbl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
@@ -502,7 +502,7 @@ def bbl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
 def cfl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
     """Minimum of bbl_between(group, H) over core-free subgroups H.
 
-    The first level of `lattice.bb_levels` on the full lattice that holds a
+    The first level of `lattice._bb_levels` on the full lattice that holds a
     core-free member gives the minimum.  The trivial subgroup is core-free,
     so some level always does.
     """
@@ -510,7 +510,7 @@ def cfl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
     amb, masks = full._amb, full.masks
     trivial = amb.trivial.mask
     return next(
-        d for d, level in enumerate(lat.bb_levels(full.lattice))
+        d for d, level in enumerate(lat._bb_levels(full.lattice))
         if any(amb.core(masks[v]) == trivial for v in level)
     )
 

@@ -18,7 +18,7 @@ and is onto exactly when the lattice is distributive.  An interval [a, b]
 is boolean exactly when the joins of the subsets of its atoms are all
 distinct and fill it (`boolean_elements`).  [u, v] is bottom-boolean when
 [u, join of its atoms] is boolean: one test, run on [bottom, top] for the
-flag and by the breadth-first search of `bb_levels` down from the top.
+flag and by the breadth-first search of `_bb_levels` down from the top.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def is_bottom_boolean(lat: FiniteLattice) -> bool:
     return _is_bottom_boolean(lat, lat.bottom, lat.top)
 
 
-def bb_levels(lat: FiniteLattice):
+def _bb_levels(lat: FiniteLattice):
     """The elements by their distance to the top in bottom-boolean steps, one list per distance.
 
     One breadth-first search runs down from the top over the bottom-boolean

@@ -5,9 +5,9 @@
 `element_order` finds the order of a permutation by repeated composition,
 and `psl2_7_subgroups_by_search` finds a D8 and an S3 inside the order-168
 group by searching its elements: the reference for the generators the
-catalog pins.  `catalog_bases` builds the base of every named catalog
-interval the way the catalog once did, one builder per subgroup, and
-`klein_four` the Klein four-group from its two transpositions.
+catalog pins.  `catalog_bases` builds the base of every other named
+catalog interval the way the catalog once did, one builder per subgroup,
+and `klein_four` the Klein four-group from its two transpositions.
 """
 
 from orelat import totients as tt
@@ -54,11 +54,6 @@ def klein_four() -> FiniteGroup:
     return generate(4, [Permutation([1, 0, 2, 3]), Permutation([0, 1, 3, 2])])
 
 
-def psl2_7_subgroup(group: FiniteGroup, *cycles: str) -> FiniteGroup:
-    """The subgroup of the order-168 group generated by 0-based cycle strings."""
-    return subgroup_generated(group, [Permutation.from_cycles(c, 8, one_based=False) for c in cycles])
-
-
 def s2_s3n_base(group: FiniteGroup, n: int) -> FiniteGroup:
     """The subgroup 1 x S2^n of S2 x S3^n: one transposition inside each S3 factor."""
     gens = []
@@ -71,12 +66,11 @@ def s2_s3n_base(group: FiniteGroup, n: int) -> FiniteGroup:
 
 
 def catalog_bases() -> dict:
-    """Named interval -> (ambient name, builder of the base from the ambient group)."""
+    """Named interval -> (ambient name, builder of the base from the ambient group).
+
+    The two PSL(2,7) intervals are left to `psl2_7_subgroups_by_search`.
+    """
     return {
-        # a Sylow 2-subgroup: an element of order 4 and an involution inverting it
-        "psl2_7/d8": ("psl2_7", lambda g: psl2_7_subgroup(g, "(0 1 2 7)(3 5 4 6)", "(0 3)(1 6)(2 4)(5 7)")),
-        # an element of order 3 and an involution inverting it
-        "psl2_7/s3": ("psl2_7", lambda g: psl2_7_subgroup(g, "(2 6 7)(3 5 4)", "(0 1)(2 3)(4 6)(5 7)")),
         "s2xs3_1/base": ("s2xs3", lambda g: s2_s3n_base(g, 1)),
         "s2xs3_2/base": ("s2xs3_2", lambda g: s2_s3n_base(g, 2)),
         "s2xs3_3/base": ("s2xs3_3", lambda g: s2_s3n_base(g, 3)),

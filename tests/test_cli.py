@@ -169,6 +169,16 @@ class TestCertify:
         certificate = report["results"]["certificate"]
         assert certificate["verdict"] == "primitive" and certificate["frontier"] == []
 
+    @pytest.mark.parametrize("rank, index", [(7, 2 ** 127 - 1), (8, 2 * (2 ** 127 - 1))], ids=["prime", "twice"])
+    def test_scenario_with_a_large_prime_factor_gets_a_verdict_in_seconds(self, capsys, rank, index):
+        # no factorization exists; the factor search trial-divides only up to
+        # the rank-th root at the root node, not up to the square root of the prime
+        start = time.perf_counter()
+        code, report = run_json(capsys, "certify", "--model-rank", str(rank), "--model-index", str(index))
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert report["results"]["certificate"]["verdict"] == "primitive"
+
     @pytest.mark.parametrize("flag, value", [("--catalog", "nosuchgroup"), ("--group-file", "group.json"),
                                              ("--subgroup-file", "subgroup.json")], ids=lambda x: x)
     def test_interval_flags_with_an_index_are_an_input_error(self, capsys, flag, value):
