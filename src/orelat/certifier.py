@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import lattice as lat
 from . import totients as tt
-from .errors import InvalidParameters, NotBoolean, NotDistributive
+from .errors import InvalidParameters, NotDistributive
 from .intervals import IndexedInterval, _least_prime_factor, integer_labels
 from .totients import BooleanInterval
 
@@ -137,8 +137,11 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
     `number` built from the primes found so far: trial division of the
     unfactored cofactor, by 2 and the odd numbers, goes on only up to that
     count-th root, so no node counts further than its own candidates reach.
+    A cofactor that `_miller_rabin` finds prime is taken as the next
+    divisor at once, so a large prime factor costs no trial division.
     """
     divisors, cofactor, p = [1], number, 2
+    prime = cofactor < _MR_LIMIT and _miller_rabin(cofactor)
     result: list = []
     stack = [(number, min_factor, ())]
     while stack:
@@ -155,7 +158,7 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
             continue
         # every prime factor of a candidate is at most its count-th root
         while cofactor > 1 and p ** count <= remaining:
-            if p * p > cofactor:
+            if prime or p * p > cofactor:
                 p = cofactor
             if cofactor % p == 0:
                 powers = [1]
@@ -163,6 +166,7 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
                     cofactor //= p
                     powers.append(powers[-1] * p)
                 divisors = sorted(d * q for d in divisors for q in powers)
+                prime = cofactor < _MR_LIMIT and _miller_rabin(cofactor)
             p += 2 if p > 2 else 1
         children = []
         for f in islice(divisors, bisect_left(divisors, lowest), None):
@@ -641,8 +645,39 @@ def _forced_type_step(chain_type: tuple) -> Optional[CertStep]:
     )
 
 
+# Miller–Rabin to the first 13 prime bases decides primality exactly below
+# _MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _miller_rabin(n: int) -> bool:
+    """Whether n < _MR_LIMIT is prime: n is a strong probable prime to every base of `_MR_BASES`."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d · 2^r with d odd
+    d = (n - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and _least_prime_factor(n) == n
+    """Miller–Rabin below its bound; above it, trial division."""
+    if n < _MR_LIMIT:
+        return _miller_rabin(n)
+    return _least_prime_factor(n) == n
 
 
 # -- the rank-2 census pattern ------------------------------------------------
@@ -654,7 +689,9 @@ def rank2_index_table(limit: int) -> list:
     Scans every pair of subgroups of every catalog scan group whose
     interval is boolean of rank 2 with index below `limit`.  Returns
     (quadruple, "name[lo,hi]") rows; `census_pattern_holds` tells which
-    rows fit the census pattern.
+    rows fit the census pattern.  A four-member [lo, hi] is boolean exactly
+    when two covers K < L of lo (by element id) lie in it, since their join
+    is then hi; the quadruple is read off the labels of lo, K, L and hi.
     """
     from .catalog import catalog_interval, scan_groups
 
@@ -663,18 +700,16 @@ def rank2_index_table(limit: int) -> list:
         full = catalog_interval(name)
         lattice, idx = full.lattice, full.idx
         for lo in range(lattice.n):
-            up_lo = lattice._up[lo]
+            up_lo, covers_lo = lattice._up[lo], lattice._upper[lo]
             for hi in lat.bits(up_lo):
-                if idx[lo] // idx[hi] >= limit:
+                total = idx[lo] // idx[hi]
+                if total >= limit:
                     continue
-                if (up_lo & lattice._down[hi]).bit_count() != 4:
+                between = up_lo & lattice._down[hi]
+                if between.bit_count() != 4 or (covers_lo & between).bit_count() != 2:
                     continue
-                try:
-                    sub = tt.boolean_between(full, lo, hi)
-                except NotBoolean:
-                    continue
-                # bits 1 and 2 are the middle members K < L, in element order
-                over_k, over_ell, total = sub.idx[1], sub.idx[2], sub.total_index
+                k, ell = lat.bits(covers_lo & between)
+                over_k, over_ell = idx[k] // idx[hi], idx[ell] // idx[hi]
                 quad = (over_k, over_ell, total // over_ell, total // over_k)
                 results.append((quad, f"{name}[{lo},{hi}]"))
     return results

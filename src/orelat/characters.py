@@ -12,9 +12,11 @@ eigenvectors are normalized to characters as one array, and their sort
 keys are rounded by numpy a row at a time.
 
 A subgroup is the bitset of its element ids in the group's `_Ambient`, as
-an interval's `masks` hold it.  A table caches, per bitset, the sum of
-every character over the subgroup (one matrix-vector product), which is
-all `fixed_dim` reads.  `index_identity_holds` is the one entry point that
+an interval's `masks` hold it, and so is each conjugacy class.  A table
+caches, per bitset, the sum of every character over the subgroup: its
+elements are counted per class by one popcount of the two bitsets' meet,
+and one matrix-vector product sums the rows, which is all `fixed_dim`
+reads.  `index_identity_holds` is the one entry point that
 takes a `FiniteGroup` and turns it into a bitset.
 """
 
@@ -35,7 +37,7 @@ TOLERANCE = 1e-6
 class ConjugacyClasses:
     """Partition of a group into conjugation orbits, identity class first."""
 
-    __slots__ = ("group", "classes", "representatives", "sizes", "class_of")
+    __slots__ = ("group", "classes", "representatives", "sizes", "class_of", "masks")
 
     def __init__(self, group: FiniteGroup, classes: Sequence, class_of: Sequence[int]):
         self.group = group
@@ -43,6 +45,8 @@ class ConjugacyClasses:
         self.representatives = tuple(c[0] for c in self.classes)
         self.sizes = tuple(len(c) for c in self.classes)
         self.class_of = tuple(class_of)
+        # each class as a bitset over element ids, as subgroups are held
+        self.masks = tuple(sum(1 << x for x in c) for c in self.classes)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -53,7 +57,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
 
     An orbit is closed under conjugation by the group's generators only,
     which generate every conjugation; each generator's table y -> g·y·g⁻¹
-    is the one `_Ambient.conjugation` builds and keeps for `core`.
+    is the one `_Ambient.conjugation` builds and keeps.
     """
     amb = _ambient(group)
     n = amb.n
@@ -101,15 +105,14 @@ class CharacterTable:
     def _subgroup_sums(self, mask: int) -> list:
         """Sum over the subgroup bitset `mask` of every irreducible character, by row; cached per bitset.
 
-        The subgroup's elements are counted per conjugacy class, and one
-        matrix-vector product sums every row at once.
+        The subgroup's elements in a class are the set bits of the mask and
+        the class bitset, one popcount per class, and one matrix-vector
+        product sums every row at once.
         """
         sums = self._sums.get(mask)
         if sums is None:
-            counts = [0] * len(self.classes)
-            for c in map(self.classes.class_of.__getitem__, _ambient(self.group).element_ids(mask)):
-                counts[c] += 1
-            sums = self._sums[mask] = (self.values @ np.array(counts, dtype=np.float64)).tolist()
+            counts = map(int.bit_count, map(mask.__and__, self.classes.masks))
+            sums = self._sums[mask] = (self.values @ np.fromiter(counts, np.float64)).tolist()
         return sums
 
     def __repr__(self) -> str:

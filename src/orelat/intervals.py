@@ -30,7 +30,9 @@ of single-element extensions K(i+1) = <Ki, g>, and if Ki = s·R·s⁻¹ for a
 representative R and s in N, then K(i+1) = s·<R, s⁻¹·g·s>·s⁻¹ is in the
 orbit of an extension formed over R.  N is found only once a member other
 than H and G turns up; when N = H nothing is conjugated and every member
-is its own representative.
+is its own representative.  A conjugation table y -> s·y·s⁻¹ takes the
+rows' type, so with byte rows s·K·s⁻¹ is one `bytes.translate` of K's
+binary digits through the table of s⁻¹, and no element of K is decoded.
 
 The same search yields the Hasse diagram: a cover L of K is <K, g> for
 every g in L outside K, so the minimal <K, g> formed over a representative
@@ -43,7 +45,9 @@ checked once when it is built; the totients and the certifier take it as is.
 Its members are the bitsets `masks`, over the element ids of
 `_ambient(interval.ambient)`, and nothing else: the library reads them
 directly (the characters count their elements per class), and `members`
-decodes them to `FiniteGroup`s only when first read.
+decodes them to `FiniteGroup`s only when first read.  They are numbered by
+size, then by ascending element ids, an order read off each bitset's
+reversed digits without decoding it.
 
 A group's `_Ambient` is the one cache of what is derived from the group:
 its table, its conjugations and its intervals.  `_ambient` keeps the last 32,
@@ -59,7 +63,6 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import compress
 from operator import getitem, itemgetter
 from typing import Iterable, Sequence
 
@@ -68,7 +71,6 @@ from .errors import CapExceeded, InvalidParameters, NotASubgroup, NotDistributiv
 from .perm import FiniteGroup, Permutation, _picker, trivial_group
 
 DEFAULT_MEMBER_CAP = 10_000
-_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 _ZERO, _ONE = b"01"
 
 
@@ -128,23 +130,6 @@ class _Ambient:
             return sum(self.bit[self.index[p.images]] for p in sub.elements)
         except KeyError as exc:
             raise NotASubgroup("subgroup has elements outside the ambient group") from exc
-
-    def element_ids(self, mask: int) -> list:
-        """The element ids in a subgroup bitset, ascending.
-
-        A sparse mask is walked bit by bit (`lat.bits`), at a cost per id
-        that grows with the bit length n, since each step rewrites an n-bit
-        int; a dense one is read off its binary digits in one pass, picking
-        from `all_ids` (a fresh `range` would make an int object for every
-        position past 256).  The rule compares the two costs as timed on
-        x86-64, about (2500 + n)/10 ns per id against (20000 + 160·n)/10 ns
-        per pass: the walk wins below about 10 ids at n = 24, 40 at n = 720
-        and 110 at n = 5,040.
-        """
-        n = mask.bit_length()
-        if mask.bit_count() * (2500 + n) < 20000 + 160 * n:
-            return lat.bits(mask)
-        return list(compress(self.all_ids, format(mask, "b")[::-1].encode().translate(_ZERO_ONE)))
 
     def _left_cosets(self, k: _Subgroup, gens: tuple, g: int, seen: bytearray, room: int):
         """Close {g} under left multiplication by `gens`, a whole left coset r·K at a time.
@@ -210,18 +195,33 @@ class _Ambient:
             k = self.extend(k, x)
         return k
 
-    def conjugation(self, s: int) -> tuple:
-        """The table y -> s·y·s⁻¹ over element ids, built once per s."""
+    def conjugation(self, s: int):
+        """The table y -> s·y·s⁻¹ over element ids, of the rows' type, built once per s."""
         table = self._conjugations.get(s)
         if table is None:
-            column = tuple(map(itemgetter(self.inv[s]), self.mul))  # y -> y·s⁻¹
-            table = self._conjugations[s] = tuple(map(column.__getitem__, self.mul[s]))
+            mul = self.mul
+            column = map(itemgetter(self.inv[s]), mul)  # y -> y·s⁻¹
+            if self.n <= 256:
+                table = mul[s].translate(bytes(column).ljust(256))
+            else:
+                table = tuple(map(tuple(column).__getitem__, mul[s]))
+            self._conjugations[s] = table
         return table
 
     def conjugate(self, mask: int, s: int) -> int:
-        """The bitset s·K·s⁻¹ of the subgroup bitset `mask`."""
+        """The bitset s·K·s⁻¹ of the subgroup bitset `mask`.
+
+        y lies in s·K·s⁻¹ exactly when s⁻¹·y·s lies in K.  With byte rows
+        the image's digits are the mask's digits read through the table of
+        y -> s⁻¹·y·s, one `bytes.translate`; with tuple rows each element of
+        K is mapped by the table of s.
+        """
+        n = self.n
+        if n <= 256:
+            digits = format(mask, f"0{n}b")[::-1].encode().ljust(256)  # digits[x] is b"1" when x is in K
+            return int(self.conjugation(self.inv[s]).translate(digits)[::-1], 2)
         table, bit = self.conjugation(s), self.bit
-        return sum(bit[table[x]] for x in self.element_ids(mask))
+        return sum(bit[table[x]] for x in lat.bits(mask))
 
     def normalizer_gens(self, k: _Subgroup) -> tuple:
         """Element ids that generate N_G(K) together with K's generators.
@@ -384,7 +384,7 @@ class GroupInterval(IndexedInterval):
         if self._members is None:
             degree, elems = self._amb.group.degree, self._amb.elems
             self._members = tuple(
-                FiniteGroup(degree, [], [elems[x] for x in self._amb.element_ids(m)]) for m in self.masks
+                FiniteGroup(degree, [], [elems[x] for x in lat.bits(m)]) for m in self.masks
             )
         return self._members
 
@@ -404,15 +404,20 @@ def _build_interval(amb: _Ambient, covers: dict) -> GroupInterval:
     """The interval of the member bitsets `covers` maps to their upper covers.
 
     Members are numbered by size, then element ids: a linear extension.
+    Of two members of one size, the one whose ascending element ids come
+    first holds the lowest id where they differ, so it has the larger
+    bit-reversed mask; members are sorted by that key, negated, and never
+    decoded.
     """
-    ordered = sorted((m.bit_count(), amb.element_ids(m), m) for m in covers)
-    ids = {m: i for i, (_, _, m) in enumerate(ordered)}
-    lower: list = [[] for _ in ordered]
-    for i, (_, _, m) in enumerate(ordered):
+    spec = f"0{amb.n}b"
+    masks = sorted(covers, key=lambda m: (m.bit_count(), -int(format(m, spec)[::-1], 2)))
+    ids = {m: i for i, m in enumerate(masks)}
+    lower: list = [[] for _ in masks]
+    for i, m in enumerate(masks):
         for c in covers[m]:
             lower[ids[c]].append(i)
-    index_of = [amb.n // size for size, _, _ in ordered]
-    return GroupInterval(lat.FiniteLattice(lower), index_of, amb, [m for _, _, m in ordered])
+    index_of = [amb.n // m.bit_count() for m in masks]
+    return GroupInterval(lat.FiniteLattice(lower), index_of, amb, masks)
 
 
 def _overgroups(amb: _Ambient, base: _Subgroup, cap: int) -> tuple:

@@ -19,14 +19,25 @@ is boolean exactly when the joins of the subsets of its atoms are all
 distinct and fill it (`boolean_elements`).  [u, v] is bottom-boolean when
 [u, join of its atoms] is boolean: one test, run on [bottom, top] for the
 flag and by the breadth-first search of `_bb_levels` down from the top.
+
+`bits` is the one decoder of a bitmask into its positions, here and for
+the subgroup bitsets of `intervals`: a sparse mask is walked bit by bit,
+a dense one read off its binary digits in one C-level pass.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotAPartialOrder, NotALattice, NotBoolean, NotComparable
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+# 0, 1, 2, ...: `bits` picks a dense mask's positions from this tuple, and
+# replaces it by one twice as long as a longer mask; never mutated, so a
+# caller on another thread keeps reading the tuple it took
+_POSITIONS: tuple = ()
 
 
 class FiniteLattice:
@@ -182,13 +193,30 @@ def is_boolean(lat: FiniteLattice) -> bool:
 
 
 def bits(mask: int) -> list:
-    """Positions of the set bits of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """Positions of the set bits of a mask, ascending.
+
+    A sparse mask is walked bit by bit, at a cost per position found that
+    grows with the bit length n, since each step rewrites an n-bit int; a
+    dense one is read off its binary digits in one pass, picking from the
+    shared `_POSITIONS` (a fresh `range` would make an int object for every
+    position past 256).  The rule compares the two costs as timed on
+    x86-64, about (2500 + n)/10 ns per position found against
+    (20000 + 160·n)/10 ns per pass: the walk wins below about 10 positions
+    at n = 24, 40 at n = 720 and 110 at n = 5,040.
+    """
+    global _POSITIONS
+    n = mask.bit_length()
+    if mask.bit_count() * (2500 + n) < 20000 + 160 * n:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    positions = _POSITIONS
+    if n > len(positions):
+        positions = _POSITIONS = tuple(range(2 * n))
+    return list(compress(positions, format(mask, "b")[::-1].encode().translate(_ZERO_ONE)))
 
 
 def _between_mask(lat: FiniteLattice, a: int, b: int) -> int:
@@ -203,10 +231,14 @@ def boolean_elements(lat: FiniteLattice, a: int, b: int) -> list:
     The atoms of [a, b], in ascending element id, become the bits, and each
     mask is mapped to the join of its atoms.  Raises NotBoolean unless that
     map is a bijection onto [a, b], which holds exactly when the interval
-    is boolean.
+    is boolean.  An interval of one or two members is a point or a cover,
+    so boolean at once.  Every join formed lies in [a, b], so the map is
+    onto exactly when its 2^k values are distinct.
     """
     between = _between_mask(lat, a, b)
     size = between.bit_count()
+    if size <= 2:
+        return [a] if size == 1 else [a, b]
     if size & (size - 1):
         raise NotBoolean("operation requires a boolean interval")
     atoms = bits(lat._upper[a] & between)
@@ -216,7 +248,7 @@ def boolean_elements(lat: FiniteLattice, a: int, b: int) -> list:
     elems = [a]
     for x in atoms:
         elems += [join(e, x) for e in elems]
-    if sum(1 << e for e in set(elems)) != between:
+    if len(set(elems)) != size:
         raise NotBoolean("operation requires a boolean interval")
     return elems
 

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,11 @@ def recursive_factorizations(number, parts, min_factor=3):
             if remaining == 1:
                 result.append(acc)
             return
+        if count == 1:
+            # the last factor is what remains, as counting up to it would find
+            if remaining >= lowest:
+                result.append(acc + (remaining,))
+            return
         f = lowest
         while f ** count <= remaining:
             if remaining % f == 0:
@@ -41,6 +47,31 @@ def recursive_factorizations(number, parts, min_factor=3):
 
     rec(number, parts, min_factor, ())
     return result
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestMillerRabin:
+    def test_matches_trial_division_below_ten_to_the_fifth(self):
+        assert [n for n in range(10 ** 5) if cf._miller_rabin(n)] == [n for n in range(10 ** 5) if trial_division_is_prime(n)]
+
+    def test_refuses_a_strong_pseudoprime_to_the_first_nine_prime_bases(self):
+        n = 3825123056546413051
+        assert n % 149491 == 0
+        assert not cf._miller_rabin(n) and not cf._is_prime(n)
+
+    @pytest.mark.parametrize("n, prime", [
+        (10 ** 16 + 61, True), (10 ** 18 + 3, True), (2 ** 61 - 1, True), (2 ** 64 + 1, False),
+        ((10 ** 9 + 7) * (10 ** 9 + 9), False),
+    ])
+    def test_large_inputs(self, n, prime):
+        assert cf._is_prime(n) is prime
+
+    def test_is_prime_divides_by_trial_above_the_bound(self, monkeypatch):
+        monkeypatch.setattr(cf, "_miller_rabin", None)
+        assert cf._is_prime(cf._MR_LIMIT + 1) is False
 
 
 def enumerated_leaf_bounds(p, q, n):
@@ -112,6 +143,14 @@ class TestFactorEnumeration:
     @pytest.mark.parametrize("number,parts", [(3 ** 12, 6), (2 ** 10 * 3 ** 4, 5), (9720, 7), (1, 0), (7, 1)])
     def test_factorizations_match_recursive_reference_on_fixed_cases(self, number, parts):
         for min_factor in (1, 2, 3):
+            assert cf.factorizations(number, parts, min_factor) == recursive_factorizations(number, parts, min_factor)
+
+    @pytest.mark.parametrize("number,parts", [
+        (3 ** 4 * 1_000_003, 5), (2 * 3 * 5 * 7 * 1_000_003, 3), (3 ** 6 * 999_983, 7), (4 * 999_983 ** 2, 3),
+        (1_000_003, 1), (1_000_003, 2), (9 * 1_000_003 * 999_983, 3),
+    ])
+    def test_factorizations_with_a_large_prime_cofactor_match_the_reference(self, number, parts):
+        for min_factor in (1, 3):
             assert cf.factorizations(number, parts, min_factor) == recursive_factorizations(number, parts, min_factor)
 
     def test_factorizations_deeper_than_the_recursion_limit(self):
@@ -478,7 +517,31 @@ def rank2_rows_of(names, limit=32):
     return [(quad, where) for quad, where in cf.rank2_index_table(limit) if where.split("[")[0] in names]
 
 
+def reference_rank2_rows(limit):
+    """Every comparable pair of every scan group through `boolean_between`, kept when boolean of rank 2."""
+    rows = []
+    for name, _ in cat.scan_groups(200):
+        full = cat.catalog_interval(name)
+        lattice, idx = full.lattice, full.idx
+        for lo in range(lattice.n):
+            for hi in range(lo, lattice.n):
+                if not lattice._up[lo] >> hi & 1 or idx[lo] // idx[hi] >= limit:
+                    continue
+                try:
+                    sub = tt.boolean_between(full, lo, hi)
+                except NotBoolean:
+                    continue
+                if sub.n == 2:
+                    over_k, over_ell, total = sub.idx[1], sub.idx[2], sub.total_index
+                    rows.append(((over_k, over_ell, total // over_ell, total // over_k), f"{name}[{lo},{hi}]"))
+    return rows
+
+
 class TestRank2Table:
+    @pytest.mark.parametrize("limit", [32, 10 ** 6])
+    def test_rows_match_the_all_pairs_reference(self, limit):
+        assert cf.rank2_index_table(limit) == reference_rank2_rows(limit)
+
     def test_small_catalog_scan_is_clean(self):
         rows = rank2_rows_of({"s4", "d6", "z12"})
         assert {where.split("[")[0] for _, where in rows} == {"s4", "d6", "z12"}

@@ -9,7 +9,7 @@ from orelat import lattice as lat
 from orelat.errors import InvalidParameters, NotASubgroup, ValidationFailed
 from orelat.perm import FiniteGroup, Permutation, generate, trivial_group
 from dense_lattice import leq, member_id, sub_interval
-from test_intervals import groups_with_base
+from test_intervals import groups_with_base, reference_bits
 
 CLASSICAL_DEGREES = {
     "z5": [1, 1, 1, 1, 1],
@@ -305,10 +305,33 @@ def assert_table_matches_reference(group, full):
             assert ch.fixed_dim(table, row, mask) == reference_fixed_dim(table, row, member)
 
 
+def assert_class_counts_match_reference(group, full):
+    """A subgroup's elements per class, one popcount per class, against counting them one by one."""
+    table = ch.character_table(group)
+    classes = table.classes
+    assert classes.masks == tuple(sum(1 << x for x in c) for c in classes.classes)
+    for mask in full.masks:
+        counts = [0] * len(classes)
+        for x in reference_bits(mask):
+            counts[classes.class_of[x]] += 1
+        assert [(mask & c).bit_count() for c in classes.masks] == counts
+        assert table._subgroup_sums(mask) == (table.values @ np.array(counts, dtype=np.float64)).tolist()
+
+
 class TestAgainstPerScalarFormulas:
     @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
     def test_scan_groups(self, name):
         assert_table_matches_reference(cat.catalog_group(name), cat.catalog_interval(name))
+
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_class_counts_on_scan_groups(self, name):
+        assert_class_counts_match_reference(cat.catalog_group(name), cat.catalog_interval(name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(groups_with_base())
+    def test_class_counts_on_random_groups(self, pair):
+        group, _ = pair
+        assert_class_counts_match_reference(group, iv.full_subgroup_lattice(group))
 
     @settings(max_examples=30, deadline=None)
     @given(groups_with_base())

@@ -179,6 +179,15 @@ class TestCertify:
         assert code == 0
         assert report["results"]["certificate"]["verdict"] == "primitive"
 
+    def test_scenario_with_a_prime_cofactor_past_ten_to_the_eighteenth_gets_a_verdict(self, capsys):
+        # 3**6 * (10**18 + 3): Miller-Rabin finds the cofactor prime, where
+        # trial division would count to 10**9
+        start = time.perf_counter()
+        code, report = run_json(capsys, "certify", "--model-rank", "7", "--model-index", str(3 ** 6 * (10 ** 18 + 3)))
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert report["results"]["certificate"]["verdict"] == "primitive"
+
     @pytest.mark.parametrize("flag, value", [("--catalog", "nosuchgroup"), ("--group-file", "group.json"),
                                              ("--subgroup-file", "subgroup.json")], ids=lambda x: x)
     def test_interval_flags_with_an_index_are_an_input_error(self, capsys, flag, value):

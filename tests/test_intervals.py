@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,6 +26,12 @@ from test_lattice import (
 )
 
 RANDOM_ORDER_CAP = 120
+
+
+def assert_members_ordered_by_size_then_element_ids(interval):
+    """The bit-reversed sort key numbers members as the decoded (size, ascending element ids) keys would."""
+    keys = [(mask.bit_count(), reference_bits(mask)) for mask in interval.masks]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def reference_overgroups(group, sub):
@@ -223,13 +230,16 @@ class TestOvergroupInterval:
         full = cat.catalog_interval(name)
         assert member_sets(full) == reference_overgroups(group, trivial_group(group.degree))
 
-    def test_members_ordered_by_size_then_element_ids(self):
-        full = cat.catalog_interval("s4")
-        elems = full.ambient.elements
-        keys = [
-            (m.order, sorted(elems.index(p) for p in m.elements)) for m in full.members
-        ]
-        assert keys == sorted(keys)
+    @pytest.mark.parametrize("name", [*cat.SCAN_GROUP_NAMES, "s2xs3_3"])
+    def test_members_ordered_by_size_then_element_ids(self, name):
+        assert_members_ordered_by_size_then_element_ids(cat.catalog_interval(name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(groups_with_base())
+    def test_members_ordered_by_size_then_element_ids_on_random_groups(self, pair):
+        group, base = pair
+        assert_members_ordered_by_size_then_element_ids(iv.overgroup_interval(group, base))
+        assert_members_ordered_by_size_then_element_ids(iv.full_subgroup_lattice(group))
 
     @settings(max_examples=20, deadline=None)
     @given(groups_with_base())
@@ -331,8 +341,18 @@ class TestTableRows:
                 build(partial)
 
 
+def reference_bits(mask):
+    """The bit-by-bit walk, as the reference for `lat.bits`' digit pass."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class TestElementIds:
-    """`element_ids` walks sparse masks bit by bit and reads dense ones off their digits; both agree with `lat.bits`."""
+    """Subgroup bitsets are decoded by `lat.bits`: it walks sparse masks and reads dense ones off their digits."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -345,7 +365,57 @@ class TestElementIds:
         amb = iv._ambient(cat.symmetric(degree))
         mask = sum({1 << x for x in ids}) if isinstance(ids, list) else ids
         mask &= (1 << amb.n) - 1
-        assert amb.element_ids(mask) == lat.bits(mask)
+        assert lat.bits(mask) == reference_bits(mask)
+
+    @pytest.mark.parametrize("n", [1, 24, 256, 257, 720, 5040, 11300])
+    def test_both_sides_of_the_crossover(self, n):
+        # the walk is taken below `crossover` set bits of an n-bit mask, the digit pass from it on
+        crossover = -(-(20000 + 160 * n) // (2500 + n))
+        rng = random.Random(n)
+        counts = {1, 2, crossover - 1, crossover, crossover + 1, n // 2, n} & set(range(1, n + 1))
+        for count in counts:
+            mask = sum(1 << x for x in rng.sample(range(n - 1), count - 1)) | 1 << (n - 1)
+            assert mask.bit_length() == n and mask.bit_count() == count
+            assert lat.bits(mask) == reference_bits(mask), count
+        assert min(counts) < crossover <= max(counts) or n < crossover
+        assert lat.bits(0) == []
+        assert lat.bits(1 << n) == [n]
+
+
+def reference_conjugate(amb, mask, s):
+    """s·K·s⁻¹ by Permutation arithmetic on each element of K, the reference for `_Ambient.conjugate`."""
+    p = amb.elems[s]
+    p_inv = p.inverse()
+    return sum(1 << amb.index[(p * amb.elems[x] * p_inv).images] for x in reference_bits(mask))
+
+
+def assert_conjugates_match_reference(amb, masks, conjugators):
+    for s in conjugators:
+        for mask in masks:
+            assert amb.conjugate(mask, s) == reference_conjugate(amb, mask, s), (mask, s)
+
+
+class TestConjugate:
+    """`conjugate` translates the digits of a byte-row group's mask and maps each element of a tuple-row group's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(groups_with_base(), st.randoms(use_true_random=False))
+    def test_matches_per_element_conjugation(self, pair, rng):
+        group, base = pair
+        amb = iv._ambient(group)
+        masks = [amb.subgroup_mask(base), (1 << amb.n) - 1, rng.getrandbits(amb.n) | 1]
+        assert_conjugates_match_reference(amb, masks, range(amb.n))
+
+    @pytest.mark.parametrize("sides, row_type", [(128, bytes), (129, tuple)])
+    def test_dihedral_groups_on_both_sides_of_byte_rows(self, sides, row_type):
+        # D128 has order 256, the largest with byte rows; D129 has order 258
+        amb = iv._ambient(cat.dihedral(sides))
+        rng = random.Random(sides)
+        conjugators = [0, 1, amb.n - 1, *amb.gens, *rng.sample(range(amb.n), 8)]
+        assert all(type(amb.conjugation(s)) is row_type for s in conjugators)
+        rotations = amb.generated(amb.gens[:1])
+        masks = [amb.trivial.mask, rotations.mask, (1 << amb.n) - 1, *(rng.getrandbits(amb.n) for _ in range(4))]
+        assert_conjugates_match_reference(amb, masks, conjugators)
 
 
 class TestFullLattices:
