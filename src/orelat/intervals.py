@@ -4,9 +4,10 @@ A subgroup is a Python-int bitset over the element indices of its ambient
 group, whose multiplication table is built once per group.  A group of
 order at most 256 keeps each table row as `bytes`, one byte per entry,
 since `bytes.translate` composes two such rows in one call through its
-256-entry table; a larger group keeps tuple rows.  Callers only index rows
-or read them by `itemgetter` and `map`, which give the same ints on
-either.  The overgroups
+256-entry table; a larger group keeps one (n, n) `uint16` numpy array, two
+bytes per entry, and hands out its rows as `memoryview`s.  Callers only
+index rows or read them by `itemgetter` and `map`, which give the same
+ints on either.  The overgroups
 of H are enumerated breadth first by cyclic extension (Neubüser's method),
 up to conjugacy by the normalizer N = N_G(H).  For a representative K and
 each g outside K, <K, g> is grown from K's element list by adding whole
@@ -30,9 +31,10 @@ of single-element extensions K(i+1) = <Ki, g>, and if Ki = s·R·s⁻¹ for a
 representative R and s in N, then K(i+1) = s·<R, s⁻¹·g·s>·s⁻¹ is in the
 orbit of an extension formed over R.  N is found only once a member other
 than H and G turns up; when N = H nothing is conjugated and every member
-is its own representative.  A conjugation table y -> s·y·s⁻¹ takes the
-rows' type, so with byte rows s·K·s⁻¹ is one `bytes.translate` of K's
-binary digits through the table of s⁻¹, and no element of K is decoded.
+is its own representative.  A conjugation table y -> s·y·s⁻¹ is `bytes`
+with byte rows, so s·K·s⁻¹ is one `bytes.translate` of K's binary digits
+through the table of s⁻¹, and no element of K is decoded; a larger group
+keeps it as a tuple and maps each element of K.
 
 The same search yields the Hasse diagram: a cover L of K is <K, g> for
 every g in L outside K, so the minimal <K, g> formed over a representative
@@ -66,11 +68,15 @@ from functools import lru_cache
 from operator import getitem, itemgetter
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import lattice as lat
 from .errors import CapExceeded, InvalidParameters, NotASubgroup, NotDistributive, OreViolation
 from .perm import FiniteGroup, Permutation, _picker, trivial_group
 
 DEFAULT_MEMBER_CAP = 10_000
+# element ids are stored as uint16 above order 256
+_MAX_TABLE_ORDER = 1 << 16
 _ZERO, _ONE = b"01"
 
 
@@ -196,7 +202,7 @@ class _Ambient:
         return k
 
     def conjugation(self, s: int):
-        """The table y -> s·y·s⁻¹ over element ids, of the rows' type, built once per s."""
+        """The table y -> s·y·s⁻¹ over element ids, `bytes` with byte rows and else a tuple, built once per s."""
         table = self._conjugations.get(s)
         if table is None:
             mul = self.mul
@@ -213,8 +219,8 @@ class _Ambient:
 
         y lies in s·K·s⁻¹ exactly when s⁻¹·y·s lies in K.  With byte rows
         the image's digits are the mask's digits read through the table of
-        y -> s⁻¹·y·s, one `bytes.translate`; with tuple rows each element of
-        K is mapped by the table of s.
+        y -> s⁻¹·y·s, one `bytes.translate`; above order 256 each element
+        of K is mapped by the table of s.
         """
         n = self.n
         if n <= 256:
@@ -263,33 +269,57 @@ def _multiplication_table(images: list, index: dict, gens: Sequence[int], identi
     Only the generators' rows compose permutations (the images of s read at
     the images of b).  Every other row follows along a breadth-first walk
     from the identity by right multiplication: (a * s) * b = a * (s * b),
-    so row a*s is row a read at row s, through one reader per generator.
-    The inverses come along the same walk, as (a * s)^-1 = s^-1 * a^-1.
+    so row a*s is row a read at row s, one C call per row.  The inverses
+    come along the same walk, as (a * s)^-1 = s^-1 * a^-1.
 
     A group of order n <= 256 keeps its rows as `bytes`, one byte per
-    entry, and reads row a at row s with `bytes.translate`, one C call:
-    `translate` maps through a 256-entry table, so row a is padded to 256
-    bytes.  A larger group keeps tuple rows, read by `itemgetter`.  Either
-    row gives the same ints when indexed or read by `itemgetter` or `map`,
-    which is all any caller does.  Generators that do not reach every
-    element raise `InvalidParameters`.
+    entry, and reads row a at row s with `bytes.translate`: `translate`
+    maps through a 256-entry table, so row a is padded to 256 bytes.  A
+    larger group fills one preallocated (n, n) `uint16` array, row a at
+    row s by one `take` into the new row, and hands out its rows as
+    `memoryview`s (format "H"); a group of more than 65,536 elements, whose
+    ids do not fit, raises `CapExceeded` before anything is allocated.
+    Either row gives the same ints when indexed or read by `itemgetter` or
+    `map`, which is all any caller does.  Generators that do not reach
+    every element raise `InvalidParameters`.
     """
     n = len(images)
+    if n > _MAX_TABLE_ORDER:
+        raise CapExceeded(f"group of order {n} exceeds the multiplication table's limit of {_MAX_TABLE_ORDER:,} elements")
+    compose = [_picker(b) for b in images]
+    gen_rows = {s: [index[c(images[s])] for c in compose] for s in gens}
     mul: list = [None] * n
     inv: list = [None] * n
-    row_type = bytes if n <= 256 else tuple
-    compose = [_picker(b) for b in images]
-    for s in gens:
-        mul[s] = row_type(index[c(images[s])] for c in compose)
-    mul[identity] = row_type(range(n))
     inv[identity] = identity
     if n <= 256:
+        for s, row in gen_rows.items():
+            mul[s] = bytes(row)
+        mul[identity] = bytes(range(n))
         pad = bytes(256 - n)
-        read = [lambda row, s_row=mul[s]: s_row.translate(row + pad) for s in gens]
+
+        def reader(s):
+            s_row = mul[s]
+            return lambda a, b: s_row.translate(mul[a] + pad)
     else:
-        read = [itemgetter(*mul[s]) for s in gens]
+        table = np.empty((n, n), np.uint16)
+        rows = list(table)
+        views = list(map(memoryview, rows))
+        for s, row in gen_rows.items():
+            table[s] = row
+            mul[s] = views[s]
+        table[identity] = np.arange(n)
+        mul[identity] = views[identity]
+
+        def reader(s):
+            s_row = rows[s]
+
+            def read(a, b):
+                # every id is in range, so "clip" changes nothing and skips the bounds buffer
+                rows[a].take(s_row, out=rows[b], mode="clip")
+                return views[b]
+            return read
     # row s^-1 undoes row s: s^-1 * (s * x) = x
-    readers = [(s, read_s, sorted(range(n), key=mul[s].__getitem__)) for s, read_s in zip(gens, read)]
+    readers = [(s, reader(s), np.argsort(row).tolist()) for s, row in gen_rows.items()]
     reached = [identity]
     for a in reached:  # grows while it is read
         row, inverse = mul[a], inv[a]
@@ -299,7 +329,7 @@ def _multiplication_table(images: list, index: dict, gens: Sequence[int], identi
                 inv[b] = inv_row[inverse]
                 reached.append(b)
                 if mul[b] is None:
-                    mul[b] = read_s(row)
+                    mul[b] = read_s(a, b)
     if len(reached) != n:
         raise InvalidParameters(f"the generators reach {len(reached)} of the group's {n} elements")
     return mul, inv

@@ -172,7 +172,7 @@ class FiniteGroup:
 
 
 def _picker(keys: Sequence[int]):
-    """`itemgetter(*keys)`, but a tuple for any number of keys, on tuple and bytes rows alike."""
+    """`itemgetter(*keys)`, but a tuple for any number of keys, on tuples, bytes and memoryviews alike."""
     if len(keys) > 1:
         return itemgetter(*keys)
     if keys:

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from orelat import certifier, cli
+from orelat import intervals as iv
 from orelat.cli import main
 
 
@@ -292,6 +293,18 @@ class TestGroupFiles:
         path = tmp_path / "s5.json"
         path.write_text(json.dumps(doc))
         assert main(["interval", "--group-file", str(path), "--cap", "10"]) == 3
+
+    def test_group_past_the_table_limit_exits_3(self, capsys, monkeypatch, tmp_path):
+        # the limit lowered to 8 stands in for 65,536, so Z3 x Z3 (order 9) is past it
+        monkeypatch.setattr(iv, "_MAX_TABLE_ORDER", 8)
+        iv._ambient_memo.cache_clear()
+        doc = {"name": "z3xz3", "degree": 6, "generators": ["(1 2 3)", "(4 5 6)"]}
+        path = tmp_path / "z3xz3.json"
+        path.write_text(json.dumps(doc))
+        assert main(["interval", "--group-file", str(path)]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "group of order 9 exceeds the multiplication table's limit of 8 elements", "exit": 3,
+        }
 
     @pytest.mark.parametrize("cap", ["-1", "0"])
     def test_cap_below_one_is_an_input_error(self, capsys, cap):

@@ -107,6 +107,27 @@ def groups_with_base(draw):
     return group, subgroup_generated(group, [group.elements[i] for i in picks])
 
 
+@st.composite
+def groups_above_the_cut(draw):
+    """A subgroup of S7 of order 257-2,520 from 2-3 random generators, order-capped.
+
+    Generators that fix the last point keep the group inside S6, whose
+    order-360 and order-720 subgroups lie above the cut as well as A7.
+    """
+    degree = draw(st.sampled_from([6, 7]))
+    gens = []
+    for images in draw(st.lists(st.permutations(range(degree)), min_size=2, max_size=3)):
+        p = Permutation(list(images) + list(range(degree, 7)))
+        try:
+            generate(7, gens + [p], cap=2520)
+        except CapExceeded:
+            continue
+        gens.append(p)
+    group = generate(7, gens)
+    assume(group.order > 256)
+    return group
+
+
 def brute_force_normalizer(group, sub):
     """Elements g of group with g h g^-1 in sub for every h in sub, by Permutation arithmetic."""
     members = frozenset(sub.elements)
@@ -306,19 +327,24 @@ class TestOvergroupInterval:
 
 
 class TestTableRows:
-    """Rows are `bytes` up to order 256, composed by `bytes.translate`, and tuples above."""
+    """Rows are `bytes` up to order 256, composed by `bytes.translate`; above, every entry read is an int."""
 
     @staticmethod
     def assert_table_matches_composition(group, row_type):
         amb = iv._ambient(group)
         elems = group.elements
-        assert {type(row) for row in amb.mul} == {row_type}
+        if row_type is not None:
+            assert {type(row) for row in amb.mul} == {row_type}
         assert [elems[x] for x in amb.inv] == [p.inverse() for p in elems]
         for a, p in enumerate(elems):
-            assert [elems[x] for x in amb.mul[a]] == [p * q for q in elems]
+            row = amb.mul[a]
+            entries = [row[b] for b in range(group.order)]
+            assert list(row) == entries
+            assert {type(x) for x in [*entries, *row]} == {int}
+            assert [elems[x] for x in entries] == [p * q for q in elems]
 
     @pytest.mark.parametrize("bare", [False, True])
-    @pytest.mark.parametrize("n, row_type", [(128, bytes), (129, tuple)])
+    @pytest.mark.parametrize("n, row_type", [(128, bytes), (129, None)])
     def test_rows_match_composition_at_the_cut(self, n, row_type, bare):
         # dihedral(128) has order 256, so its rows are padded by 0 bytes; a
         # bare group is given no generators and takes every element, `gens or range(n)`
@@ -326,6 +352,26 @@ class TestTableRows:
         if bare:
             group = FiniteGroup(n, [], group.elements)
         self.assert_table_matches_composition(group, row_type)
+
+    @settings(max_examples=15, deadline=None)
+    @given(groups_above_the_cut(), st.randoms(use_true_random=False))
+    def test_rows_inverses_and_conjugates_above_the_cut(self, group, rng):
+        amb = iv._ambient(group)
+        elems = group.elements
+        assert [elems[x] for x in amb.inv] == [p.inverse() for p in elems]
+        for a in {amb.identity, *amb.gens, *rng.sample(range(amb.n), 6)}:
+            row = amb.mul[a]
+            assert [elems[row[b]] for b in range(amb.n)] == [elems[a] * q for q in elems]
+        conjugators = [*amb.gens, *rng.sample(range(amb.n), 4)]
+        subgroups = [amb.generated(rng.sample(range(amb.n), k)) for k in (1, 2)]
+        masks = [*(k.mask for k in subgroups), (1 << amb.n) - 1, rng.getrandbits(amb.n) | 1]
+        assert_conjugates_match_reference(amb, masks, conjugators)
+
+    def test_ids_past_uint16_are_refused_before_any_row_is_built(self):
+        # a stand-in for a group of order 65,537: no row is composed, so nothing is read from it
+        images = [(0,)] * 65_537
+        with pytest.raises(CapExceeded, match="limit of 65,536 elements"):
+            iv._multiplication_table(images, {}, [0], 0)
 
     @pytest.mark.parametrize("n", [3, 129])
     def test_generators_that_do_not_generate_are_refused(self, n):
@@ -396,7 +442,7 @@ def assert_conjugates_match_reference(amb, masks, conjugators):
 
 
 class TestConjugate:
-    """`conjugate` translates the digits of a byte-row group's mask and maps each element of a tuple-row group's."""
+    """`conjugate` translates the digits of a byte-row group's mask and maps each element of a larger group's."""
 
     @settings(max_examples=40, deadline=None)
     @given(groups_with_base(), st.randoms(use_true_random=False))
