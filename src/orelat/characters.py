@@ -29,7 +29,7 @@ import numpy as np
 from . import lattice as lat
 from .errors import InvalidParameters, NotAnInteger, ValidationFailed
 from .intervals import GroupInterval, _ambient
-from .perm import FiniteGroup, _picker
+from .perm import FiniteGroup
 
 TOLERANCE = 1e-6
 
@@ -122,16 +122,18 @@ class CharacterTable:
 def _class_matrices(classes: ConjugacyClasses, amb) -> list:
     """Matrices A_i with (A_i)[j, k] = #{x in C_i : x^-1 z_k in C_j}.
 
-    Every x in G is read once, at the class representatives z_k of its
-    inverse's row, and all r matrices are counted by one `bincount` over
-    the flat keys (i·r + j)·r + k.
+    The products x^-1·z_k, for every x in G and class representative z_k,
+    are one gather from the table as an (n, n) array: the group's kept
+    `uint16` array above order 256, else a view of its byte rows joined,
+    made for this call only.  All r matrices are counted by one `bincount`
+    over the flat keys (i·r + j)·r + k.
     """
-    mul, inv = amb.mul, amb.inv
+    table = amb.table
+    if table is None:
+        table = np.frombuffer(b"".join(amb.mul), np.uint8).reshape(amb.n, amb.n)
     r = len(classes)
-    reps = classes.representatives
-    at_reps = _picker(reps)
     class_of = np.array(classes.class_of)
-    products = np.array(list(map(at_reps, map(mul.__getitem__, inv))))  # x^-1·z_k, by x and k
+    products = table[np.ix_(amb.inv, classes.representatives)]  # x^-1·z_k, by x and k
     keys = (class_of[:, None] * r + class_of[products]) * r + np.arange(r)
     return list(np.bincount(keys.ravel(), minlength=r ** 3).reshape(r, r, r))
 

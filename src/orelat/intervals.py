@@ -1,7 +1,9 @@
 """Concrete overgroup intervals [H, G] and full subgroup lattices.
 
 A subgroup is a Python-int bitset over the element indices of its ambient
-group, whose multiplication table is built once per group.  A group of
+group, whose multiplication table is built once per group from its
+generators; a group given without any picks them from its elements first,
+on the permutations, so its table costs what a generated group's does.  A group of
 order at most 256 keeps each table row as `bytes`, one byte per entry,
 since `bytes.translate` composes two such rows in one call through its
 256-entry table; a larger group keeps one (n, n) `uint16` numpy array, two
@@ -117,15 +119,16 @@ class _Ambient:
         images = [p.images for p in group.elements]
         self.index = index = {img: i for i, img in enumerate(images)}
         self.identity = index[group.identity.images]
-        gens = [index[p.images] for p in group.generators]
-        self.mul, self.inv = _multiplication_table(images, index, gens or range(self.n), self.identity)
+        # generator ids: the group's own, else those `generated(range(n))` would pick
+        gens = [index[p.images] for p in group.generators] or _generating_ids(images, index, self.identity)
+        # `table` is the (n, n) uint16 array above order 256 and None with byte rows
+        self.mul, self.inv, self.table = _multiplication_table(images, index, gens, self.identity)
         self.bit = [1 << i for i in range(self.n)]
         self.trivial = _Subgroup([self.identity], self.bit[self.identity], ())
         # every element id, shared by each <K, g> found to be G; id 0 is the
         # identity, since the elements are sorted by their images
         self.all_ids = list(range(self.n))
-        # generator ids: the group's own, else a generating set picked from all elements
-        self.gens = tuple(gens) or self.generated(range(self.n)).gens
+        self.gens = tuple(gens)
         # overgroup intervals built so far, by the bitset of their base
         self.intervals: dict = {}
         # conjugation tables built so far, by element id
@@ -263,8 +266,48 @@ class _Ambient:
                 return mask
 
 
+def _generating_ids(images: list, index: dict, identity: int) -> list:
+    """The ids that `_Ambient.generated(range(n))` picks as generators, found before any table exists.
+
+    The ids are walked in order, and each one outside the subgroup K
+    generated so far becomes a generator.  <K, x> is K grown by whole right
+    cosets K·r (Dimino): the set stays a union of right cosets of K, so a
+    product r·s of a representative and a generator lies in it or starts a
+    new coset K·(r·s).  Each element is composed once, and each
+    representative once per generator.
+    """
+    inside = bytearray(len(images))  # 1 at the ids reached so far
+    inside[identity] = 1
+    elems = [identity]
+    gens: list = []
+    right: list = []  # right[j] maps the images of r to those of r·gens[j]
+
+    def coset(r):
+        """The ids of K·r, marked as reached; K is `elems`, the subgroup before the newest generator."""
+        ids = [index[c] for c in map(_picker(images[r]), map(images.__getitem__, elems))]
+        for x in ids:
+            inside[x] = 1
+        return ids
+
+    for x in range(len(images)):
+        if inside[x]:
+            continue
+        gens.append(x)
+        right.append(_picker(images[x]))
+        added = coset(x)
+        reps = [x]
+        for r in reps:  # grows while it is read
+            for times in right:
+                t = index[times(images[r])]
+                if not inside[t]:
+                    added += coset(t)
+                    reps.append(t)
+        elems += added
+    return gens
+
+
 def _multiplication_table(images: list, index: dict, gens: Sequence[int], identity: int) -> tuple:
-    """Rows mul[a][b] = index of a * b, where (a * b)(x) = a(b(x)), and the inverses inv[a].
+    """Rows mul[a][b] = index of a * b, where (a * b)(x) = a(b(x)), the inverses inv[a] and the array.
 
     Only the generators' rows compose permutations (the images of s read at
     the images of b).  Every other row follows along a breadth-first walk
@@ -280,10 +323,12 @@ def _multiplication_table(images: list, index: dict, gens: Sequence[int], identi
     `memoryview`s (format "H"); a group of more than 65,536 elements, whose
     ids do not fit, raises `CapExceeded` before anything is allocated.
     Either row gives the same ints when indexed or read by `itemgetter` or
-    `map`, which is all any caller does.  Generators that do not reach
-    every element raise `InvalidParameters`.
+    `map`, which is all any caller does.  The array is returned with the
+    rows, and None in its place with byte rows.  Generators that do not
+    reach every element raise `InvalidParameters`.
     """
     n = len(images)
+    table = None
     if n > _MAX_TABLE_ORDER:
         raise CapExceeded(f"group of order {n} exceeds the multiplication table's limit of {_MAX_TABLE_ORDER:,} elements")
     compose = [_picker(b) for b in images]
@@ -332,7 +377,7 @@ def _multiplication_table(images: list, index: dict, gens: Sequence[int], identi
                     mul[b] = read_s(a, b)
     if len(reached) != n:
         raise InvalidParameters(f"the generators reach {len(reached)} of the group's {n} elements")
-    return mul, inv
+    return mul, inv, table
 
 
 def _ambient(group: FiniteGroup) -> _Ambient:

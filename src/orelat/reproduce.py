@@ -153,15 +153,16 @@ def run_totient_formulas() -> tuple:
     split_mismatches = []
     models = 0
     for p in range(2, 14):
-        for n in range(1, 8):
-            uniform = tt.uniform_model(p, n)
+        # pq_model(p, q, n, 0) is uniform_model(p, n): one object serves every q, its splits folded once
+        uniforms = {n: tt.uniform_model(p, n) for n in range(1, 8)}
+        for n, uniform in uniforms.items():
             models += 1
             if tt.dual_totient(uniform) != tt.closed_form_p_n(p, n):
                 mismatches.append(["uniform", p, n])
         for q in range(p, 14):
             for n in range(1, 8):
                 for m in range(0, n + 1):
-                    model = tt.pq_model(p, q, n, m)
+                    model = tt.pq_model(p, q, n, m) if m else uniforms[n]
                     models += 1
                     direct = tt.dual_totient(model)
                     if direct != tt.closed_form_p_n_q(p, q, n, m):

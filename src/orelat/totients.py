@@ -19,19 +19,24 @@ catastrophically in floating point.  Each routine takes one kind of model:
 `dual_totient` and `euler_totient` take either.  A walk over a label vector
 is a few C-level `map`/`sum`/`itemgetter` calls over mask tables cached per
 rank or per pair of masks: the two ends of every cover, the masks of a
-sub-interval, and the parity pickers of [a, b], which pick its masks of
-even and of odd rank above a.  Every signed sum is the sum of the even
-picks less the sum of the odd ones, divided once by the label of b, which
-divides each of them, and a coatom split sums its two sub-intervals in
-place without building them.  Labels are read with `operator.index`: a
-float, even an integral one, is refused, never truncated.
+sub-interval and the sign (-1)^|s| of every mask.  A label vector keeps its
+signed labels (-1)^|s| idx[s], built when first read; the dual totient is
+their sum, as the top label is 1.  The first coatom split of a vector
+computes all n splits in one fold of the signed labels, from the top bit
+down: the signed labels with bit i clear sum to idx[L] phihat(H, L) for the
+coatom L without bit i, those with bit i set to -phihat(A, G), and adding
+the two halves elementwise folds bit i away.  So all n splits read about
+4·2^n signed labels, where summing each split's two sub-intervals on their
+own reads n·2^n.  The vector keeps the splits, and later calls read them.
+Labels are read with `operator.index`: a float, even an integral one, is
+refused, never truncated.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import eq, floordiv, mod, mul, or_
+from operator import add, eq, floordiv, mod, mul, or_
 from typing import Callable, Optional, Sequence, Union
 
 from . import lattice as lat
@@ -58,7 +63,7 @@ class BooleanInterval:
     every mask; it is None when the masks are the ids themselves.
     """
 
-    __slots__ = ("n", "idx", "ids")
+    __slots__ = ("n", "idx", "ids", "_signed", "_splits")
 
     def __init__(self, n: int, labels: Sequence[int], ids: Optional[Sequence[int]] = None):
         n, *idx = integer_labels(chain((n,), labels), "the rank and the labels")
@@ -86,6 +91,39 @@ class BooleanInterval:
         self.n = n
         self.idx = idx
         self.ids = None if ids is None else tuple(ids)
+        self._signed = None
+        self._splits = None
+
+    def signed(self) -> tuple:
+        """(-1)^|s| idx[s] for every mask s, built once."""
+        if self._signed is None:
+            self._signed = tuple(map(mul, self.idx, _signs(self.n)))
+        return self._signed
+
+    def coatom_splits(self) -> tuple:
+        """idx[L] phihat(H, L) - phihat(A, G) for the coatom L = top ^ (1 << i), by i; built once.
+
+        One fold of the signed labels from the top bit down: at bit i the
+        current vector's lower half (bit i clear) sums to idx[L] phihat(H, L)
+        and its upper half to -phihat(A, G), and the elementwise sum of the
+        halves, over the bits below i, is the vector for the next bit.  The
+        halves are summed apart, so a split equals the direct sum only if
+        the fold visits every label once.
+        """
+        if self._splits is None:
+            idx, top = self.idx, self.top
+            folded = self.signed()
+            splits = [0] * self.n
+            for i in reversed(range(self.n)):
+                half = 1 << i
+                lower, upper = folded[:half], folded[half:]
+                label = idx[top ^ half]
+                # phihat(H, L) is lower's sum divided by idx[L], which divides each of its labels
+                splits[i] = label * (sum(lower) // label) + sum(upper)
+                if i:
+                    folded = tuple(map(add, lower, upper))
+            self._splits = tuple(splits)
+        return self._splits
 
     @property
     def top(self) -> int:
@@ -147,26 +185,13 @@ def _sub_picker(a: int, b: int) -> Callable:
     return _picker(masks)
 
 
-@lru_cache(maxsize=256)
-def _parity_pickers(a: int, b: int) -> tuple:
-    """Pickers of the masks of [a, b] whose rank above a is even, and of those whose rank is odd."""
-    even, odd = (a,), ()
-    free = b & ~a
-    while free:
-        bit = free & -free
-        free ^= bit
-        even, odd = even + tuple(map(or_, odd, repeat(bit))), odd + tuple(map(or_, even, repeat(bit)))
-    return _picker(even), _picker(odd)
-
-
-def _signed_sum(idx: tuple, a: int, b: int) -> int:
-    """Sum over s in [a, b] of (-1)^|s & ~a| * (idx[s] // idx[b]).
-
-    This is the dual totient of [a, b] with the labels `sub(a, b)` gives it.
-    Every label of [a, b] is a multiple of idx[b], so the sum is divided once.
-    """
-    even, odd = _parity_pickers(a, b)
-    return (sum(even(idx)) - sum(odd(idx))) // idx[b]
+@lru_cache(maxsize=16)
+def _signs(n: int) -> tuple:
+    """(-1)^|s| for every mask s of rank n."""
+    signs = (1,)
+    for _ in range(n):
+        signs += tuple(map(mul, signs, repeat(-1)))
+    return signs
 
 
 def _require(model, kind: type, routine: str) -> None:
@@ -203,7 +228,7 @@ def _require_graded(model: IndexedInterval) -> tuple:
 def dual_totient(model: Union[IndexedInterval, BooleanInterval]) -> int:
     """Alternating sum of labels, sign by rank above the bottom."""
     if isinstance(model, BooleanInterval):
-        return _signed_sum(model.idx, 0, model.top)
+        return sum(model.signed())
     ranks = _require_graded(model)
     return sum(
         (-1) ** ranks[x] * model.idx[x] for x in range(model.lattice.n)
@@ -214,9 +239,7 @@ def euler_totient(model: Union[IndexedInterval, BooleanInterval]) -> int:
     """Alternating sum of indices over the bottom, sign by corank."""
     total = model.total_index
     if isinstance(model, BooleanInterval):
-        even, odd = _parity_pickers(0, model.top)
-        result = sum(map(floordiv, repeat(total), even(model.idx)))
-        result -= sum(map(floordiv, repeat(total), odd(model.idx)))
+        result = sum(map(mul, _signs(model.n), map(floordiv, repeat(total), model.idx)))
         return -result if model.n & 1 else result
     ranks = _require_graded(model)
     height = model.lattice.height()
@@ -288,14 +311,14 @@ def dual_totient_coatom_split(model: BooleanInterval, coatom: int) -> int:
 
     q is the relative index of the top over L and A the complement of L.
     `coatom` is the mask of L.  Agrees with the direct sum on every model.
+    The first call on a model computes the splits at every coatom in one
+    fold (`BooleanInterval.coatom_splits`); later calls read them.
     """
     _require(model, BooleanInterval, "dual_totient_coatom_split")
-    idx = model.idx
-    top = len(idx) - 1
+    top = len(model.idx) - 1
     if not 0 <= coatom < top or (top ^ coatom).bit_count() != 1:
         raise NotACoatom(f"mask {coatom} is not a coatom")
-    # phihat(H, L) and phihat(A, G) are summed in place, on the labels `sub` would give them
-    return idx[coatom] * _signed_sum(idx, 0, coatom) - _signed_sum(idx, top ^ coatom, top)
+    return model.coatom_splits()[(top ^ coatom).bit_length() - 1]
 
 
 def dual_totient_allsplit(model: BooleanInterval) -> int:

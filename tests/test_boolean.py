@@ -4,9 +4,9 @@ The reference for every quantity is an `IndexedInterval` over
 `dense_lattice.subset_lattice(n)` or over a catalog group's interval lattice, with
 sub-intervals sliced by `dense_lattice.interval` and chain types read off
 `dense_lattice.maximal_chains`.  The label-vector arithmetic runs over
-cached mask tables: every signed sum adds the labels its parity pickers
-take at even rank and subtracts those at odd rank, and a coatom split sums
-its two sub-intervals in place.  It is also compared against the plain
+cached mask tables: the dual totient sums the signed labels
+(-1)^|s| idx[s] a vector keeps, and its first coatom split folds them into
+every split at once.  It is also compared against the plain
 per-mask loops kept here as `reference_*` functions, which sign each label
 by its popcount and slice sub-intervals with `BooleanInterval.sub`.
 """
@@ -361,23 +361,27 @@ class TestMaskTablesMatchPerMaskLoops:
         for co in model.coatoms():
             assert tt.dual_totient_coatom_split(model, co) == reference_split(model, co)
 
-    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
-    @settings(max_examples=200, deadline=None)
-    # rank 0 and 1: a picker of one key still returns a tuple, and one of none an empty tuple
-    @example((0, 0, 0))
-    @example((3, 5, 5))
-    @example((1, 0, 1))
-    @example((3, 2, 3))
-    @example((3, 7, 3))
-    def test_parity_pickers_match_a_popcount_filter(self, drawn):
-        n, a, b = drawn
-        a &= b
-        masks = [s for s in range(1 << n) if s & a == a and s & ~b == 0]
-        even, odd = tt._parity_pickers(a, b)
-        labels = tuple(range(1 << n))
-        assert sorted(even(labels)) == [s for s in masks if not (s & ~a).bit_count() & 1]
-        assert sorted(odd(labels)) == [s for s in masks if (s & ~a).bit_count() & 1]
+    def test_sign_table_matches_popcount_parity(self):
+        for n in range(8):
+            assert tt._signs(n) == tuple(-1 if s.bit_count() & 1 else 1 for s in range(1 << n))
+
+    @given(valid_vectors(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    # rank 0 has no coatom; rank 1 has one, whose lower half is the bottom alone
+    @example((0, [1]), False, None)
+    @example((1, [3, 1]), True, None)
+    def test_coatom_splits_in_any_order_match_the_sliced_sub_intervals(self, vector, relabelled, data):
+        n, labels = vector
+        top = len(labels) - 1
+        ids = list(reversed(range(top + 1))) if relabelled else None
+        model = tt.BooleanInterval(n, labels, ids)
+        coatoms = model.coatoms()
+        if data is not None:
+            coatoms = data.draw(st.permutations(coatoms))
+        for co in coatoms:
+            expected = model.idx[co] * tt.dual_totient(model.sub(0, co)) - tt.dual_totient(model.sub(top ^ co, top))
+            assert tt.dual_totient_coatom_split(model, co) == expected
+        assert len(model.coatom_splits()) == n
 
     def test_models_match_over_the_totient_formulas_grid(self):
         for p in range(2, 14):
@@ -462,7 +466,6 @@ class TestLabelVectorKernels:
                 -(labels[s] // labels[b]) if (s & ~a).bit_count() & 1 else labels[s] // labels[b]
                 for s in range(len(labels)) if s & a == a and s & ~b == 0
             )
-            assert tt._signed_sum(model.idx, a, b) == expected
             assert tt.dual_totient(model.sub(a, b)) == expected
 
     @pytest.mark.parametrize("name", ["s4", "d6", "s2xs3", "psl2_7", "s2xs3_2/base"])

@@ -347,7 +347,7 @@ class TestTableRows:
     @pytest.mark.parametrize("n, row_type", [(128, bytes), (129, None)])
     def test_rows_match_composition_at_the_cut(self, n, row_type, bare):
         # dihedral(128) has order 256, so its rows are padded by 0 bytes; a
-        # bare group is given no generators and takes every element, `gens or range(n)`
+        # bare group is given no generators and picks its own from the elements
         group = cat.dihedral(n)
         if bare:
             group = FiniteGroup(n, [], group.elements)
@@ -366,6 +366,28 @@ class TestTableRows:
         subgroups = [amb.generated(rng.sample(range(amb.n), k)) for k in (1, 2)]
         masks = [*(k.mask for k in subgroups), (1 << amb.n) - 1, rng.getrandbits(amb.n) | 1]
         assert_conjugates_match_reference(amb, masks, conjugators)
+
+    @pytest.mark.parametrize("group", [cat.symmetric(4), cat.symmetric(6), cat.dihedral(129)],
+                             ids=["s4", "s6", "d129"])
+    def test_bare_groups_pick_the_generators_of_the_all_rows_route(self, group, monkeypatch):
+        # a bare group's table composes only the rows of the generators it picks, each
+        # outside the subgroup of those before, so at most log2(n) of them
+        bare = FiniteGroup(group.degree, [], group.elements)
+        composed = []
+        table = iv._multiplication_table
+
+        def counting(images, index, gens, identity):
+            composed.append(len(gens))
+            return table(images, index, gens, identity)
+
+        monkeypatch.setattr(iv, "_multiplication_table", counting)
+        amb = iv._Ambient(bare)
+        assert composed == [len(amb.gens)] and 2 ** len(amb.gens) <= amb.n
+        images = [p.images for p in bare.elements]
+        mul, inv, _ = table(images, amb.index, range(amb.n), amb.identity)
+        assert amb.gens == amb.generated(range(amb.n)).gens
+        assert amb.inv == inv
+        assert [list(row) for row in amb.mul] == [list(row) for row in mul]
 
     def test_ids_past_uint16_are_refused_before_any_row_is_built(self):
         # a stand-in for a group of order 65,537: no row is composed, so nothing is read from it

@@ -176,6 +176,18 @@ class TestCoatomSplit:
                         for co in model.coatoms():
                             assert tt.dual_totient_coatom_split(model, co) == expected
 
+    def test_labels_of_hundreds_of_bits_stay_exact(self):
+        # labels up to (2^41 + 3) * 2^240, 282 bits: a float rounding anywhere would show
+        p, q = 2 ** 40, 2 ** 41 + 3
+        for n in range(1, 8):
+            for m in range(0, n + 1):
+                model = tt.pq_model(p, q, n, m)
+                direct = tt.dual_totient(model)
+                assert direct == tt.closed_form_p_n_q(p, q, n, m)
+                for co in model.coatoms():
+                    assert tt.dual_totient_coatom_split(model, co) == direct
+        assert tt.pq_model(p, q, 7, 7).total_index.bit_length() == 282
+
     def test_requires_a_coatom_mask(self):
         with pytest.raises(NotACoatom):
             tt.dual_totient_coatom_split(tt.uniform_model(3, 3), 0)
