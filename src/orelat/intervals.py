@@ -2,8 +2,8 @@
 
 A subgroup is a Python-int bitset over the element indices of its ambient
 group, whose multiplication table is built once per group from its
-generators; a group given without any picks them from its elements first,
-on the permutations, so its table costs what a generated group's does.  A group of
+generators, or from those its walk picks for a group given none; only the
+generators' rows compose permutations.  A group of
 order at most 256 keeps each table row as `bytes`, one byte per entry,
 since `bytes.translate` composes two such rows in one call through its
 256-entry table; a larger group keeps one (n, n) `uint16` numpy array, two
@@ -19,7 +19,8 @@ read as a bitset once at the end.  It stops at Lagrange's bound: a proper
 subgroup above K holds at most |G:K|/p cosets of K, for p the least prime
 factor of |G:K|, so once <K, g> holds more it is G, and when |G:K| is
 prime it is G at once.  One g is tried per double coset KgK, since
-<K, kgk'> = <K, g>.
+<K, kgk'> = <K, g>; the Ore search (`verify_ore`, `generating_coset_count`)
+walks the double cosets HgH of the base the same way.
 
 N permutes the members of [H, G] and their covers, since s·<K, g>·s⁻¹ =
 <sKs⁻¹, sgs⁻¹>.  N is read off the multiplication table: s normalizes H
@@ -119,16 +120,15 @@ class _Ambient:
         images = [p.images for p in group.elements]
         self.index = index = {img: i for i, img in enumerate(images)}
         self.identity = index[group.identity.images]
-        # generator ids: the group's own, else those `generated(range(n))` would pick
-        gens = [index[p.images] for p in group.generators] or _generating_ids(images, index, self.identity)
+        # generator ids: the group's own, else those the table's walk picks, as `generated(range(n))` would
+        gens = [index[p.images] for p in group.generators]
         # `table` is the (n, n) uint16 array above order 256 and None with byte rows
-        self.mul, self.inv, self.table = _multiplication_table(images, index, gens, self.identity)
+        self.mul, self.inv, self.table, self.gens = _multiplication_table(images, index, gens, self.identity)
         self.bit = [1 << i for i in range(self.n)]
         self.trivial = _Subgroup([self.identity], self.bit[self.identity], ())
         # every element id, shared by each <K, g> found to be G; id 0 is the
         # identity, since the elements are sorted by their images
         self.all_ids = list(range(self.n))
-        self.gens = tuple(gens)
         # overgroup intervals built so far, by the bitset of their base
         self.intervals: dict = {}
         # conjugation tables built so far, by element id
@@ -266,54 +266,17 @@ class _Ambient:
                 return mask
 
 
-def _generating_ids(images: list, index: dict, identity: int) -> list:
-    """The ids that `_Ambient.generated(range(n))` picks as generators, found before any table exists.
-
-    The ids are walked in order, and each one outside the subgroup K
-    generated so far becomes a generator.  <K, x> is K grown by whole right
-    cosets K·r (Dimino): the set stays a union of right cosets of K, so a
-    product r·s of a representative and a generator lies in it or starts a
-    new coset K·(r·s).  Each element is composed once, and each
-    representative once per generator.
-    """
-    inside = bytearray(len(images))  # 1 at the ids reached so far
-    inside[identity] = 1
-    elems = [identity]
-    gens: list = []
-    right: list = []  # right[j] maps the images of r to those of r·gens[j]
-
-    def coset(r):
-        """The ids of K·r, marked as reached; K is `elems`, the subgroup before the newest generator."""
-        ids = [index[c] for c in map(_picker(images[r]), map(images.__getitem__, elems))]
-        for x in ids:
-            inside[x] = 1
-        return ids
-
-    for x in range(len(images)):
-        if inside[x]:
-            continue
-        gens.append(x)
-        right.append(_picker(images[x]))
-        added = coset(x)
-        reps = [x]
-        for r in reps:  # grows while it is read
-            for times in right:
-                t = index[times(images[r])]
-                if not inside[t]:
-                    added += coset(t)
-                    reps.append(t)
-        elems += added
-    return gens
-
-
 def _multiplication_table(images: list, index: dict, gens: Sequence[int], identity: int) -> tuple:
-    """Rows mul[a][b] = index of a * b, where (a * b)(x) = a(b(x)), the inverses inv[a] and the array.
+    """Rows mul[a][b] = index of a * b, where (a * b)(x) = a(b(x)), the inverses inv[a], the array and the generators.
 
     Only the generators' rows compose permutations (the images of s read at
     the images of b).  Every other row follows along a breadth-first walk
     from the identity by right multiplication: (a * s) * b = a * (s * b),
     so row a*s is row a read at row s, one C call per row.  The inverses
-    come along the same walk, as (a * s)^-1 = s^-1 * a^-1.
+    come along the same walk, as (a * s)^-1 = s^-1 * a^-1.  Given no
+    generators, each time the walk stops short the least id it has not
+    reached becomes one, and the walk resumes over every element reached:
+    the ids `_Ambient.generated(range(n))` picks, at most log2(n) of them.
 
     A group of order n <= 256 keeps its rows as `bytes`, one byte per
     entry, and reads row a at row s with `bytes.translate`: `translate`
@@ -324,23 +287,22 @@ def _multiplication_table(images: list, index: dict, gens: Sequence[int], identi
     ids do not fit, raises `CapExceeded` before anything is allocated.
     Either row gives the same ints when indexed or read by `itemgetter` or
     `map`, which is all any caller does.  The array is returned with the
-    rows, and None in its place with byte rows.  Generators that do not
-    reach every element raise `InvalidParameters`.
+    rows, and None in its place with byte rows.  Given generators that do
+    not reach every element raise `InvalidParameters`.
     """
     n = len(images)
     table = None
     if n > _MAX_TABLE_ORDER:
         raise CapExceeded(f"group of order {n} exceeds the multiplication table's limit of {_MAX_TABLE_ORDER:,} elements")
     compose = [_picker(b) for b in images]
-    gen_rows = {s: [index[c(images[s])] for c in compose] for s in gens}
     mul: list = [None] * n
     inv: list = [None] * n
     inv[identity] = identity
     if n <= 256:
-        for s, row in gen_rows.items():
-            mul[s] = bytes(row)
-        mul[identity] = bytes(range(n))
         pad = bytes(256 - n)
+
+        def set_row(s, row):
+            mul[s] = bytes(row)
 
         def reader(s):
             s_row = mul[s]
@@ -349,11 +311,10 @@ def _multiplication_table(images: list, index: dict, gens: Sequence[int], identi
         table = np.empty((n, n), np.uint16)
         rows = list(table)
         views = list(map(memoryview, rows))
-        for s, row in gen_rows.items():
+
+        def set_row(s, row):
             table[s] = row
             mul[s] = views[s]
-        table[identity] = np.arange(n)
-        mul[identity] = views[identity]
 
         def reader(s):
             s_row = rows[s]
@@ -363,21 +324,36 @@ def _multiplication_table(images: list, index: dict, gens: Sequence[int], identi
                 rows[a].take(s_row, out=rows[b], mode="clip")
                 return views[b]
             return read
-    # row s^-1 undoes row s: s^-1 * (s * x) = x
-    readers = [(s, reader(s), np.argsort(row).tolist()) for s, row in gen_rows.items()]
+    set_row(identity, range(n))
+    readers: list = []
+
+    def add_generator(s):
+        row = [index[c(images[s])] for c in compose]
+        set_row(s, row)
+        # row s^-1 undoes row s: s^-1 * (s * x) = x
+        readers.append((s, reader(s), np.argsort(row).tolist()))
+
+    for s in dict.fromkeys(gens):
+        add_generator(s)
+    picked: list = []
     reached = [identity]
-    for a in reached:  # grows while it is read
-        row, inverse = mul[a], inv[a]
-        for s, read_s, inv_row in readers:
-            b = row[s]
-            if inv[b] is None:
-                inv[b] = inv_row[inverse]
-                reached.append(b)
-                if mul[b] is None:
-                    mul[b] = read_s(a, b)
+    while True:
+        for a in reached:  # grows while it is read
+            row, inverse = mul[a], inv[a]
+            for s, read_s, inv_row in readers:
+                b = row[s]
+                if inv[b] is None:
+                    inv[b] = inv_row[inverse]
+                    reached.append(b)
+                    if mul[b] is None:
+                        mul[b] = read_s(a, b)
+        if gens or len(reached) == n:
+            break
+        picked.append(inv.index(None))
+        add_generator(picked[-1])
     if len(reached) != n:
         raise InvalidParameters(f"the generators reach {len(reached)} of the group's {n} elements")
-    return mul, inv, table
+    return mul, inv, table, tuple(gens or picked)
 
 
 def _ambient(group: FiniteGroup) -> _Ambient:
@@ -595,35 +571,32 @@ def cfl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
     )
 
 
-def _generating_coset_reps(interval: GroupInterval):
-    """Brute force: the least element id g of each right coset Hg with <H, g> = G, ascending."""
+def _generating_double_cosets(interval: GroupInterval):
+    """(least element id, size) of each double coset HgH with <H, g> = G, by ascending least id.
+
+    <H, hgh'> = <H, g>, so one g, the least id not yet covered, decides its
+    double coset.  H itself comes first, and generates only when H = G.
+    """
     amb = interval._amb
     h = amb.generated(lat.bits(interval.masks[0]))
-    return (g for g in _coset_rep_indices(amb, h) if len(amb.extend(h, g).elems) == amb.n)
+    uncovered = (1 << amb.n) - 1
+    while uncovered:
+        g = (uncovered & -uncovered).bit_length() - 1
+        double = amb.double_coset(h, g)
+        uncovered &= ~double
+        if len(amb.extend(h, g).elems) == amb.n:
+            yield g, double.bit_count()
 
 
 def verify_ore(interval: GroupInterval) -> Permutation:
-    """A witness g with <H union {g}> = G; exists for every distributive interval."""
+    """The least g with <H union {g}> = G; one exists for every distributive interval."""
     if not lat.is_distributive(interval.lattice):
         raise NotDistributive("the Ore property is only guaranteed on distributive intervals")
-    g = next(_generating_coset_reps(interval), None)
-    if g is None:
-        raise OreViolation("no generating coset found on a distributive interval")
-    return interval._amb.elems[g]
+    for g, _ in _generating_double_cosets(interval):
+        return interval._amb.elems[g]
+    raise OreViolation("no generating coset found on a distributive interval")
 
 
 def generating_coset_count(interval: GroupInterval) -> int:
-    """Brute-force number of cosets Hg whose union generates the whole group."""
-    return sum(1 for _ in _generating_coset_reps(interval))
-
-
-def _coset_rep_indices(amb: _Ambient, h: _Subgroup) -> list:
-    """The least element id of every right coset Hg, ascending."""
-    mul, bit = amb.mul, amb.bit
-    remaining = (1 << amb.n) - 1
-    reps = []
-    while remaining:
-        g = (remaining & -remaining).bit_length() - 1
-        reps.append(g)
-        remaining &= ~sum(bit[mul[x][g]] for x in h.elems)
-    return reps
+    """The number of right cosets Hg with <H, g> = G: each generating double coset HgH holds |HgH|/|H| of them."""
+    return sum(size for _, size in _generating_double_cosets(interval)) // interval.masks[0].bit_count()

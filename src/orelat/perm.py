@@ -12,6 +12,7 @@ elements become `Permutation` objects only once, at the end.
 
 from __future__ import annotations
 
+import operator
 import re
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
@@ -29,7 +30,11 @@ class Permutation:
     __slots__ = ("images", "_hash")
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(int(x) for x in images)
+        try:
+            # operator.index refuses a float or a string, where int would truncate or parse it
+            imgs = tuple(map(operator.index, images))
+        except TypeError:
+            raise ParseError("permutation images must be integers") from None
         n = len(imgs)
         if sorted(imgs) != list(range(n)):
             raise ParseError(f"images {imgs} are not a bijection on 0..{n - 1}")

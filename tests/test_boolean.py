@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from orelat import catalog as cat
 from orelat import certifier as cf
 from orelat import lattice as lat
+from orelat import reproduce as rp
 from orelat import totients as tt
 from orelat.errors import InvalidParameters, NotACoatom, NotBoolean, NotComparable
 from dense_lattice import (
@@ -382,6 +383,27 @@ class TestMaskTablesMatchPerMaskLoops:
             expected = model.idx[co] * tt.dual_totient(model.sub(0, co)) - tt.dual_totient(model.sub(top ^ co, top))
             assert tt.dual_totient_coatom_split(model, co) == expected
         assert len(model.coatom_splits()) == n
+
+    def test_totient_formulas_catch_a_fold_that_drops_the_upper_halves(self, monkeypatch):
+        # on valid labels the split equals the direct sum by algebra, so the
+        # coatom-split claim is a self-check of the fold: it must fail on a faulty one
+        def lower_halves_only(model):
+            idx, top, folded = model.idx, model.top, model.signed()
+            splits = [0] * model.n
+            for i in reversed(range(model.n)):
+                half = 1 << i
+                lower, upper = folded[:half], folded[half:]
+                label = idx[top ^ half]
+                splits[i] = label * (sum(lower) // label) + sum(upper)
+                folded = lower
+            return tuple(splits)
+
+        monkeypatch.setattr(tt.BooleanInterval, "coatom_splits", lower_halves_only)
+        _, claims = rp.run_totient_formulas()
+        verdicts = {claim["id"]: claim for claim in claims}
+        assert verdicts["closed-forms-match-direct-sums"]["pass"]
+        split = verdicts["coatom-split-equals-direct-sum"]
+        assert not split["pass"] and len(split["actual"]) > 10_000
 
     def test_models_match_over_the_totient_formulas_grid(self):
         for p in range(2, 14):

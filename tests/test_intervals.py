@@ -369,25 +369,27 @@ class TestTableRows:
 
     @pytest.mark.parametrize("group", [cat.symmetric(4), cat.symmetric(6), cat.dihedral(129)],
                              ids=["s4", "s6", "d129"])
-    def test_bare_groups_pick_the_generators_of_the_all_rows_route(self, group, monkeypatch):
+    def test_bare_groups_pick_the_generators_of_the_all_rows_route(self, group):
         # a bare group's table composes only the rows of the generators it picks, each
         # outside the subgroup of those before, so at most log2(n) of them
         bare = FiniteGroup(group.degree, [], group.elements)
-        composed = []
-        table = iv._multiplication_table
-
-        def counting(images, index, gens, identity):
-            composed.append(len(gens))
-            return table(images, index, gens, identity)
-
-        monkeypatch.setattr(iv, "_multiplication_table", counting)
         amb = iv._Ambient(bare)
-        assert composed == [len(amb.gens)] and 2 ** len(amb.gens) <= amb.n
         images = [p.images for p in bare.elements]
-        mul, inv, _ = table(images, amb.index, range(amb.n), amb.identity)
-        assert amb.gens == amb.generated(range(amb.n)).gens
+        mul, inv, _, gens = iv._multiplication_table(images, amb.index, [], amb.identity)
+        assert gens == amb.gens == amb.generated(range(amb.n)).gens
+        assert 2 ** len(amb.gens) <= amb.n
+        mul, inv, _, gens = iv._multiplication_table(images, amb.index, range(amb.n), amb.identity)
+        assert gens == tuple(range(amb.n))
         assert amb.inv == inv
         assert [list(row) for row in amb.mul] == [list(row) for row in mul]
+
+    def test_bare_s7_matches_the_table_of_its_own_generators(self):
+        group = cat.symmetric(7)
+        generated = iv._Ambient(group)
+        bare = iv._Ambient(FiniteGroup(group.degree, [], group.elements))
+        assert bare.gens == (1, 2, 6, 24, 120, 720) == bare.generated(range(bare.n)).gens
+        assert bare.table.dtype == np.uint16 and np.array_equal(bare.table, generated.table)
+        assert bare.inv == generated.inv
 
     def test_ids_past_uint16_are_refused_before_any_row_is_built(self):
         # a stand-in for a group of order 65,537: no row is composed, so nothing is read from it
@@ -978,6 +980,26 @@ class TestOre:
     def test_requires_distributive(self):
         with pytest.raises(NotDistributive):
             iv.verify_ore(cat.catalog_interval("v4"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(groups_with_base())
+    @example((cat.symmetric(4), trivial_group(4)))
+    @example((cat.symmetric(4), cat.symmetric(4)))
+    def test_generating_cosets_match_the_permutation_route(self, pair):
+        # the elements g with <H, g> = G, closed on permutations, fill whole right cosets Hg
+        group, base = pair
+        interval = iv.overgroup_interval(group, base)
+        generating = [
+            g for g in group.elements
+            if subgroup_generated(group, [*base.generators, g]).order == group.order
+        ]
+        assert len(generating) % base.order == 0
+        count = iv.generating_coset_count(interval)
+        assert count == len(generating) // base.order
+        if lat.is_distributive(interval.lattice):
+            # the elements are sorted as their ids are, so the least id comes first
+            assert iv.verify_ore(interval) == generating[0]
+            assert count == tt.euler_totient_distributive(interval)
 
 
 def boolean_top_intervals(names):
