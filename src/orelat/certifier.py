@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import lattice as lat
 from . import totients as tt
-from .errors import InvalidParameters, NotDistributive
+from .errors import CapExceeded, InvalidParameters, NotDistributive
 from .intervals import IndexedInterval, _least_prime_factor, integer_labels
 from .totients import BooleanInterval
 
@@ -138,7 +138,10 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
     unfactored cofactor, by 2 and the odd numbers, goes on only up to that
     count-th root, so no node counts further than its own candidates reach.
     A cofactor that `_miller_rabin` finds prime is taken as the next
-    divisor at once, so a large prime factor costs no trial division.
+    divisor at once, so a large prime factor costs no trial division.  A
+    cofactor past `_MR_LIMIT`, where that test is not exact, is trial
+    divided only up to `_TRIAL_DIVISION_LIMIT`; a node that needs more
+    raises CapExceeded naming the cofactor.
     """
     divisors, cofactor, p = [1], number, 2
     prime = cofactor < _MR_LIMIT and _miller_rabin(cofactor)
@@ -160,6 +163,11 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
         while cofactor > 1 and p ** count <= remaining:
             if prime or p * p > cofactor:
                 p = cofactor
+            elif p > _TRIAL_DIVISION_LIMIT and cofactor >= _MR_LIMIT:
+                raise CapExceeded(
+                    f"the cofactor {cofactor} of the index has no prime factor up to "
+                    f"{_TRIAL_DIVISION_LIMIT:,} and is past the exact primality test's bound"
+                )
             if cofactor % p == 0:
                 powers = [1]
                 while cofactor % p == 0:
@@ -649,6 +657,9 @@ def _forced_type_step(chain_type: tuple) -> Optional[CertStep]:
 # _MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+# the largest trial divisor `factorizations` tries on a cofactor past _MR_LIMIT;
+# counting up to it takes about 0.2 s on x86-64
+_TRIAL_DIVISION_LIMIT = 10 ** 6
 
 
 def _miller_rabin(n: int) -> bool:

@@ -12,16 +12,18 @@ eigenvectors are normalized to characters as one array, and their sort
 keys are rounded by numpy a row at a time.
 
 A subgroup is the bitset of its element ids in the group's `_Ambient`, as
-an interval's `masks` hold it, and so is each conjugacy class.  A table
-caches, per bitset, the sum of every character over the subgroup: its
-elements are counted per class by one popcount of the two bitsets' meet,
-and one matrix-vector product sums the rows, which is all `fixed_dim`
-reads.  `index_identity_holds` is the one entry point that
+an interval's `masks` hold it, and so is each conjugacy class.  The
+dimensions dim V^K for many bitsets K are one validated integer matrix
+(`_fixed_dims`), built in one product of per-class popcounts with the
+table and kept per bitset; `linear_witness` and `index_identity_holds`
+read it, and a whole-lattice scan asks for it once over every member.  `index_identity_holds` is the one entry point that
 takes a `FiniteGroup` and turns it into a bitset.
 """
 
 from __future__ import annotations
 
+import operator
+import random
 from typing import Optional, Sequence
 
 import numpy as np
@@ -89,7 +91,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
 class CharacterTable:
     """Irreducible character values per conjugacy class, rows sorted by degree."""
 
-    __slots__ = ("group", "classes", "values", "degrees", "_sums")
+    __slots__ = ("group", "classes", "values", "degrees", "_dims")
 
     def __init__(self, group: FiniteGroup, classes: ConjugacyClasses, values: np.ndarray, degrees: Sequence[int]):
         self.group = group
@@ -97,23 +99,10 @@ class CharacterTable:
         values.flags.writeable = False
         self.values = values
         self.degrees = tuple(int(d) for d in degrees)
-        self._sums: dict = {}
+        self._dims: dict = {}  # subgroup bitset -> dim V^K of every row, validated ints
 
     def __len__(self) -> int:
         return len(self.degrees)
-
-    def _subgroup_sums(self, mask: int) -> list:
-        """Sum over the subgroup bitset `mask` of every irreducible character, by row; cached per bitset.
-
-        The subgroup's elements in a class are the set bits of the mask and
-        the class bitset, one popcount per class, and one matrix-vector
-        product sums every row at once.
-        """
-        sums = self._sums.get(mask)
-        if sums is None:
-            counts = map(int.bit_count, map(mask.__and__, self.classes.masks))
-            sums = self._sums[mask] = (self.values @ np.fromiter(counts, np.float64)).tolist()
-        return sums
 
     def __repr__(self) -> str:
         return f"CharacterTable(|G|={self.group.order}, degrees={self.degrees})"
@@ -142,8 +131,9 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     """Burnside-style table from common eigenvectors of the class matrices.
 
     The eigenvectors come from one random combination of the class matrices,
-    drawn from a generator seeded with 0; a degenerate combination fails
-    validation and the next of 12 draws is tried.
+    drawn by `random.Random(0).gauss` (numpy's generator would load
+    `numpy.random`, several MB); a degenerate combination fails validation
+    and the next of 12 draws is tried.
     """
     classes = conjugacy_classes(group)
     amb = _ambient(group)
@@ -151,10 +141,10 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     mats = _class_matrices(classes, amb)
     sizes = np.array(classes.sizes, dtype=np.float64)
     order = group.order
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     last_error: Optional[str] = None
     for _ in range(12):
-        coeffs = rng.normal(size=r)
+        coeffs = [rng.gauss(0.0, 1.0) for _ in range(r)]
         combo = sum(c * m for c, m in zip(coeffs, mats)).astype(np.complex128)
         _, vecs = np.linalg.eig(combo)
         try:
@@ -206,22 +196,35 @@ def _row_sort_keys(chi: np.ndarray) -> list:
     return [tuple(zip(re, im)) for re, im in zip(np.round(chi.real, 6).tolist(), np.round(chi.imag, 6).tolist())]
 
 
-def fixed_dim(table: CharacterTable, row: int, mask: int) -> int:
-    """dim V^K = (1/|K|) sum over K of chi, for K the subgroup bitset `mask`; validated to a nonnegative integer."""
-    value = table._subgroup_sums(mask)[row] / mask.bit_count()
-    if abs(value.imag) > TOLERANCE:
-        raise NotAnInteger(f"fixed dimension has imaginary part {value.imag}")
-    nearest = round(value.real)
-    if abs(value.real - nearest) > TOLERANCE or nearest < 0:
-        raise NotAnInteger(f"fixed dimension {value.real} is not a nonnegative integer")
-    return int(nearest)
+def _fixed_dims(table: CharacterTable, masks: Sequence[int]) -> list:
+    """dim V^K = (1/|K|) sum of chi over K, by row, for each subgroup bitset K of `masks`; kept per table.
+
+    The bitsets not yet kept are counted per class, one popcount of each
+    meet with a class bitset, and one product with the table sums every
+    character over each.  Divided by |K|, every value must pass the gate to
+    a nonnegative integer, or NotAnInteger is raised and nothing is kept.
+    """
+    dims = table._dims
+    new = [m for m in masks if m not in dims]
+    if new:
+        classes = table.classes.masks
+        counts = np.array([[(m & c).bit_count() for c in classes] for m in new], np.float64)
+        values = (counts @ table.values.T) / np.array([m.bit_count() for m in new], np.float64)[:, None]
+        nearest = np.rint(values.real)
+        bad = np.abs(values.imag) > TOLERANCE
+        if bad.any():
+            raise NotAnInteger(f"fixed dimension has imaginary part {values.imag[bad][0]}")
+        bad = (np.abs(values.real - nearest) > TOLERANCE) | (nearest < 0)
+        if bad.any():
+            raise NotAnInteger(f"fixed dimension {values.real[bad][0]} is not a nonnegative integer")
+        dims.update(zip(new, nearest.astype(np.int64).tolist()))
+    return [dims[m] for m in masks]
 
 
 def index_identity_holds(table: CharacterTable, sub: FiniteGroup) -> bool:
     """|G:H| == sum of deg_i * dim V_i^H, exactly; NotASubgroup when H has elements outside G."""
-    mask = _ambient(table.group).subgroup_mask(sub)
-    total = sum(d * fixed_dim(table, i, mask) for i, d in enumerate(table.degrees))
-    return total == table.group.order // sub.order
+    (dims,) = _fixed_dims(table, (_ambient(table.group).subgroup_mask(sub),))
+    return sum(map(operator.mul, table.degrees, dims)) == table.group.order // sub.order
 
 
 def is_linearly_primitive(interval: GroupInterval, table: Optional[CharacterTable] = None):
@@ -243,10 +246,10 @@ def linear_witness(table: CharacterTable, base: int, overgroups: Sequence[int]):
 
     A row is a witness iff every minimal overgroup strictly drops dim V^H.
     """
-    for row in range(len(table)):
-        base_dim = fixed_dim(table, row, base)
-        if base_dim == 0 and overgroups:
+    base_dims, *over = _fixed_dims(table, (base, *overgroups))
+    for row, base_dim in enumerate(base_dims):
+        if base_dim == 0 and over:
             continue
-        if all(fixed_dim(table, row, k) < base_dim for k in overgroups):
+        if all(dims[row] < base_dim for dims in over):
             return True, row
     return False, None

@@ -16,9 +16,11 @@ of down-sets of its join-irreducibles (Birkhoff 1937): x -> {join-
 irreducibles below x} embeds every finite lattice into those down-sets,
 and is onto exactly when the lattice is distributive.  An interval [a, b]
 is boolean exactly when the joins of the subsets of its atoms are all
-distinct and fill it (`boolean_elements`).  [u, v] is bottom-boolean when
-[u, join of its atoms] is boolean: one test, run on [bottom, top] for the
-flag and by the breadth-first search of `_bb_levels` down from the top.
+distinct and fill it (`boolean_elements`); `_boolean_intervals_above`
+runs that one test on every [lo, hi] above lo in one pass, raising nothing
+for a refusal.  [u, v] is bottom-boolean when [u, join of its atoms] is
+boolean: one test, run on [bottom, top] for the flag and by the
+breadth-first search of `_bb_levels` down from the top.
 
 `bits` is the one decoder of a bitmask into its positions, here and for
 the subgroup bitsets of `intervals`: a sparse mask is walked bit by bit,
@@ -231,35 +233,52 @@ def boolean_elements(lat: FiniteLattice, a: int, b: int) -> list:
     The atoms of [a, b], in ascending element id, become the bits, and each
     mask is mapped to the join of its atoms.  Raises NotBoolean unless that
     map is a bijection onto [a, b], which holds exactly when the interval
-    is boolean.  An interval of one or two members is a point or a cover,
-    so boolean at once.  Every join formed lies in [a, b], so the map is
-    onto exactly when its 2^k values are distinct.
+    is boolean (`_boolean_join_table`).
     """
-    between = _between_mask(lat, a, b)
-    size = between.bit_count()
-    if size <= 2:
-        return [a] if size == 1 else [a, b]
-    if size & (size - 1):
-        raise NotBoolean("operation requires a boolean interval")
-    atoms = bits(lat._upper[a] & between)
-    if size != 1 << len(atoms):
-        raise NotBoolean("operation requires a boolean interval")
-    join = lat.join
-    elems = [a]
-    for x in atoms:
-        elems += [join(e, x) for e in elems]
-    if len(set(elems)) != size:
+    elems = _boolean_join_table(lat, a, _between_mask(lat, a, b))
+    if elems is None:
         raise NotBoolean("operation requires a boolean interval")
     return elems
 
 
+def _boolean_join_table(lat: FiniteLattice, a: int, between: int) -> Optional[list]:
+    """The joins of a with each subset of the atoms of [a, b], by atom bitmask; None unless [a, b] is boolean.
+
+    `between` is the member mask of [a, b].  An interval of one or two
+    members is a point or a cover, so boolean at once.  Otherwise the
+    popcounts refuse most intervals before any join is formed: the size
+    must be a power of two and 2^|atoms|.  Every join formed lies in
+    [a, b], so the map is onto exactly when its 2^k values are distinct.
+    """
+    size = between.bit_count()
+    if size <= 2:
+        return [a] if size == 1 else [a, between.bit_length() - 1]
+    atoms = lat._upper[a] & between
+    if size & (size - 1) or 1 << atoms.bit_count() != size:
+        return None
+    join = lat.join
+    elems = [a]
+    for x in bits(atoms):
+        elems += [join(e, x) for e in elems]
+    return elems if len(set(elems)) == size else None
+
+
+def _boolean_intervals_above(lat: FiniteLattice, lo: int):
+    """(hi, elements of [lo, hi] by atom bitmask) for every boolean [lo, hi], in ascending hi.
+
+    One pass over the up-set of lo; each pair takes the test of
+    `boolean_elements` with no exception raised for a refusal.
+    """
+    up_lo, down = lat._up[lo], lat._down
+    for hi in bits(up_lo):
+        elems = _boolean_join_table(lat, lo, up_lo & down[hi])
+        if elems is not None:
+            yield hi, elems
+
+
 def is_boolean_interval(lat: FiniteLattice, a: int, b: int) -> bool:
     """Whether [a, b] is boolean, i.e. whether `boolean_elements` succeeds on it."""
-    try:
-        boolean_elements(lat, a, b)
-    except NotBoolean:
-        return False
-    return True
+    return _boolean_join_table(lat, a, _between_mask(lat, a, b)) is not None
 
 
 def top_interval_base(lat: FiniteLattice) -> int:

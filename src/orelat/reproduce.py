@@ -4,12 +4,17 @@ Every suite returns (results, claims).  A claim is a machine-readable record
 {id, paper_location, expected, actual, pass}; any failing claim makes the
 whole report fail.  Fixtures live as versioned data files under data/ and
 carry the location of the published value they pin.
+
+catalog-primitivity reads each scan group's full lattice in whole passes:
+one fixed-dimension matrix per lattice for the witnesses, and one pass per
+lo over the boolean [lo, hi] for the conjecture 4.13 monitor.
 """
 
 from __future__ import annotations
 
 import json
 from importlib import resources
+from operator import mul
 from typing import Optional
 
 from . import catalog as cat
@@ -18,7 +23,6 @@ from . import characters as ch
 from . import intervals as iv
 from . import lattice as lat
 from . import totients as tt
-from .errors import NotBoolean
 
 TARGETS = (
     "factor-list",
@@ -191,23 +195,44 @@ def run_totient_formulas() -> tuple:
 def _top_intervals(full: iv.GroupInterval, table: ch.CharacterTable):
     """(h, certificate, witness row or None) for each distributive [h, G], read off a full lattice.
 
-    An interval of a distributive lattice is distributive, so once [h, G]
-    passes every h' >= h passes untested.  Witnesses are sought only for
-    certified intervals.
+    An interval of a distributive lattice is distributive, so the tests run
+    down from the top, where they are cheap, and once [h, G] fails every
+    h' <= h fails untested.  Witnesses are sought only for certified
+    intervals, in the fixed-space dimensions of every member, one product.
     """
     lattice = full.lattice
-    passed = 0
-    for h in range(lattice.n):
-        if not passed >> h & 1:
-            if not lat._distributive_above(lattice, h):
-                continue
-            passed |= lattice._up[h]
+    ch._fixed_dims(table, full.masks)
+    failed = 0
+    distributive = []
+    for h in reversed(range(lattice.n)):
+        if not failed >> h & 1:
+            if lat._distributive_above(lattice, h):
+                distributive.append(h)
+            else:
+                failed |= lattice._down[h]
+    for h in reversed(distributive):
         cert = cf.certify_above(full, h)
         witness = None
         if cert.is_primitive:
             overgroups = [full.masks[k] for k in lat.upper_covers(lattice, h)]
             _, witness = ch.linear_witness(table, full.masks[h], overgroups)
         yield h, cert, witness
+
+
+def _boolean_phihats(full: iv.GroupInterval):
+    """(lo, hi, rank, dual totient) for every boolean [lo, hi] with lo < hi of a full lattice.
+
+    The dual totient is the signed sum of the labels of [lo, hi], by atom
+    bitmask and relative to hi, read with the cached sign table; no label
+    vector is built.
+    """
+    lattice, idx = full.lattice, full.idx
+    label = idx.__getitem__
+    for lo in range(lattice.n):
+        for hi, elems in lat._boolean_intervals_above(lattice, lo):
+            if hi != lo:
+                n = len(elems).bit_length() - 1
+                yield lo, hi, n, sum(map(mul, tt._signs(n), map(label, elems))) // idx[hi]
 
 
 def run_catalog_primitivity() -> tuple:
@@ -223,17 +248,10 @@ def run_catalog_primitivity() -> tuple:
                 certified += 1
                 if witness is None:
                     counterexamples.append([name, h])
-        lattice = full.lattice
-        for lo in range(lattice.n):
-            for hi in lat.bits(lattice._up[lo] ^ (1 << lo)):
-                try:
-                    sub = tt.boolean_between(full, lo, hi)
-                except NotBoolean:
-                    continue
-                boolean_count += 1
-                phihat = tt.dual_totient(sub)
-                if phihat < 2 ** (sub.n - 1):
-                    monitor_violations.append([name, lo, hi, phihat, sub.n])
+        for lo, hi, n, phihat in _boolean_phihats(full):
+            boolean_count += 1
+            if phihat < 2 ** (n - 1):
+                monitor_violations.append([name, lo, hi, phihat, n])
     bound_entries = []
     for n in (1, 2, 3):
         interval = cat.catalog_interval(f"s2xs3_{n}/base")

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from orelat import catalog as cat
 from orelat import certifier as cf
+from orelat import intervals as iv
 from orelat import lattice as lat
 from orelat import reproduce as rp
 from orelat import totients as tt
@@ -29,6 +30,7 @@ from dense_lattice import (
     build_lattice, complement, interval, maximal_chains, members_between, sub_interval, subset_lattice,
 )
 from references import allsplit_model, label_vector
+from test_intervals import groups_with_base
 
 SMALL_SCAN = ["z6", "z8", "z12", "v4", "d4", "s3", "a4", "s4", "d6", "s2xs3", "psl2_7"]
 
@@ -176,6 +178,41 @@ class TestCatalogIntervals:
     def test_non_boolean_lattices_are_refused(self, name):
         with pytest.raises(NotBoolean):
             label_vector(tt.from_group_interval(cat.catalog_interval(name)))
+
+
+def reference_phihats(full):
+    """(lo, hi, rank, phihat) for every boolean [lo, hi], lo < hi, by a label vector per comparable pair."""
+    rows = []
+    lattice = full.lattice
+    for lo in range(lattice.n):
+        for hi in lat.bits(lattice._up[lo] ^ 1 << lo):
+            try:
+                sub = tt.boolean_between(full, lo, hi)
+            except NotBoolean:
+                continue
+            rows.append((lo, hi, sub.n, tt.dual_totient(sub)))
+    return rows
+
+
+class TestConjectureMonitor:
+    """`reproduce._boolean_phihats` reads each dual totient off the labels, with no label vector."""
+
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_scan_lattices(self, name):
+        full = cat.catalog_interval(name)
+        assert list(rp._boolean_phihats(full)) == reference_phihats(full)
+
+    @settings(max_examples=25, deadline=None)
+    @given(groups_with_base())
+    def test_random_groups(self, pair):
+        full = iv.full_subgroup_lattice(pair[0])
+        assert list(rp._boolean_phihats(full)) == reference_phihats(full)
+
+    def test_a_monitor_without_the_sign_flip_fails(self, monkeypatch):
+        full = cat.catalog_interval("s4")
+        expected = reference_phihats(full)
+        monkeypatch.setattr(tt, "_signs", lambda n: (1,) * (1 << n))
+        assert list(rp._boolean_phihats(full)) != expected
 
 
 def _random_linear_extension(n, rng):

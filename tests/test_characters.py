@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from orelat import catalog as cat
 from orelat import characters as ch
 from orelat import intervals as iv
 from orelat import lattice as lat
-from orelat.errors import InvalidParameters, NotASubgroup, ValidationFailed
+from orelat.errors import InvalidParameters, NotAnInteger, NotASubgroup, ValidationFailed
 from orelat.perm import FiniteGroup, Permutation, generate, trivial_group
 from dense_lattice import leq, member_id, sub_interval
 from test_intervals import groups_with_base, reference_bits
@@ -22,6 +24,11 @@ CLASSICAL_DEGREES = {
     "s5": [1, 1, 4, 4, 5, 5, 6],
     "psl2_7": [1, 3, 3, 6, 7, 8],
 }
+
+
+def fixed_dim(table, row, mask):
+    """dim V^K of one row for the subgroup bitset `mask`, read off the table's fixed-dimension matrix."""
+    return ch._fixed_dims(table, (mask,))[0][row]
 
 
 def mask_of(group, sub):
@@ -91,20 +98,20 @@ class TestFixedDim:
         )
         full = iv.full_subgroup_lattice(group)
         for mask in full.masks:
-            assert ch.fixed_dim(table, trivial_row, mask) == 1
+            assert fixed_dim(table, trivial_row, mask) == 1
 
     def test_nontrivial_irreducible_has_no_invariants_on_g(self):
         group = cat.symmetric(4)
         table = ch.character_table(group)
         for row in range(len(table)):
             expected = 1 if np.allclose(table.values[row], 1) else 0
-            assert ch.fixed_dim(table, row, mask_of(group, group)) == expected
+            assert fixed_dim(table, row, mask_of(group, group)) == expected
 
     def test_fixed_dim_of_trivial_subgroup_is_degree(self):
         group = cat.psl2_7()
         table = ch.character_table(group)
         for row in range(len(table)):
-            assert ch.fixed_dim(table, row, mask_of(group, trivial_group(8))) == table.degrees[row]
+            assert fixed_dim(table, row, mask_of(group, trivial_group(8))) == table.degrees[row]
 
     def test_non_subgroup_raises_cold_and_after_caching(self):
         table = ch.character_table(cat.alternating(4))
@@ -113,7 +120,7 @@ class TestFixedDim:
             ch.index_identity_holds(table, transposition)
         double = generate(4, [Permutation.from_cycles("(1 2)(3 4)", 4)])
         assert ch.index_identity_holds(table, double)
-        assert list(table._sums) == [mask_of(table.group, double)]
+        assert list(table._dims) == [mask_of(table.group, double)]
         assert ch.index_identity_holds(table, FiniteGroup(4, [], double.elements))
         with pytest.raises(NotASubgroup):
             ch.index_identity_holds(table, transposition)
@@ -136,7 +143,7 @@ class TestFixedDim:
             for y in range(lattice.n):
                 if leq(lattice, x, y):
                     for row in range(len(table)):
-                        assert ch.fixed_dim(table, row, full.masks[y]) <= ch.fixed_dim(
+                        assert fixed_dim(table, row, full.masks[y]) <= fixed_dim(
                             table, row, full.masks[x]
                         )
 
@@ -272,9 +279,9 @@ def reference_table(group):
     classes = ch.conjugacy_classes(group)
     mats = reference_class_matrices(classes, iv._ambient(group))
     sizes = np.array(classes.sizes, dtype=np.float64)
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     for _ in range(12):
-        coeffs = rng.normal(size=len(classes))
+        coeffs = [rng.gauss(0.0, 1.0) for _ in range(len(classes))]
         combo = sum(c * m for c, m in zip(coeffs, mats)).astype(np.complex128)
         try:
             return reference_rows(classes, np.linalg.eig(combo)[1], sizes, group.order)
@@ -302,7 +309,7 @@ def assert_table_matches_reference(group, full):
     assert table.values.dtype == values.dtype and np.array_equal(table.values, values)
     for mask, member in zip(full.masks, full.members):
         for row in range(len(table)):
-            assert ch.fixed_dim(table, row, mask) == reference_fixed_dim(table, row, member)
+            assert fixed_dim(table, row, mask) == reference_fixed_dim(table, row, member)
 
 
 def assert_class_counts_match_reference(group, full):
@@ -315,7 +322,30 @@ def assert_class_counts_match_reference(group, full):
         for x in reference_bits(mask):
             counts[classes.class_of[x]] += 1
         assert [(mask & c).bit_count() for c in classes.masks] == counts
-        assert table._subgroup_sums(mask) == (table.values @ np.array(counts, dtype=np.float64)).tolist()
+
+
+def reference_fixed_dims(table, mask):
+    """dim V^K of every row as (1/|K|) times the sum of chi over the elements of K, one element at a time."""
+    class_of = table.classes.class_of
+    elements = reference_bits(mask)
+    dims = []
+    for chi in table.values.tolist():
+        value = sum(chi[class_of[x]] for x in elements) / len(elements)
+        nearest = round(value.real)
+        assert abs(value.imag) <= ch.TOLERANCE and abs(value.real - nearest) <= ch.TOLERANCE and nearest >= 0
+        dims.append(nearest)
+    return dims
+
+
+def assert_fixed_dim_matrix_matches_reference(group, full):
+    """The matrix of one product over every member against the per-element sums, and each mask asked alone."""
+    table = ch.character_table(group)
+    matrix = ch._fixed_dims(table, full.masks)
+    assert matrix == [reference_fixed_dims(table, mask) for mask in full.masks]
+    assert all(type(d) is int for dims in matrix for d in dims)
+    assert list(table._dims) == list(dict.fromkeys(full.masks))
+    alone = ch.CharacterTable(group, table.classes, table.values, table.degrees)
+    assert [ch._fixed_dims(alone, (mask,))[0] for mask in full.masks] == matrix
 
 
 class TestAgainstPerScalarFormulas:
@@ -326,6 +356,27 @@ class TestAgainstPerScalarFormulas:
     @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
     def test_class_counts_on_scan_groups(self, name):
         assert_class_counts_match_reference(cat.catalog_group(name), cat.catalog_interval(name))
+
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_fixed_dim_matrix_on_scan_groups(self, name):
+        assert_fixed_dim_matrix_matches_reference(cat.catalog_group(name), cat.catalog_interval(name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(groups_with_base())
+    def test_fixed_dim_matrix_on_random_groups(self, pair):
+        group, _ = pair
+        assert_fixed_dim_matrix_matches_reference(group, iv.full_subgroup_lattice(group))
+
+    def test_a_value_off_the_integers_is_refused_and_nothing_kept(self):
+        group = cat.symmetric(4)
+        table = ch.character_table(group)
+        full = cat.catalog_interval("s4")
+        for values, message in ((table.values / 2, "not a nonnegative integer"),
+                                (table.values * 1j, "imaginary part")):
+            halved = ch.CharacterTable(group, table.classes, values, table.degrees)
+            with pytest.raises(NotAnInteger, match=message):
+                ch._fixed_dims(halved, full.masks)
+            assert halved._dims == {}
 
     @settings(max_examples=30, deadline=None)
     @given(groups_with_base())

@@ -189,6 +189,21 @@ class TestCertify:
         assert code == 0
         assert report["results"]["certificate"]["verdict"] == "primitive"
 
+    def test_scenario_with_an_unfactored_cofactor_past_the_exact_test_exits_3(self, capsys):
+        # 3**6 * (10**25 + 13): Miller-Rabin is not exact past 3.3e24, and
+        # trial division would count towards 3e12; it stops at the fixed limit
+        start = time.perf_counter()
+        code = main(["certify", "--model-rank", "7", "--model-index", str(3 ** 6 * (10 ** 25 + 13))])
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": f"the cofactor {10 ** 25 + 13} of the index has no prime factor up to 1,000,000 "
+                     "and is past the exact primality test's bound",
+            "exit": 3,
+        }
+
     @pytest.mark.parametrize("flag, value", [("--catalog", "nosuchgroup"), ("--group-file", "group.json"),
                                              ("--subgroup-file", "subgroup.json")], ids=lambda x: x)
     def test_interval_flags_with_an_index_are_an_input_error(self, capsys, flag, value):

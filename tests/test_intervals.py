@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import math
 import random
 
@@ -1214,3 +1216,15 @@ class TestTopIntervalScan:
     def test_matches_sliced_intervals_on_random_groups(self, pair):
         group, _ = pair
         assert_top_scan_matches_slices(iv.full_subgroup_lattice(group), ch.character_table(group))
+
+    def test_witness_rows_of_the_certified_catalog_intervals_are_pinned(self):
+        # [name, h, witness row] of the 467 certified [h, G], as the per-mask
+        # fixed_dim loop found them before the one matrix per lattice
+        rows = []
+        for name, group in cat.scan_groups(200):
+            for h, cert, witness in rp._top_intervals(cat.catalog_interval(name), ch.character_table(group)):
+                if cert.is_primitive:
+                    rows.append([name, h, witness])
+        assert len(rows) == 467
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "5b45df231dfde43d59d4e9c6cdaabc987fa516243004b914870722114abf91fb"

@@ -2,7 +2,10 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orelat import catalog as cat
 from orelat import lattice as lat
 from orelat.errors import NotALattice, NotAPartialOrder, NotBoolean, NotComparable
 from dense_lattice import (
@@ -331,3 +334,64 @@ class TestRank:
         b4 = subset_lattice(4)
         lengths = {len(c) for c in maximal_chains(b4)}
         assert lengths == {5}
+
+
+@st.composite
+def closure_lattices(draw):
+    """The lattice of a random family of subsets of a k-set closed under intersection, the k-set included.
+
+    Meets are intersections and joins the least member over a union, so
+    the family is a lattice; ids run by size and then by value, a linear
+    extension of inclusion.  The order goes through `build_lattice`, which
+    validates it densely.
+    """
+    k = draw(st.integers(1, 5))
+    family = {(1 << k) - 1} | set(draw(st.lists(st.integers(0, (1 << k) - 1), min_size=k, max_size=12)))
+    while True:
+        closed = family | {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    sets = sorted(family, key=lambda s: (s.bit_count(), s))
+    return build_lattice([[a & ~b == 0 for b in sets] for a in sets])
+
+
+def assert_boolean_scan_matches_boolean_elements(lattice):
+    """On every comparable pair, `_boolean_intervals_above` yields what `boolean_elements` returns, and only that."""
+    boolean = 0
+    for lo in range(lattice.n):
+        expected = []
+        for hi in lat.bits(lattice._up[lo]):
+            try:
+                expected.append((hi, lat.boolean_elements(lattice, lo, hi)))
+            except NotBoolean:
+                continue
+        assert list(lat._boolean_intervals_above(lattice, lo)) == expected, lo
+        boolean += len(expected)
+    return boolean
+
+
+class TestBooleanIntervalsAbove:
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_scan_lattices(self, name):
+        lattice = cat.catalog_interval(name).lattice
+        assert assert_boolean_scan_matches_boolean_elements(lattice) >= lattice.n
+
+    @settings(max_examples=60, deadline=None)
+    @given(closure_lattices())
+    def test_random_lattices(self, lattice):
+        assert_boolean_scan_matches_dense_reference(lattice)
+
+    @SMALL_LATTICES
+    def test_small_lattices(self, lattice):
+        assert_boolean_scan_matches_dense_reference(lattice)
+
+
+def assert_boolean_scan_matches_dense_reference(lattice):
+    """`assert_boolean_scan_matches_boolean_elements`, and the boolean [lo, hi] are those of the complement scan."""
+    assert_boolean_scan_matches_boolean_elements(lattice)
+    ref = dense(lattice)
+    for lo in range(lattice.n):
+        found = {hi for hi, _ in lat._boolean_intervals_above(lattice, lo)}
+        comparable = members_between(lattice, lo, lattice.top)
+        assert found == {hi for hi in comparable if reference_is_boolean(dense_slice(ref, lo, hi))}, lo
