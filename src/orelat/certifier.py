@@ -24,6 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import lattice as lat
@@ -138,10 +139,11 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
     unfactored cofactor, by 2 and the odd numbers, goes on only up to that
     count-th root, so no node counts further than its own candidates reach.
     A cofactor that `_miller_rabin` finds prime is taken as the next
-    divisor at once, so a large prime factor costs no trial division.  A
-    cofactor past `_MR_LIMIT`, where that test is not exact, is trial
-    divided only up to `_TRIAL_DIVISION_LIMIT`; a node that needs more
-    raises CapExceeded naming the cofactor.
+    divisor at once, so a large prime factor costs no trial division.
+    Trial division stops at `_TRIAL_DIVISION_LIMIT`: a node that needs
+    more splits a composite cofactor below `_MR_LIMIT` into its primes by
+    `_rho_primes`, and raises CapExceeded naming a cofactor past it, where
+    the primality test is not exact.
     """
     divisors, cofactor, p = [1], number, 2
     prime = cofactor < _MR_LIMIT and _miller_rabin(cofactor)
@@ -163,17 +165,18 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
         while cofactor > 1 and p ** count <= remaining:
             if prime or p * p > cofactor:
                 p = cofactor
-            elif p > _TRIAL_DIVISION_LIMIT and cofactor >= _MR_LIMIT:
-                raise CapExceeded(
-                    f"the cofactor {cofactor} of the index has no prime factor up to "
-                    f"{_TRIAL_DIVISION_LIMIT:,} and is past the exact primality test's bound"
-                )
+            elif p > _TRIAL_DIVISION_LIMIT:
+                if cofactor >= _MR_LIMIT:
+                    raise CapExceeded(
+                        f"the cofactor {cofactor} of the index has no prime factor up to "
+                        f"{_TRIAL_DIVISION_LIMIT:,} and is past the exact primality test's bound"
+                    )
+                # a composite cofactor: take all of its primes at once, which leaves it 1
+                for f in set(_rho_primes(cofactor)):
+                    divisors, cofactor = _divide_out(divisors, cofactor, f)
+                break
             if cofactor % p == 0:
-                powers = [1]
-                while cofactor % p == 0:
-                    cofactor //= p
-                    powers.append(powers[-1] * p)
-                divisors = sorted(d * q for d in divisors for q in powers)
+                divisors, cofactor = _divide_out(divisors, cofactor, p)
                 prime = cofactor < _MR_LIMIT and _miller_rabin(cofactor)
             p += 2 if p > 2 else 1
         children = []
@@ -184,6 +187,15 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
                 children.append((remaining // f, f, acc + (f,)))
         stack.extend(reversed(children))
     return result
+
+
+def _divide_out(divisors: list, cofactor: int, f: int) -> tuple:
+    """The sorted divisors times every power of the prime f in cofactor, and cofactor without f."""
+    powers = [1]
+    while cofactor % f == 0:
+        cofactor //= f
+        powers.append(powers[-1] * f)
+    return sorted(d * q for d in divisors for q in powers), cofactor
 
 
 def factor_products(limit: int, min_factor: int, min_count: int) -> list:
@@ -289,21 +301,14 @@ def _leaf_bounds(key: tuple) -> Optional[tuple]:
     """
     if len(key) == 0:
         return (1, 1)
-    if key[0] == key[-1]:
-        v = (key[0] - 1) ** len(key)
+    p, q, n = key[0], key[-1], len(key)
+    if p == q:
+        v = (p - 1) ** n
         return (v, v)
-    shape = _single_divergent_shape(key)
-    if shape is None:
+    # sorted and not uniform: (p, ..., p, q) exactly when the next-to-last entry is p
+    if key[-2] != p:
         return None
-    p, q = shape
-    n = len(key)
     return (tt.closed_form_p_n_q(p, q, n, min(n, 2)), tt.closed_form_p_n_q(p, q, n, 1))
-
-
-def _without(key: tuple, v: int) -> tuple:
-    """The sorted chain type `key` with one entry v removed."""
-    i = key.index(v)
-    return key[:i] + key[i + 1:]
 
 
 def _phihat_bounds(chain_type: tuple) -> tuple:
@@ -332,8 +337,10 @@ def _phihat_bounds(chain_type: tuple) -> tuple:
         result = _leaf_bounds(key)
         if result is None:
             c = key[-1]
-            rest = _without(key, c)
-            subs = [_without(key, v) for v in sorted(set(key)) if v != c]
+            rest = key[:-1]
+            # one sub-type per smaller value v, cut at v's first index
+            subs = [key[:i] + key[i + 1:] for i, v in enumerate(key)
+                    if v != c and (i == 0 or key[i - 1] != v)]
             missing = [k for k in [rest] + subs if k not in _BOUNDS_MEMO]
             if missing:
                 stack += missing
@@ -682,6 +689,67 @@ def _miller_rabin(n: int) -> bool:
         else:
             return False
     return True
+
+
+# Brent's rho: the polynomials x^2 + c tried in turn, and the most steps it
+# takes over one cofactor.  It finds a prime factor f once its rounds outgrow
+# the tail and the cycle of x^2 + c mod f, each about 0.63 sqrt(f) long on
+# average.  Below _MR_LIMIT the least prime factor of a composite is under
+# 1.9e12, so rounds up to 2^23 steps, about 6 sqrt(f), leave a wide margin.
+_RHO_CONSTANTS = (1, 3, 5, 7)
+_RHO_STEP_CAP = 1 << 25
+_RHO_BATCH = 128
+
+
+def _rho_primes(n: int) -> tuple:
+    """The prime factors of a composite n < _MR_LIMIT with multiplicity, ascending, by Brent's rho.
+
+    Each part is kept once `_miller_rabin`, exact below the bound, calls it
+    prime, and split again otherwise.  The steps over all parts are counted,
+    and CapExceeded is raised before a round would pass `_RHO_STEP_CAP`.  R. P. Brent,
+    "An improved Monte Carlo factorization algorithm", BIT 20 (1980).
+    """
+    primes, composites, steps = [], [n], 0
+    while composites:
+        m = composites.pop()
+        for c in _RHO_CONSTANTS:
+            # y runs x -> x^2 + c mod m; x is y at the last power of two, and
+            # the differences x - y are multiplied up and checked _RHO_BATCH at a time
+            y, r, product, g = 2, 1, 1, 1
+            while g == 1:
+                # a round of r steps, then r more that multiply the differences
+                steps += 2 * r
+                if steps > _RHO_STEP_CAP:
+                    raise CapExceeded(f"Brent's rho found no factor of the cofactor {n} "
+                                      f"of the index in {_RHO_STEP_CAP:,} steps")
+                x = y
+                for _ in range(r):
+                    y = (y * y + c) % m
+                k = 0
+                while k < r and g == 1:
+                    saved = y
+                    for _ in range(min(_RHO_BATCH, r - k)):
+                        y = (y * y + c) % m
+                        product = product * (x - y) % m
+                    g = gcd(product, m)
+                    k += _RHO_BATCH
+                r *= 2
+            if g == m:
+                # the batch overshot: step through it again one difference at a time
+                g = 1
+                while g == 1:
+                    saved = (saved * saved + c) % m
+                    g = gcd(x - saved, m)
+            if g != m:
+                break
+        else:
+            raise CapExceeded(f"Brent's rho found no factor of the cofactor {n} of the index")
+        for part in (g, m // g):
+            if _miller_rabin(part):
+                primes.append(part)
+            else:
+                composites.append(part)
+    return tuple(sorted(primes))
 
 
 def _is_prime(n: int) -> bool:

@@ -269,6 +269,21 @@ def reference_refusal(n, labels):
     return None
 
 
+def per_coatom_split_mismatches():
+    """[p, q, n, m, coatom] wherever a split differs from the direct sum, one coatom at a time over the totient-formulas grid."""
+    found = []
+    for p in range(2, 14):
+        for q in range(p, 14):
+            for n in range(1, 8):
+                for m in range(0, n + 1):
+                    model = tt.pq_model(p, q, n, m) if m else tt.uniform_model(p, n)
+                    direct = tt.dual_totient(model)
+                    for co in model.coatoms():
+                        if tt.dual_totient_coatom_split(model, co) != direct:
+                            found.append([p, q, n, m, co])
+    return found
+
+
 def reference_dual(idx):
     return sum(-v if s.bit_count() & 1 else v for s, v in enumerate(idx))
 
@@ -440,7 +455,25 @@ class TestMaskTablesMatchPerMaskLoops:
         verdicts = {claim["id"]: claim for claim in claims}
         assert verdicts["closed-forms-match-direct-sums"]["pass"]
         split = verdicts["coatom-split-equals-direct-sum"]
-        assert not split["pass"] and len(split["actual"]) > 10_000
+        assert not split["pass"] and len(split["actual"]) == 10_374
+        assert split["actual"] == per_coatom_split_mismatches()
+
+    def test_totient_formulas_name_the_coatoms_of_a_fold_wrong_at_bit_zero(self, monkeypatch):
+        # the claim compares each model's splits at once; its entries must be
+        # those a walk over every coatom of every model finds, in the same order
+        fold = tt.BooleanInterval.coatom_splits
+
+        def wrong_at_bit_zero(model):
+            splits = fold(model)
+            return splits if model.n < 2 else (splits[0] + 1,) + splits[1:]
+
+        monkeypatch.setattr(tt.BooleanInterval, "coatom_splits", wrong_at_bit_zero)
+        expected = per_coatom_split_mismatches()
+        assert expected and all(entry[2] >= 2 for entry in expected)
+        _, claims = rp.run_totient_formulas()
+        verdicts = {claim["id"]: claim for claim in claims}
+        assert verdicts["closed-forms-match-direct-sums"]["pass"]
+        assert verdicts["coatom-split-equals-direct-sum"]["actual"] == expected
 
     def test_models_match_over_the_totient_formulas_grid(self):
         for p in range(2, 14):

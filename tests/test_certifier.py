@@ -14,7 +14,7 @@ from orelat import characters as ch
 from orelat import intervals as iv
 from orelat import lattice as lat
 from orelat import totients as tt
-from orelat.errors import InvalidParameters, NotBoolean, NotDistributive
+from orelat.errors import CapExceeded, InvalidParameters, NotBoolean, NotDistributive
 from dense_lattice import subset_lattice, sub_interval
 from references import label_vector
 
@@ -68,6 +68,28 @@ class TestMillerRabin:
     ])
     def test_large_inputs(self, n, prime):
         assert cf._is_prime(n) is prime
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rho_splits_products_of_two_or_three_large_primes(self, data):
+        # each prime in (10**6, 10**12) with a drawn number of digits, the
+        # product below the exact test's bound; no prime gap here reaches 1,000
+        primes = []
+        count = data.draw(st.sampled_from([2, 3]))
+        for i in range(count):
+            top = min(10 ** 12, (cf._MR_LIMIT - 1) // (math.prod(primes) * (2 * 10 ** 6) ** (count - 1 - i)))
+            digits = data.draw(st.integers(7, len(str(top))))
+            high = min(10 ** digits, top) - 1000
+            start = data.draw(st.integers(min(max(10 ** (digits - 1), 10 ** 6 + 1), high), high))
+            primes.append(next(n for n in range(start, top) if cf._miller_rabin(n)))
+        parts = cf._rho_primes(math.prod(primes))
+        assert math.prod(parts) == math.prod(primes)
+        assert all(cf._miller_rabin(f) for f in parts)
+
+    def test_rho_stops_at_its_step_cap(self, monkeypatch):
+        monkeypatch.setattr(cf, "_RHO_STEP_CAP", 1000)
+        with pytest.raises(CapExceeded, match="no factor of the cofactor .* in 1,000 steps"):
+            cf._rho_primes(10_000_000_019 * 10_000_000_033)
 
     def test_is_prime_divides_by_trial_above_the_bound(self, monkeypatch):
         monkeypatch.setattr(cf, "_miller_rabin", None)
@@ -148,6 +170,7 @@ class TestFactorEnumeration:
     @pytest.mark.parametrize("number,parts", [
         (3 ** 4 * 1_000_003, 5), (2 * 3 * 5 * 7 * 1_000_003, 3), (3 ** 6 * 999_983, 7), (4 * 999_983 ** 2, 3),
         (1_000_003, 1), (1_000_003, 2), (9 * 1_000_003 * 999_983, 3),
+        (1_000_003 * 1_000_033, 2), (1_000_003 ** 2, 2), (9 * 1_000_003 * 1_000_033, 3),
     ])
     def test_factorizations_with_a_large_prime_cofactor_match_the_reference(self, number, parts):
         for min_factor in (1, 3):
@@ -235,6 +258,14 @@ class TestLemmaScan:
         finally:
             cf._BOUNDS_MEMO.clear()
             cf._BOUNDS_MEMO.update(saved)
+
+    @pytest.mark.parametrize("chain_type", [(3, 5, 5), (3, 3, 4, 5, 5), (4, 4, 4)])
+    def test_bounds_match_the_recursive_walk_on_types_with_repeated_values(self, monkeypatch, chain_type):
+        # a repeated value is where a leaf test or a sub-type cut at the wrong index shows
+        monkeypatch.setattr(cf, "_BOUNDS_MEMO", {})
+        reference: dict = {}
+        assert cf._phihat_bounds(chain_type) == recursive_phihat_bounds(chain_type, reference)
+        assert cf._BOUNDS_MEMO == reference
 
     def test_leaf_bounds_match_the_enumeration_over_coatom_counts(self):
         for p in range(2, 8):

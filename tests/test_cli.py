@@ -189,6 +189,19 @@ class TestCertify:
         assert code == 0
         assert report["results"]["certificate"]["verdict"] == "primitive"
 
+    @pytest.mark.parametrize("index", [
+        3 ** 6 * 10_000_000_019 * 10_000_000_033,
+        3 ** 6 * 1_000_003 * 1_000_033,
+    ], ids=["past-ten-to-the-tenth", "just-past-the-trial-limit"])
+    def test_scenario_with_a_composite_cofactor_gets_a_verdict(self, capsys, index):
+        # Miller-Rabin finds the cofactor composite and trial division stops at
+        # 10**6; Brent's rho splits it, where counting on would reach 10**10
+        start = time.perf_counter()
+        code, report = run_json(capsys, "certify", "--model-rank", "7", "--model-index", str(index))
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert report["results"]["certificate"]["verdict"] == "primitive"
+
     def test_scenario_with_an_unfactored_cofactor_past_the_exact_test_exits_3(self, capsys):
         # 3**6 * (10**25 + 13): Miller-Rabin is not exact past 3.3e24, and
         # trial division would count towards 3e12; it stops at the fixed limit
