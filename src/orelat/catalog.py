@@ -86,11 +86,13 @@ def psl2_7() -> FiniteGroup:
 
 
 def s2_s3n(n: int) -> FiniteGroup:
-    """The product S2 x S3^n on 2 + 3n points."""
-    group = symmetric(2)
-    for _ in range(n):
-        group = direct_product(group, symmetric(3))
-    return group
+    """S2 x S3^n on 2 + 3n points, closed once from the generators `direct_product` would give it."""
+    degree = 2 + 3 * n
+    gens = [Permutation([1, 0] + list(range(2, degree)))]
+    for b in range(2, degree, 3):
+        for block in ([b + 1, b, b + 2], [b + 1, b + 2, b]):
+            gens.append(Permutation(list(range(b)) + block + list(range(b + 3, degree))))
+    return generate(degree, gens)
 
 
 _GROUPS = {

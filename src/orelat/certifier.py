@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import lattice as lat
@@ -404,33 +404,22 @@ def certify_above(model: IndexedInterval, a: int) -> Certificate:
     return _certify_boolean(work, steps)
 
 
-def _reciprocal_sum(model: BooleanInterval) -> Fraction:
-    return sum(
-        (Fraction(1, model.below_index(a)) for a in model.atoms()),
-        Fraction(0),
-    )
-
-
 def _certify_boolean(model: BooleanInterval, steps: list) -> Certificate:
     rank = model.n
     if rank <= 1:
         steps.append(CertStep(
             "R2-rank-one", "rank at most one: the base is maximal", {"rank": rank}))
         return Certificate("primitive", steps)
-    total = _reciprocal_sum(model)
-    if total <= 1:
-        steps.append(CertStep(
-            "R3-reciprocal-sum-1",
-            "sum of reciprocal atom indices is at most 1",
-            {"sum": str(total)},
-        ))
-        return Certificate("primitive", steps)
-    if total <= 2:
-        steps.append(CertStep(
-            "R4-reciprocal-sum-2",
-            "distributive with reciprocal atom index sum at most 2",
-            {"sum": str(total)},
-        ))
+    # the reciprocal atom index sum is numerator / product, a Fraction only in evidence
+    indices = [model.below_index(a) for a in model.atoms()]
+    product = prod(indices)
+    numerator = sum(product // a for a in indices)
+    if numerator <= 2 * product:
+        if numerator <= product:
+            rule, description = "R3-reciprocal-sum-1", "sum of reciprocal atom indices is at most 1"
+        else:
+            rule, description = "R4-reciprocal-sum-2", "distributive with reciprocal atom index sum at most 2"
+        steps.append(CertStep(rule, description, {"sum": str(Fraction(numerator, product))}))
         return Certificate("primitive", steps)
     reduction = _index_two_reduction(model, steps)
     if reduction is not None:

@@ -1,26 +1,18 @@
 """Concrete overgroup intervals [H, G] and full subgroup lattices.
 
 A subgroup is a Python-int bitset over the element indices of its ambient
-group, whose multiplication table is built once per group from its
-generators, or from those its walk picks for a group given none; only the
-generators' rows compose permutations.  A group of
-order at most 256 keeps each table row as `bytes`, one byte per entry,
-since `bytes.translate` composes two such rows in one call through its
-256-entry table; a larger group keeps one (n, n) `uint16` numpy array, two
-bytes per entry, and hands out its rows as `memoryview`s.  Callers only
-index rows or read them by `itemgetter` and `map`, which give the same
-ints on either.  The overgroups
-of H are enumerated breadth first by cyclic extension (Neubüser's method),
-up to conjugacy by the normalizer N = N_G(H).  For a representative K and
-each g outside K, <K, g> is grown from K's element list by adding whole
-cosets of K (Dimino), so no member is closed again from its generators.
-The closure marks the elements it reaches in a bytearray of ASCII digits,
-read as a bitset once at the end.  It stops at Lagrange's bound: a proper
-subgroup above K holds at most |G:K|/p cosets of K, for p the least prime
-factor of |G:K|, so once <K, g> holds more it is G, and when |G:K| is
-prime it is G at once.  One g is tried per double coset KgK, since
-<K, kgk'> = <K, g>; the Ore search (`verify_ore`, `generating_coset_count`)
-walks the double cosets HgH of the base the same way.
+group, whose multiplication table is built once per group: `bytes` rows up
+to order 256 and one `uint16` array above (`_multiplication_table`), read
+alike by index, `itemgetter` and `map`.  The overgroups of H are
+enumerated breadth first by cyclic extension (Neubüser's method), up to
+conjugacy by the normalizer N = N_G(H).  One g is tried per double coset
+KgK of a representative K, since <K, kgk'> = <K, g>, and one walk over
+whole cosets of K (Dimino), marked in a bytearray of ASCII digits, gives
+KgK and then <K, g>.  It stops at Lagrange's bound: a proper subgroup
+above K holds at most |G:K|/p cosets of K, p the least prime factor of
+|G:K|, so once <K, g> holds more it is G; at a prime index G is the only
+cover, with no walk.  The Ore search (`verify_ore`,
+`generating_coset_count`) walks the double cosets HgH the same way.
 
 N permutes the members of [H, G] and their covers, since s·<K, g>·s⁻¹ =
 <sKs⁻¹, sgs⁻¹>.  N is read off the multiplication table: s normalizes H
@@ -140,68 +132,61 @@ class _Ambient:
         except KeyError as exc:
             raise NotASubgroup("subgroup has elements outside the ambient group") from exc
 
-    def _left_cosets(self, k: _Subgroup, gens: tuple, g: int, seen: bytearray, room: int):
-        """Close {g} under left multiplication by `gens`, a whole left coset r·K at a time.
+    def _cosets(self, k: _Subgroup, step: tuple, reps: list, added: list, seen: bytearray, limit: int) -> bool:
+        """Close the cosets r·K, r in `reps`, under left multiplication by `step`; False past `limit` of them.
 
-        `seen` holds b"1" at the element ids already present and b"0"
-        elsewhere; the cosets added are marked in it.  Returns their element
-        ids, or None once a coset beyond the first `room` turns up.  One
-        representative per coset is multiplied, since s·rK = (s·r)K.
+        A coset reached is marked in `seen` and its elements and its
+        representative, the one multiplied (s·rK = (s·r)K), are appended.
         """
         mul, take = self.mul, k.take
-        added = list(take(mul[g]))
-        for x in added:
-            seen[x] = _ONE
-        reps = [g]
         for r in reps:  # grows while it is read
-            for s in gens:
+            for s in step:
                 t = mul[s][r]
                 if seen[t] == _ZERO:
-                    if len(reps) == room:
-                        return None
+                    if len(reps) == limit:
+                        return False
                     coset = take(mul[t])
                     added += coset
                     for x in coset:
                         seen[x] = _ONE
                     reps.append(t)
-        return added
+        return True
 
-    def extend(self, k: _Subgroup, g: int) -> _Subgroup:
-        """<K, g>, as K's elements followed by whole left cosets r·K (Dimino).
+    def extension(self, k: _Subgroup, g: int, double: bool = True) -> tuple:
+        """(<K, g>, the bitset of KgK) from one walk over left cosets r·K; (K, K) for g in K.
 
-        K and gK are closed under left multiplication by the generators of
-        K and g, so their union with the cosets that reaches is <K, g>.
-        A subgroup strictly between K and G holds at most |G:K|/p cosets of
-        K, for p the least prime factor of |G:K| (Lagrange), so the closure
-        stops at the first coset past that count and returns G; when |G:K|
-        is prime nothing lies strictly between, and G is returned at once.
+        gK closed under K's generators is KgK; the walk goes on with g added
+        and returns G past Lagrange's bound.  Without `double`, KgK reads 0,
+        the bound applies from the start and a prime index is not walked.
         """
         if k.mask & self.bit[g]:
-            return k
+            return k, k.mask
         gens = k.gens + (g,)
         n = self.n
         index = n // len(k.elems)
         p = _least_prime_factor(index)
-        if p < index:
+        room = index // p - 1 if p < index else 0  # cosets besides K in a proper subgroup above K
+        double_mask = 0
+        if double or room:
             seen = bytearray(b"0") * n
             for x in k.elems:
                 seen[x] = _ONE
-            added = self._left_cosets(k, gens, g, seen, index // p - 1)
-            if added is not None:
-                return _Subgroup(k.elems + added, int(seen[::-1], 2), gens)
-        return _Subgroup(self.all_ids, (1 << n) - 1, gens)
-
-    def double_coset(self, k: _Subgroup, g: int) -> int:
-        """The bitset of KgK: the left cosets of K reached from gK by left multiplication by K."""
-        seen = bytearray(b"0") * self.n
-        self._left_cosets(k, k.gens, g, seen, self.n)
-        return int(seen[::-1], 2)
+            added = list(k.take(self.mul[g]))
+            for x in added:
+                seen[x] = _ONE
+            reps = [g]
+            if self._cosets(k, k.gens, reps, added, seen, n if double else room):
+                if double:
+                    double_mask = int(seen[::-1], 2) ^ k.mask
+                if len(reps) <= room and self._cosets(k, gens, reps, added, seen, room):
+                    return _Subgroup(k.elems + added, int(seen[::-1], 2), gens), double_mask
+        return _Subgroup(self.all_ids, (1 << n) - 1, gens), double_mask
 
     def generated(self, ids: Iterable[int]) -> _Subgroup:
         """The subgroup generated by `ids`; its generators are those that were not yet inside."""
         k = self.trivial
         for x in ids:
-            k = self.extend(k, x)
+            k = self.extension(k, x, False)[0]
         return k
 
     def conjugation(self, s: int):
@@ -247,7 +232,7 @@ class _Ambient:
             inside &= int("".join(map(in_k.__getitem__, conjugates))[::-1], 2)
         normalizer = k
         for s in lat.bits(inside & ~k.mask):
-            normalizer = self.extend(normalizer, s)
+            normalizer = self.extension(normalizer, s, False)[0]
         return normalizer.gens[len(k.gens):]
 
     def core(self, mask: int) -> int:
@@ -488,10 +473,14 @@ def _overgroups(amb: _Ambient, base: _Subgroup, cap: int) -> tuple:
     for k in reps:  # grows while it is read
         covered = k.mask
         formed = set()
+        # at a prime index G is the only cover, found with no walk
+        index = amb.n // len(k.elems)
+        prime = _least_prime_factor(index) == index
         while covered != everything:
             free = everything & ~covered
             g = (free & -free).bit_length() - 1
-            ext = amb.extend(k, g)
+            ext, double = amb.extension(k, g, not prime)
+            covered |= everything if prime else double
             formed.add(ext.mask)
             if ext.mask not in found:
                 reps.append(ext)
@@ -509,7 +498,6 @@ def _overgroups(amb: _Ambient, base: _Subgroup, cap: int) -> tuple:
                         if image not in found:
                             found[image] = (m, s)
                             orbit.append(image)
-            covered |= amb.double_coset(k, g)
         up = covers[k.mask] = []
         for e in sorted(formed, key=int.bit_count):
             if all(c & ~e for c in up):
@@ -582,9 +570,9 @@ def _generating_double_cosets(interval: GroupInterval):
     uncovered = (1 << amb.n) - 1
     while uncovered:
         g = (uncovered & -uncovered).bit_length() - 1
-        double = amb.double_coset(h, g)
+        ext, double = amb.extension(h, g)
         uncovered &= ~double
-        if len(amb.extend(h, g).elems) == amb.n:
+        if len(ext.elems) == amb.n:
             yield g, double.bit_count()
 
 

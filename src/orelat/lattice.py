@@ -1,15 +1,16 @@
 """Finite lattices held as bitmasks over element ids 0..n-1.
 
 The ids are a linear extension of the order: every lower cover of x has a
-smaller id, the bottom is 0 and the top n-1.  A lattice is built in one
-pass from each element's lower covers and holds, per element, the bitmasks
-of its down-set, its up-set and its upper and lower covers, plus the ranks
-(longest-chain depth over the Hasse diagram) and gradedness; the read-only
-`covers` matrix is built from the cover masks on first use.  No meet or
-join table is kept: in a linear extension the meet of a and b is the
-highest id in down[a] & down[b] and their join the lowest id in
-up[a] & up[b].  The lattice axioms are not re-checked; the callers build
-subgroup intervals, which are lattices by theorem.
+smaller id, the bottom is 0 and the top n-1.  A lattice is built from each
+element's lower covers, the down-sets going up the ids and the up-sets
+pushed down the lower covers, so no mask is decoded.  It holds, per
+element, the bitmasks of its down-set, its up-set and its upper and lower
+covers, plus the ranks (longest-chain depth over the Hasse diagram) and
+gradedness; the read-only `covers` matrix is built from the cover masks on
+first use.  No meet or join table is kept: in a linear extension the meet
+of a and b is the highest id in down[a] & down[b] and their join the
+lowest id in up[a] & up[b].  The lattice axioms are not re-checked; the
+callers build subgroup intervals, which are lattices by theorem.
 
 [a, top] is distributive exactly when its member count equals the number
 of down-sets of its join-irreducibles (Birkhoff 1937): x -> {join-
@@ -58,9 +59,9 @@ class FiniteLattice:
         if n == 0:
             raise NotAPartialOrder("a lattice has at least one element")
         down, lower, upper, ranks = [], [], [0] * n, []
+        belows = list(map(list, lower_covers))
         graded = True
-        for x, below in enumerate(lower_covers):
-            below = list(below)
+        for x, below in enumerate(belows):
             if any(not 0 <= c < x for c in below):
                 raise NotAPartialOrder(f"the lower covers of {x} must have smaller ids")
             if x and not below:
@@ -78,12 +79,12 @@ class FiniteLattice:
             ranks.append(rank)
         if down[-1] != (1 << n) - 1:
             raise NotALattice(f"element {n - 1} is not above every element")
-        up = [0] * n
-        for x in range(n - 1, -1, -1):
-            mask = 1 << x
-            for y in bits(upper[x]):
-                mask |= up[y]
-            up[x] = mask
+        # up[x] is whole once every larger id has pushed its own down
+        up = [1 << x for x in range(n)]
+        for x in range(n - 1, 0, -1):
+            mask = up[x]
+            for c in belows[x]:
+                up[c] |= mask
         self.n = n
         self.bottom = 0
         self.top = n - 1

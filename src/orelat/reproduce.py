@@ -221,17 +221,22 @@ def _top_intervals(full: iv.GroupInterval, table: ch.CharacterTable):
 
 
 def _boolean_phihats(full: iv.GroupInterval):
-    """(lo, hi, rank, dual totient) for every boolean [lo, hi] with lo < hi of a full lattice.
+    """(lo, hi, rank, dual totient) for every boolean [lo, hi], lo < hi, of a full lattice, by lo and hi.
 
-    The dual totient is the signed sum of the labels of [lo, hi], by atom
-    bitmask and relative to hi, read with the cached sign table; no label
-    vector is built.
+    A cover has rank one and dual totient (idx[lo] - idx[hi]) / idx[hi].
+    Any other [lo, hi] takes the test of `lattice.boolean_elements`; its
+    dual totient is its signed label sum by atom bitmask, over idx[hi], with
+    no label vector built.
     """
     lattice, idx = full.lattice, full.idx
     label = idx.__getitem__
+    up, down, lower = lattice._up, lattice._down, lattice._lower
     for lo in range(lattice.n):
-        for hi, elems in lat._boolean_intervals_above(lattice, lo):
-            if hi != lo:
+        up_lo, low = up[lo], idx[lo]
+        for hi in lat.bits(up_lo ^ 1 << lo):
+            if lower[hi] >> lo & 1:
+                yield lo, hi, 1, (low - idx[hi]) // idx[hi]
+            elif (elems := lat._boolean_join_table(lattice, lo, up_lo & down[hi])) is not None:
                 n = len(elems).bit_length() - 1
                 yield lo, hi, n, sum(map(mul, tt._signs(n), map(label, elems))) // idx[hi]
 

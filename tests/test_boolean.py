@@ -194,6 +194,18 @@ def reference_phihats(full):
     return rows
 
 
+def generic_phihats(full):
+    """The monitor's tuples by `lattice._boolean_intervals_above`: every [lo, hi], covers too, by join table."""
+    rows = []
+    lattice, idx = full.lattice, full.idx
+    for lo in range(lattice.n):
+        for hi, elems in lat._boolean_intervals_above(lattice, lo):
+            if hi != lo:
+                n = len(elems).bit_length() - 1
+                rows.append((lo, hi, n, sum(s * idx[e] for s, e in zip(tt._signs(n), elems)) // idx[hi]))
+    return rows
+
+
 class TestConjectureMonitor:
     """`reproduce._boolean_phihats` reads each dual totient off the labels, with no label vector."""
 
@@ -201,6 +213,13 @@ class TestConjectureMonitor:
     def test_scan_lattices(self, name):
         full = cat.catalog_interval(name)
         assert list(rp._boolean_phihats(full)) == reference_phihats(full)
+
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_covers_read_directly_match_the_generic_route(self, name):
+        full = cat.catalog_interval(name)
+        rows = list(rp._boolean_phihats(full))
+        assert rows == generic_phihats(full)
+        assert [[lo, hi] for lo, hi, n, _ in rows if n == 1] == lat.hasse_edges(full.lattice)
 
     @settings(max_examples=25, deadline=None)
     @given(groups_with_base())

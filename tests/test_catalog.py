@@ -55,3 +55,15 @@ class TestResolver:
     def test_unknown_interval_is_named_as_given(self, name):
         with pytest.raises(ParseError, match=f"^unknown catalog interval '{name}'$"):
             cat.catalog_pair(name)
+
+
+class TestProducts:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_s2_s3n_closes_once_with_the_generators_of_the_iterated_product(self, n):
+        reference = cat.symmetric(2)
+        for _ in range(n):
+            reference = cat.direct_product(reference, cat.symmetric(3))
+        group = cat.s2_s3n(n)
+        assert (group.degree, group.order) == (2 + 3 * n, 2 * 6 ** n)
+        assert group.generators == reference.generators
+        assert group.elements == reference.elements

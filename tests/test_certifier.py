@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orelat import catalog as cat
@@ -16,7 +16,8 @@ from orelat import lattice as lat
 from orelat import totients as tt
 from orelat.errors import CapExceeded, InvalidParameters, NotBoolean, NotDistributive
 from dense_lattice import subset_lattice, sub_interval
-from references import label_vector
+from references import allsplit_model, label_vector
+from test_boolean import model_parameters
 
 SEVEN_FACTOR_NUMBERS = [
     2187, 2916, 3645, 3888, 4374, 4860, 5103, 5184, 5832, 6075, 6480, 6561,
@@ -365,6 +366,50 @@ class TestConcreteCertificates:
         cert = cf.certify(model)
         assert cert.is_primitive
         assert cert.rules_fired() == ["R4-reciprocal-sum-2"]
+
+
+def reference_reciprocal_rule(model):
+    """(rule, "sum" evidence) of R3/R4 by a `Fraction` sum of the reciprocal atom indices; None when neither fires."""
+    total = sum((Fraction(1, model.below_index(a)) for a in model.atoms()), Fraction(0))
+    if total <= 1:
+        return "R3-reciprocal-sum-1", str(total)
+    if total <= 2:
+        return "R4-reciprocal-sum-2", str(total)
+    return None
+
+
+class TestReciprocalSumRules:
+    """R3/R4 compare an integer numerator with the product of the atom indices, as a `Fraction` sum would decide."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(model_parameters(max_rank=6))
+    # reciprocal sums of exactly 1 and 2: R3 and R4 fire on their boundaries
+    @example((2, 2, [(2, 1), (2, 1)]))
+    @example((2, 3, [(3, 1), (3, 1), (3, 1)]))
+    @example((2, 3, [(2, 1), (3, 1), (6, 1)]))
+    @example((2, 4, [(2, 1), (2, 1), (2, 1), (2, 1)]))
+    def test_rule_and_sum_match_a_fraction_reference(self, params):
+        model = tt.boolean_index_model(*params)
+        first = cf.certify(model).steps[0]
+        expected = reference_reciprocal_rule(model)
+        if model.n <= 1:
+            assert first.rule == "R2-rank-one"
+        elif expected is None:
+            assert not first.rule.startswith(("R3", "R4"))
+        else:
+            assert (first.rule, first.evidence["sum"]) == expected
+
+    @pytest.mark.parametrize("indices, rule, total", [
+        ((2, 2), "R3-reciprocal-sum-1", "1"),
+        ((3, 3, 3), "R3-reciprocal-sum-1", "1"),
+        ((2, 3, 6), "R3-reciprocal-sum-1", "1"),
+        ((2, 2, 2, 2), "R4-reciprocal-sum-2", "2"),
+    ])
+    def test_boundary_sums(self, indices, rule, total):
+        model = allsplit_model(indices)
+        cert = cf.certify(model)
+        assert reference_reciprocal_rule(model) == (rule, total)
+        assert (cert.rules_fired(), cert.steps[0].evidence) == ([rule], {"sum": total})
 
 
 class TestScenarioCertificates:

@@ -818,7 +818,7 @@ class TestNormalizerOrbits:
         for mask in cat.catalog_interval(name).masks:
             k = amb.generated(lat.bits(mask))
             outside = everything & ~mask
-            if not outside or amb.extend(k, (outside & -outside).bit_length() - 1).mask != everything:
+            if not outside or amb.extension(k, (outside & -outside).bit_length() - 1, False)[0].mask != everything:
                 continue
             normalizer = amb.generated(k.gens + amb.normalizer_gens(k)).mask
             covers, reps = iv._overgroups(amb, k, iv.DEFAULT_MEMBER_CAP)
@@ -863,7 +863,7 @@ def reference_closure(amb, gens):
 
 
 def reference_extend(amb, mask, gens, g):
-    """(bitset, generators) of <K, g> for K = <gens> with bitset `mask`, as `extend` gives them."""
+    """(bitset, generators) of <K, g> for K = <gens> with bitset `mask`, as `extension` gives them."""
     if mask >> g & 1:
         return mask, gens
     return reference_closure(amb, gens + (g,)), gens + (g,)
@@ -878,7 +878,7 @@ def reference_extend_all(amb, mask, gens, ids):
 
 def assert_extends_like_the_reference(amb, k):
     for g in range(amb.n):
-        ext = amb.extend(k, g)
+        ext = amb.extension(k, g, False)[0]
         assert (ext.mask, ext.gens) == reference_extend(amb, k.mask, k.gens, g)
         assert ext.elems[0] == amb.identity
         assert sorted(ext.elems) == lat.bits(ext.mask)
@@ -888,8 +888,13 @@ def no_closure(*args):
     raise AssertionError("the coset closure ran")
 
 
+def brute_force_double_coset(amb, k, g):
+    """The bitset of KgK: every a·g·b for a, b in K."""
+    return sum({1 << amb.mul[amb.mul[a][g]][b] for a in k.elems for b in k.elems})
+
+
 class TestLagrangeStop:
-    """`extend` returns G once <K, g> holds more than |G:K|/p cosets of K, p the least prime factor of |G:K|."""
+    """`extension` returns G once <K, g> holds more than |G:K|/p cosets of K, p the least prime factor of |G:K|."""
 
     @settings(max_examples=60, deadline=None)
     @given(groups_with_base())
@@ -900,6 +905,18 @@ class TestLagrangeStop:
         assert (k.mask, k.gens) == reference_extend_all(amb, amb.trivial.mask, (), lat.bits(amb.subgroup_mask(base)))
         assert_extends_like_the_reference(amb, k)
         assert_extends_like_the_reference(amb, amb.trivial)
+
+    @settings(max_examples=60, deadline=None)
+    @given(groups_with_base())
+    def test_one_walk_gives_the_extension_and_the_double_coset(self, pair):
+        group, base = pair
+        amb = iv._ambient(group)
+        k = amb.generated(lat.bits(amb.subgroup_mask(base)))
+        for g in range(amb.n):
+            ext, double = amb.extension(k, g)
+            assert (ext.mask, ext.gens) == reference_extend_all(amb, k.mask, k.gens, [g])
+            assert sorted(ext.elems) == lat.bits(ext.mask)
+            assert double == brute_force_double_coset(amb, k, g)
 
     @settings(max_examples=40, deadline=None)
     @given(groups_with_base())
@@ -924,25 +941,28 @@ class TestLagrangeStop:
         amb = iv._Ambient(group)
         k = amb.generated(lat.bits(amb.subgroup_mask(sub)))
         assert amb.n // len(k.elems) in (2, 5)
-        monkeypatch.setattr(amb, "_left_cosets", no_closure)
+        monkeypatch.setattr(amb, "_cosets", no_closure)
         for g in lat.bits(((1 << amb.n) - 1) & ~k.mask):
-            ext = amb.extend(k, g)
+            ext = amb.extension(k, g, False)[0]
             assert (ext.mask, ext.gens, ext.elems) == ((1 << amb.n) - 1, k.gens + (g,), list(range(amb.n)))
+        # the overgroup search finds G as the base's only cover with no walk either
+        covers, _ = iv._overgroups(amb, k, iv.DEFAULT_MEMBER_CAP)
+        assert covers == {k.mask: [(1 << amb.n) - 1], (1 << amb.n) - 1: []}
 
     def test_trivial_subgroup_of_a_prime_cyclic_group(self, monkeypatch):
         amb = iv._Ambient(cat.cyclic(7))
-        monkeypatch.setattr(amb, "_left_cosets", no_closure)
+        monkeypatch.setattr(amb, "_cosets", no_closure)
         for g in range(1, 7):
-            ext = amb.extend(amb.trivial, g)
+            ext = amb.extension(amb.trivial, g, False)[0]
             assert (ext.mask, ext.gens, ext.elems) == (0b1111111, (g,), list(range(7)))
-        assert amb.extend(amb.trivial, amb.identity) is amb.trivial
+        assert amb.extension(amb.trivial, amb.identity, False)[0] is amb.trivial
 
     @pytest.mark.parametrize("degree", [1, 3])
     def test_order_one_group(self, degree):
         amb = iv._Ambient(trivial_group(degree))
-        assert amb.extend(amb.trivial, 0) is amb.trivial
+        assert amb.extension(amb.trivial, 0, False)[0] is amb.trivial
         assert amb.generated([0]) is amb.trivial
-        assert amb.double_coset(amb.trivial, 0) == 1
+        assert amb.extension(amb.trivial, 0) == (amb.trivial, 1)
         assert amb.normalizer_gens(amb.trivial) == ()
         assert len(iv.full_subgroup_lattice(trivial_group(degree))) == 1
 
@@ -954,9 +974,10 @@ class TestLagrangeStop:
         k = amb.generated(stabilizer)
         assert len(k.elems) == 24
         for g in lat.bits(((1 << amb.n) - 1) & ~k.mask):
-            double = amb.double_coset(k, g)
+            ext, double = amb.extension(k, g)
+            assert ext.mask == (1 << amb.n) - 1
             assert double == ((1 << amb.n) - 1) & ~k.mask
-            assert double == sum({1 << amb.mul[amb.mul[a][g]][b] for a in k.elems for b in k.elems})
+            assert double == brute_force_double_coset(amb, k, g)
 
 
 class TestOre:

@@ -356,6 +356,25 @@ def closure_lattices(draw):
     return build_lattice([[a & ~b == 0 for b in sets] for a in sets])
 
 
+def assert_up_sets_transpose_down_sets(lattice):
+    """up[x] holds exactly the y whose down-set holds x."""
+    down = lattice._down
+    assert list(lattice._up) == [sum(1 << y for y in range(lattice.n) if down[y] >> x & 1) for x in range(lattice.n)]
+
+
+class TestUpSets:
+    """The up-sets pushed down the lower covers, against the down-sets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(closure_lattices())
+    def test_random_lattices(self, lattice):
+        assert_up_sets_transpose_down_sets(lattice)
+
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_scan_lattices(self, name):
+        assert_up_sets_transpose_down_sets(cat.catalog_interval(name).lattice)
+
+
 def assert_boolean_scan_matches_boolean_elements(lattice):
     """On every comparable pair, `_boolean_intervals_above` yields what `boolean_elements` returns, and only that."""
     boolean = 0
