@@ -2,7 +2,8 @@
 
 The catalog is an artifact choice: cyclic and dihedral groups, symmetric and
 alternating groups through degree 5, a few direct products, the order-168
-projective group on 8 points, and the wreath-like products S2 x S3^n.  A
+projective group on 8 points, and the products S2 x S3^n.  Each product is
+one `direct_product` call over the catalog's own factor groups.  A
 named interval is one row of `_INTERVALS`: the name of its group and the
 pinned generators of its base, as with the D8 and the S3 inside the
 order-168 group and the base of S2 x S3^n, whose interval realizes the
@@ -55,15 +56,17 @@ def alternating(n: int) -> FiniteGroup:
     return generate(n, [three, big])
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Product acting on the disjoint union of the two point sets."""
-    d = a.degree + b.degree
-    gens = [Permutation(list(g.images) + list(range(a.degree, d))) for g in a.generators or a.elements]
-    gens += [
-        Permutation(list(range(a.degree)) + [x + a.degree for x in g.images])
-        for g in b.generators or b.elements
-    ]
-    return generate(d, gens)
+def direct_product(*factors: FiniteGroup) -> FiniteGroup:
+    """Product on the disjoint union of the factors' point sets, closed once.
+
+    Each factor's generators, or its elements if it has none, move onto its block of points.
+    """
+    degree, start, gens = sum(f.degree for f in factors), 0, []
+    for f in factors:
+        head, tail = list(range(start)), list(range(start + f.degree, degree))
+        gens += [Permutation(head + [x + start for x in g.images] + tail) for g in f.generators or f.elements]
+        start += f.degree
+    return generate(degree, gens)
 
 
 def psl2_7() -> FiniteGroup:
@@ -85,16 +88,6 @@ def psl2_7() -> FiniteGroup:
     return group
 
 
-def s2_s3n(n: int) -> FiniteGroup:
-    """S2 x S3^n on 2 + 3n points, closed once from the generators `direct_product` would give it."""
-    degree = 2 + 3 * n
-    gens = [Permutation([1, 0] + list(range(2, degree)))]
-    for b in range(2, degree, 3):
-        for block in ([b + 1, b, b + 2], [b + 1, b + 2, b]):
-            gens.append(Permutation(list(range(b)) + block + list(range(b + 3, degree))))
-    return generate(degree, gens)
-
-
 _GROUPS = {
     "trivial": lambda: trivial_group(1),
     "z2": lambda: cyclic(2),
@@ -106,7 +99,7 @@ _GROUPS = {
     "z8": lambda: cyclic(8),
     "z9": lambda: cyclic(9),
     "z12": lambda: cyclic(12),
-    "v4": lambda: direct_product(cyclic(2), cyclic(2)),
+    "v4": lambda: direct_product(catalog_group("z2"), catalog_group("z2")),
     "d4": lambda: dihedral(4),
     "d5": lambda: dihedral(5),
     "d6": lambda: dihedral(6),
@@ -115,10 +108,10 @@ _GROUPS = {
     "s5": lambda: symmetric(5),
     "a4": lambda: alternating(4),
     "a5": lambda: alternating(5),
-    "s3xs3": lambda: direct_product(symmetric(3), symmetric(3)),
-    "s2xs3": lambda: s2_s3n(1),
-    "s2xs3_2": lambda: s2_s3n(2),
-    "s2xs3_3": lambda: s2_s3n(3),
+    "s3xs3": lambda: direct_product(catalog_group("s3"), catalog_group("s3")),
+    "s2xs3": lambda: direct_product(catalog_group("z2"), catalog_group("s3")),
+    "s2xs3_2": lambda: direct_product(catalog_group("z2"), *[catalog_group("s3")] * 2),
+    "s2xs3_3": lambda: direct_product(catalog_group("z2"), *[catalog_group("s3")] * 3),
     "psl2_7": psl2_7,
 }
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from math import gcd, prod
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -96,10 +96,7 @@ class IndexedModel:
         for t in self.known_types:
             if len(t) != self.rank:
                 raise InvalidParameters(f"chain type {t} does not match rank {self.rank}")
-            prod = 1
-            for e in t:
-                prod *= e
-            if prod != self.index:
+            if prod(t) != self.index:
                 raise InvalidParameters(f"chain type {t} does not multiply to {self.index}")
 
 
@@ -230,19 +227,11 @@ def factor_products(limit: int, min_factor: int, min_count: int) -> list:
 # -- per-chain-type rules -----------------------------------------------------
 
 
-def _pairs(chain_type: Sequence[int]) -> list:
-    return [
-        (chain_type[i], chain_type[j])
-        for i in range(len(chain_type))
-        for j in range(i + 1, len(chain_type))
-    ]
-
-
 def allsplit_small_ok(chain_type: Sequence[int]) -> bool:
     """Every product of two distinct edges below the census limit, no edge 7."""
     if FORBIDDEN_EDGE in chain_type:
         return False
-    return all(u * v < ALLSPLIT_PRODUCT_LIMIT for u, v in _pairs(chain_type))
+    return all(u * v < ALLSPLIT_PRODUCT_LIMIT for u, v in combinations(chain_type, 2))
 
 
 def _extended_allsplit_ok(chain_type: Sequence[int]) -> bool:
@@ -256,7 +245,7 @@ def _extended_allsplit_ok(chain_type: Sequence[int]) -> bool:
     if FORBIDDEN_EDGE in chain_type:
         return False
     values = set(chain_type)
-    for u, v in _pairs(chain_type):
+    for u, v in combinations(chain_type, 2):
         if u * v < ALLSPLIT_PRODUCT_LIMIT:
             continue
         if u != v:
@@ -441,29 +430,17 @@ def _certify_boolean(model: BooleanInterval, steps: list) -> Certificate:
 
 
 def _index_two_reduction(model: BooleanInterval, steps: list) -> Optional[Certificate]:
-    """Recurse through an index-2 atom complement or an index-2 coatom."""
-    for a in model.atoms():
-        if model.below_index(a) == 2:
-            sub = model.sub(0, model.top ^ a)
-            inner = _certify_boolean(sub, [])
-            if inner.is_primitive:
-                steps.append(CertStep(
-                    "R5-index-two-reduction",
-                    "an atom of relative index 2: primitivity lifts from the complement face",
-                    {"atom_index": 2, "sub_steps": [s.to_dict() for s in inner.steps]},
-                ))
-                return Certificate("primitive", steps)
-    for co in model.coatoms():
-        if model.idx[co] == 2:
-            sub = model.sub(0, co)
-            inner = _certify_boolean(sub, [])
-            if inner.is_primitive:
-                steps.append(CertStep(
-                    "R5-index-two-reduction",
-                    "an index-2 coatom: primitivity extends from the coatom interval",
-                    {"coatom_index": 2, "sub_steps": [s.to_dict() for s in inner.steps]},
-                ))
-                return Certificate("primitive", steps)
+    """Recurse through an index-2 atom complement or an index-2 coatom, atoms first."""
+    faces = [(model.top ^ a, "atom_index", "an atom of relative index 2: primitivity lifts from the complement face")
+             for a in model.atoms() if model.below_index(a) == 2]
+    faces += [(co, "coatom_index", "an index-2 coatom: primitivity extends from the coatom interval")
+              for co in model.coatoms() if model.idx[co] == 2]
+    for top, key, description in faces:
+        inner = _certify_boolean(model.sub(0, top), [])
+        if inner.is_primitive:
+            steps.append(CertStep("R5-index-two-reduction", description,
+                                  {key: 2, "sub_steps": [s.to_dict() for s in inner.steps]}))
+            return Certificate("primitive", steps)
     return None
 
 
@@ -521,19 +498,19 @@ def _certify_types(index: int, rank: int, possible: Sequence[tuple], steps: list
     """
     covered: dict = {}
     for t in possible:
+        evidence = {"type": list(t), "product": prod(e - 1 for e in t)}
         if allsplit_small_ok(t):
             covered[t] = CertStep(
                 "R8-allsplit-small",
                 "a chain of this type makes every atom split: product formula applies",
-                {"type": list(t), "product": _split_product(t)},
+                evidence,
             )
-    for t in possible:
-        if t not in covered and _extended_allsplit_ok(t):
+        elif _extended_allsplit_ok(t):
             covered[t] = CertStep(
                 "R8-allsplit-extended",
                 "repeated-edge square with no alternative decomposition among the "
                 "type's edge values; split propagation per the published case argument",
-                {"type": list(t), "product": _split_product(t)},
+                evidence,
             )
     if exact_types and covered:
         t = next(t for t in possible if t in covered)
@@ -581,13 +558,6 @@ def _certify_types(index: int, rank: int, possible: Sequence[tuple], steps: list
         {"uncovered": [list(t) for t in uncovered]},
     ))
     return Certificate("undecided", steps, sorted(uncovered))
-
-
-def _split_product(chain_type: Sequence[int]) -> int:
-    prod = 1
-    for e in chain_type:
-        prod *= e - 1
-    return prod
 
 
 def _trusted_two_case(index: int, rank: int, uncovered: Sequence[tuple], steps: list) -> Optional[list]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import lattice as lat
 from .errors import InvalidParameters, NotAnInteger, ValidationFailed
-from .intervals import GroupInterval, _ambient
+from .intervals import GroupInterval, _ambient, _closed
 from .perm import FiniteGroup
 
 TOLERANCE = 1e-6
@@ -222,8 +222,9 @@ def _fixed_dims(table: CharacterTable, masks: Sequence[int]) -> list:
 
 
 def index_identity_holds(table: CharacterTable, sub: FiniteGroup) -> bool:
-    """|G:H| == sum of deg_i * dim V_i^H, exactly; NotASubgroup when H has elements outside G."""
-    (dims,) = _fixed_dims(table, (_ambient(table.group).subgroup_mask(sub),))
+    """|G:H| == sum of deg_i * dim V_i^H, exactly; NotASubgroup when H has elements outside G or is not closed."""
+    amb = _ambient(table.group)
+    (dims,) = _fixed_dims(table, (_closed(amb, amb.subgroup_mask(sub)).mask,))
     return sum(map(operator.mul, table.degrees, dims)) == table.group.order // sub.order
 
 

@@ -18,7 +18,7 @@ class ElementOutsideGroup(OrelatError):
 
 
 class NotASubgroup(OrelatError):
-    """The alleged subgroup is not contained in the ambient group."""
+    """The alleged subgroup is not contained in the ambient group, or is not closed under multiplication."""
 
 
 class ParseError(OrelatError):

@@ -52,8 +52,10 @@ keyed by the group and its generators, since the generators build the table
 and groups compare equal by their elements alone.  Each interval is
 memoized on its `_Ambient` by the bitset of its base; later calls return
 the same object, which is shared and must not be mutated, and the member
-cap is checked on every call.  `bbl` and `cfl` read the bottom-boolean
-levels from `lattice._bb_levels`; this module reads no lattice bitmask.
+cap is checked on every call.  A base whose elements are not closed under
+multiplication raises NotASubgroup before anything is memoized.  `bbl` and
+`cfl` read the bottom-boolean levels from `lattice._bb_levels`; this module
+reads no lattice bitmask.
 """
 
 from __future__ import annotations
@@ -514,7 +516,9 @@ def overgroup_interval(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_
 
     The interval is enumerated once per base for as long as `_ambient` keeps
     the group; later calls return the same object, which is shared and must
-    not be mutated.  `cap` is checked on every call.
+    not be mutated.  `cap` is checked on every call.  NotASubgroup when sub
+    has elements outside group or they are not closed, checked by the
+    closure the first call builds anyway.
     """
     amb = _ambient(group)
     key = amb.subgroup_mask(sub)
@@ -523,9 +527,17 @@ def overgroup_interval(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_
         if len(interval) > cap:
             raise CapExceeded(f"interval has more than {cap} members")
         return interval
-    covers, _ = _overgroups(amb, amb.generated(lat.bits(key)), cap)
+    covers, _ = _overgroups(amb, _closed(amb, key), cap)
     interval = amb.intervals[key] = _build_interval(amb, covers)
     return interval
+
+
+def _closed(amb: _Ambient, mask: int) -> _Subgroup:
+    """The subgroup with bitset `mask`; NotASubgroup when those elements are not closed under multiplication."""
+    sub = amb.generated(lat.bits(mask))
+    if sub.mask != mask:
+        raise NotASubgroup("subgroup's elements are not closed under multiplication")
+    return sub
 
 
 def full_subgroup_lattice(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> GroupInterval:

@@ -17,10 +17,9 @@ of down-sets of its join-irreducibles (Birkhoff 1937): x -> {join-
 irreducibles below x} embeds every finite lattice into those down-sets,
 and is onto exactly when the lattice is distributive.  An interval [a, b]
 is boolean exactly when the joins of the subsets of its atoms are all
-distinct and fill it (`boolean_elements`); `_boolean_intervals_above`
-runs that one test on every [lo, hi] above lo in one pass, raising nothing
-for a refusal.  [u, v] is bottom-boolean when [u, join of its atoms] is
-boolean: one test, run on [bottom, top] for the flag and by the
+distinct and fill it (`_boolean_join_table`, behind `boolean_elements`
+and `is_boolean_interval`).  [u, v] is bottom-boolean when [u, join of its
+atoms] is boolean: one test, run on [bottom, top] for the flag and by the
 breadth-first search of `_bb_levels` down from the top.
 
 `bits` is the one decoder of a bitmask into its positions, here and for
@@ -262,19 +261,6 @@ def _boolean_join_table(lat: FiniteLattice, a: int, between: int) -> Optional[li
     for x in bits(atoms):
         elems += [join(e, x) for e in elems]
     return elems if len(set(elems)) == size else None
-
-
-def _boolean_intervals_above(lat: FiniteLattice, lo: int):
-    """(hi, elements of [lo, hi] by atom bitmask) for every boolean [lo, hi], in ascending hi.
-
-    One pass over the up-set of lo; each pair takes the test of
-    `boolean_elements` with no exception raised for a refusal.
-    """
-    up_lo, down = lat._up[lo], lat._down
-    for hi in bits(up_lo):
-        elems = _boolean_join_table(lat, lo, up_lo & down[hi])
-        if elems is not None:
-            yield hi, elems
 
 
 def is_boolean_interval(lat: FiniteLattice, a: int, b: int) -> bool:

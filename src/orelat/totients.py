@@ -26,8 +26,8 @@ computes all n splits in one fold of the signed labels, from the top bit
 down: the signed labels with bit i clear sum to idx[L] phihat(H, L) for the
 coatom L without bit i, those with bit i set to -phihat(A, G), and adding
 the two halves elementwise folds bit i away.  So all n splits read about
-4·2^n signed labels, where summing each split's two sub-intervals on their
-own reads n·2^n.  The vector keeps the splits, and later calls read them.
+4·2^n signed labels, 2·2^n in the sums and as many in the elementwise adds,
+where summing each split's two sub-intervals on their own reads n·2^n.  The vector keeps the splits, and later calls read them.
 Labels are read with `operator.index`: a float, even an integral one, is
 refused, never truncated.
 """

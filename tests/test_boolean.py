@@ -195,14 +195,17 @@ def reference_phihats(full):
 
 
 def generic_phihats(full):
-    """The monitor's tuples by `lattice._boolean_intervals_above`: every [lo, hi], covers too, by join table."""
+    """The monitor's tuples by `lattice.boolean_elements` per pair: every [lo, hi], lo < hi, covers too, by join table."""
     rows = []
     lattice, idx = full.lattice, full.idx
     for lo in range(lattice.n):
-        for hi, elems in lat._boolean_intervals_above(lattice, lo):
-            if hi != lo:
-                n = len(elems).bit_length() - 1
-                rows.append((lo, hi, n, sum(s * idx[e] for s, e in zip(tt._signs(n), elems)) // idx[hi]))
+        for hi in lat.bits(lattice._up[lo] ^ 1 << lo):
+            try:
+                elems = lat.boolean_elements(lattice, lo, hi)
+            except NotBoolean:
+                continue
+            n = len(elems).bit_length() - 1
+            rows.append((lo, hi, n, sum(s * idx[e] for s, e in zip(tt._signs(n), elems)) // idx[hi]))
     return rows
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from orelat import catalog as cat
 from orelat.errors import ParseError
+from orelat.perm import Permutation
 from references import catalog_bases, klein_four
 
 
@@ -58,12 +59,24 @@ class TestResolver:
 
 
 class TestProducts:
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
-    def test_s2_s3n_closes_once_with_the_generators_of_the_iterated_product(self, n):
-        reference = cat.symmetric(2)
-        for _ in range(n):
-            reference = cat.direct_product(reference, cat.symmetric(3))
-        group = cat.s2_s3n(n)
-        assert (group.degree, group.order) == (2 + 3 * n, 2 * 6 ** n)
+    @pytest.mark.parametrize("names", [
+        ("s3",), ("z2", "z3"), ("trivial", "z2"), ("z2", "s3", "s3"), ("z3", "trivial", "z2", "s3"),
+    ])
+    def test_many_factors_are_the_iterated_two_factor_product(self, names):
+        factors = [cat.catalog_group(name) for name in names]
+        reference = factors[0]
+        for factor in factors[1:]:
+            reference = cat.direct_product(reference, factor)
+        group = cat.direct_product(*factors)
         assert group.generators == reference.generators
         assert group.elements == reference.elements
+
+    @pytest.mark.parametrize("name, n, generators", [
+        ("s2xs3", 1, ["(0 1)", "(2 3)", "(2 3 4)"]),
+        ("s2xs3_2", 2, ["(0 1)", "(2 3)", "(2 3 4)", "(5 6)", "(5 6 7)"]),
+        ("s2xs3_3", 3, ["(0 1)", "(2 3)", "(2 3 4)", "(5 6)", "(5 6 7)", "(8 9)", "(8 9 10)"]),
+    ])
+    def test_s2_s3n_keeps_its_generators(self, name, n, generators):
+        group = cat.catalog_group(name)
+        assert (group.degree, group.order) == (2 + 3 * n, 2 * 6 ** n)
+        assert group.generators == tuple(Permutation.from_cycles(c, group.degree, one_based=False) for c in generators)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -350,6 +351,23 @@ class TestConcreteCertificates:
         assert cert.is_primitive
         assert "R5-index-two-reduction" in cert.rules_fired()
 
+    def test_index_two_reductions_are_pinned(self):
+        """Label-vector models of rank 2 to 7 with index-2 atoms or coatoms, atoms tried first, pinned."""
+        certs = []
+        for p in (2, 3, 4, 5):
+            for n in range(2, 8):
+                blocks = [[(q, m)] for q in (2, 3, 6) for m in range(1, n + 1)] + [[(2, 1), (3, 1)], [(3, 2), (2, 2)]]
+                for specials in [()] + blocks:
+                    if sum(m for _, m in specials) <= n:
+                        certs.append(cf.certify(tt.boolean_index_model(p, n, specials)).to_dict())
+        reductions = [
+            key for c in certs for step in c["steps"] if step["rule"] == "R5-index-two-reduction"
+            for key in step["evidence"] if key != "sub_steps"
+        ]
+        assert (len(certs), reductions.count("atom_index"), reductions.count("coatom_index")) == (388, 68, 7)
+        digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
+        assert digest == "5c37ace0d275b1fe1f4a3aa97083ce971ff0992c2e8bab936a2617a7a6eaf595"
+
     def test_requires_distributive(self):
         with pytest.raises(NotDistributive):
             cf.certify(cat.catalog_interval("v4"))
@@ -543,6 +561,38 @@ class TestScenarioLoop:
         assert verdicts[9720 * 2 ** 13] == "undecided"
         assert verdicts[8748 * 2 ** 13] == "primitive"
         assert verdicts[3 ** 20] == "primitive"
+
+
+def prime_factor_count(n):
+    """The number of prime factors of n counted with multiplicity, by trial division."""
+    count, p = 0, 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    return count + (n > 1)
+
+
+class TestScenarioSweep:
+    """Every scenario of rank 7 to 9 with index below 40,000 that has at least rank prime factors, pinned."""
+
+    def test_certificates_are_pinned(self):
+        certs = [
+            cf.certify(cf.IndexedModel(rank, index)).to_dict()
+            for rank in (7, 8, 9)
+            for index in range(2 ** rank, 40000)
+            if prime_factor_count(index) >= rank
+        ]
+        verdicts = [c["verdict"] for c in certs]
+        assert (len(certs), verdicts.count("primitive"), verdicts.count("undecided")) == (3381, 3252, 129)
+        rules = {step["rule"] for c in certs for step in c["steps"]}
+        assert rules == {
+            "R5-index-two-reduction", "R8-chain-type-analysis", "R8-forced-type", "R8-allsplit-small",
+            "R8-single-divergent-type", "R8-iterative-bound", "R8-trusted-two-case", "R8-allsplit-extended",
+        }
+        digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
+        assert digest == "0bacad69740aca8640bb7c24a3ec0717572ae9c39cda402dec9ae79463c9c6f7"
 
 
 class TestVanishingDualTotient:

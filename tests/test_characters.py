@@ -127,6 +127,14 @@ class TestFixedDim:
         with pytest.raises(NotASubgroup):
             ch.index_identity_holds(table, trivial_group(5))
 
+    def test_elements_not_closed_are_not_a_subgroup(self):
+        """{(), (0 1 2)} lies in S3 but is not closed: NotASubgroup, not a fixed dimension of 1/2."""
+        table = ch.character_table(cat.symmetric(3))
+        half = FiniteGroup(3, [], [Permutation.identity(3), Permutation.from_cycles("(0 1 2)", 3, one_based=False)])
+        with pytest.raises(NotASubgroup, match="not closed"):
+            ch.index_identity_holds(table, half)
+        assert ch.index_identity_holds(table, generate(3, half.elements))
+
     @pytest.mark.parametrize("name", ["s3", "d4", "a4", "s4", "z12", "psl2_7"])
     def test_index_identity(self, name):
         group = cat.catalog_group(name)

@@ -223,6 +223,19 @@ class TestOvergroupInterval:
         with pytest.raises(NotASubgroup):
             iv.overgroup_interval(cat.symmetric(3), cat.cyclic(4))
 
+    def test_elements_not_closed_are_not_a_subgroup(self):
+        """{(), (0 1 2)} lies in S3 but generates A3: refused, and nothing is memoized under its bitset."""
+        group = generate(3, [Permutation.from_cycles("(0 1)", 3, one_based=False),
+                             Permutation.from_cycles("(0 1 2)", 3, one_based=False)])
+        half = FiniteGroup(3, [], [Permutation.identity(3), Permutation.from_cycles("(0 1 2)", 3, one_based=False)])
+        for call in (iv.overgroup_interval, iv.bbl_between):
+            with pytest.raises(NotASubgroup, match="not closed"):
+                call(group, half)
+        amb = iv._ambient(group)
+        assert amb.subgroup_mask(half) not in amb.intervals
+        a3 = subgroup_generated(group, half.elements)
+        assert len(iv.overgroup_interval(group, a3)) == 2
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             iv.full_subgroup_lattice(cat.symmetric(4), cap=5)

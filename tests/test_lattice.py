@@ -375,42 +375,52 @@ class TestUpSets:
         assert_up_sets_transpose_down_sets(cat.catalog_interval(name).lattice)
 
 
-def assert_boolean_scan_matches_boolean_elements(lattice):
-    """On every comparable pair, `_boolean_intervals_above` yields what `boolean_elements` returns, and only that."""
+def assert_boolean_elements_match_the_test(lattice):
+    """On every comparable pair, `boolean_elements` returns exactly when `is_boolean_interval` holds; the count of those pairs.
+
+    Its list is indexed by atom bitmask: entry s is the join of lo with the
+    atoms of [lo, hi] whose positions, in ascending id, are the bits of s,
+    and the entries are the members of [lo, hi].
+    """
     boolean = 0
     for lo in range(lattice.n):
-        expected = []
         for hi in lat.bits(lattice._up[lo]):
-            try:
-                expected.append((hi, lat.boolean_elements(lattice, lo, hi)))
-            except NotBoolean:
+            if not lat.is_boolean_interval(lattice, lo, hi):
+                with pytest.raises(NotBoolean):
+                    lat.boolean_elements(lattice, lo, hi)
                 continue
-        assert list(lat._boolean_intervals_above(lattice, lo)) == expected, lo
-        boolean += len(expected)
+            ats = [a for a in lat.upper_covers(lattice, lo) if lattice._down[hi] >> a & 1]
+            expected = [
+                reduce(lattice.join, (a for i, a in enumerate(ats) if s >> i & 1), lo)
+                for s in range(1 << len(ats))
+            ]
+            assert lat.boolean_elements(lattice, lo, hi) == expected, (lo, hi)
+            assert sorted(expected) == members_between(lattice, lo, hi), (lo, hi)
+            boolean += 1
     return boolean
 
 
-class TestBooleanIntervalsAbove:
+class TestBooleanPairs:
     @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
     def test_scan_lattices(self, name):
         lattice = cat.catalog_interval(name).lattice
-        assert assert_boolean_scan_matches_boolean_elements(lattice) >= lattice.n
+        assert assert_boolean_elements_match_the_test(lattice) >= lattice.n
 
     @settings(max_examples=60, deadline=None)
     @given(closure_lattices())
     def test_random_lattices(self, lattice):
-        assert_boolean_scan_matches_dense_reference(lattice)
+        assert_boolean_pairs_match_dense_reference(lattice)
 
     @SMALL_LATTICES
     def test_small_lattices(self, lattice):
-        assert_boolean_scan_matches_dense_reference(lattice)
+        assert_boolean_pairs_match_dense_reference(lattice)
 
 
-def assert_boolean_scan_matches_dense_reference(lattice):
-    """`assert_boolean_scan_matches_boolean_elements`, and the boolean [lo, hi] are those of the complement scan."""
-    assert_boolean_scan_matches_boolean_elements(lattice)
+def assert_boolean_pairs_match_dense_reference(lattice):
+    """`assert_boolean_elements_match_the_test`, and the boolean [lo, hi] are those of the complement scan."""
+    assert_boolean_elements_match_the_test(lattice)
     ref = dense(lattice)
     for lo in range(lattice.n):
-        found = {hi for hi, _ in lat._boolean_intervals_above(lattice, lo)}
         comparable = members_between(lattice, lo, lattice.top)
+        found = {hi for hi in comparable if lat.is_boolean_interval(lattice, lo, hi)}
         assert found == {hi for hi in comparable if reference_is_boolean(dense_slice(ref, lo, hi))}, lo
