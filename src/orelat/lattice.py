@@ -222,6 +222,9 @@ def bits(mask: int) -> list:
 
 
 def _between_mask(lat: FiniteLattice, a: int, b: int) -> int:
+    # a negative id would index _up from the end, and shift by a negative count
+    if not (0 <= a < lat.n and 0 <= b < lat.n):
+        raise NotComparable(f"{b if 0 <= a < lat.n else a} is not an element id in range({lat.n})")
     if not lat._up[a] >> b & 1:
         raise NotComparable(f"{a} is not below {b}")
     return lat._up[a] & lat._down[b]

@@ -156,8 +156,10 @@ def run_totient_formulas() -> tuple:
     mismatches = []
     split_mismatches = []
     models = 0
+    squares = {}  # the grid's direct sums at q = p^2, by (p, n, m), for the p-squared check
     for p in range(2, 14):
-        # pq_model(p, q, n, 0) is uniform_model(p, n): one object serves every q, its splits folded once
+        # pq_model(p, q, n, m) has the labels of uniform_model(p, n) at m = 0 and at q = p:
+        # one vector serves all those cases, its splits folded once
         uniforms = {n: tt.uniform_model(p, n) for n in range(1, 8)}
         for n, uniform in uniforms.items():
             models += 1
@@ -166,9 +168,11 @@ def run_totient_formulas() -> tuple:
         for q in range(p, 14):
             for n in range(1, 8):
                 for m in range(0, n + 1):
-                    model = tt.pq_model(p, q, n, m) if m else uniforms[n]
+                    model = tt.pq_model(p, q, n, m) if m and q != p else uniforms[n]
                     models += 1
                     direct = tt.dual_totient(model)
+                    if q == p * p:
+                        squares[p, n, m] = direct
                     if direct != tt.closed_form_p_n_q(p, q, n, m):
                         mismatches.append(["pnq", p, q, n, m])
                     # one comparison of the kept splits; the per-coatom walk names a mismatch
@@ -178,7 +182,7 @@ def run_totient_formulas() -> tuple:
     for p in (2, 3):
         for n in range(1, 7):
             for m in range(1, n + 1):
-                if tt.closed_form_p_n_p2(p, n, m) != tt.dual_totient(tt.pq_model(p, p * p, n, m)):
+                if tt.closed_form_p_n_p2(p, n, m) != squares[p, n, m]:
                     mismatches.append(["p-squared", p, n, m])
     claims = [
         _claim("closed-forms-match-direct-sums", loc, [], mismatches),

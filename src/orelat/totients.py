@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import add, eq, floordiv, mod, mul, or_
+from operator import add, eq, floordiv, index, mod, mul, or_
 from typing import Callable, Optional, Sequence, Union
 
 from . import lattice as lat
@@ -154,6 +154,9 @@ class BooleanInterval:
 
     def sub(self, a: int, b: int) -> BooleanInterval:
         """[a, b] on the bits of b & ~a, in order, relabelled relative to b."""
+        if not 0 <= b <= self.top:
+            raise NotComparable(f"mask {b} is outside [0, {self.top}]")
+        # with b in range, a & ~b is zero only for a submask of b, which is in range too
         if a & ~b:
             raise NotComparable(f"{a} is not below {b}")
         pick = _sub_picker(a, b)
@@ -366,12 +369,13 @@ def boolean_index_model(p: int, n: int, specials: Sequence = ()) -> BooleanInter
     cover ratio of that factor, and the top label is the product of the
     factors' tops, 1.
     """
-    # one pass reads p, n and the blocks' (q, size) pairs, flattened
-    p, n, *flat = integer_labels(chain((p, n), (v for q, size in specials for v in (q, size))),
-                                 "p, n and the special blocks")
+    try:
+        p, n = index(p), index(n)
+        blocks = [(index(q), index(size)) for q, size in specials]
+    except TypeError:
+        raise InvalidParameters("p, n and the special blocks must be integers") from None
     if p < 2 or n < 1:
         raise InvalidParameters("need p >= 2 and n >= 1")
-    blocks = list(zip(flat[::2], flat[1::2]))
     for q, size in blocks:
         if q < 2 or size < 1:
             raise InvalidParameters("special blocks need q >= 2 and size >= 1")

@@ -497,6 +497,56 @@ class TestMaskTablesMatchPerMaskLoops:
         assert verdicts["closed-forms-match-direct-sums"]["pass"]
         assert verdicts["coatom-split-equals-direct-sum"]["actual"] == expected
 
+    @pytest.mark.parametrize("a, b", [(0, -1), (-1, 7), (-2, -1), (0, 8), (8, 8), (1, 9)])
+    def test_masks_outside_the_vector_are_refused(self, a, b):
+        # a negative b never ended the picker's bit walk; b past the top indexed out of the labels
+        model = tt.uniform_model(3, 3)
+        with pytest.raises(NotComparable):
+            model.sub(a, b)
+
+    def test_boolean_between_refuses_ids_outside_the_lattice(self):
+        full = cat.catalog_interval("s3")
+        top, n = full.lattice.top, full.lattice.n
+        for a, b in [(-1, top), (0, -1), (0, n)]:
+            with pytest.raises(NotComparable):
+                tt.boolean_between(full, a, b)
+
+    @pytest.mark.parametrize("routine, point, entry", [
+        ("closed_form_p_n", (5, 3), ["uniform", 5, 3]),
+        ("closed_form_p_n_q", (4, 4, 5, 2), ["pnq", 4, 4, 5, 2]),
+        ("closed_form_p_n_q", (3, 7, 4, 2), ["pnq", 3, 7, 4, 2]),
+        ("closed_form_p_n_p2", (3, 5, 2), ["p-squared", 3, 5, 2]),
+    ])
+    def test_each_closed_form_is_compared(self, monkeypatch, routine, point, entry):
+        # (4, 4, 5, 2) reads the shared uniform vector, and p-squared the grid's sum at q = 9
+        closed_form = getattr(tt, routine)
+
+        def off_by_one_at_point(*args):
+            return closed_form(*args) + (args == point)
+
+        monkeypatch.setattr(tt, routine, off_by_one_at_point)
+        _, claims = rp.run_totient_formulas()
+        verdicts = {claim["id"]: claim for claim in claims}
+        closed = verdicts["closed-forms-match-direct-sums"]
+        assert not closed["pass"] and closed["actual"] == [entry]
+        assert verdicts["coatom-split-equals-direct-sum"]["pass"]
+
+    def test_totient_formulas_build_each_distinct_model_once(self, monkeypatch):
+        # 84 uniform vectors serve m = 0 and q = p; the p-squared check reads the grid's sums
+        build = tt.boolean_index_model
+        calls = []
+
+        def counted(p, n, specials=()):
+            calls.append((p, n, tuple(specials)))
+            return build(p, n, specials)
+
+        monkeypatch.setattr(tt, "boolean_index_model", counted)
+        results, claims = rp.run_totient_formulas()
+        assert all(claim["pass"] for claim in claims)
+        assert results["models_checked"] == 2814
+        assert len(calls) == 1932 and len(set(calls)) == 1932
+        assert sum(not specials for _, _, specials in calls) == 84
+
     def test_models_match_over_the_totient_formulas_grid(self):
         for p in range(2, 14):
             for n in range(1, 8):
@@ -506,6 +556,8 @@ class TestMaskTablesMatchPerMaskLoops:
                     for m in range(1, n + 1):
                         expected = tuple(reference_model_labels(p, n, [(q, m)]))
                         assert tt.pq_model(p, q, n, m).idx == expected
+                        # so totient-formulas reads the uniform vector at q = p
+                        assert q != p or expected == tt.uniform_model(p, n).idx
         for p in (2, 3):
             for n in range(1, 7):
                 for m in range(1, n + 1):

@@ -401,6 +401,16 @@ def assert_boolean_elements_match_the_test(lattice):
 
 
 class TestBooleanPairs:
+    def test_ids_outside_the_lattice_are_refused(self):
+        # a negative id used to index the up-sets from the end: [-1, top] passed as a boolean point
+        lattice = cat.catalog_interval("s3").lattice
+        top, n = lattice.top, lattice.n
+        for a, b in [(-1, top), (top, -1), (0, -1), (-1, -1), (0, n), (n, n)]:
+            with pytest.raises(NotComparable):
+                lat.is_boolean_interval(lattice, a, b)
+            with pytest.raises(NotComparable):
+                lat.boolean_elements(lattice, a, b)
+
     @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
     def test_scan_lattices(self, name):
         lattice = cat.catalog_interval(name).lattice
