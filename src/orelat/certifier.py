@@ -30,8 +30,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 from . import lattice as lat
 from . import totients as tt
 from .errors import CapExceeded, InvalidParameters, NotDistributive
-from .intervals import IndexedInterval, _least_prime_factor, integer_labels
-from .totients import BooleanInterval
+from .intervals import _least_prime_factor
+from .totients import BooleanInterval, IndexedInterval, integer_labels
 
 ALLSPLIT_PRODUCT_LIMIT = 32
 FORBIDDEN_EDGE = 7

@@ -37,9 +37,9 @@ every g in L outside K, so the minimal <K, g> formed over a representative
 member are its tree parent's covers, carried along the tree edge's map
 and read back from the images the orbit search stored (N fixes G).
 
-A `GroupInterval` is an `IndexedInterval` labelled by the indices |G:K|,
-checked once when it is built; the totients and the certifier take it as is.
-Its members are the bitsets `masks`, over the element ids of
+A `GroupInterval` is a `totients.IndexedInterval` labelled by the indices
+|G:K|, checked once when it is built; the totients and the certifier take
+it as is.  Its members are the bitsets `masks`, over the element ids of
 `_ambient(interval.ambient)`, and nothing else: the library reads them
 directly (the characters count their elements per class), and `members`
 decodes them to `FiniteGroup`s only when first read.  They are numbered by
@@ -60,7 +60,6 @@ reads no lattice bitmask.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from operator import getitem, itemgetter
 from typing import Iterable, Sequence
@@ -70,6 +69,7 @@ import numpy as np
 from . import lattice as lat
 from .errors import CapExceeded, InvalidParameters, NotASubgroup, NotDistributive, OreViolation
 from .perm import FiniteGroup, Permutation, _picker, trivial_group
+from .totients import IndexedInterval
 
 DEFAULT_MEMBER_CAP = 10_000
 # element ids are stored as uint16 above order 256
@@ -351,50 +351,6 @@ def _ambient(group: FiniteGroup) -> _Ambient:
 @lru_cache(maxsize=32)
 def _ambient_memo(group: FiniteGroup, generators: tuple) -> _Ambient:
     return _Ambient(group)
-
-
-def integer_labels(values: Iterable, what: str = "labels") -> tuple:
-    """`values` as a tuple of ints, read with `operator.index`.
-
-    Ints and numpy integers pass.  A float, a string or a fraction is
-    refused, even an integral one, where `int` would truncate or parse it.
-    """
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        raise InvalidParameters(f"{what} must be integers") from None
-
-
-class IndexedInterval:
-    """A graded-capable lattice with a positive integer label per element.
-
-    For concrete intervals the label of K is the index |G:K|; synthetic
-    models carry abstract labels.  Labels divide along the order: the top is
-    1 and every cover strictly divides downward.
-    """
-
-    __slots__ = ("lattice", "idx")
-
-    def __init__(self, lattice: lat.FiniteLattice, idx: Sequence[int]):
-        idx = integer_labels(idx)
-        if len(idx) != lattice.n:
-            raise InvalidParameters("one label per lattice element is required")
-        if idx[lattice.top] != 1:
-            raise InvalidParameters("the top element must have label 1")
-        if any(v <= 0 for v in idx):
-            raise InvalidParameters("labels must be positive")
-        for x, v in enumerate(idx):
-            if any(v % idx[y] or v == idx[y] for y in lat.upper_covers(lattice, x)):
-                raise InvalidParameters("labels must strictly divide downward along covers")
-        self.lattice = lattice
-        self.idx = idx
-
-    @property
-    def total_index(self) -> int:
-        return self.idx[self.lattice.bottom]
-
-    def __repr__(self) -> str:
-        return f"IndexedInterval(n={self.lattice.n}, index={self.total_index})"
 
 
 class GroupInterval(IndexedInterval):

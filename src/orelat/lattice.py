@@ -33,7 +33,7 @@ from functools import reduce
 from itertools import compress
 from typing import Iterable, Optional, Sequence
 
-from .errors import NotAPartialOrder, NotALattice, NotBoolean, NotComparable
+from .errors import NotAPartialOrder, NotALattice, NotBoolean, NotComparable, OrelatError
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 # 0, 1, 2, ...: `bits` picks a dense mask's positions from this tuple, and
@@ -133,6 +133,8 @@ class FiniteLattice:
 
 def upper_covers(lat: FiniteLattice, a: int) -> list:
     """The elements covering a, ascending: the atoms of [a, top]."""
+    if not 0 <= a < lat.n:  # a negative id would read _upper from the end
+        raise NotComparable(f"{a} is not an element id in range({lat.n})")
     return bits(lat._upper[a])
 
 
@@ -207,6 +209,8 @@ def bits(mask: int) -> list:
     at n = 24, 40 at n = 720 and 110 at n = 5,040.
     """
     global _POSITIONS
+    if mask < 0:  # the walk below would never strip its last bit
+        raise OrelatError(f"mask {mask} is negative")
     n = mask.bit_length()
     if mask.bit_count() * (2500 + n) < 20000 + 160 * n:
         out = []

@@ -1,7 +1,8 @@
-"""Euler totient and dual Euler totient of indexed intervals.
+"""Labelled models of intervals, and their Euler and dual Euler totients.
 
 All arithmetic is on Python integers; the alternating sums cancel
-catastrophically in floating point.  Each routine takes one kind of model:
+catastrophically in floating point.  Both kinds of labelled model live
+here, their labels checked by one `_check_labels`; each routine takes one:
 
 * a boolean interval is a label vector indexed by atom bitmask
   (`BooleanInterval`).  `dual_totient_coatom_split` (whose coatom is a
@@ -10,34 +11,34 @@ catastrophically in floating point.  Each routine takes one kind of model:
   Kronecker products of cached factors (one per block, one uniform factor
   for the free atoms), each spread in one pass by a cached picker, so the
   closed formulas can be exercised without building any group or lattice.
-* `intervals.IndexedInterval`, labels over a `FiniteLattice` read through
-  its cover and order bitmasks, serves the intervals that are not boolean,
-  a `GroupInterval` among them.  `boolean_between` and the two
+* `IndexedInterval`, labels over a `FiniteLattice` read through its cover
+  and order bitmasks, serves the intervals that are not boolean, an
+  `intervals.GroupInterval` among them.  `boolean_between` and the two
   `*_distributive` extensions take nothing else; `boolean_between` is the
   one conversion to a label vector.
 
 `dual_totient` and `euler_totient` take either.  A walk over a label vector
-is a few C-level `map`/`sum`/`itemgetter` calls over mask tables cached per
-rank or per pair of masks: the two ends of every cover, the masks of a
-sub-interval and the sign (-1)^|s| of every mask.  A label vector keeps its
-signed labels (-1)^|s| idx[s], built when first read; the dual totient is
-their sum, as the top label is 1.  The first coatom split of a vector
-computes all n splits in one fold of the signed labels, from the top bit
-down: the signed labels with bit i clear sum to idx[L] phihat(H, L) for the
-coatom L without bit i, those with bit i set to -phihat(A, G), and adding
-the two halves elementwise folds bit i away.  So all n splits read about
-4·2^n signed labels, 2·2^n in the sums and as many in the elementwise adds,
-where summing each split's two sub-intervals on their own reads n·2^n.  The vector keeps the splits, and later calls read them.
-Labels are read with `operator.index`: a float, even an integral one, is
-refused, never truncated.
+is a few C-level `map`/`sum`/`itemgetter` calls, with the sign (-1)^|s| of
+every mask cached per rank.  A label vector keeps its signed labels
+(-1)^|s| idx[s], built when first read; the dual totient is their sum, as
+the top label is 1.  The first coatom split of a vector computes all n
+splits in one fold of the signed labels, from the top bit down: the signed
+labels with bit i clear sum to idx[L] phihat(H, L) for the coatom L without
+bit i, those with bit i set to -phihat(A, G), and adding the two halves
+elementwise folds bit i away.  So all n splits read about 4·2^n signed
+labels, 2·2^n in the sums and as many in the elementwise adds, where
+summing each split's two sub-intervals on their own reads n·2^n.  The
+vector keeps the splits, and later calls read them.  Labels are read with
+`operator.index`: a float, even an integral one, is refused, never
+truncated.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import add, eq, floordiv, index, mod, mul, or_
-from typing import Callable, Optional, Sequence, Union
+from operator import add, floordiv, index, mul, or_
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import lattice as lat
 from .errors import (
@@ -48,8 +49,56 @@ from .errors import (
     NotGraded,
     SplitConditionFails,
 )
-from .intervals import IndexedInterval, integer_labels
 from .perm import _picker
+
+
+def integer_labels(values: Iterable, what: str = "labels") -> tuple:
+    """`values` as a tuple of ints, read with `operator.index`.
+
+    Ints and numpy integers pass.  A float, a string or a fraction is
+    refused, even an integral one, where `int` would truncate or parse it.
+    """
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise InvalidParameters(f"{what} must be integers") from None
+
+
+def _check_labels(idx: tuple, top: int, covers: Iterable) -> None:
+    """Refuse labels unless the top's is 1, all are positive and each is a proper multiple of its upper `covers`' labels."""
+    if idx[top] != 1:
+        raise InvalidParameters("the top element must have label 1")
+    if min(idx) <= 0:
+        raise InvalidParameters("labels must be positive")
+    for v, upper in zip(idx, covers):
+        if any(v % idx[y] or v == idx[y] for y in upper):
+            raise InvalidParameters("labels must strictly divide downward along covers")
+
+
+class IndexedInterval:
+    """A graded-capable lattice with a positive integer label per element.
+
+    For concrete intervals the label of K is the index |G:K|; synthetic
+    models carry abstract labels.  Labels divide along the order: the top is
+    1 and every cover strictly divides downward.
+    """
+
+    __slots__ = ("lattice", "idx")
+
+    def __init__(self, lattice: lat.FiniteLattice, idx: Sequence[int]):
+        idx = integer_labels(idx)
+        if len(idx) != lattice.n:
+            raise InvalidParameters("one label per lattice element is required")
+        _check_labels(idx, lattice.top, map(lat.bits, lattice._upper))
+        self.lattice = lattice
+        self.idx = idx
+
+    @property
+    def total_index(self) -> int:
+        return self.idx[self.lattice.bottom]
+
+    def __repr__(self) -> str:
+        return f"IndexedInterval(n={self.lattice.n}, index={self.total_index})"
 
 
 class BooleanInterval:
@@ -70,14 +119,7 @@ class BooleanInterval:
         idx = tuple(idx)
         if n < 0 or len(idx) != 1 << n:
             raise InvalidParameters("one label per atom bitmask is required")
-        if idx[-1] != 1:
-            raise InvalidParameters("the top element must have label 1")
-        if min(idx) <= 0:
-            raise InvalidParameters("labels must be positive")
-        lower, upper = _cover_pickers(n)
-        lo, hi = lower(idx), upper(idx)
-        if any(map(mod, lo, hi)) or any(map(eq, lo, hi)):
-            raise InvalidParameters("labels must strictly divide downward along covers")
+        _check_labels(idx, len(idx) - 1, ([s | 1 << i for i in range(n) if not s >> i & 1] for s in range(len(idx))))
         self._set(n, idx, ids)
 
     @classmethod
@@ -159,7 +201,10 @@ class BooleanInterval:
         # with b in range, a & ~b is zero only for a submask of b, which is in range too
         if a & ~b:
             raise NotComparable(f"{a} is not below {b}")
-        pick = _sub_picker(a, b)
+        masks = (a,)  # ordered by the bits of b & ~a from the lowest
+        for i in lat.bits(b & ~a):
+            masks += tuple(map(or_, masks, repeat(1 << i)))
+        pick = _picker(masks)
         idx = self.idx
         ids = None if self.ids is None else pick(self.ids)
         # A sub-interval of validated labels is valid: skip the checks.
@@ -167,25 +212,6 @@ class BooleanInterval:
 
     def __repr__(self) -> str:
         return f"BooleanInterval(n={self.n}, index={self.total_index})"
-
-
-@lru_cache(maxsize=16)
-def _cover_pickers(n: int) -> tuple:
-    """Pickers of the lower and of the upper ends of the n * 2^(n-1) covers s -> s | bit."""
-    covers = [(s, s | 1 << i) for i in range(n) for s in range(1 << n) if not s >> i & 1]
-    return _picker([lo for lo, _ in covers]), _picker([hi for _, hi in covers])
-
-
-@lru_cache(maxsize=256)
-def _sub_picker(a: int, b: int) -> Callable:
-    """Picker of the masks of [a, b], ordered by the bits of b & ~a from the lowest."""
-    masks = (a,)
-    free = b & ~a
-    while free:
-        bit = free & -free
-        free ^= bit
-        masks += tuple(map(or_, masks, repeat(bit)))
-    return _picker(masks)
 
 
 @lru_cache(maxsize=16)

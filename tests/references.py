@@ -12,8 +12,8 @@ and `klein_four` the Klein four-group from its two transpositions.
 
 from orelat import totients as tt
 from orelat.errors import InvalidParameters
-from orelat.intervals import integer_labels
 from orelat.perm import FiniteGroup, Permutation, generate, subgroup_generated
+from orelat.totients import integer_labels
 
 
 def allsplit_model(values) -> tt.BooleanInterval:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from orelat import catalog as cat
 from orelat import lattice as lat
-from orelat.errors import NotALattice, NotAPartialOrder, NotBoolean, NotComparable
+from orelat.errors import NotALattice, NotAPartialOrder, NotBoolean, NotComparable, OrelatError
 from dense_lattice import (
     DenseLattice,
     build_lattice,
@@ -175,6 +175,29 @@ class TestAtomsCoatoms:
     def test_singleton(self):
         one = chain(1)
         assert lat.atoms(one) == [] and lat.coatoms(one) == []
+
+    def test_ids_outside_the_lattice_are_refused(self):
+        # -1 used to give no covers and a join of -1; n a bare IndexError
+        lattice = cat.catalog_interval("s3").lattice
+        for a in (-1, lattice.n):
+            with pytest.raises(NotComparable, match=f"{a} is not an element id in range"):
+                lat.upper_covers(lattice, a)
+            with pytest.raises(NotComparable, match=f"{a} is not an element id in range"):
+                lat.covers_join(lattice, a)
+        assert lat.upper_covers(lattice, lattice.top) == []
+        assert lat.covers_join(lattice, lattice.top) == lattice.top
+
+
+class TestBits:
+    @pytest.mark.parametrize("mask", [0, 1, 0b1011, (1 << 300) - 1, 1 << 5000 | 1])
+    def test_positions_ascending(self, mask):
+        assert lat.bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    @pytest.mark.parametrize("mask", [-1, -2, -(1 << 300)])
+    def test_negative_mask_is_refused(self, mask):
+        # the bit-by-bit walk never ends on a negative mask; only run against the guard
+        with pytest.raises(OrelatError, match="negative"):
+            lat.bits(mask)
 
 
 class TestDistributive:
