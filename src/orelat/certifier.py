@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 from math import gcd, prod
+from operator import index
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import lattice as lat
@@ -142,6 +143,7 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
     `_rho_primes`, and raises CapExceeded naming a cofactor past it, where
     the primality test is not exact.
     """
+    number, parts, min_factor = integer_labels((number, parts, min_factor), "number, parts and min_factor")
     divisors, cofactor, p = [1], number, 2
     prime = cofactor < _MR_LIMIT and _miller_rabin(cofactor)
     result: list = []
@@ -353,6 +355,10 @@ def lemma_check_scan(a: int, b: int, c: int, n: int) -> ScanResult:
     Enumerates the coatom recursion with every admissible coatom count and
     all three atom branches, and compares the minimum against (a-1)^(n+2).
     """
+    try:  # read directly, not by `integer_labels`: the lemma-check suite calls this 1,320 times
+        a, b, c, n = index(a), index(b), index(c), index(n)
+    except TypeError:
+        raise InvalidParameters("a, b, c and n must be integers") from None
     if not (3 <= a <= b <= c <= 12) or not (1 <= n <= 6):
         raise InvalidParameters("need 3 <= a <= b <= c <= 12 and 1 <= n <= 6")
     chain_type = (a,) * n + (b, c)
@@ -719,38 +725,6 @@ def _is_prime(n: int) -> bool:
 
 
 # -- the rank-2 census pattern ------------------------------------------------
-
-
-def rank2_index_table(limit: int) -> list:
-    """Quadruples (|G:K|, |G:L|, |L:H|, |K:H|) of catalog rank-2 boolean intervals.
-
-    Scans every pair of subgroups of every catalog scan group whose
-    interval is boolean of rank 2 with index below `limit`.  Returns
-    (quadruple, "name[lo,hi]") rows; `census_pattern_holds` tells which
-    rows fit the census pattern.  A four-member [lo, hi] is boolean exactly
-    when two covers K < L of lo (by element id) lie in it, since their join
-    is then hi; the quadruple is read off the labels of lo, K, L and hi.
-    """
-    from .catalog import catalog_interval, scan_groups
-
-    results = []
-    for name, _ in scan_groups(200):
-        full = catalog_interval(name)
-        lattice, idx = full.lattice, full.idx
-        for lo in range(lattice.n):
-            up_lo, covers_lo = lattice._up[lo], lattice._upper[lo]
-            for hi in lat.bits(up_lo):
-                total = idx[lo] // idx[hi]
-                if total >= limit:
-                    continue
-                between = up_lo & lattice._down[hi]
-                if between.bit_count() != 4 or (covers_lo & between).bit_count() != 2:
-                    continue
-                k, ell = lat.bits(covers_lo & between)
-                over_k, over_ell = idx[k] // idx[hi], idx[ell] // idx[hi]
-                quad = (over_k, over_ell, total // over_ell, total // over_k)
-                results.append((quad, f"{name}[{lo},{hi}]"))
-    return results
 
 
 def census_pattern_holds(quad: tuple) -> bool:

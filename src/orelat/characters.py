@@ -112,17 +112,13 @@ def _class_matrices(classes: ConjugacyClasses, amb) -> list:
     """Matrices A_i with (A_i)[j, k] = #{x in C_i : x^-1 z_k in C_j}.
 
     The products x^-1·z_k, for every x in G and class representative z_k,
-    are one gather from the table as an (n, n) array: the group's kept
-    `uint16` array above order 256, else a view of its byte rows joined,
-    made for this call only.  All r matrices are counted by one `bincount`
-    over the flat keys (i·r + j)·r + k.
+    are one gather from the table as an (n, n) array (`_Ambient.array`).
+    All r matrices are counted by one `bincount` over the flat keys
+    (i·r + j)·r + k.
     """
-    table = amb.table
-    if table is None:
-        table = np.frombuffer(b"".join(amb.mul), np.uint8).reshape(amb.n, amb.n)
     r = len(classes)
     class_of = np.array(classes.class_of)
-    products = table[np.ix_(amb.inv, classes.representatives)]  # x^-1·z_k, by x and k
+    products = amb.array()[np.ix_(amb.inv, classes.representatives)]  # x^-1·z_k, by x and k
     keys = (class_of[:, None] * r + class_of[products]) * r + np.arange(r)
     return list(np.bincount(keys.ravel(), minlength=r ** 3).reshape(r, r, r))
 

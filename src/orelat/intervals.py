@@ -55,7 +55,8 @@ the same object, which is shared and must not be mutated, and the member
 cap is checked on every call.  A base whose elements are not closed under
 multiplication raises NotASubgroup before anything is memoized.  `bbl` and
 `cfl` read the bottom-boolean levels from `lattice._bb_levels`; this module
-reads no lattice bitmask.
+reads no lattice bitmask, and it is the only reader of the table: the
+characters take it whole from `_Ambient.array`.
 """
 
 from __future__ import annotations
@@ -127,6 +128,12 @@ class _Ambient:
         self.intervals: dict = {}
         # conjugation tables built so far, by element id
         self._conjugations: dict = {}
+
+    def array(self) -> np.ndarray:
+        """The (n, n) table: the kept `uint16` array, or a `uint8` view of the byte rows joined, made per call."""
+        if self.table is None:
+            return np.frombuffer(b"".join(self.mul), np.uint8).reshape(self.n, self.n)
+        return self.table
 
     def subgroup_mask(self, sub: FiniteGroup) -> int:
         try:

@@ -10,17 +10,19 @@ gradedness; the read-only `covers` matrix is built from the cover masks on
 first use.  No meet or join table is kept: in a linear extension the meet
 of a and b is the highest id in down[a] & down[b] and their join the
 lowest id in up[a] & up[b].  The lattice axioms are not re-checked; the
-callers build subgroup intervals, which are lattices by theorem.
+callers build subgroup intervals, which are lattices by theorem.  Only
+this module reads the masks, and it refuses an id outside range(n).
 
 [a, top] is distributive exactly when its member count equals the number
 of down-sets of its join-irreducibles (Birkhoff 1937): x -> {join-
 irreducibles below x} embeds every finite lattice into those down-sets,
 and is onto exactly when the lattice is distributive.  An interval [a, b]
 is boolean exactly when the joins of the subsets of its atoms are all
-distinct and fill it (`_boolean_join_table`, behind `boolean_elements`
-and `is_boolean_interval`).  [u, v] is bottom-boolean when [u, join of its
-atoms] is boolean: one test, run on [bottom, top] for the flag and by the
-breadth-first search of `_bb_levels` down from the top.
+distinct and fill it (`_boolean_join_table`, behind `boolean_elements`,
+`is_boolean_interval` and the walk `boolean_intervals`).  [u, v] is
+bottom-boolean when [u, join of its atoms] is boolean: one test, run on
+[bottom, top] for the flag and by the breadth-first search of
+`_bb_levels` down from the top.
 
 `bits` is the one decoder of a bitmask into its positions, here and for
 the subgroup bitsets of `intervals`: a sparse mask is walked bit by bit,
@@ -110,10 +112,14 @@ class FiniteLattice:
 
     def meet(self, a: int, b: int) -> int:
         """The greatest lower bound: the highest id below both."""
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            _require_ids(self, a, b)
         return (self._down[a] & self._down[b]).bit_length() - 1
 
     def join(self, a: int, b: int) -> int:
         """The least upper bound: the lowest id above both."""
+        if not (0 <= a < self.n and 0 <= b < self.n):  # checked inline: the bottom-boolean tests join here
+            _require_ids(self, a, b)
         common = self._up[a] & self._up[b]
         return (common & -common).bit_length() - 1
 
@@ -131,10 +137,16 @@ class FiniteLattice:
         return f"FiniteLattice(n={self.n})"
 
 
+def _require_ids(lat: FiniteLattice, *ids: int) -> None:
+    """Raise NotComparable at the first id outside range(lat.n): a negative one would read the masks from the end."""
+    for x in ids:
+        if not 0 <= x < lat.n:
+            raise NotComparable(f"{x} is not an element id in range({lat.n})")
+
+
 def upper_covers(lat: FiniteLattice, a: int) -> list:
     """The elements covering a, ascending: the atoms of [a, top]."""
-    if not 0 <= a < lat.n:  # a negative id would read _upper from the end
-        raise NotComparable(f"{a} is not an element id in range({lat.n})")
+    _require_ids(lat, a)
     return bits(lat._upper[a])
 
 
@@ -226,9 +238,8 @@ def bits(mask: int) -> list:
 
 
 def _between_mask(lat: FiniteLattice, a: int, b: int) -> int:
-    # a negative id would index _up from the end, and shift by a negative count
-    if not (0 <= a < lat.n and 0 <= b < lat.n):
-        raise NotComparable(f"{b if 0 <= a < lat.n else a} is not an element id in range({lat.n})")
+    if not (0 <= a < lat.n and 0 <= b < lat.n):  # checked inline: the boolean tests of `bbl` come here
+        _require_ids(lat, a, b)
     if not lat._up[a] >> b & 1:
         raise NotComparable(f"{a} is not below {b}")
     return lat._up[a] & lat._down[b]
@@ -254,8 +265,9 @@ def _boolean_join_table(lat: FiniteLattice, a: int, between: int) -> Optional[li
     `between` is the member mask of [a, b].  An interval of one or two
     members is a point or a cover, so boolean at once.  Otherwise the
     popcounts refuse most intervals before any join is formed: the size
-    must be a power of two and 2^|atoms|.  Every join formed lies in
-    [a, b], so the map is onto exactly when its 2^k values are distinct.
+    must be a power of two and 2^|atoms|.  Four members with two atoms are
+    a square, boolean at once.  Every join formed lies in [a, b], so the
+    map is onto exactly when its 2^k values are distinct.
     """
     size = between.bit_count()
     if size <= 2:
@@ -263,16 +275,46 @@ def _boolean_join_table(lat: FiniteLattice, a: int, between: int) -> Optional[li
     atoms = lat._upper[a] & between
     if size & (size - 1) or 1 << atoms.bit_count() != size:
         return None
-    join = lat.join
+    if size == 4:
+        return [a, *bits(atoms), between.bit_length() - 1]
+    up = lat._up
     elems = [a]
     for x in bits(atoms):
-        elems += [join(e, x) for e in elems]
+        up_x = up[x]
+        elems += [((common := up[e] & up_x) & -common).bit_length() - 1 for e in elems]
     return elems if len(set(elems)) == size else None
 
 
 def is_boolean_interval(lat: FiniteLattice, a: int, b: int) -> bool:
     """Whether [a, b] is boolean, i.e. whether `boolean_elements` succeeds on it."""
     return _boolean_join_table(lat, a, _between_mask(lat, a, b)) is not None
+
+
+def boolean_intervals(lat: FiniteLattice):
+    """(lo, hi, `boolean_elements(lat, lo, hi)`) for every boolean [lo, hi], lo < hi, by lo and then hi."""
+    up, down, lower = lat._up, lat._down, lat._lower
+    for lo in range(lat.n):
+        up_lo = up[lo]
+        for hi in bits(up_lo ^ 1 << lo):
+            if lower[hi] >> lo & 1:
+                yield lo, hi, [lo, hi]
+            elif (elems := _boolean_join_table(lat, lo, up_lo & down[hi])) is not None:
+                yield lo, hi, elems
+
+
+def distributive_bases(lat: FiniteLattice) -> list:
+    """Every h with [h, top] distributive, ascending, tested from the top down, where the tests are cheap.
+
+    Once [h, top] fails, every h' <= h fails untested: [h, top] is an interval of [h', top].
+    """
+    failed, bases = 0, []
+    for h in reversed(range(lat.n)):
+        if not failed >> h & 1:
+            if _distributive_above(lat, h):
+                bases.append(h)
+            else:
+                failed |= lat._down[h]
+    return bases[::-1]
 
 
 def top_interval_base(lat: FiniteLattice) -> int:

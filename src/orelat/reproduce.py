@@ -119,11 +119,28 @@ def run_lemma_check() -> tuple:
 # -- rank2-table ---------------------------------------------------------------
 
 
+def rank2_index_table(limit: int) -> list:
+    """(quadruple, "name[lo,hi]") for the rank-2 rows [H, K, L, G] of `lattice.boolean_intervals`.
+
+    The quadruple is (|G:K|, |G:L|, |L:H|, |K:H|); every catalog scan group
+    is read, and a row is kept when |G:H| is below `limit`.
+    """
+    rows = []
+    for name, _ in cat.scan_groups(200):
+        full = cat.catalog_interval(name)
+        idx = full.idx
+        for lo, hi, elems in lat.boolean_intervals(full.lattice):
+            if len(elems) == 4 and (total := idx[lo] // idx[hi]) < limit:
+                over_k, over_ell = idx[elems[1]] // idx[hi], idx[elems[2]] // idx[hi]
+                rows.append(((over_k, over_ell, total // over_ell, total // over_k), f"{name}[{lo},{hi}]"))
+    return rows
+
+
 def run_rank2_table() -> tuple:
     fixture = _load_fixture("rank2_census.json")
     loc = fixture["paper_location"]
     limit = fixture["limit"]
-    rows = cf.rank2_index_table(limit)
+    rows = rank2_index_table(limit)
     violations = [
         {"where": where, "quadruple": list(quad)}
         for quad, where in rows if not cf.census_pattern_holds(quad)
@@ -200,22 +217,12 @@ def run_totient_formulas() -> tuple:
 def _top_intervals(full: iv.GroupInterval, table: ch.CharacterTable):
     """(h, certificate, witness row or None) for each distributive [h, G], read off a full lattice.
 
-    An interval of a distributive lattice is distributive, so the tests run
-    down from the top, where they are cheap, and once [h, G] fails every
-    h' <= h fails untested.  Witnesses are sought only for certified
-    intervals, in the fixed-space dimensions of every member, one product.
+    Witnesses are sought only for certified intervals, in the fixed-space
+    dimensions of every member, one product.
     """
     lattice = full.lattice
     ch._fixed_dims(table, full.masks)
-    failed = 0
-    distributive = []
-    for h in reversed(range(lattice.n)):
-        if not failed >> h & 1:
-            if lat._distributive_above(lattice, h):
-                distributive.append(h)
-            else:
-                failed |= lattice._down[h]
-    for h in reversed(distributive):
+    for h in lat.distributive_bases(lattice):
         cert = cf.certify_above(full, h)
         witness = None
         if cert.is_primitive:
@@ -227,22 +234,17 @@ def _top_intervals(full: iv.GroupInterval, table: ch.CharacterTable):
 def _boolean_phihats(full: iv.GroupInterval):
     """(lo, hi, rank, dual totient) for every boolean [lo, hi], lo < hi, of a full lattice, by lo and hi.
 
-    A cover has rank one and dual totient (idx[lo] - idx[hi]) / idx[hi].
-    Any other [lo, hi] takes the test of `lattice.boolean_elements`; its
-    dual totient is its signed label sum by atom bitmask, over idx[hi], with
-    no label vector built.
+    A cover's dual totient is (idx[lo] - idx[hi]) / idx[hi]; any other's is the signed sum of its labels
+    by atom bitmask over idx[hi], as `lattice.boolean_intervals` gives the members, with no label vector built.
     """
-    lattice, idx = full.lattice, full.idx
+    idx = full.idx
     label = idx.__getitem__
-    up, down, lower = lattice._up, lattice._down, lattice._lower
-    for lo in range(lattice.n):
-        up_lo, low = up[lo], idx[lo]
-        for hi in lat.bits(up_lo ^ 1 << lo):
-            if lower[hi] >> lo & 1:
-                yield lo, hi, 1, (low - idx[hi]) // idx[hi]
-            elif (elems := lat._boolean_join_table(lattice, lo, up_lo & down[hi])) is not None:
-                n = len(elems).bit_length() - 1
-                yield lo, hi, n, sum(map(mul, tt._signs(n), map(label, elems))) // idx[hi]
+    for lo, hi, elems in lat.boolean_intervals(full.lattice):
+        if len(elems) == 2:
+            yield lo, hi, 1, (idx[lo] - idx[hi]) // idx[hi]
+        else:
+            n = len(elems).bit_length() - 1
+            yield lo, hi, n, sum(map(mul, tt._signs(n), map(label, elems))) // idx[hi]
 
 
 def run_catalog_primitivity() -> tuple:

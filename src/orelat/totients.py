@@ -11,8 +11,8 @@ here, their labels checked by one `_check_labels`; each routine takes one:
   Kronecker products of cached factors (one per block, one uniform factor
   for the free atoms), each spread in one pass by a cached picker, so the
   closed formulas can be exercised without building any group or lattice.
-* `IndexedInterval`, labels over a `FiniteLattice` read through its cover
-  and order bitmasks, serves the intervals that are not boolean, an
+* `IndexedInterval`, labels over a `FiniteLattice` read through the
+  `lattice` functions, serves the intervals that are not boolean, an
   `intervals.GroupInterval` among them.  `boolean_between` and the two
   `*_distributive` extensions take nothing else; `boolean_between` is the
   one conversion to a label vector.
@@ -89,7 +89,7 @@ class IndexedInterval:
         idx = integer_labels(idx)
         if len(idx) != lattice.n:
             raise InvalidParameters("one label per lattice element is required")
-        _check_labels(idx, lattice.top, map(lat.bits, lattice._upper))
+        _check_labels(idx, lattice.top, (lat.upper_covers(lattice, x) for x in range(lattice.n)))
         self.lattice = lattice
         self.idx = idx
 
@@ -304,6 +304,7 @@ def dual_totient_distributive(model: IndexedInterval) -> int:
 
 def closed_form_p_n(p: int, n: int) -> int:
     """Dual totient of a rank-n boolean interval with every cover of index p."""
+    p, n = integer_labels((p, n), "p and n")
     if p < 2 or n < 1:
         raise InvalidParameters("need p >= 2 and n >= 1")
     return (p - 1) ** n
@@ -317,6 +318,10 @@ def closed_form_p_n_q(p: int, q: int, n: int, m: int) -> int:
     integer at least (p-1)^n.  In integers that is (p-1)^n plus
     (q-p) (-1)^m (p-1)^(n-m) ((1-p)^m - 1) / p, and p divides (1-p)^m - 1.
     """
+    try:  # read directly, not by `integer_labels`: every model of the formulas grid comes here
+        p, q, n, m = index(p), index(q), index(n), index(m)
+    except TypeError:
+        raise InvalidParameters("p, q, n and m must be integers") from None
     if not (2 <= p <= q) or n < 1 or not (0 <= m <= n):
         raise InvalidParameters("need 2 <= p <= q, n >= 1 and 0 <= m <= n")
     numerator = (q - p) * (-1) ** m * (p - 1) ** (n - m) * ((1 - p) ** m - 1)
@@ -328,6 +333,7 @@ def closed_form_p_n_q(p: int, q: int, n: int, m: int) -> int:
 
 def closed_form_p_n_p2(p: int, n: int, m: int) -> int:
     """Dual totient at rank n and total index p^(n+1), for 1 <= m <= n."""
+    p, n, m = integer_labels((p, n, m), "p, n and m")
     if p < 2 or n < 1 or not (1 <= m <= n):
         raise InvalidParameters("need p >= 2, n >= 1 and 1 <= m <= n")
     result = (p - 1) ** (n + 1) + (p - 1) ** n - (-1) ** m * (p - 1) ** (n + 1 - m)

@@ -14,6 +14,7 @@ from orelat import certifier as cf
 from orelat import characters as ch
 from orelat import intervals as iv
 from orelat import lattice as lat
+from orelat import reproduce as rp
 from orelat import totients as tt
 from orelat.errors import CapExceeded, InvalidParameters, NotBoolean, NotDistributive
 from dense_lattice import subset_lattice, sub_interval
@@ -183,6 +184,12 @@ class TestFactorEnumeration:
         assert cf.factorizations(3 ** parts, parts) == [(3,) * parts]
         assert cf.factorizations(3 ** (parts - 1) * 4, parts) == [(3,) * (parts - 1) + (4,)]
 
+    # a float used to run: factorizations(24.0, 2) was [(3.0, 8.0), (4, 6.0)]
+    @pytest.mark.parametrize("args", [(24.0, 2), (24, 2.0), (24, 2, 3.0), ("24", 2)])
+    def test_factorizations_refuse_floats(self, args):
+        with pytest.raises(InvalidParameters):
+            cf.factorizations(*args)
+
     def test_witness_factorizations_present(self):
         entries = dict(cf.factor_products(10125, 3, 7))
         assert (3, 3, 3, 3, 3, 4, 10) in entries[9720][7]
@@ -236,6 +243,12 @@ class TestLemmaScan:
     @pytest.mark.parametrize("args", [(2, 3, 4, 1), (3, 4, 5, 0), (3, 4, 5, 7),
                                       (3, 4, 13, 2), (4, 3, 5, 2)])
     def test_out_of_range(self, args):
+        with pytest.raises(InvalidParameters):
+            cf.lemma_check_scan(*args)
+
+    # a float used to pass the range check: (3, 3, 3.5, 1) gave ScanResult(9.0, 8, True)
+    @pytest.mark.parametrize("args", [(3.0, 4, 5, 1), (3, 4.0, 5, 1), (3, 3, 3.5, 1), (3, 4, 5, 1.0)])
+    def test_floats_are_refused(self, args):
         with pytest.raises(InvalidParameters):
             cf.lemma_check_scan(*args)
 
@@ -640,7 +653,7 @@ class TestSoundness:
 
 def rank2_rows_of(names, limit=32):
     """The rows of `rank2_index_table` whose group, the name before "[", is in `names`."""
-    return [(quad, where) for quad, where in cf.rank2_index_table(limit) if where.split("[")[0] in names]
+    return [(quad, where) for quad, where in rp.rank2_index_table(limit) if where.split("[")[0] in names]
 
 
 def reference_rank2_rows(limit):
@@ -666,7 +679,7 @@ def reference_rank2_rows(limit):
 class TestRank2Table:
     @pytest.mark.parametrize("limit", [32, 10 ** 6])
     def test_rows_match_the_all_pairs_reference(self, limit):
-        assert cf.rank2_index_table(limit) == reference_rank2_rows(limit)
+        assert rp.rank2_index_table(limit) == reference_rank2_rows(limit)
 
     def test_small_catalog_scan_is_clean(self):
         rows = rank2_rows_of({"s4", "d6", "z12"})

@@ -80,7 +80,8 @@ def assert_matches_dense(lattice, ref):
     """The bitmask lattice against a `DenseLattice` of the same order and ids.
 
     Covers, meet and join on all pairs, ranks, gradedness, and the
-    distributivity of every [h, top] are compared.
+    distributivity of every [h, top], one at a time and by the top-down
+    walk `distributive_bases`, are compared.
     """
     n = lattice.n
     assert (ref.bottom, ref.top) == (lattice.bottom, lattice.top)
@@ -89,8 +90,10 @@ def assert_matches_dense(lattice, ref):
     assert [[lattice.join(a, b) for b in range(n)] for a in range(n)] == ref.join.tolist()
     assert lattice.ranks() == ref.ranks
     assert lattice.is_graded() == ref.graded
+    distributive = [h for h in range(n) if ref.distributive(np.flatnonzero(ref.leq[h]))]
     for h in range(n):
-        assert lat._distributive_above(lattice, h) == ref.distributive(np.flatnonzero(ref.leq[h])), h
+        assert lat._distributive_above(lattice, h) == (h in distributive), h
+    assert lat.distributive_bases(lattice) == distributive
 
 
 def chain(n):
@@ -287,6 +290,16 @@ class TestMaskLattice:
             for b in range(b4.n):
                 assert (b4.meet(a, b), b4.join(a, b)) == (a & b, a | b)
 
+    def test_meet_and_join_refuse_ids_outside_the_lattice(self):
+        # a negative id used to read the masks from the end: join(-1, 0) was the top
+        lattice = cat.catalog_interval("s3").lattice
+        n = lattice.n
+        for a, b in [(-1, 0), (0, -1), (n, 0), (0, n), (-1, n)]:
+            with pytest.raises(NotComparable):
+                lattice.meet(a, b)
+            with pytest.raises(NotComparable):
+                lattice.join(a, b)
+
     def test_covers_are_read_only(self):
         with pytest.raises(ValueError):
             subset_lattice(2).covers[0, 3] = True
@@ -403,9 +416,12 @@ def assert_boolean_elements_match_the_test(lattice):
 
     Its list is indexed by atom bitmask: entry s is the join of lo with the
     atoms of [lo, hi] whose positions, in ascending id, are the bits of s,
-    and the entries are the members of [lo, hi].
+    and the entries are the members of [lo, hi].  The walk
+    `boolean_intervals` yields exactly those pairs with lo < hi, in order,
+    with the same lists.
     """
     boolean = 0
+    walk = []
     for lo in range(lattice.n):
         for hi in lat.bits(lattice._up[lo]):
             if not lat.is_boolean_interval(lattice, lo, hi):
@@ -420,7 +436,34 @@ def assert_boolean_elements_match_the_test(lattice):
             assert lat.boolean_elements(lattice, lo, hi) == expected, (lo, hi)
             assert sorted(expected) == members_between(lattice, lo, hi), (lo, hi)
             boolean += 1
+            if lo < hi:
+                walk.append((lo, hi, expected))
+    assert list(lat.boolean_intervals(lattice)) == walk
     return boolean
+
+
+def assert_four_member_intervals_match_dense_reference(lattice):
+    """Every four-member [lo, hi] against the dense tables; the count of the boolean ones.
+
+    Such an interval is boolean exactly when the complement scan says so,
+    and then `boolean_elements`, which forms no join for it, gives lo, its
+    two covers in [lo, hi] by ascending id, and hi, their join in the dense
+    table.
+    """
+    ref = dense(lattice)
+    squares = 0
+    for lo in range(lattice.n):
+        for hi in members_between(lattice, lo, lattice.top):
+            if len(members_between(lattice, lo, hi)) != 4:
+                continue
+            boolean = reference_is_boolean(dense_slice(ref, lo, hi))
+            assert lat.is_boolean_interval(lattice, lo, hi) == boolean, (lo, hi)
+            if boolean:
+                k, ell = [x for x in np.flatnonzero(ref.covers[lo]).tolist() if ref.leq[x, hi]]
+                assert ref.join[k, ell] == hi
+                assert lat.boolean_elements(lattice, lo, hi) == [lo, k, ell, hi], (lo, hi)
+                squares += 1
+    return squares
 
 
 class TestBooleanPairs:
@@ -439,6 +482,14 @@ class TestBooleanPairs:
         lattice = cat.catalog_interval(name).lattice
         assert assert_boolean_elements_match_the_test(lattice) >= lattice.n
 
+    @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES)
+    def test_four_member_intervals_of_scan_lattices(self, name):
+        assert_four_member_intervals_match_dense_reference(cat.catalog_interval(name).lattice)
+
+    def test_four_member_squares_and_chains(self):
+        assert assert_four_member_intervals_match_dense_reference(subset_lattice(3)) == 6
+        assert assert_four_member_intervals_match_dense_reference(chain(4)) == 0
+
     @settings(max_examples=60, deadline=None)
     @given(closure_lattices())
     def test_random_lattices(self, lattice):
@@ -450,8 +501,9 @@ class TestBooleanPairs:
 
 
 def assert_boolean_pairs_match_dense_reference(lattice):
-    """`assert_boolean_elements_match_the_test`, and the boolean [lo, hi] are those of the complement scan."""
+    """`assert_boolean_elements_match_the_test`, the four-member intervals, and the boolean [lo, hi] are those of the complement scan."""
     assert_boolean_elements_match_the_test(lattice)
+    assert_four_member_intervals_match_dense_reference(lattice)
     ref = dense(lattice)
     for lo in range(lattice.n):
         comparable = members_between(lattice, lo, lattice.top)

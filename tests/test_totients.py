@@ -154,6 +154,27 @@ class TestClosedForms:
         with pytest.raises(InvalidParameters):
             tt.closed_form_p_n_p2(3, 2, 3)
 
+    # a float used to pass the range checks: closed_form_p_n(2.5, 3) was 3.375
+    @pytest.mark.parametrize("args", [(2.5, 3), (3, 2.0), (3.0, 2), ("3", 2)])
+    def test_uniform_refuses_floats(self, args):
+        with pytest.raises(InvalidParameters):
+            tt.closed_form_p_n(*args)
+
+    @pytest.mark.parametrize("args", [(3.0, 5, 2, 1), (3, 5.5, 2, 1), (3, 5, 2.0, 1), (3, 5, 2, 1.0)])
+    def test_pnq_refuses_floats(self, args):
+        with pytest.raises(InvalidParameters):
+            tt.closed_form_p_n_q(*args)
+
+    @pytest.mark.parametrize("args", [(3.0, 2, 1), (3, 2.0, 1), (3, 2, 1.0)])
+    def test_p_squared_refuses_floats(self, args):
+        with pytest.raises(InvalidParameters):
+            tt.closed_form_p_n_p2(*args)
+
+    def test_integer_types_are_read_as_ints(self):
+        assert tt.closed_form_p_n(np.int64(3), True) == 2
+        assert type(tt.closed_form_p_n_q(np.int32(3), 5, 2, 1)) is int
+        assert tt.closed_form_p_n_p2(np.int64(3), 1, 1) == 8
+
 
 class TestCoatomSplit:
     def test_rank_one(self):
