@@ -12,7 +12,9 @@ KgK and then <K, g>.  It stops at Lagrange's bound: a proper subgroup
 above K holds at most |G:K|/p cosets of K, p the least prime factor of
 |G:K|, so once <K, g> holds more it is G; at a prime index G is the only
 cover, with no walk.  The Ore search (`verify_ore`,
-`generating_coset_count`) walks the double cosets HgH the same way.
+`generating_coset_count`) walks the double cosets HgH the same way, over
+H closed once per ambient group (`_closed`), and keeps a finished walk
+on the interval: the count and then the witness walk once.
 
 N permutes the members of [H, G] and their covers, since s·<K, g>·s⁻¹ =
 <sKs⁻¹, sgs⁻¹>.  N is read off the multiplication table: s normalizes H
@@ -47,13 +49,16 @@ size, then by ascending element ids, an order read off each bitset's
 reversed digits without decoding it.
 
 A group's `_Ambient` is the one cache of what is derived from the group:
-its table, its conjugations and its intervals.  `_ambient` keeps the last 32,
-keyed by the group and its generators, since the generators build the table
-and groups compare equal by their elements alone.  Each interval is
-memoized on its `_Ambient` by the bitset of its base; later calls return
-the same object, which is shared and must not be mutated, and the member
-cap is checked on every call.  A base whose elements are not closed under
-multiplication raises NotASubgroup before anything is memoized.  `bbl` and
+its table, its conjugations, its closed subgroups and its intervals.
+`_ambient` keeps the last 32, keyed by the group and its generators, since
+the generators build the table and groups compare equal by their elements
+alone.  Each interval and each closed base is memoized on its `_Ambient` by
+the bitset of its base; later calls return the same object, which is shared
+and must not be mutated, and the member cap is checked on every call.  A
+base whose elements are not closed under multiplication raises
+NotASubgroup, on every call, before anything is memoized; an ambient
+element set that is not a group raises InvalidParameters naming an element
+missing from it.  `bbl` and
 `cfl` read the bottom-boolean levels from `lattice._bb_levels`; this module
 reads no lattice bitmask, and it is the only reader of the table: the
 characters take it whole from `_Ambient.array`.
@@ -114,9 +119,12 @@ class _Ambient:
         self.elems = group.elements
         images = [p.images for p in group.elements]
         self.index = index = {img: i for i, img in enumerate(images)}
-        self.identity = index[group.identity.images]
-        # generator ids: the group's own, else those the table's walk picks, as `generated(range(n))` would
-        gens = [index[p.images] for p in group.generators]
+        try:
+            self.identity = index[group.identity.images]
+            # generator ids: the group's own, else those the table's walk picks, as `generated(range(n))` would
+            gens = [index[p.images] for p in group.generators]
+        except KeyError as exc:
+            raise InvalidParameters(f"{_cycles(exc.args[0])} is not among the group's elements") from None
         # `table` is the (n, n) uint16 array above order 256 and None with byte rows
         self.mul, self.inv, self.table, self.gens = _multiplication_table(images, index, gens, self.identity)
         self.bit = [1 << i for i in range(self.n)]
@@ -126,6 +134,8 @@ class _Ambient:
         self.all_ids = list(range(self.n))
         # overgroup intervals built so far, by the bitset of their base
         self.intervals: dict = {}
+        # closed subgroups (`_closed`) by bitset
+        self.subgroups: dict = {}
         # conjugation tables built so far, by element id
         self._conjugations: dict = {}
 
@@ -282,7 +292,8 @@ def _multiplication_table(images: list, index: dict, gens: Sequence[int], identi
     Either row gives the same ints when indexed or read by `itemgetter` or
     `map`, which is all any caller does.  The array is returned with the
     rows, and None in its place with byte rows.  Given generators that do
-    not reach every element raise `InvalidParameters`.
+    not reach every element raise `InvalidParameters`, and so does a
+    generator row that falls outside the elements, naming the product.
     """
     n = len(images)
     table = None
@@ -322,7 +333,12 @@ def _multiplication_table(images: list, index: dict, gens: Sequence[int], identi
     readers: list = []
 
     def add_generator(s):
-        row = [index[c(images[s])] for c in compose]
+        try:
+            row = [index[c(images[s])] for c in compose]
+        except KeyError as exc:
+            raise InvalidParameters(
+                f"the group's elements are not closed under multiplication: {_cycles(exc.args[0])} lies outside them"
+            ) from None
         set_row(s, row)
         # row s^-1 undoes row s: s^-1 * (s * x) = x
         readers.append((s, reader(s), np.argsort(row).tolist()))
@@ -350,6 +366,11 @@ def _multiplication_table(images: list, index: dict, gens: Sequence[int], identi
     return mul, inv, table, tuple(gens or picked)
 
 
+def _cycles(images: tuple) -> str:
+    """The permutation with these images in 0-based cycle notation, for an error message."""
+    return Permutation._trusted(images).to_cycles(one_based=False)
+
+
 def _ambient(group: FiniteGroup) -> _Ambient:
     """The group's `_Ambient`, shared by every equal group with the same generators."""
     return _ambient_memo(group, group.generators)
@@ -367,13 +388,15 @@ class GroupInterval(IndexedInterval):
     group's `_Ambient`; the base H is member 0.
     """
 
-    __slots__ = ("_amb", "masks", "_members")
+    __slots__ = ("_amb", "masks", "_members", "_generating")
 
     def __init__(self, lattice: lat.FiniteLattice, index_of: Sequence[int], amb: _Ambient, masks: Sequence[int]):
         super().__init__(lattice, index_of)
         self._amb = amb
         self.masks = tuple(masks)
         self._members = None
+        # (least id, size) of every generating double coset, once a walk has finished
+        self._generating = None
 
     @property
     def ambient(self) -> FiniteGroup:
@@ -384,8 +407,9 @@ class GroupInterval(IndexedInterval):
         """The members as `FiniteGroup`s, decoded from `masks` on first read."""
         if self._members is None:
             degree, elems = self._amb.group.degree, self._amb.elems
+            # ascending ids are sorted, distinct elements
             self._members = tuple(
-                FiniteGroup(degree, [], [elems[x] for x in lat.bits(m)]) for m in self.masks
+                FiniteGroup._trusted(degree, (), tuple(map(elems.__getitem__, lat.bits(m)))) for m in self.masks
             )
         return self._members
 
@@ -496,10 +520,17 @@ def overgroup_interval(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_
 
 
 def _closed(amb: _Ambient, mask: int) -> _Subgroup:
-    """The subgroup with bitset `mask`; NotASubgroup when those elements are not closed under multiplication."""
-    sub = amb.generated(lat.bits(mask))
-    if sub.mask != mask:
-        raise NotASubgroup("subgroup's elements are not closed under multiplication")
+    """The subgroup with bitset `mask`, closed once per ambient group and kept by bitset.
+
+    NotASubgroup when those elements are not closed under multiplication,
+    on every call, and nothing is kept.
+    """
+    sub = amb.subgroups.get(mask)
+    if sub is None:
+        sub = amb.generated(lat.bits(mask))
+        if sub.mask != mask:
+            raise NotASubgroup("subgroup's elements are not closed under multiplication")
+        amb.subgroups[mask] = sub
     return sub
 
 
@@ -539,16 +570,25 @@ def _generating_double_cosets(interval: GroupInterval):
 
     <H, hgh'> = <H, g>, so one g, the least id not yet covered, decides its
     double coset.  H itself comes first, and generates only when H = G.
+    A walk that runs to its end is kept on the interval, and later calls
+    read it back; one abandoned early, as `verify_ore` abandons it at its
+    first pair, keeps nothing.
     """
+    if interval._generating is not None:
+        yield from interval._generating
+        return
     amb = interval._amb
-    h = amb.generated(lat.bits(interval.masks[0]))
+    h = _closed(amb, interval.masks[0])
+    found = []
     uncovered = (1 << amb.n) - 1
     while uncovered:
         g = (uncovered & -uncovered).bit_length() - 1
         ext, double = amb.extension(h, g)
         uncovered &= ~double
         if len(ext.elems) == amb.n:
-            yield g, double.bit_count()
+            found.append((g, double.bit_count()))
+            yield found[-1]
+    interval._generating = tuple(found)
 
 
 def verify_ore(interval: GroupInterval) -> Permutation:

@@ -6,8 +6,11 @@ lattice deduplication is deterministic.  Points are 0-based; cycle notation
 is accepted only at the I/O boundary (`Permutation.from_cycles`).  This
 module builds groups; subgroup arithmetic (intersections, joins, cores) runs
 on bitsets over the ambient multiplication table in `intervals`.  A group is
-closed on plain image tuples, one `itemgetter` call per product, and its
-elements become `Permutation` objects only once, at the end.
+closed on plain image tuples by Dimino's method, whole right cosets at a
+time: one `itemgetter` call per element and one membership test per coset.
+The tuples are sorted once and become `Permutation` objects only then, and
+a group built here keeps no element set until `in`, `==`, `<=` or `hash`
+first needs one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import re
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, DegreeMismatch, ElementOutsideGroup, ParseError
+from .errors import CapExceeded, DegreeMismatch, ElementOutsideGroup, InvalidParameters, ParseError
 
 DEFAULT_CAP = 100_000
 
@@ -27,7 +30,7 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 class Permutation:
     """A bijection on {0, ..., degree-1}, stored as its tuple of images."""
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
         try:
@@ -39,7 +42,6 @@ class Permutation:
         if sorted(imgs) != list(range(n)):
             raise ParseError(f"images {imgs} are not a bijection on 0..{n - 1}")
         self.images = imgs
-        self._hash = hash(imgs)
 
     @property
     def degree(self) -> int:
@@ -60,7 +62,6 @@ class Permutation:
         """Wrap an image tuple already known to be a bijection, without checking it."""
         p = Permutation.__new__(Permutation)
         p.images = images
-        p._hash = hash(images)
         return p
 
     def inverse(self) -> "Permutation":
@@ -134,23 +135,47 @@ class Permutation:
         return self.images < other.images
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation({self.to_cycles(one_based=False)!r} deg={self.degree})"
 
 
 class FiniteGroup:
-    """A permutation group given by its full, lexicographically sorted element set."""
+    """A permutation group given by its full, lexicographically sorted element set.
 
-    __slots__ = ("degree", "generators", "elements", "order", "_element_set")
+    The constructor sorts the elements and refuses a repeat (InvalidParameters);
+    `_trusted` takes them sorted and distinct and checks nothing.  The
+    frozenset behind `in`, `==`, `<=` and `hash` is built on the first of those.
+    """
+
+    __slots__ = ("degree", "generators", "elements", "order", "_set")
 
     def __init__(self, degree: int, generators: Sequence[Permutation], elements: Iterable[Permutation]):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(sorted(elements, key=attrgetter("images")))
         self.order = len(self.elements)
-        self._element_set = frozenset(self.elements)
+        self._set = frozenset(self.elements)
+        if len(self._set) != self.order:
+            raise InvalidParameters(f"the group's elements repeat: {self.order} given, {len(self._set)} distinct")
+
+    @classmethod
+    def _trusted(cls, degree: int, generators: Sequence[Permutation], elements: tuple) -> "FiniteGroup":
+        """The group of `elements`, a tuple already sorted by images and free of repeats, taken as is."""
+        group = cls.__new__(cls)
+        group.degree = degree
+        group.generators = tuple(generators)
+        group.elements = elements
+        group.order = len(elements)
+        group._set = None
+        return group
+
+    @property
+    def _element_set(self) -> frozenset:
+        if self._set is None:
+            self._set = frozenset(self.elements)
+        return self._set
 
     def __contains__(self, perm: Permutation) -> bool:
         return perm in self._element_set
@@ -186,31 +211,40 @@ def _picker(keys: Sequence[int]):
     return lambda row: ()
 
 
-def _closure(degree: int, generators: Sequence[Permutation], cap: int) -> list:
-    """Every product of the generators, closed breadth first on image tuples.
+def _closure(degree: int, generators: Sequence[Permutation], cap: int) -> tuple:
+    """Every product of the generators, by Dimino's method on image tuples, sorted and wrapped.
 
-    Right multiplication by g reads x at g's images, one `itemgetter` call;
-    a product of bijections is a bijection, so the tuples are wrapped
-    without being checked again.
+    Adding g to the group H closes H ∪ Hg under right multiplication by
+    every generator so far; Ht·s = H(t·s), so the set stays a union of right
+    cosets of H, each tested once by its representative t and entered whole
+    (h·t reads h at t's images, one `itemgetter` call per element).  The
+    identity counts against `cap`, and a coset that would pass it is never
+    built.  Products of bijections are wrapped without being checked again.
     """
+    if cap < 1:
+        raise CapExceeded(f"group closure exceeded cap of {cap} elements")
     ident = tuple(range(degree))
-    times = [_picker(g.images) for g in generators]
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in times:
-                y = g(x)
-                if y not in elements:
-                    elements.add(y)
-                    nxt.append(y)
-                    if len(elements) > cap:
-                        raise CapExceeded(
-                            f"group closure exceeded cap of {cap} elements"
-                        )
-        frontier = nxt
-    return [Permutation._trusted(x) for x in elements]
+    elements = [ident]
+    members = {ident}
+    times: list = []
+    for g in generators:
+        if g.images in members:
+            continue
+        times.append(_picker(g.images))  # x -> x·g
+        previous = elements[:]
+        reps = [ident]
+        for r in reps:  # grows while it is read
+            for s in times:
+                t = s(r)
+                if t not in members:
+                    if len(elements) + len(previous) > cap:
+                        raise CapExceeded(f"group closure exceeded cap of {cap} elements")
+                    coset = list(map(_picker(t), previous))
+                    elements += coset
+                    members.update(coset)
+                    reps.append(t)
+    elements.sort()
+    return tuple(map(Permutation._trusted, elements))
 
 
 def generate(degree: int, generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -221,7 +255,7 @@ def generate(degree: int, generators: Sequence[Permutation], cap: int = DEFAULT_
             raise DegreeMismatch(
                 f"generator of degree {g.degree} in a degree-{degree} group"
             )
-    return FiniteGroup(degree, gens, _closure(degree, gens, cap))
+    return FiniteGroup._trusted(degree, gens, _closure(degree, gens, cap))
 
 
 def subgroup_generated(group: FiniteGroup, seed: Sequence[Permutation], cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -229,8 +263,8 @@ def subgroup_generated(group: FiniteGroup, seed: Sequence[Permutation], cap: int
     for s in seed:
         if s not in group:
             raise ElementOutsideGroup(f"seed element {s} lies outside the group")
-    return FiniteGroup(group.degree, list(seed), _closure(group.degree, list(seed), cap))
+    return FiniteGroup._trusted(group.degree, list(seed), _closure(group.degree, list(seed), cap))
 
 
 def trivial_group(degree: int) -> FiniteGroup:
-    return FiniteGroup(degree, [], [Permutation.identity(degree)])
+    return FiniteGroup._trusted(degree, (), (Permutation.identity(degree),))

@@ -236,6 +236,17 @@ class TestOvergroupInterval:
         a3 = subgroup_generated(group, half.elements)
         assert len(iv.overgroup_interval(group, a3)) == 2
 
+    @pytest.mark.parametrize("build", [iv.full_subgroup_lattice, ch.character_table], ids=["lattice", "characters"])
+    def test_ambient_elements_not_closed_are_named(self, build):
+        """{(), (0 1 2)} as a whole group: (0 1 2)·(0 1 2) = (0 2 1) lies outside it."""
+        half = FiniteGroup(3, [], [Permutation.identity(3), Permutation([1, 2, 0])])
+        with pytest.raises(InvalidParameters, match=r"not closed under multiplication: \(0 2 1\) lies outside"):
+            build(half)
+
+    def test_ambient_without_the_identity_is_named(self):
+        with pytest.raises(InvalidParameters, match=r"^\(\) is not among the group's elements$"):
+            iv.full_subgroup_lattice(FiniteGroup(3, [], [Permutation([1, 2, 0]), Permutation([2, 0, 1])]))
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             iv.full_subgroup_lattice(cat.symmetric(4), cap=5)
@@ -1036,6 +1047,53 @@ class TestOre:
             # the elements are sorted as their ids are, so the least id comes first
             assert iv.verify_ore(interval) == generating[0]
             assert count == tt.euler_totient_distributive(interval)
+
+
+def counting_extensions(monkeypatch):
+    """A list that records each `_Ambient.extension` call from now on."""
+    calls = []
+    extension = iv._Ambient.extension
+
+    def counting(self, *args):
+        calls.append(args)
+        return extension(self, *args)
+    monkeypatch.setattr(iv._Ambient, "extension", counting)
+    return calls
+
+
+class TestOneOreWalk:
+    """The Ore walk over s2xs3_3/base: H, order 8, closed once; 16 double cosets, only the last generating."""
+
+    def test_witness_after_count_walks_nothing(self, cold_intervals, monkeypatch):
+        interval = cat.catalog_interval("s2xs3_3/base")
+        calls = counting_extensions(monkeypatch)
+        assert iv.generating_coset_count(interval) == 8
+        assert len(calls) == 16
+        calls.clear()
+        assert iv.verify_ore(interval).to_cycles(one_based=False) == "(0 1)(3 4)(6 7)(9 10)"
+        assert calls == []
+
+    def test_fresh_witness_walk_stops_at_its_first_generating_coset(self, cold_intervals, monkeypatch):
+        interval = cat.catalog_interval("s2xs3_3/base")
+        calls = counting_extensions(monkeypatch)
+        witness = iv.verify_ore(interval)
+        # the walk alone: H, closed when the interval was built, is not closed again
+        assert len(calls) == 16
+        assert interval._generating is None
+        calls.clear()
+        assert iv.generating_coset_count(interval) == 8 and len(calls) == 16
+        assert interval._generating == ((interval._amb.index[witness.images], 64),)
+
+    def test_a_set_that_is_not_closed_is_refused_every_time_and_kept_nowhere(self, cold_intervals):
+        amb = iv._ambient(cat.symmetric(3))
+        half = amb.subgroup_mask(FiniteGroup(3, [], [Permutation.identity(3), Permutation([1, 2, 0])]))
+        before = dict(amb.subgroups)
+        for _ in range(2):
+            with pytest.raises(NotASubgroup, match="not closed"):
+                iv._closed(amb, half)
+        assert amb.subgroups == before
+        a3 = iv._closed(amb, amb.subgroup_mask(a3_in_s3()))
+        assert iv._closed(amb, a3.mask) is a3
 
 
 def boolean_top_intervals(names):

@@ -9,10 +9,11 @@ from orelat.errors import (
     CapExceeded,
     DegreeMismatch,
     ElementOutsideGroup,
+    InvalidParameters,
     NotASubgroup,
     ParseError,
 )
-from orelat.perm import Permutation, _picker, generate, subgroup_generated
+from orelat.perm import FiniteGroup, Permutation, _picker, generate, subgroup_generated
 from orelat import catalog as cat
 from orelat import characters as ch
 from orelat import intervals as iv
@@ -178,6 +179,44 @@ class TestTupleClosure:
     def test_degree_zero_and_one(self):
         assert generate(1, [Permutation([0])], cap=1).elements == (Permutation([0]),)
         assert generate(0, [Permutation([])]).elements == (Permutation([]),)
+
+
+class TestTrustedGroups:
+    """`generate` builds its groups by `FiniteGroup._trusted`, which must answer as the public constructor does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(generating_sets(), st.data())
+    def test_trusted_and_public_groups_agree(self, case, data):
+        degree, gens = case
+        trusted = generate(degree, gens)
+        public = FiniteGroup(degree, gens, reversed(trusted.elements))
+        assert public.elements == trusted.elements and public.order == trusted.order
+        assert public == trusted and trusted == public and hash(public) == hash(trusted)
+        others = [Permutation(i) for i in data.draw(st.lists(st.permutations(range(degree)), max_size=5))]
+        for p in list(trusted.elements) + others:
+            assert (p in trusted) == (p in public) == (p.images in {q.images for q in public.elements})
+        below = generate(degree, gens[:1])
+        below_public = FiniteGroup(degree, [], below.elements)
+        assert below <= trusted and below_public <= public
+        assert (trusted <= below) == (public <= below_public) == (below.order == trusted.order)
+        assert (trusted == below) == (public == below_public) == (below.order == trusted.order)
+
+    def test_a_group_read_for_order_and_elements_builds_no_set(self):
+        group = generate(5, list(cat.symmetric(5).generators))
+        assert group.order == 120 and len(group.elements) == 120
+        assert group._set is None
+        assert group.elements[7] in group
+        assert group._set is not None
+
+    def test_repeated_element_is_refused(self):
+        group = s3()
+        with pytest.raises(InvalidParameters, match="repeat: 7 given, 6 distinct"):
+            FiniteGroup(3, [], list(group.elements) + [group.elements[1]])
+
+    def test_identity_counts_against_the_cap(self):
+        with pytest.raises(CapExceeded, match="^group closure exceeded cap of 0 elements$"):
+            generate(3, [], cap=0)
+        assert generate(3, [], cap=1).order == 1
 
 
 class TestPicker:
