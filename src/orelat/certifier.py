@@ -71,34 +71,21 @@ class Certificate:
 
 @dataclass(frozen=True)
 class IndexedModel:
-    """Abstract scenario: a boolean interval of this rank and total index.
-
-    `known_types` are chain types asserted to occur; they are recorded in the
-    certificate but never used to narrow the analysis, because the full set
-    of chain types of an unknown interval cannot be verified abstractly.
-    """
+    """Abstract scenario: a boolean interval of this rank and total index."""
 
     rank: int
     index: int
-    known_types: tuple = ()
 
     def __post_init__(self):
         rank, index = integer_labels((self.rank, self.index), "rank and index")
-        known = tuple(integer_labels(t, "chain type entries") for t in self.known_types)
         # a frozen dataclass: the exact ints replace the fields once, here
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "known_types", known)
         if self.rank < 1 or self.index < 2:
             raise InvalidParameters("need rank >= 1 and index >= 2")
         if self.index.bit_length() <= self.rank:
             raise InvalidParameters(f"index {self.index} is below 2^{self.rank}, the least index "
                                     f"of a boolean interval of rank {self.rank}")
-        for t in self.known_types:
-            if len(t) != self.rank:
-                raise InvalidParameters(f"chain type {t} does not match rank {self.rank}")
-            if prod(t) != self.index:
-                raise InvalidParameters(f"chain type {t} does not multiply to {self.index}")
 
 
 # -- chain types and factor enumeration --------------------------------------
@@ -464,12 +451,6 @@ def _certify_scenario(scenario: IndexedModel) -> Certificate:
 def _scenario_step(scenario: IndexedModel, halved: Optional[Certificate]) -> Certificate:
     """The certificate of one scenario, given that of its R5 halving when it has one."""
     steps: list = []
-    if scenario.known_types:
-        steps.append(CertStep(
-            "scenario-declared-types",
-            "chain types asserted to occur; recorded only, never assumed exhaustive",
-            {"types": [list(t) for t in scenario.known_types]},
-        ))
     if scenario.rank < 7:
         steps.append(CertStep(
             "R6-rank-below-seven", "boolean of rank below seven", {"rank": scenario.rank}))

@@ -64,6 +64,9 @@ def _resolve_pair(args) -> tuple:
     if args.cap < 1:
         raise ParseError(f"--cap must be at least 1, got {args.cap}")
     if args.catalog:
+        for flag, value in (("--group-file", args.group_file), ("--subgroup-file", args.subgroup_file)):
+            if value is not None:
+                raise ParseError(f"--catalog names an interval and cannot be given with {flag}")
         return cat.catalog_pair(args.catalog)
     if not args.group_file:
         raise ParseError("give either --catalog NAME or --group-file FILE")
@@ -147,22 +150,15 @@ def cmd_primitive(args) -> dict:
 
 
 def cmd_certify(args) -> dict:
-    if args.model_index is None and (args.model_rank is not None or args.model_type is not None):
-        raise ParseError("--model-rank and --model-type describe a scenario and need --model-index")
+    if args.model_index is None and args.model_rank is not None:
+        raise ParseError("--model-rank describes a scenario and needs --model-index")
     if args.model_index is not None:
         for flag, value in (("--catalog", args.catalog), ("--group-file", args.group_file),
                             ("--subgroup-file", args.subgroup_file)):
             if value is not None:
                 raise ParseError(f"{flag} names an interval and cannot be given with --model-index")
         rank = args.model_rank if args.model_rank is not None else 7
-        known = ()
-        if args.model_type:
-            try:
-                known = (tuple(int(x) for x in args.model_type.replace(" ", "").split(",")),)
-            except ValueError as exc:
-                raise ParseError(f"--model-type must be comma-separated integers, "
-                                 f"got {args.model_type!r}") from exc
-        cert = run_certify(IndexedModel(rank, args.model_index, known))
+        cert = run_certify(IndexedModel(rank, args.model_index))
         results = {"scenario": {"rank": rank, "index": args.model_index},
                    "certificate": cert.to_dict()}
         return _report("certify", results)
@@ -263,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model-index", type=int, help="certify an abstract boolean scenario")
     p.add_argument("--model-rank", type=int, help="rank of the abstract scenario (default 7)")
-    p.add_argument("--model-type", help="comma-separated chain type asserted to occur")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("bbl", help="bottom-boolean chain length (and core-free variant)")
@@ -271,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bbl)
 
     p = sub.add_parser("reproduce", help="re-run a recorded verification suite")
-    p.add_argument("target", choices=rp.TARGETS + ("all",))
+    p.add_argument("target", choices=[*rp.TARGETS, "all"])
     common(p, with_interval=False)
     p.set_defaults(func=cmd_reproduce)
     return parser

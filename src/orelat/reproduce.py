@@ -23,14 +23,7 @@ from . import characters as ch
 from . import intervals as iv
 from . import lattice as lat
 from . import totients as tt
-
-TARGETS = (
-    "factor-list",
-    "lemma-check",
-    "rank2-table",
-    "totient-formulas",
-    "catalog-primitivity",
-)
+from .errors import InvalidParameters
 
 
 def _load_fixture(name: str) -> dict:
@@ -295,7 +288,7 @@ def run_catalog_primitivity() -> tuple:
     return results, claims
 
 
-# -- main-theorem frontier (used by certify reporting and acceptance) ------------
+# -- main-theorem ----------------------------------------------------------------
 
 
 def run_main_theorem_frontier() -> tuple:
@@ -319,25 +312,29 @@ def run_main_theorem_frontier() -> tuple:
     return {"verdicts": verdicts, "frontier": frontier}, claims
 
 
-_RUNNERS = {
-    "factor-list": run_factor_list,
-    "lemma-check": run_lemma_check,
-    "rank2-table": run_rank2_table,
-    "totient-formulas": run_totient_formulas,
-    "catalog-primitivity": run_catalog_primitivity,
+# The only list of target names: each maps to its runner and to whether
+# `reproduce all` runs it; `all` runs the flagged rows in this order.
+TARGETS = {
+    "factor-list": (run_factor_list, True),
+    "lemma-check": (run_lemma_check, True),
+    "rank2-table": (run_rank2_table, True),
+    "totient-formulas": (run_totient_formulas, True),
+    "catalog-primitivity": (run_catalog_primitivity, True),
+    "main-theorem": (run_main_theorem_frontier, False),
 }
 
 
 def run_target(target: str) -> tuple:
-    """Run one reproduction target, or all of them."""
+    """Run one reproduction target, or with "all" every target flagged for it."""
     if target == "all":
         results = {}
         claims = []
-        for name in TARGETS:
-            sub_results, sub_claims = _RUNNERS[name]()
-            results[name] = sub_results
-            claims.extend({**c, "id": f"{name}:{c['id']}"} for c in sub_claims)
+        for name, (runner, in_all) in TARGETS.items():
+            if in_all:
+                sub_results, sub_claims = runner()
+                results[name] = sub_results
+                claims.extend({**c, "id": f"{name}:{c['id']}"} for c in sub_claims)
         return results, claims
-    if target not in _RUNNERS:
-        raise ValueError(f"unknown target {target!r}; choose from {', '.join(TARGETS)} or all")
-    return _RUNNERS[target]()
+    if target not in TARGETS:
+        raise InvalidParameters(f"unknown target {target!r}; choose from {', '.join(TARGETS)} or all")
+    return TARGETS[target][0]()

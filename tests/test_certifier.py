@@ -456,11 +456,6 @@ class TestScenarioCertificates:
         cert = cf.certify(cf.IndexedModel(7, 9720))
         assert cert.frontier == [(3, 3, 3, 3, 3, 4, 10), (3, 3, 3, 3, 3, 5, 8)]
 
-    def test_declared_type_is_recorded_but_not_trusted(self):
-        cert = cf.certify(cf.IndexedModel(7, 9720, ((3, 3, 3, 3, 3, 4, 10),)))
-        assert not cert.is_primitive
-        assert cert.steps[0].rule == "scenario-declared-types"
-
     def test_case_rules_match_the_published_proof(self):
         fired = {
             n: cf.certify(cf.IndexedModel(7, n)).rules_fired()
@@ -486,14 +481,9 @@ class TestScenarioCertificates:
     def test_invalid_scenarios(self):
         with pytest.raises(InvalidParameters):
             cf.IndexedModel(0, 10)
-        with pytest.raises(InvalidParameters):
-            cf.IndexedModel(3, 27, ((3, 3),))
-        with pytest.raises(InvalidParameters):
-            cf.IndexedModel(2, 10, ((3, 3),))
 
     @pytest.mark.parametrize("args", [
         (7, 9720.0), (7.0, 9720), (7, Fraction(9720)), (7, "9720"),
-        (2, 15, ((3.0, 5),)), (2, 15, ((3, Fraction(5)),)),
     ], ids=repr)
     def test_non_integer_scenarios_are_refused(self, args):
         # each would read as a valid scenario if it were truncated by int
@@ -501,9 +491,9 @@ class TestScenarioCertificates:
             cf.IndexedModel(*args)
 
     def test_scenario_fields_are_exact_ints(self):
-        scenario = cf.IndexedModel(np.int64(7), np.int64(9720), ([np.int8(3)] * 5 + [4, 10],))
-        assert (scenario.rank, scenario.index, scenario.known_types) == (7, 9720, ((3, 3, 3, 3, 3, 4, 10),))
-        assert all(type(v) is int for v in (scenario.rank, scenario.index, *scenario.known_types[0]))
+        scenario = cf.IndexedModel(np.int64(7), np.int64(9720))
+        assert (scenario.rank, scenario.index) == (7, 9720)
+        assert all(type(v) is int for v in (scenario.rank, scenario.index))
 
     def test_certificates_serialize(self):
         cert = cf.certify(cf.IndexedModel(7, 9720))
@@ -514,12 +504,6 @@ class TestScenarioCertificates:
 def recursive_certify_scenario(scenario):
     """The scenario certifier as it was written first: one recursive call per R5 halving."""
     steps = []
-    if scenario.known_types:
-        steps.append(cf.CertStep(
-            "scenario-declared-types",
-            "chain types asserted to occur; recorded only, never assumed exhaustive",
-            {"types": [list(t) for t in scenario.known_types]},
-        ))
     if scenario.rank < 7:
         steps.append(cf.CertStep(
             "R6-rank-below-seven", "boolean of rank below seven", {"rank": scenario.rank}))
@@ -551,7 +535,7 @@ def scenarios_of_rank(rank):
     yield cf.IndexedModel(rank, 2 ** (rank + 1))
     yield cf.IndexedModel(rank, 5 * 2 ** (rank + 1))
     yield cf.IndexedModel(rank, 3 ** rank)
-    yield cf.IndexedModel(rank, 8 * 3 ** rank, ((3,) * (rank - 3) + (6, 6, 6),))
+    yield cf.IndexedModel(rank, 8 * 3 ** rank)
     yield cf.IndexedModel(rank, 9720 * 2 ** (rank - 7))
     yield cf.IndexedModel(rank, 8748 * 2 ** (rank - 7))
     yield cf.IndexedModel(rank, 12096 * 2 ** (rank - 7))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -5,7 +6,9 @@ import pytest
 
 from orelat import certifier, cli
 from orelat import intervals as iv
+from orelat import reproduce as rp
 from orelat.cli import main
+from orelat.errors import InvalidParameters
 
 
 def run(capsys, *argv):
@@ -82,10 +85,7 @@ class TestCertify:
         assert report["results"]["certificate"]["verdict"] == "primitive"
 
     def test_scenario_9720(self, capsys):
-        code, report = run_json(
-            capsys, "certify", "--model-index", "9720",
-            "--model-type", "3,3,3,3,3,4,10",
-        )
+        code, report = run_json(capsys, "certify", "--model-index", "9720")
         assert code == 0
         cert = report["results"]["certificate"]
         assert cert["verdict"] == "undecided"
@@ -96,24 +96,14 @@ class TestCertify:
         assert code == 0
         assert report["results"]["certificate"]["verdict"] == "primitive"
 
-    def test_non_integer_model_type_is_an_input_error(self, capsys):
-        code = main(["certify", "--model-index", "12", "--model-type", "a,b"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert json.loads(captured.err) == {
-            "error": "--model-type must be comma-separated integers, got 'a,b'", "exit": 2,
-        }
-
-    @pytest.mark.parametrize("flags", [["--model-rank", "5"], ["--model-type", "3,4"],
-                                       ["--model-rank", "2", "--model-type", "3,4"]], ids=" ".join)
+    @pytest.mark.parametrize("flags", [["--model-rank", "5"]], ids=" ".join)
     def test_scenario_flags_without_an_index_are_an_input_error(self, capsys, flags):
         code = main(["certify", "--catalog", "z12", *flags])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert json.loads(captured.err) == {
-            "error": "--model-rank and --model-type describe a scenario and need --model-index", "exit": 2,
+            "error": "--model-rank describes a scenario and needs --model-index", "exit": 2,
         }
 
     @pytest.mark.parametrize("rank, index", [(9, 40), (900, 2 ** 62)], ids=["rank-9", "rank-900"])
@@ -313,6 +303,18 @@ class TestGroupFiles:
             "error": f"group file {path}: {message}", "exit": 2,
         }
 
+    @pytest.mark.parametrize("flag", ["--group-file", "--subgroup-file"])
+    def test_catalog_with_a_file_is_an_input_error(self, tmp_path, capsys, flag):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"name": "z2", "degree": 4, "generators": ["(1 2)"]}))
+        code = main(["totient", "--catalog", "s4", flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": f"--catalog names an interval and cannot be given with {flag}", "exit": 2,
+        }
+
     def test_unknown_catalog(self):
         assert main(["interval", "--catalog", "nosuchgroup"]) == 2
 
@@ -359,6 +361,28 @@ class TestGroupFiles:
 
 
 class TestReproduce:
+    def test_choices_are_the_registry_and_all(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        target = next(a for a in sub.choices["reproduce"]._actions if a.dest == "target")
+        assert list(target.choices) == [*rp.TARGETS, "all"]
+
+    def test_all_runs_the_flagged_rows_in_table_order(self):
+        results, claims = rp.run_target("all")
+        flagged = [name for name, (_, in_all) in rp.TARGETS.items() if in_all]
+        assert list(results) == flagged
+        assert "main-theorem" not in flagged
+        assert list(dict.fromkeys(c["id"].split(":")[0] for c in claims)) == flagged
+
+    def test_main_theorem_passes(self, capsys):
+        code, report = run_json(capsys, "reproduce", "main-theorem")
+        assert code == 0
+        assert report["claims"] and all(c["pass"] for c in report["claims"])
+
+    def test_unknown_target_is_invalid_parameters(self):
+        with pytest.raises(InvalidParameters) as exc:
+            rp.run_target("nosuch")
+        assert str(exc.value) == f"unknown target 'nosuch'; choose from {', '.join(rp.TARGETS)} or all"
+
     def test_factor_list_passes(self, capsys):
         code, report = run_json(capsys, "reproduce", "factor-list")
         assert code == 0

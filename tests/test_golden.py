@@ -2,10 +2,10 @@
 
 Every catalog group and named interval is run through `interval`,
 `totient`, `certify`, `primitive` and `bbl`, and every `reproduce` target
-is run once.  The full lattice of S2 x S3^3 (order 432, 3,916 subgroups)
-runs every command too (`certify` exits 2: the lattice is not
-distributive); `interval` comes first, so the others reuse the interval it
-memoized.  The stored digest is the sha256 of stdout, next to the exit
+of the registry `reproduce.TARGETS` is run once.  The full lattice of
+S2 x S3^3 (order 432, 3,916 subgroups) runs every command too (`certify`
+exits 2: the lattice is not distributive); `interval` comes first, so the
+others reuse the interval it memoized.  The stored digest is the sha256 of stdout, next to the exit
 code and stderr.
 
 Regenerate (only when a report is meant to change) with

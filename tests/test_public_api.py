@@ -16,9 +16,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "orelat"
 READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
-# read only by the tests until the main-theorem frontier joins `reproduce all`
-ALLOWED_UNREAD = {"reproduce.run_main_theorem_frontier"}
-
 
 def public_definitions() -> list:
     """(qualified name, file stem, first line, last line) of every public function, class and method."""
@@ -74,9 +71,4 @@ def test_the_scan_sees_the_package():
 
 
 def test_no_public_definition_is_read_only_by_the_tests():
-    assert unread() - ALLOWED_UNREAD == set()
-
-
-def test_every_allowed_definition_is_still_unread():
-    # an entry whose definition has gained a reader, or is gone, leaves the list
-    assert ALLOWED_UNREAD <= unread()
+    assert unread() == set()
