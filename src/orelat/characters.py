@@ -224,15 +224,13 @@ def index_identity_holds(table: CharacterTable, sub: FiniteGroup) -> bool:
     return sum(map(operator.mul, table.degrees, dims)) == table.group.order // sub.order
 
 
-def is_linearly_primitive(interval: GroupInterval, table: Optional[CharacterTable] = None):
+def is_linearly_primitive(interval: GroupInterval, table: CharacterTable):
     """Decide whether some irreducible has pointwise stabilizer exactly the base (`linear_witness`).
 
     `table` must be of the interval's ambient group, whose element ids the
     member bitsets use.
     """
-    if table is None:
-        table = character_table(interval.ambient)
-    elif table.group != interval.ambient:
+    if table.group != interval.ambient:
         raise InvalidParameters("the character table is not of the interval's ambient group")
     masks = interval.masks
     return linear_witness(table, masks[0], [masks[a] for a in lat.atoms(interval.lattice)])

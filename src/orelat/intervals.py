@@ -11,33 +11,36 @@ whole cosets of K (Dimino), marked in a bytearray of ASCII digits, gives
 KgK and then <K, g>.  It stops at Lagrange's bound: a proper subgroup
 above K holds at most |G:K|/p cosets of K, p the least prime factor of
 |G:K|, so once <K, g> holds more it is G; at a prime index G is the only
-cover, with no walk.  The Ore search (`verify_ore`,
-`generating_coset_count`) walks the double cosets HgH the same way, over
-H closed once per ambient group (`_closed`), and keeps a finished walk
-on the interval: the count and then the witness walk once.
+cover, with no walk.
+
+Each representative walks all its double cosets (`_Ambient.double_cosets`)
+before it registers what it formed, and the base's walk answers two more
+questions.  N is H and the double cosets HsH of |H| elements, since
+|HsH| = |H| exactly when sHs⁻¹ = H.  The Ore answers (`verify_ore`,
+`generating_coset_count`), kept with the interval, are the least g with
+<H, g> = G and the number of right cosets Hg generating G: |HgH|/|H| per
+generating double coset, or |G:H| - 1 at a prime index, with no walk.
 
 N permutes the members of [H, G] and their covers, since s·<K, g>·s⁻¹ =
-<sKs⁻¹, sgs⁻¹>.  N is read off the multiplication table: s normalizes H
-when s·h·s⁻¹ lies in H for each generator h of H, one pass over the
-elements per generator.  A new <K, g> is closed under conjugation by N's
+<sKs⁻¹, sgs⁻¹>.  A new <K, g> is closed under conjugation by N's
 generators outside H (those in H fix every member), and each conjugate is
 recorded with the member and the map that reached it: a Schreier tree of
 bitsets.  Only the orbit's first member, its representative, is
 extended.  Every overgroup is reached: it ends a chain H = K0 < K1 < ...
 of single-element extensions K(i+1) = <Ki, g>, and if Ki = s·R·s⁻¹ for a
 representative R and s in N, then K(i+1) = s·<R, s⁻¹·g·s>·s⁻¹ is in the
-orbit of an extension formed over R.  N is found only once a member other
-than H and G turns up; when N = H nothing is conjugated and every member
-is its own representative.  A conjugation table y -> s·y·s⁻¹ is `bytes`
-with byte rows, so s·K·s⁻¹ is one `bytes.translate` of K's binary digits
-through the table of s⁻¹, and no element of K is decoded; a larger group
-keeps it as a tuple and maps each element of K.
+orbit of an extension formed over R.  N's generators are extracted only
+if the base formed a member other than G; when N = H every member is its
+own representative.  A conjugation table y -> s·y·s⁻¹ is `bytes` with
+byte rows, so s·K·s⁻¹ is one `bytes.translate` of K's binary digits
+through the table of s⁻¹; a larger group keeps a tuple and maps each
+element of K.
 
 The same search yields the Hasse diagram: a cover L of K is <K, g> for
 every g in L outside K, so the minimal <K, g> formed over a representative
 (taken by size) are exactly its upper covers.  The covers of any other
 member are its tree parent's covers, carried along the tree edge's map
-and read back from the images the orbit search stored (N fixes G).
+and read back from the images the orbit search stored.
 
 A `GroupInterval` is a `totients.IndexedInterval` labelled by the indices
 |G:K|, checked once when it is built; the totients and the certifier take
@@ -52,23 +55,24 @@ A group's `_Ambient` is the one cache of what is derived from the group:
 its table, its conjugations, its closed subgroups and its intervals.
 `_ambient` keeps the last 32, keyed by the group and its generators, since
 the generators build the table and groups compare equal by their elements
-alone.  Each interval and each closed base is memoized on its `_Ambient` by
-the bitset of its base; later calls return the same object, which is shared
-and must not be mutated, and the member cap is checked on every call.  A
-base whose elements are not closed under multiplication raises
-NotASubgroup, on every call, before anything is memoized; an ambient
-element set that is not a group raises InvalidParameters naming an element
-missing from it.  `bbl` and
-`cfl` read the bottom-boolean levels from `lattice._bb_levels`; this module
-reads no lattice bitmask, and it is the only reader of the table: the
-characters take it whole from `_Ambient.array`.
+alone.  Each interval, with its Ore answers, and each closed base is
+memoized on its `_Ambient` by the bitset of its base (`_searched`); later
+calls return the same object, which is shared and must not be mutated, and
+the member cap is checked on every call.  The Ore questions on an interval
+built by hand read the search of its base, run on first use.  A base whose
+elements are not closed under multiplication raises NotASubgroup, on every
+call, before anything is memoized; an ambient element set that is not a
+group raises InvalidParameters naming an element missing from it.  `bbl`
+and `cfl` read the bottom-boolean levels from `lattice._bb_levels`; this
+module reads no lattice bitmask, and it is the only reader of the table:
+the characters take it whole from `_Ambient.array`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import getitem, itemgetter
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,7 +136,7 @@ class _Ambient:
         # every element id, shared by each <K, g> found to be G; id 0 is the
         # identity, since the elements are sorted by their images
         self.all_ids = list(range(self.n))
-        # overgroup intervals built so far, by the bitset of their base
+        # (overgroup interval, Ore answer) built so far, by the bitset of the base
         self.intervals: dict = {}
         # closed subgroups (`_closed`) by bitset
         self.subgroups: dict = {}
@@ -236,21 +240,34 @@ class _Ambient:
         table, bit = self.conjugation(s), self.bit
         return sum(bit[table[x]] for x in lat.bits(mask))
 
-    def normalizer_gens(self, k: _Subgroup) -> tuple:
-        """Element ids that generate N_G(K) together with K's generators.
+    def double_cosets(self, k: _Subgroup) -> Iterator[tuple]:
+        """Yield (g, <K, g>, KgK) for each double coset KgK outside K, g its least id, by ascending g.
 
-        N_G(K) is the set of s with s·h·s⁻¹ in K for every generator h of K,
-        read for every s at once from column h of the table: one pass over
-        the elements per generator.
+        At a prime index G is the only subgroup above K: one g, with no walk,
+        stands for every element outside K, which takes KgK's place.
         """
-        mul = self.mul
-        in_k = format(k.mask, f"0{self.n}b")[::-1]  # in_k[x] is "1" when x is in K
-        inside = (1 << self.n) - 1
-        for h in k.gens:
-            conjugates = map(getitem, map(mul.__getitem__, map(itemgetter(h), mul)), self.inv)  # s·h·s⁻¹, by s
-            inside &= int("".join(map(in_k.__getitem__, conjugates))[::-1], 2)
+        everything = (1 << self.n) - 1
+        index = self.n // len(k.elems)
+        prime = _least_prime_factor(index) == index
+        covered = k.mask
+        while covered != everything:
+            free = everything & ~covered
+            g = (free & -free).bit_length() - 1
+            ext, double = self.extension(k, g, not prime)
+            double = free if prime else double
+            covered |= double
+            yield g, ext, double
+
+    def normalizer_gens(self, k: _Subgroup, doubles: Iterable[int]) -> tuple:
+        """Element ids that generate N_G(K) together with K's generators, from the bitsets KgK of `double_cosets(k)`.
+
+        The index must not be prime.  |KsK| = |K| exactly when s·K·s⁻¹ = K,
+        so N_G(K) is K and the double cosets of |K| elements, whose bitsets
+        are disjoint and so add up to their union.
+        """
+        order = len(k.elems)
         normalizer = k
-        for s in lat.bits(inside & ~k.mask):
+        for s in lat.bits(sum(double for double in doubles if double.bit_count() == order)):
             normalizer = self.extension(normalizer, s, False)[0]
         return normalizer.gens[len(k.gens):]
 
@@ -388,15 +405,13 @@ class GroupInterval(IndexedInterval):
     group's `_Ambient`; the base H is member 0.
     """
 
-    __slots__ = ("_amb", "masks", "_members", "_generating")
+    __slots__ = ("_amb", "masks", "_members")
 
     def __init__(self, lattice: lat.FiniteLattice, index_of: Sequence[int], amb: _Ambient, masks: Sequence[int]):
         super().__init__(lattice, index_of)
         self._amb = amb
         self.masks = tuple(masks)
         self._members = None
-        # (least id, size) of every generating double coset, once a walk has finished
-        self._generating = None
 
     @property
     def ambient(self) -> FiniteGroup:
@@ -446,47 +461,45 @@ def _build_interval(amb: _Ambient, covers: dict) -> GroupInterval:
 
 
 def _overgroups(amb: _Ambient, base: _Subgroup, cap: int) -> tuple:
-    """The upper covers of every member of [base, G], by bitset, and the members extended.
+    """(covers, reps, ore): the upper covers of every member of [base, G] by bitset, the members extended, the Ore answer.
 
-    Only one representative per N_G(base)-orbit is extended; see the
-    module docstring.  `found` maps each member to None for a
-    representative, else to the tree edge (member, element of N) that
-    reached it, by conjugation; `images` maps each (member, s) conjugated to s·member·s⁻¹.
+    Each representative registers what it formed, in the order formed, each
+    new member with its N_G(base)-orbit; see the module docstring.  `found`
+    maps each member to None for a representative, else to the tree edge
+    (member, element of N) that reached it; `images` maps each (member, s)
+    conjugated to s·member·s⁻¹.  `ore` is (the least id g with
+    <base, g> = G, None if none; the number of cosets base·g generating G).
     """
-    conjugators = None  # N's generators outside H, once a member other than H and G is found
     everything = (1 << amb.n) - 1
     found: dict = {base.mask: None}
     covers: dict = {}
     images: dict = {}
     reps = [base]
     for k in reps:  # grows while it is read
-        covered = k.mask
-        formed = set()
-        # at a prime index G is the only cover, found with no walk
-        index = amb.n // len(k.elems)
-        prime = _least_prime_factor(index) == index
-        while covered != everything:
-            free = everything & ~covered
-            g = (free & -free).bit_length() - 1
-            ext, double = amb.extension(k, g, not prime)
-            covered |= everything if prime else double
-            formed.add(ext.mask)
-            if ext.mask not in found:
-                reps.append(ext)
-                found[ext.mask] = None
-                if conjugators is None and ext.mask != everything:
-                    conjugators = amb.normalizer_gens(base)
-                    # G, found before N was known, is never conjugated: it is fixed by every s
-                    images.update(((everything, s), everything) for s in conjugators)
-                orbit = [ext.mask]
-                for m in orbit:  # grows while it is read
-                    if len(found) > cap:
-                        raise CapExceeded(f"interval has more than {cap} members")
-                    for s in conjugators or ():
-                        image = images[m, s] = amb.conjugate(m, s)
-                        if image not in found:
-                            found[image] = (m, s)
-                            orbit.append(image)
+        formed: dict = {}
+        walk = []  # the base's (g, <H, g> by bitset, HgH); none for H = G, which is <G, 1>
+        for g, ext, double in amb.double_cosets(k):
+            formed.setdefault(ext.mask, ext)
+            if k is base:
+                walk.append((g, ext.mask, double))
+        if k is base:
+            generating = [(g, d) for g, e, d in walk if e == everything] if walk else [(amb.identity, everything)]
+            ore = (generating[0][0] if generating else None, sum(d for _, d in generating).bit_count() // len(base.elems))
+            conjugators = amb.normalizer_gens(base, [d for _, _, d in walk]) if formed.keys() - {everything} else ()
+        for mask, ext in formed.items():
+            if mask in found:
+                continue
+            reps.append(ext)
+            found[mask] = None
+            orbit = [mask]
+            for m in orbit:  # grows while it is read
+                if len(found) > cap:
+                    raise CapExceeded(f"interval has more than {cap} members")
+                for s in conjugators:
+                    image = images[m, s] = amb.conjugate(m, s)
+                    if image not in found:
+                        found[image] = (m, s)
+                        orbit.append(image)
         up = covers[k.mask] = []
         for e in sorted(formed, key=int.bit_count):
             if all(c & ~e for c in up):
@@ -495,28 +508,27 @@ def _overgroups(amb: _Ambient, base: _Subgroup, cap: int) -> tuple:
         if edge is not None:
             parent, s = edge
             covers[m] = [images[c, s] for c in covers[parent]]
-    return covers, reps
+    return covers, reps, ore
 
 
 def overgroup_interval(group: FiniteGroup, sub: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> GroupInterval:
-    """Every K with sub <= K <= group, as a labelled lattice, memoized on the ambient group.
+    """Every K with sub <= K <= group, as a labelled lattice, memoized on the ambient group by `_searched`.
 
-    The interval is enumerated once per base for as long as `_ambient` keeps
-    the group; later calls return the same object, which is shared and must
-    not be mutated.  `cap` is checked on every call.  NotASubgroup when sub
-    has elements outside group or they are not closed, checked by the
-    closure the first call builds anyway.
+    NotASubgroup when sub has elements outside group or they are not closed.
     """
     amb = _ambient(group)
-    key = amb.subgroup_mask(sub)
-    if key in amb.intervals:
-        interval = amb.intervals[key]
-        if len(interval) > cap:
-            raise CapExceeded(f"interval has more than {cap} members")
-        return interval
-    covers, _ = _overgroups(amb, _closed(amb, key), cap)
-    interval = amb.intervals[key] = _build_interval(amb, covers)
-    return interval
+    return _searched(amb, amb.subgroup_mask(sub), cap)[0]
+
+
+def _searched(amb: _Ambient, mask: int, cap: int) -> tuple:
+    """(interval, Ore answer) of [mask, G] from one search, kept on `amb` by the base's bitset; `cap` checked every call."""
+    entry = amb.intervals.get(mask)
+    if entry is None:
+        covers, _, ore = _overgroups(amb, _closed(amb, mask), cap)
+        entry = amb.intervals[mask] = (_build_interval(amb, covers), ore)
+    elif len(entry[0]) > cap:
+        raise CapExceeded(f"interval has more than {cap} members")
+    return entry
 
 
 def _closed(amb: _Ambient, mask: int) -> _Subgroup:
@@ -565,41 +577,21 @@ def cfl(group: FiniteGroup, cap: int = DEFAULT_MEMBER_CAP) -> int:
     )
 
 
-def _generating_double_cosets(interval: GroupInterval):
-    """(least element id, size) of each double coset HgH with <H, g> = G, by ascending least id.
-
-    <H, hgh'> = <H, g>, so one g, the least id not yet covered, decides its
-    double coset.  H itself comes first, and generates only when H = G.
-    A walk that runs to its end is kept on the interval, and later calls
-    read it back; one abandoned early, as `verify_ore` abandons it at its
-    first pair, keeps nothing.
-    """
-    if interval._generating is not None:
-        yield from interval._generating
-        return
-    amb = interval._amb
-    h = _closed(amb, interval.masks[0])
-    found = []
-    uncovered = (1 << amb.n) - 1
-    while uncovered:
-        g = (uncovered & -uncovered).bit_length() - 1
-        ext, double = amb.extension(h, g)
-        uncovered &= ~double
-        if len(ext.elems) == amb.n:
-            found.append((g, double.bit_count()))
-            yield found[-1]
-    interval._generating = tuple(found)
+def _ore(interval: GroupInterval) -> tuple:
+    """(least generating id or None, generating coset count) from the search of the base, run on first use."""
+    return _searched(interval._amb, interval.masks[0], len(interval))[1]
 
 
 def verify_ore(interval: GroupInterval) -> Permutation:
     """The least g with <H union {g}> = G; one exists for every distributive interval."""
     if not lat.is_distributive(interval.lattice):
         raise NotDistributive("the Ore property is only guaranteed on distributive intervals")
-    for g, _ in _generating_double_cosets(interval):
-        return interval._amb.elems[g]
-    raise OreViolation("no generating coset found on a distributive interval")
+    g = _ore(interval)[0]
+    if g is None:
+        raise OreViolation("no generating coset found on a distributive interval")
+    return interval._amb.elems[g]
 
 
 def generating_coset_count(interval: GroupInterval) -> int:
     """The number of right cosets Hg with <H, g> = G: each generating double coset HgH holds |HgH|/|H| of them."""
-    return sum(size for _, size in _generating_double_cosets(interval)) // interval.masks[0].bit_count()
+    return _ore(interval)[1]

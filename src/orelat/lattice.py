@@ -9,7 +9,8 @@ covers, plus the ranks (longest-chain depth over the Hasse diagram) and
 gradedness; the read-only `covers` matrix is built from the cover masks on
 first use.  No meet or join table is kept: in a linear extension the meet
 of a and b is the highest id in down[a] & down[b] and their join the
-lowest id in up[a] & up[b].  The lattice axioms are not re-checked; the
+lowest id in up[a] & up[b].  An element's lower covers must be distinct
+and pairwise incomparable, but the lattice axioms are not re-checked; the
 callers build subgroup intervals, which are lattices by theorem.  Only
 this module reads the masks, and it refuses an id outside range(n).
 
@@ -68,15 +69,17 @@ class FiniteLattice:
             if x and not below:
                 raise NotALattice(f"elements 0 and {x} are both minimal")
             bit = 1 << x
-            mask = bit
-            rank = 0
+            listed = strict = rank = 0  # the covers and the OR of their strict down-sets
             for c in below:
-                mask |= down[c]
+                listed |= 1 << c
+                strict |= down[c] ^ (1 << c)
                 upper[c] |= bit
                 rank = max(rank, ranks[c] + 1)
+            if listed.bit_count() != len(below) or listed & strict:
+                raise NotAPartialOrder(f"the lower covers of {x} repeat, or one lies below another")
             graded = graded and all(ranks[c] + 1 == rank for c in below)
-            down.append(mask)
-            lower.append(sum(1 << c for c in below))
+            down.append(bit | listed | strict)
+            lower.append(listed)
             ranks.append(rank)
         if down[-1] != (1 << n) - 1:
             raise NotALattice(f"element {n - 1} is not above every element")

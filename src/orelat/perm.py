@@ -144,7 +144,8 @@ class Permutation:
 class FiniteGroup:
     """A permutation group given by its full, lexicographically sorted element set.
 
-    The constructor sorts the elements and refuses a repeat (InvalidParameters);
+    The constructor sorts the elements and refuses a generator or element of
+    another degree (DegreeMismatch) and a repeat (InvalidParameters);
     `_trusted` takes them sorted and distinct and checks nothing.  The
     frozenset behind `in`, `==`, `<=` and `hash` is built on the first of those.
     """
@@ -154,7 +155,9 @@ class FiniteGroup:
     def __init__(self, degree: int, generators: Sequence[Permutation], elements: Iterable[Permutation]):
         self.degree = degree
         self.generators = tuple(generators)
+        _require_degree(degree, "generator", self.generators)
         self.elements = tuple(sorted(elements, key=attrgetter("images")))
+        _require_degree(degree, "element", self.elements)
         self.order = len(self.elements)
         self._set = frozenset(self.elements)
         if len(self._set) != self.order:
@@ -199,6 +202,13 @@ class FiniteGroup:
     @property
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
+
+
+def _require_degree(degree: int, kind: str, perms: Iterable[Permutation]) -> None:
+    """DegreeMismatch naming the first of `perms` whose degree is not `degree`."""
+    for p in perms:
+        if p.degree != degree:
+            raise DegreeMismatch(f"{kind} of degree {p.degree} in a degree-{degree} group")
 
 
 def _picker(keys: Sequence[int]):
@@ -250,11 +260,7 @@ def _closure(degree: int, generators: Sequence[Permutation], cap: int) -> tuple:
 def generate(degree: int, generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> FiniteGroup:
     """Close a generating set into a full group, deterministically ordered."""
     gens = list(generators)
-    for g in gens:
-        if g.degree != degree:
-            raise DegreeMismatch(
-                f"generator of degree {g.degree} in a degree-{degree} group"
-            )
+    _require_degree(degree, "generator", gens)
     return FiniteGroup._trusted(degree, gens, _closure(degree, gens, cap))
 
 

@@ -160,12 +160,12 @@ class TestLinearPrimitivity:
     @pytest.mark.parametrize("n", [2, 3, 5, 6, 8, 12])
     def test_cyclic_groups_are_linearly_primitive(self, n):
         interval = iv.full_subgroup_lattice(cat.cyclic(n))
-        primitive, _ = ch.is_linearly_primitive(interval)
+        primitive, _ = ch.is_linearly_primitive(interval, ch.character_table(interval.ambient))
         assert primitive
 
     def test_klein_four_is_not(self):
         interval = iv.full_subgroup_lattice(cat.catalog_group("v4"))
-        primitive, witness = ch.is_linearly_primitive(interval)
+        primitive, witness = ch.is_linearly_primitive(interval, ch.character_table(interval.ambient))
         assert not primitive and witness is None
 
     def test_d8_psl_with_reciprocal_sum_below_two(self):
@@ -176,7 +176,7 @@ class TestLinearPrimitivity:
             for a in lat.atoms(interval.lattice)
         )
         assert total == pytest.approx(2 / 3)
-        primitive, _ = ch.is_linearly_primitive(interval)
+        primitive, _ = ch.is_linearly_primitive(interval, ch.character_table(interval.ambient))
         assert primitive
 
     def test_table_of_another_group_is_refused(self):
@@ -186,7 +186,8 @@ class TestLinearPrimitivity:
         with pytest.raises(InvalidParameters):
             ch.is_linearly_primitive(interval, ch.character_table(cat.cyclic(24)))
         bare = FiniteGroup(4, [], cat.symmetric(4).elements)
-        assert ch.is_linearly_primitive(interval, ch.character_table(bare)) == ch.is_linearly_primitive(interval)
+        own = ch.is_linearly_primitive(interval, ch.character_table(interval.ambient))
+        assert ch.is_linearly_primitive(interval, ch.character_table(bare)) == own
 
     def test_rank_one_intervals_are_primitive(self):
         # maximal subgroups of a few catalog groups

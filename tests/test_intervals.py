@@ -604,7 +604,8 @@ class TestIntervalMemo:
         assert iv._ambient(group).intervals == {}
         full = iv.full_subgroup_lattice(group)
         assert len(full) == 16
-        assert list(iv._ambient(group).intervals.values()) == [full]
+        # D6 has no single generator, so its Ore answer is (None, 0)
+        assert list(iv._ambient(group).intervals.values()) == [(full, (None, 0))]
 
     def test_bbl_and_cfl_share_one_full_lattice(self, cold_intervals, monkeypatch):
         built = []
@@ -803,7 +804,13 @@ class TestNormalizerOrbits:
         group, base = pair
         amb = iv._ambient(group)
         k = amb.generated(lat.bits(amb.subgroup_mask(base)))
-        normalizer = amb.generated(k.gens + amb.normalizer_gens(k))
+        walk = list(amb.double_cosets(k))
+        index = amb.n // len(k.elems)
+        if iv._least_prime_factor(index) == index:
+            # at a prime index one g stands for every element outside H, and N is never asked for
+            assert [(ext.mask, double) for _, ext, double in walk] == [((1 << amb.n) - 1, ((1 << amb.n) - 1) & ~k.mask)]
+            return
+        normalizer = amb.generated(k.gens + amb.normalizer_gens(k, [double for _, _, double in walk]))
         assert {amb.elems[x] for x in normalizer.elems} == brute_force_normalizer(group, base)
 
     @settings(max_examples=30, deadline=None)
@@ -826,15 +833,15 @@ class TestNormalizerOrbits:
     @pytest.mark.parametrize("name, classes", [("psl2_7", 15), ("s5", 19), ("s2xs3_2", 69)])
     def test_one_representative_per_conjugacy_class(self, name, classes):
         amb = iv._ambient(cat.catalog_group(name))
-        covers, reps = iv._overgroups(amb, amb.trivial, iv.DEFAULT_MEMBER_CAP)
+        covers, reps, _ = iv._overgroups(amb, amb.trivial, iv.DEFAULT_MEMBER_CAP)
         assert len(reps) == classes
         assert sorted(covers) == sorted(cat.catalog_interval(name).masks)
 
     @pytest.mark.parametrize("name", ["a5", "s5"])
     def test_covers_carried_to_the_whole_group_found_before_the_normalizer(self, name):
-        # When the first extension <H, g> is G, G is found before N_G(H) is
-        # known and is never conjugated; the covers carried to a conjugate of
-        # a proper member outside N_G(H) still include G.
+        # The first extension <H, g> is G, formed before any other member;
+        # its orbit is {G}, and the covers carried to a conjugate of a proper
+        # member outside N_G(H) still include G.
         group = cat.catalog_group(name)
         amb = iv._Ambient(group)
         everything = (1 << amb.n) - 1
@@ -844,8 +851,8 @@ class TestNormalizerOrbits:
             outside = everything & ~mask
             if not outside or amb.extension(k, (outside & -outside).bit_length() - 1, False)[0].mask != everything:
                 continue
-            normalizer = amb.generated(k.gens + amb.normalizer_gens(k)).mask
-            covers, reps = iv._overgroups(amb, k, iv.DEFAULT_MEMBER_CAP)
+            normalizer = amb.generated(k.gens + amb.normalizer_gens(k, [d for _, _, d in amb.double_cosets(k)])).mask
+            covers, reps, _ = iv._overgroups(amb, k, iv.DEFAULT_MEMBER_CAP)
             extended = {r.mask for r in reps}
             carried = [m for m in covers if m not in extended and everything in covers[m]]
             if not any(m & ~normalizer for m in carried):
@@ -861,8 +868,8 @@ class TestNormalizerOrbits:
     def test_self_normalizing_base_extends_every_member(self):
         amb = iv._ambient(cat.psl2_7())
         base = amb.generated(lat.bits(amb.subgroup_mask(cat.catalog_pair("psl2_7/d8")[1])))
-        assert amb.normalizer_gens(base) == ()
-        covers, reps = iv._overgroups(amb, base, iv.DEFAULT_MEMBER_CAP)
+        assert amb.normalizer_gens(base, [d for _, _, d in amb.double_cosets(base)]) == ()
+        covers, reps, _ = iv._overgroups(amb, base, iv.DEFAULT_MEMBER_CAP)
         assert len(reps) == len(covers) == 4
 
     @pytest.mark.parametrize("name, members", [("s4", 30), ("psl2_7", 179)])
@@ -955,7 +962,9 @@ class TestLagrangeStop:
             if all(k.mask >> amb.mul[amb.mul[s][h]][amb.inv[s]] & 1 for h in k.gens)
         ]
         expected = reference_extend_all(amb, k.mask, k.gens, normalizing)[1][len(k.gens):]
-        assert amb.normalizer_gens(k) == expected
+        index = amb.n // len(k.elems)
+        if iv._least_prime_factor(index) < index:
+            assert amb.normalizer_gens(k, [d for _, _, d in amb.double_cosets(k)]) == expected
 
     @pytest.mark.parametrize("group, sub", [
         (cat.symmetric(3), a3_in_s3()),
@@ -969,9 +978,12 @@ class TestLagrangeStop:
         for g in lat.bits(((1 << amb.n) - 1) & ~k.mask):
             ext = amb.extension(k, g, False)[0]
             assert (ext.mask, ext.gens, ext.elems) == ((1 << amb.n) - 1, k.gens + (g,), list(range(amb.n)))
-        # the overgroup search finds G as the base's only cover with no walk either
-        covers, _ = iv._overgroups(amb, k, iv.DEFAULT_MEMBER_CAP)
+        # the overgroup search finds G as the base's only cover with no walk
+        # either, and every element outside H generates G with it
+        covers, _, ore = iv._overgroups(amb, k, iv.DEFAULT_MEMBER_CAP)
         assert covers == {k.mask: [(1 << amb.n) - 1], (1 << amb.n) - 1: []}
+        outside = ((1 << amb.n) - 1) & ~k.mask
+        assert ore == ((outside & -outside).bit_length() - 1, amb.n // len(k.elems) - 1)
 
     def test_trivial_subgroup_of_a_prime_cyclic_group(self, monkeypatch):
         amb = iv._Ambient(cat.cyclic(7))
@@ -987,7 +999,8 @@ class TestLagrangeStop:
         assert amb.extension(amb.trivial, 0, False)[0] is amb.trivial
         assert amb.generated([0]) is amb.trivial
         assert amb.extension(amb.trivial, 0) == (amb.trivial, 1)
-        assert amb.normalizer_gens(amb.trivial) == ()
+        assert list(amb.double_cosets(amb.trivial)) == []
+        assert amb.normalizer_gens(amb.trivial, []) == ()
         assert len(iv.full_subgroup_lattice(trivial_group(degree))) == 1
 
     def test_double_coset_covering_most_of_the_group_does_not_stop_early(self):
@@ -1028,6 +1041,24 @@ class TestOre:
         with pytest.raises(NotDistributive):
             iv.verify_ore(cat.catalog_interval("v4"))
 
+    @pytest.mark.parametrize("group, sub", [
+        (cat.symmetric(3), a3_in_s3()),
+        (cat.symmetric(5), subgroup_generated(cat.symmetric(5), [p for p in cat.symmetric(5).elements if p(4) == 4])),
+        (cat.cyclic(7), trivial_group(7)),
+    ], ids=["a3 in s3", "s4 in s5", "1 in z7"])
+    def test_prime_index_answers(self, group, sub):
+        # every element outside H generates G with it: |G:H| - 1 cosets, the least element outside H first
+        interval = iv.overgroup_interval(group, sub)
+        assert iv.generating_coset_count(interval) == group.order // sub.order - 1
+        assert iv.verify_ore(interval) == next(g for g in group.elements if g not in sub)
+
+    @pytest.mark.parametrize("group", [cat.symmetric(4), cat.cyclic(5), trivial_group(3)], ids=["s4", "z5", "1"])
+    def test_whole_group_is_generated_by_the_identity(self, group):
+        interval = iv.overgroup_interval(group, group)
+        assert len(interval) == 1
+        assert iv.generating_coset_count(interval) == 1
+        assert iv.verify_ore(interval) == group.identity
+
     @settings(max_examples=40, deadline=None)
     @given(groups_with_base())
     @example((cat.symmetric(4), trivial_group(4)))
@@ -1061,28 +1092,54 @@ def counting_extensions(monkeypatch):
     return calls
 
 
-class TestOneOreWalk:
-    """The Ore walk over s2xs3_3/base: H, order 8, closed once; 16 double cosets, only the last generating."""
+# `_Ambient.extension` calls per build of each catalog interval, its base
+# closed beforehand: the counts made when the Ore answers had a walk of
+# their own, which the search must not exceed
+EXTENSION_CALLS = {"a4": 27, "a5": 152, "d4": 24, "d5": 20, "d6": 40, "psl2_7": 458, "s2xs3": 40, "s2xs3_2": 654, "s2xs3_3": 13915, "s3": 12, "s3xs3": 165, "s4": 74, "s5": 381, "trivial": 0, "v4": 9, "z12": 32, "z2": 1, "z3": 1, "z4": 7, "z5": 1, "z6": 12, "z7": 1, "z8": 18, "z9": 17, "psl2_7/d8": 7, "psl2_7/s3": 8, "s2xs3_1/base": 7, "s2xs3_2/base": 23, "s2xs3_3/base": 73, "s3/a3": 1}
 
-    def test_witness_after_count_walks_nothing(self, cold_intervals, monkeypatch):
-        interval = cat.catalog_interval("s2xs3_3/base")
+
+class TestOneOreWalk:
+    """The Ore answers come from the search that built the interval, with no walk of their own."""
+
+    @pytest.mark.parametrize("name", sorted(EXTENSION_CALLS))
+    def test_ore_questions_after_a_build_walk_nothing(self, cold_intervals, monkeypatch, name):
+        group, base = cat.catalog_pair(name)
+        amb = iv._ambient(group)
+        iv._closed(amb, amb.subgroup_mask(base))
         calls = counting_extensions(monkeypatch)
-        assert iv.generating_coset_count(interval) == 8
-        assert len(calls) == 16
+        interval = iv.overgroup_interval(group, base)
+        assert len(calls) == EXTENSION_CALLS[name]
         calls.clear()
-        assert iv.verify_ore(interval).to_cycles(one_based=False) == "(0 1)(3 4)(6 7)(9 10)"
+        count = iv.generating_coset_count(interval)
+        if lat.is_distributive(interval.lattice):
+            witness = iv.verify_ore(interval)
+            assert subgroup_generated(group, [*base.elements, witness]).order == group.order
+            assert count > 0
         assert calls == []
 
-    def test_fresh_witness_walk_stops_at_its_first_generating_coset(self, cold_intervals, monkeypatch):
+    def test_s2xs3_3_base_has_one_generating_double_coset(self, cold_intervals):
+        # H of order 8; 16 double cosets, only the last generating, with 64 elements
         interval = cat.catalog_interval("s2xs3_3/base")
+        assert iv.generating_coset_count(interval) == 8
+        assert iv.verify_ore(interval).to_cycles(one_based=False) == "(0 1)(3 4)(6 7)(9 10)"
+
+    @pytest.mark.parametrize("name", ["s4", "z12", "s2xs3"])
+    def test_hand_built_interval_answers_as_the_searched_one(self, cold_intervals, monkeypatch, name):
+        # sub_interval builds each [h, G] by hand, over an ambient group with no
+        # generators; its first Ore question runs the search of its base once
+        full = cat.catalog_interval(name)
+        top = full.lattice.top
         calls = counting_extensions(monkeypatch)
-        witness = iv.verify_ore(interval)
-        # the walk alone: H, closed when the interval was built, is not closed again
-        assert len(calls) == 16
-        assert interval._generating is None
-        calls.clear()
-        assert iv.generating_coset_count(interval) == 8 and len(calls) == 16
-        assert interval._generating == ((interval._amb.index[witness.images], 64),)
+        for h in range(len(full)):
+            part = sub_interval(full, h, top)
+            searched = iv.overgroup_interval(full.ambient, full.members[h])
+            assert part is not searched and part._amb is not searched._amb
+            assert iv.generating_coset_count(part) == iv.generating_coset_count(searched)
+            if lat.is_distributive(part.lattice):
+                calls.clear()
+                assert iv.verify_ore(part) == iv.verify_ore(searched)
+                assert calls == []
+            assert set(iv._searched(part._amb, part.masks[0], len(part))[0].masks) == set(part.masks)
 
     def test_a_set_that_is_not_closed_is_refused_every_time_and_kept_nowhere(self, cold_intervals):
         amb = iv._ambient(cat.symmetric(3))

@@ -316,7 +316,10 @@ class TestMaskLattice:
         ([[], [1]], NotAPartialOrder),
         ([[], [], [0, 1]], NotALattice),
         ([[], [0], [0]], NotALattice),
-    ], ids=["empty", "cover-above", "self-cover", "two-bottoms", "two-tops"])
+        # a square whose top lists 1 twice, and a 3-chain whose top also lists the bottom
+        ([[], [0], [0], [1, 2, 1]], NotAPartialOrder),
+        ([[], [0], [0, 1]], NotAPartialOrder),
+    ], ids=["empty", "cover-above", "self-cover", "two-bottoms", "two-tops", "repeated-cover", "redundant-cover"])
     def test_lower_covers_are_checked(self, lower, error):
         with pytest.raises(error):
             lat.FiniteLattice(lower)

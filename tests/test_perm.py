@@ -213,6 +213,17 @@ class TestTrustedGroups:
         with pytest.raises(InvalidParameters, match="repeat: 7 given, 6 distinct"):
             FiniteGroup(3, [], list(group.elements) + [group.elements[1]])
 
+    @pytest.mark.parametrize("degree, gens, elements, message", [
+        (3, [], [[0, 1, 2], [1, 0]], "^element of degree 2 in a degree-3 group$"),
+        (2, [[1, 0, 2]], [[0, 1, 2], [1, 0, 2]], "^generator of degree 3 in a degree-2 group$"),
+        (2, [], [[0, 1], [1, 0], [0, 2, 1]], "^element of degree 3 in a degree-2 group$"),
+    ], ids=["short-element", "long-generator", "long-element"])
+    def test_a_permutation_of_another_degree_is_refused(self, degree, gens, elements, message):
+        # before, the first case raised a bare IndexError in the subgroup lattice, and the
+        # second "() is not among the group's elements"
+        with pytest.raises(DegreeMismatch, match=message):
+            FiniteGroup(degree, [Permutation(g) for g in gens], [Permutation(e) for e in elements])
+
     def test_identity_counts_against_the_cap(self):
         with pytest.raises(CapExceeded, match="^group closure exceeded cap of 0 elements$"):
             generate(3, [], cap=0)
