@@ -16,12 +16,14 @@ object on every call.  Construction is deterministic.
 from __future__ import annotations
 
 from functools import lru_cache
-from .errors import ParseError
+from .errors import InvalidParameters, ParseError
 from .perm import FiniteGroup, Permutation, generate, subgroup_generated, trivial_group
 from .intervals import GroupInterval, overgroup_interval
 
 
 def cyclic(n: int) -> FiniteGroup:
+    if n < 1:
+        raise InvalidParameters(f"the cyclic group needs n >= 1, got {n}")
     if n == 1:
         return trivial_group(1)
     return generate(n, [Permutation([(i + 1) % n for i in range(n)])])
@@ -29,12 +31,16 @@ def cyclic(n: int) -> FiniteGroup:
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n acting on n points, n >= 3."""
+    if n < 3:
+        raise InvalidParameters(f"the dihedral group needs n >= 3, got {n}")
     rot = Permutation([(i + 1) % n for i in range(n)])
     flip = Permutation([(n - i) % n for i in range(n)])
     return generate(n, [rot, flip])
 
 
 def symmetric(n: int) -> FiniteGroup:
+    if n < 1:
+        raise InvalidParameters(f"the symmetric group needs n >= 1, got {n}")
     if n == 1:
         return trivial_group(1)
     gens = [Permutation([1, 0] + list(range(2, n)))]
@@ -44,6 +50,8 @@ def symmetric(n: int) -> FiniteGroup:
 
 
 def alternating(n: int) -> FiniteGroup:
+    if n < 1:
+        raise InvalidParameters(f"the alternating group needs n >= 1, got {n}")
     if n <= 2:
         return trivial_group(n)
     three = Permutation([1, 2, 0] + list(range(3, n)))
@@ -61,6 +69,8 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
 
     Each factor's generators, or its elements if it has none, move onto its block of points.
     """
+    if not factors:
+        raise InvalidParameters("a direct product needs at least one factor")
     degree, start, gens = sum(f.degree for f in factors), 0, []
     for f in factors:
         head, tail = list(range(start)), list(range(start + f.degree, degree))

@@ -12,7 +12,11 @@ Two kinds of input are certified, all through `certify`:
   only by rank and total index.  Here the analysis enumerates the chain
   types that are arithmetically possible and certifies each, mirroring the
   published case analysis; types that no rule covers are reported as the
-  undecided frontier.
+  undecided frontier; past `MAX_CHAIN_TYPES` types, CapExceeded.
+
+The module stands on labels and integers alone (it imports `lattice`,
+`totients` and `errors`); its primality test is exact below 3.3·10²⁴ and
+trial divides up to 10⁶ above, enough for every chain-type entry.
 
 Certificates record every applied rule with its numeric evidence so a
 verdict can be re-checked independently.
@@ -31,11 +35,12 @@ from typing import NamedTuple, Optional, Sequence, Union
 from . import lattice as lat
 from . import totients as tt
 from .errors import CapExceeded, InvalidParameters, NotDistributive
-from .intervals import _least_prime_factor
 from .totients import BooleanInterval, IndexedInterval, integer_labels
 
 ALLSPLIT_PRODUCT_LIMIT = 32
 FORBIDDEN_EDGE = 7
+# the most chain types `factorizations` lists (14 MB at rank 8); 6^12 has 23,955 of rank 8
+MAX_CHAIN_TYPES = 100_000
 
 
 @dataclass
@@ -62,11 +67,8 @@ class Certificate:
         return [s.rule for s in self.steps]
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "steps": [s.to_dict() for s in self.steps],
-            "frontier": [list(t) for t in self.frontier],
-        }
+        return {"verdict": self.verdict, "steps": [s.to_dict() for s in self.steps],
+                "frontier": [list(t) for t in self.frontier]}
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,8 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
 
     A depth-first walk on an explicit stack, so the number of parts is not
     bounded by the interpreter's recursion limit.  Each node is (remaining,
-    lowest next factor, factors so far); its children are pushed largest
+    lowest next factor, factors so far); a node with one factor to go
+    appends its tuple, and the children of any other are pushed largest
     factor first, so they are popped in ascending order.  A node's
     candidates f, with f ** count <= remaining, are the sorted divisors of
     `number` built from the primes found so far: trial division of the
@@ -128,9 +131,12 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
     Trial division stops at `_TRIAL_DIVISION_LIMIT`: a node that needs
     more splits a composite cofactor below `_MR_LIMIT` into its primes by
     `_rho_primes`, and raises CapExceeded naming a cofactor past it, where
-    the primality test is not exact.
+    the primality test is not exact.  It raises CapExceeded as well before
+    the list passes `MAX_CHAIN_TYPES` tuples.
     """
     number, parts, min_factor = integer_labels((number, parts, min_factor), "number, parts and min_factor")
+    if number < 1 or parts < 1 or min_factor < 2:
+        raise InvalidParameters("need number >= 1, parts >= 1 and min_factor >= 2")
     divisors, cofactor, p = [1], number, 2
     prime = cofactor < _MR_LIMIT and _miller_rabin(cofactor)
     result: list = []
@@ -138,14 +144,13 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
     while stack:
         remaining, lowest, acc = stack.pop()
         count = parts - len(acc)
-        if count == 0:
-            if remaining == 1:
-                result.append(acc)
-            continue
         if count == 1:
             # the last factor is what remains
             if remaining >= lowest:
-                stack.append((1, remaining, acc + (remaining,)))
+                if len(result) == MAX_CHAIN_TYPES:
+                    raise CapExceeded(f"the index {number} has more than {MAX_CHAIN_TYPES:,} "
+                                      f"chain types of {parts} entries")
+                result.append(acc + (remaining,))
             continue
         # every prime factor of a candidate is at most its count-th root
         while cofactor > 1 and p ** count <= remaining:
@@ -188,29 +193,26 @@ def factor_products(limit: int, min_factor: int, min_count: int) -> list:
     """Numbers below `limit` that factor into >= min_count integers >= min_factor.
 
     Returns (number, {parts: [factorizations]}) entries, covering every
-    admissible number of parts, sorted by number.
+    admissible number of parts, sorted by number: one walk over the
+    nondecreasing tuples that can still reach `min_count` factors below
+    `limit` records each one that has.
     """
-    if limit < min_factor ** min_count:
-        return []
+    limit, min_factor, min_count = integer_labels((limit, min_factor, min_count), "limit, min_factor and min_count")
+    if min_factor < 2 or min_count < 1:
+        raise InvalidParameters("need min_factor >= 2 and min_count >= 1")
     per_number: dict = {}
-    parts = min_count
-    while min_factor ** parts < limit:
-        stack = [(1, min_factor, ())]
-        while stack:
-            prod, lowest, acc = stack.pop()
-            if len(acc) == parts:
-                per_number.setdefault(prod, {}).setdefault(parts, []).append(acc)
-                continue
-            f = lowest
-            while prod * f ** (parts - len(acc)) < limit:
-                stack.append((prod * f, f, acc + (f,)))
-                f += 1
-        parts += 1
-    entries = []
-    for number in sorted(per_number):
-        by_count = {k: sorted(v) for k, v in sorted(per_number[number].items())}
-        entries.append((number, by_count))
-    return entries
+    stack = [(1, min_factor, ())]
+    while stack:
+        product, lowest, acc = stack.pop()
+        if len(acc) >= min_count:
+            per_number.setdefault(product, {}).setdefault(len(acc), []).append(acc)
+        need = max(min_count - len(acc), 1)
+        f = lowest
+        while product * f ** need < limit:
+            stack.append((product * f, f, acc + (f,)))
+            f += 1
+    return [(number, {k: sorted(v) for k, v in sorted(per_number[number].items())})
+            for number in sorted(per_number)]
 
 
 # -- per-chain-type rules -----------------------------------------------------
@@ -246,14 +248,10 @@ def _extended_allsplit_ok(chain_type: Sequence[int]) -> bool:
     return True
 
 
-def _single_divergent_shape(chain_type: Sequence[int]) -> Optional[tuple]:
-    """(p, q) when the type is (p, ..., p, q) with q > p, else None."""
-    values = sorted(set(chain_type))
-    if len(values) != 2:
-        return None
-    p, q = values
-    if list(chain_type).count(q) == 1:
-        return p, q
+def _single_divergent_shape(key: Sequence[int]) -> Optional[tuple]:
+    """(p, q) when the sorted type is (p, ..., p, q) with q > p, else None."""
+    if len(key) >= 2 and key[0] == key[-2] < key[-1]:
+        return key[0], key[-1]
     return None
 
 
@@ -279,14 +277,14 @@ def _leaf_bounds(key: tuple) -> Optional[tuple]:
     """
     if len(key) == 0:
         return (1, 1)
-    p, q, n = key[0], key[-1], len(key)
-    if p == q:
-        v = (p - 1) ** n
+    n = len(key)
+    if key[0] == key[-1]:
+        v = (key[0] - 1) ** n
         return (v, v)
-    # sorted and not uniform: (p, ..., p, q) exactly when the next-to-last entry is p
-    if key[-2] != p:
+    shape = _single_divergent_shape(key)
+    if shape is None:
         return None
-    return (tt.closed_form_p_n_q(p, q, n, min(n, 2)), tt.closed_form_p_n_q(p, q, n, 1))
+    return (tt.closed_form_p_n_q(*shape, n, min(n, 2)), tt.closed_form_p_n_q(*shape, n, 1))
 
 
 def _phihat_bounds(chain_type: tuple) -> tuple:
@@ -466,11 +464,8 @@ def _scenario_step(scenario: IndexedModel, halved: Optional[Certificate]) -> Cer
             return Certificate("undecided", steps, halved.frontier)
     possible = factorizations(scenario.index, scenario.rank, min_factor=3)
     if not possible:
-        steps.append(CertStep(
-            "R8-chain-type-analysis",
-            "no chain type without index-2 edges is arithmetically possible",
-            {"possible_types": []},
-        ))
+        steps.append(CertStep("R8-chain-type-analysis",
+                              "no chain type without index-2 edges is arithmetically possible", {"possible_types": []}))
         return Certificate("primitive", steps)
     return _certify_types(scenario.index, scenario.rank, possible, steps, exact_types=False)
 
@@ -487,18 +482,12 @@ def _certify_types(index: int, rank: int, possible: Sequence[tuple], steps: list
     for t in possible:
         evidence = {"type": list(t), "product": prod(e - 1 for e in t)}
         if allsplit_small_ok(t):
-            covered[t] = CertStep(
-                "R8-allsplit-small",
-                "a chain of this type makes every atom split: product formula applies",
-                evidence,
-            )
+            covered[t] = CertStep("R8-allsplit-small",
+                                  "a chain of this type makes every atom split: product formula applies", evidence)
         elif _extended_allsplit_ok(t):
-            covered[t] = CertStep(
-                "R8-allsplit-extended",
-                "repeated-edge square with no alternative decomposition among the "
-                "type's edge values; split propagation per the published case argument",
-                evidence,
-            )
+            covered[t] = CertStep("R8-allsplit-extended",
+                                  "repeated-edge square with no alternative decomposition among the type's edge "
+                                  "values; split propagation per the published case argument", evidence)
     if exact_types and covered:
         t = next(t for t in possible if t in covered)
         steps.append(covered[t])
@@ -585,11 +574,8 @@ def _forced_type_step(chain_type: tuple) -> Optional[CertStep]:
     if lo <= 0:
         return None
     if len(set(chain_type)) == 1:
-        return CertStep(
-            "R8-uniform-type",
-            "all edges share one index: dual totient is (p-1)^n",
-            {"type": list(chain_type), "phihat": lo},
-        )
+        return CertStep("R8-uniform-type", "all edges share one index: dual totient is (p-1)^n",
+                        {"type": list(chain_type), "phihat": lo})
     shape = _single_divergent_shape(chain_type)
     if shape is not None:
         p, q = shape
@@ -599,18 +585,15 @@ def _forced_type_step(chain_type: tuple) -> Optional[CertStep]:
             "admissible coatom count",
             {"type": list(chain_type), "p": p, "q": q, "minimum": lo},
         )
-    return CertStep(
-        "R8-iterative-bound",
-        "coatom recursion over every branch keeps the dual totient positive",
-        {"type": list(chain_type), "minimum": str(lo)},
-    )
+    return CertStep("R8-iterative-bound", "coatom recursion over every branch keeps the dual totient positive",
+                    {"type": list(chain_type), "minimum": str(lo)})
 
 
 # Miller–Rabin to the first 13 prime bases decides primality exactly below
 # _MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
-# the largest trial divisor `factorizations` tries on a cofactor past _MR_LIMIT;
+# the largest trial divisor `factorizations` and `_is_prime` try past _MR_LIMIT;
 # counting up to it takes about 0.2 s on x86-64
 _TRIAL_DIVISION_LIMIT = 10 ** 6
 
@@ -699,16 +682,16 @@ def _rho_primes(n: int) -> tuple:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller–Rabin below its bound; above it, trial division."""
+    """Miller–Rabin below `_MR_LIMIT`, trial division up to 10⁶ above it, else CapExceeded.
+
+    No chain-type entry from `factorizations` raises: each prime above 10⁶
+    there comes from a cofactor below `_MR_LIMIT` (it raises CapExceeded on
+    a larger one), so an entry at or above `_MR_LIMIT` has a prime factor
+    of at most 10⁶.
+    """
     if n < _MR_LIMIT:
         return _miller_rabin(n)
-    return _least_prime_factor(n) == n
-
-
-# -- the rank-2 census pattern ------------------------------------------------
-
-
-def census_pattern_holds(quad: tuple) -> bool:
-    """Opposite sides equal, except a (7, 7) coatom pair over a base pair in {3, 4}."""
-    a, b, c, d = quad
-    return (a, b) == (c, d) or (a == b == 7 and c == d and c in (3, 4))
+    if any(n % p == 0 for p in range(2, _TRIAL_DIVISION_LIMIT + 1)):
+        return False
+    raise CapExceeded(f"{n} has no prime factor up to {_TRIAL_DIVISION_LIMIT:,} "
+                      f"and is past the exact primality test's bound")

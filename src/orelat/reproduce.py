@@ -129,6 +129,12 @@ def rank2_index_table(limit: int) -> list:
     return rows
 
 
+def census_pattern_holds(quad: tuple) -> bool:
+    """Opposite sides equal, except a (7, 7) coatom pair over a base pair in {3, 4}."""
+    a, b, c, d = quad
+    return (a, b) == (c, d) or (a == b == 7 and c == d and c in (3, 4))
+
+
 def run_rank2_table() -> tuple:
     fixture = _load_fixture("rank2_census.json")
     loc = fixture["paper_location"]
@@ -136,7 +142,7 @@ def run_rank2_table() -> tuple:
     rows = rank2_index_table(limit)
     violations = [
         {"where": where, "quadruple": list(quad)}
-        for quad, where in rows if not cf.census_pattern_holds(quad)
+        for quad, where in rows if not census_pattern_holds(quad)
     ]
     quads = sorted({quad for quad, _ in rows})
     exceptional = sorted({quad for quad, _ in rows if quad[0] != quad[2]})

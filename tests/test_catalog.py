@@ -1,7 +1,7 @@
 import pytest
 
 from orelat import catalog as cat
-from orelat.errors import ParseError
+from orelat.errors import InvalidParameters, ParseError
 from orelat.perm import Permutation
 from references import catalog_bases, klein_four
 
@@ -80,3 +80,27 @@ class TestProducts:
         group = cat.catalog_group(name)
         assert (group.degree, group.order) == (2 + 3 * n, 2 * 6 ** n)
         assert group.generators == tuple(Permutation.from_cycles(c, group.degree, one_based=False) for c in generators)
+
+
+class TestConstructorRanges:
+    # each used to build a wrong group: dihedral(2) had order 2 (the dihedral group of order 4 is V4),
+    # cyclic(0), alternating(0) and direct_product() were of degree 0, symmetric(0) raised DegreeMismatch
+    @pytest.mark.parametrize("build, n", [
+        (cat.cyclic, 0), (cat.cyclic, -1), (cat.dihedral, 2), (cat.dihedral, 1), (cat.dihedral, 0),
+        (cat.symmetric, 0), (cat.alternating, 0),
+    ])
+    def test_below_the_range_is_refused(self, build, n):
+        with pytest.raises(InvalidParameters, match=f"needs n >= .*, got {n}$"):
+            build(n)
+
+    def test_a_product_of_no_factors_is_refused(self):
+        with pytest.raises(InvalidParameters, match="at least one factor"):
+            cat.direct_product()
+
+    @pytest.mark.parametrize("build, n, order", [
+        (cat.cyclic, 1, 1), (cat.dihedral, 3, 6), (cat.symmetric, 1, 1), (cat.symmetric, 2, 2),
+        (cat.alternating, 1, 1), (cat.alternating, 2, 1), (cat.alternating, 3, 3),
+    ])
+    def test_the_least_of_the_range_is_built(self, build, n, order):
+        group = build(n)
+        assert (group.degree, group.order) == (n, order)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -33,10 +34,6 @@ def recursive_factorizations(number, parts, min_factor=3):
     result = []
 
     def rec(remaining, count, lowest, acc):
-        if count == 0:
-            if remaining == 1:
-                result.append(acc)
-            return
         if count == 1:
             # the last factor is what remains, as counting up to it would find
             if remaining >= lowest:
@@ -50,6 +47,34 @@ def recursive_factorizations(number, parts, min_factor=3):
 
     rec(number, parts, min_factor, ())
     return result
+
+
+def per_count_factor_products(limit, min_factor, min_count):
+    """The enumeration as one walk per number of parts, as a reference for the single walk."""
+    per_number = {}
+    parts = min_count
+    while min_factor ** parts < limit:
+        stack = [(1, min_factor, ())]
+        while stack:
+            product, lowest, acc = stack.pop()
+            if len(acc) == parts:
+                per_number.setdefault(product, {}).setdefault(parts, []).append(acc)
+                continue
+            f = lowest
+            while product * f ** (parts - len(acc)) < limit:
+                stack.append((product * f, f, acc + (f,)))
+                f += 1
+        parts += 1
+    return [(n, {k: sorted(v) for k, v in sorted(per_number[n].items())}) for n in sorted(per_number)]
+
+
+def old_single_divergent_shape(chain_type):
+    """The (p, ..., p, q) test as it was written first, on the set of values and the count of q."""
+    values = sorted(set(chain_type))
+    if len(values) != 2:
+        return None
+    p, q = values
+    return (p, q) if list(chain_type).count(q) == 1 else None
 
 
 def trial_division_is_prime(n):
@@ -97,6 +122,15 @@ class TestMillerRabin:
     def test_is_prime_divides_by_trial_above_the_bound(self, monkeypatch):
         monkeypatch.setattr(cf, "_miller_rabin", None)
         assert cf._is_prime(cf._MR_LIMIT + 1) is False
+        assert cf._is_prime(999_983 * (10 ** 25 + 13)) is False
+
+    def test_is_prime_stops_at_the_trial_division_limit(self):
+        # past the exact test's bound with no prime factor up to 10**6: trial division
+        # up to the root would count to about 3 * 10**12
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="no prime factor up to 1,000,000"):
+            cf._is_prime(10 ** 25 + 13)
+        assert time.perf_counter() - start < 1
 
 
 def enumerated_leaf_bounds(p, q, n):
@@ -117,7 +151,7 @@ def recursive_phihat_bounds(chain_type, memo=None):
         v = (key[0] - 1) ** len(key)
         result = (v, v)
     else:
-        shape = cf._single_divergent_shape(key)
+        shape = old_single_divergent_shape(key)
         if shape is not None:
             result = enumerated_leaf_bounds(*shape, len(key))
         else:
@@ -161,13 +195,13 @@ class TestFactorEnumeration:
         assert cf.factor_products(2187, 3, 7) == []
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 5000), st.integers(0, 6), st.integers(1, 5))
+    @given(st.integers(1, 5000), st.integers(1, 6), st.integers(2, 5))
     def test_factorizations_match_recursive_reference(self, number, parts, min_factor):
         assert cf.factorizations(number, parts, min_factor) == recursive_factorizations(number, parts, min_factor)
 
-    @pytest.mark.parametrize("number,parts", [(3 ** 12, 6), (2 ** 10 * 3 ** 4, 5), (9720, 7), (1, 0), (7, 1)])
+    @pytest.mark.parametrize("number,parts", [(3 ** 12, 6), (2 ** 10 * 3 ** 4, 5), (9720, 7), (1, 1), (7, 1)])
     def test_factorizations_match_recursive_reference_on_fixed_cases(self, number, parts):
-        for min_factor in (1, 2, 3):
+        for min_factor in (2, 3):
             assert cf.factorizations(number, parts, min_factor) == recursive_factorizations(number, parts, min_factor)
 
     @pytest.mark.parametrize("number,parts", [
@@ -176,7 +210,7 @@ class TestFactorEnumeration:
         (1_000_003 * 1_000_033, 2), (1_000_003 ** 2, 2), (9 * 1_000_003 * 1_000_033, 3),
     ])
     def test_factorizations_with_a_large_prime_cofactor_match_the_reference(self, number, parts):
-        for min_factor in (1, 3):
+        for min_factor in (2, 3):
             assert cf.factorizations(number, parts, min_factor) == recursive_factorizations(number, parts, min_factor)
 
     def test_factorizations_deeper_than_the_recursion_limit(self):
@@ -189,6 +223,38 @@ class TestFactorEnumeration:
     def test_factorizations_refuse_floats(self, args):
         with pytest.raises(InvalidParameters):
             cf.factorizations(*args)
+
+    # each used to run forever or to answer: factor_products(100, 1, 2) never stopped,
+    # factorizations(12, 2, 0) gave factors of 1 and factorizations(0, 2) gave []
+    @pytest.mark.parametrize("args", [(12, 2, 0), (12, 2, 1), (0, 2), (-12, 2), (10, -1), (10, 0)])
+    def test_factorizations_refuse_what_they_cannot_enumerate(self, args):
+        with pytest.raises(InvalidParameters, match="need number >= 1, parts >= 1 and min_factor >= 2"):
+            cf.factorizations(*args)
+
+    @pytest.mark.parametrize("args", [(100, 1, 2), (100, 0, 2), (100, 3, -1), (100, 3, 0), (100.0, 3, 2)])
+    def test_factor_products_refuse_what_they_cannot_enumerate(self, args):
+        with pytest.raises(InvalidParameters):
+            cf.factor_products(*args)
+
+    def test_factorizations_stop_past_the_chain_type_cap(self, monkeypatch):
+        assert len(cf.factorizations(3 ** 40, 7)) == 2738  # the most that any scenario in the tests lists
+        monkeypatch.setattr(cf, "MAX_CHAIN_TYPES", 2737)
+        with pytest.raises(CapExceeded, match=f"^the index {3 ** 40} has more than 2,737 chain types of 7 entries$"):
+            cf.factorizations(3 ** 40, 7)
+        monkeypatch.setattr(cf, "MAX_CHAIN_TYPES", 2738)
+        assert len(cf.factorizations(3 ** 40, 7)) == 2738
+
+    def test_factor_products_match_the_walk_per_number_of_parts(self):
+        grid = []
+        for limit in (1, 2, 3, 10, 64, 100, 1000, 2188):
+            for min_factor in (2, 3, 4, 5):
+                for min_count in (1, 2, 3, 7):
+                    entries = cf.factor_products(limit, min_factor, min_count)
+                    assert entries == per_count_factor_products(limit, min_factor, min_count)
+                    grid.append([limit, min_factor, min_count, entries])
+        # the grid's entries as factor_products gave them before it became one walk
+        digest = hashlib.sha256(json.dumps(grid).encode()).hexdigest()
+        assert digest == "a724953ddbfa971dc8e2e3a52550c684e5f0ed7d228c4648d2c13b181f62da46"
 
     def test_witness_factorizations_present(self):
         entries = dict(cf.factor_products(10125, 3, 7))
@@ -293,6 +359,14 @@ class TestLemmaScan:
     def test_leaf_bounds_match_the_enumeration_on_random_types(self, p, gap, n):
         q = p + gap
         assert cf._leaf_bounds((p,) * (n - 1) + (q,)) == enumerated_leaf_bounds(p, q, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(2, 6), max_size=7).map(sorted))
+    @example([])
+    @example([3, 3, 4])
+    @example([3, 4, 4])
+    def test_single_divergent_shape_matches_the_set_and_count_test(self, key):
+        assert cf._single_divergent_shape(tuple(key)) == old_single_divergent_shape(key)
 
     def test_minimum_is_exact_over_branch_enumeration(self):
         # independent oracle: enumerate the recursion directly with explicit

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import time
 
@@ -207,6 +208,29 @@ class TestCertify:
             "exit": 3,
         }
 
+    # the first of the R5 halvings to be enumerated is that of rank 7; before the cap,
+    # 6**20 at rank 8 ran past 120 s and 720**4 * 10**6 at rank 12 was killed
+    @pytest.mark.parametrize("rank, index, halved", [
+        (8, 6 ** 20, 6 ** 20 // 2), (12, 720 ** 4 * 10 ** 6, 720 ** 4 * 10 ** 6 // 2 ** 5),
+    ])
+    def test_scenario_with_too_many_chain_types_exits_3(self, capsys, rank, index, halved):
+        start = time.perf_counter()
+        code = main(["certify", "--model-rank", str(rank), "--model-index", str(index)])
+        assert time.perf_counter() - start < 10
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": f"the index {halved} has more than 100,000 chain types of 7 entries", "exit": 3,
+        }
+
+    def test_scenario_below_the_chain_type_cap_keeps_its_certificate(self, capsys):
+        # 6**12 at rank 8 lists 23,955 chain types, its halving 19,124; the digest is the
+        # certificate's before the cap was added
+        code, out = run(capsys, "certify", "--model-rank", "8", "--model-index", str(6 ** 12))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == "db7e1a8ad5528d000bd9f37908c40c5d807fe6b7f4b22203bfe3e05a43e6f5d4"
+
     @pytest.mark.parametrize("flag, value", [("--catalog", "nosuchgroup"), ("--group-file", "group.json"),
                                              ("--subgroup-file", "subgroup.json")], ids=lambda x: x)
     def test_interval_flags_with_an_index_are_an_input_error(self, capsys, flag, value):
@@ -407,9 +431,9 @@ class TestReproduce:
         assert "[pass]" in out and "overall: pass" in out
 
     def test_rank2_census_violation_fails_the_claim(self, capsys, monkeypatch):
-        from orelat import certifier
+        from orelat import reproduce
 
-        monkeypatch.setattr(certifier, "census_pattern_holds", lambda quad: quad != (7, 7, 4, 4))
+        monkeypatch.setattr(reproduce, "census_pattern_holds", lambda quad: quad != (7, 7, 4, 4))
         code, report = run_json(capsys, "reproduce", "rank2-table")
         assert code == 1
         assert report["passed"] is False

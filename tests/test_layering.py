@@ -3,8 +3,9 @@
 The labelled models sit below the group layer: `totients` holds both kinds
 of labelled model and their one label check, so it must not import
 `intervals`; `intervals.GroupInterval` subclasses
-`totients.IndexedInterval`.  The certifier sits below the catalog scans, so
-it imports neither `catalog` nor `reproduce`.  Each data format has one
+`totients.IndexedInterval`.  The certifier stands on labels and integers
+alone: it imports `lattice`, `totients` and `errors`, and neither the group
+layer nor the catalog scans above it.  Each data format has one
 reader: only `lattice` reads a `FiniteLattice`'s masks, and only
 `intervals` reads an `_Ambient`'s multiplication table.  The checks read
 the source with `ast`.
@@ -67,8 +68,14 @@ def defining_modules(name: str) -> list:
 
 
 def test_the_scan_sees_the_imports():
-    assert {"intervals", "totients", "lattice"} <= imported_modules(PACKAGE / "certifier.py")
-    assert "totients" in imported_modules(PACKAGE / "intervals.py")
+    assert {"totients", "lattice", "errors"} <= imported_modules(PACKAGE / "certifier.py")
+    assert "intervals" not in imported_modules(PACKAGE / "certifier.py")
+    assert {"totients", "errors"} <= imported_modules(PACKAGE / "intervals.py")
+    assert {"intervals", "certifier"} <= imported_modules(PACKAGE / "reproduce.py")
+
+
+def test_the_certifier_imports_only_lattice_totients_and_errors():
+    assert imported_modules(PACKAGE / "certifier.py") == {"lattice", "totients", "errors"}
 
 
 def test_totients_does_not_import_intervals():
