@@ -153,7 +153,7 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
                 result.append(acc + (remaining,))
             continue
         # every prime factor of a candidate is at most its count-th root
-        while cofactor > 1 and p ** count <= remaining:
+        while cofactor > 1 and _power_at_most(p, count, remaining):
             if prime or p * p > cofactor:
                 p = cofactor
             elif p > _TRIAL_DIVISION_LIMIT:
@@ -172,12 +172,21 @@ def factorizations(number: int, parts: int, min_factor: int = 3) -> list:
             p += 2 if p > 2 else 1
         children = []
         for f in islice(divisors, bisect_left(divisors, lowest), None):
-            if f ** count > remaining:
+            if not _power_at_most(f, count, remaining):
                 break
             if remaining % f == 0:
                 children.append((remaining // f, f, acc + (f,)))
         stack.extend(reversed(children))
     return result
+
+
+def _power_at_most(base: int, exponent: int, bound: int) -> bool:
+    """base ** exponent <= bound, for base >= 2, never forming a power of more than twice bound's bits.
+
+    base ** exponent >= 2 ** ((bit length of base - 1) * exponent), so a
+    product of bit counts past bound's settles it before the power is taken.
+    """
+    return (base.bit_length() - 1) * exponent < bound.bit_length() and base ** exponent <= bound
 
 
 def _divide_out(divisors: list, cofactor: int, f: int) -> tuple:
@@ -208,7 +217,7 @@ def factor_products(limit: int, min_factor: int, min_count: int) -> list:
             per_number.setdefault(product, {}).setdefault(len(acc), []).append(acc)
         need = max(min_count - len(acc), 1)
         f = lowest
-        while product * f ** need < limit:
+        while _power_at_most(f, need, (limit - 1) // product):
             stack.append((product * f, f, acc + (f,)))
             f += 1
     return [(number, {k: sorted(v) for k, v in sorted(per_number[number].items())})
@@ -436,13 +445,25 @@ def _index_two_reduction(model: BooleanInterval, steps: list) -> Optional[Certif
 
 
 def _certify_scenario(scenario: IndexedModel) -> Certificate:
-    """Walk the R5 halvings down to an odd index or rank below 7, then fold the verdicts back up."""
+    """Walk the R5 halvings down to an odd index or rank below 7, then fold the verdicts back up.
+
+    A cap met on a halving is raised again naming the scenario given, with
+    the halving as a detail.
+    """
     chain = [scenario]
     while chain[-1].rank >= 7 and chain[-1].index % 2 == 0:
         chain.append(IndexedModel(chain[-1].rank - 1, chain[-1].index // 2))
     inner = None
     for model in reversed(chain):
-        inner = _scenario_step(model, inner)
+        try:
+            inner = _scenario_step(model, inner)
+        except CapExceeded as exc:
+            if model is scenario:
+                raise
+            raise CapExceeded(
+                f"the scenario of rank {scenario.rank} and index {scenario.index} was not certified: "
+                f"at its R5 halving to rank {model.rank}, {exc}"
+            ) from None
     return inner
 
 

@@ -46,10 +46,13 @@ A `GroupInterval` is a `totients.IndexedInterval` labelled by the indices
 |G:K|, checked once when it is built; the totients and the certifier take
 it as is.  Its members are the bitsets `masks`, over the element ids of
 `_ambient(interval.ambient)`, and nothing else: the library reads them
-directly (the characters count their elements per class), and `members`
-decodes them to `FiniteGroup`s only when first read.  They are numbered by
-size, then by ascending element ids, an order read off each bitset's
-reversed digits without decoding it.
+directly (the characters count their elements per class).  The first read
+of `members` decodes each bitset to a `FiniteGroup` holding the sorted
+image tuples at its ids; a member's `Permutation`s are made only when its
+`elements` is read, and `verify_ore` wraps its one witness.  Element id i
+is the i-th image tuple of the ambient group in ascending order, and
+members are numbered by size, then by ascending element ids, an order read
+off each bitset's reversed digits without decoding it.
 
 A group's `_Ambient` is the one cache of what is derived from the group:
 its table, its conjugations, its closed subgroups and its intervals.
@@ -120,11 +123,11 @@ class _Ambient:
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.n = group.order
-        self.elems = group.elements
-        images = [p.images for p in group.elements]
+        # element id i is the i-th image tuple in ascending order
+        self.images = images = group._sorted_images
         self.index = index = {img: i for i, img in enumerate(images)}
         try:
-            self.identity = index[group.identity.images]
+            self.identity = index[tuple(range(group.degree))]
             # generator ids: the group's own, else those the table's walk picks, as `generated(range(n))` would
             gens = [index[p.images] for p in group.generators]
         except KeyError as exc:
@@ -151,7 +154,7 @@ class _Ambient:
 
     def subgroup_mask(self, sub: FiniteGroup) -> int:
         try:
-            return sum(self.bit[self.index[p.images]] for p in sub.elements)
+            return sum(self.bit[self.index[images]] for images in sub._element_set)
         except KeyError as exc:
             raise NotASubgroup("subgroup has elements outside the ambient group") from exc
 
@@ -421,10 +424,10 @@ class GroupInterval(IndexedInterval):
     def members(self) -> tuple:
         """The members as `FiniteGroup`s, decoded from `masks` on first read."""
         if self._members is None:
-            degree, elems = self._amb.group.degree, self._amb.elems
-            # ascending ids are sorted, distinct elements
+            degree, images = self._amb.group.degree, self._amb.images
+            # ascending ids are sorted, distinct image tuples
             self._members = tuple(
-                FiniteGroup._trusted(degree, (), tuple(map(elems.__getitem__, lat.bits(m)))) for m in self.masks
+                FiniteGroup._trusted(degree, (), tuple(map(images.__getitem__, lat.bits(m)))) for m in self.masks
             )
         return self._members
 
@@ -589,7 +592,7 @@ def verify_ore(interval: GroupInterval) -> Permutation:
     g = _ore(interval)[0]
     if g is None:
         raise OreViolation("no generating coset found on a distributive interval")
-    return interval._amb.elems[g]
+    return Permutation._trusted(interval._amb.images[g])
 
 
 def generating_coset_count(interval: GroupInterval) -> int:

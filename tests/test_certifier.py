@@ -236,6 +236,15 @@ class TestFactorEnumeration:
         with pytest.raises(InvalidParameters):
             cf.factor_products(*args)
 
+    # each used to form 2 ** count first: 10**8 parts took 0.3-0.4 s, 10**10 would need 1.25 GB
+    @pytest.mark.parametrize("count", [10 ** 8, 10 ** 10])
+    def test_part_counts_past_the_number_end_at_once(self, count):
+        start = time.perf_counter()
+        assert cf.factor_products(10, 2, count) == []
+        assert cf.factorizations(3, count) == []
+        assert cf.factorizations(3 ** 40, count, 2) == []
+        assert time.perf_counter() - start < 0.5
+
     def test_factorizations_stop_past_the_chain_type_cap(self, monkeypatch):
         assert len(cf.factorizations(3 ** 40, 7)) == 2738  # the most that any scenario in the tests lists
         monkeypatch.setattr(cf, "MAX_CHAIN_TYPES", 2737)

@@ -209,7 +209,8 @@ class TestCertify:
         }
 
     # the first of the R5 halvings to be enumerated is that of rank 7; before the cap,
-    # 6**20 at rank 8 ran past 120 s and 720**4 * 10**6 at rank 12 was killed
+    # 6**20 at rank 8 ran past 120 s and 720**4 * 10**6 at rank 12 was killed.  The
+    # message names the scenario given first, and the halving that met the cap after it.
     @pytest.mark.parametrize("rank, index, halved", [
         (8, 6 ** 20, 6 ** 20 // 2), (12, 720 ** 4 * 10 ** 6, 720 ** 4 * 10 ** 6 // 2 ** 5),
     ])
@@ -221,7 +222,18 @@ class TestCertify:
         assert code == 3
         assert captured.out == ""
         assert json.loads(captured.err) == {
-            "error": f"the index {halved} has more than 100,000 chain types of 7 entries", "exit": 3,
+            "error": f"the scenario of rank {rank} and index {index} was not certified: at its R5 halving "
+                     f"to rank 7, the index {halved} has more than 100,000 chain types of 7 entries",
+            "exit": 3,
+        }
+
+    def test_scenario_past_the_chain_type_cap_with_no_halving_names_its_own_index(self, capsys):
+        index = 15 ** 16  # odd, so nothing is halved
+        code = main(["certify", "--model-rank", "7", "--model-index", str(index)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.err) == {
+            "error": f"the index {index} has more than 100,000 chain types of 7 entries", "exit": 3,
         }
 
     def test_scenario_below_the_chain_type_cap_keeps_its_certificate(self, capsys):

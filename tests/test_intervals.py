@@ -179,7 +179,7 @@ def brute_force_core(group, sub):
 def table_core(full, i):
     """The core of member i of a full lattice, from the multiplication table, as permutations."""
     amb = full._amb
-    return {amb.elems[x] for x in lat.bits(amb.core(full.masks[i]))}
+    return {amb.group.elements[x] for x in lat.bits(amb.core(full.masks[i]))}
 
 
 def a3_in_s3():
@@ -304,7 +304,7 @@ class TestOvergroupInterval:
     def test_trivial_group_table(self, degree):
         amb = iv._ambient(trivial_group(degree))
         assert amb.mul == [b"\0"] and amb.inv == [0]
-        assert amb.elems[amb.inv[0]] == amb.elems[0].inverse()
+        assert amb.group.elements[amb.inv[0]] == amb.group.elements[0].inverse()
 
     @pytest.mark.parametrize("name", cat.SCAN_GROUP_NAMES + ("s2xs3_3",))
     def test_inverses_and_rows_match_permutations_on_scan_groups(self, name):
@@ -340,9 +340,26 @@ class TestOvergroupInterval:
         assert amb is interval._amb
         assert len(interval.members) == len(interval.masks) == len(interval)
         for mask, member in zip(interval.masks, interval.members):
-            assert frozenset(member.elements) == {amb.elems[x] for x in lat.bits(mask)}
+            assert frozenset(member.elements) == {amb.group.elements[x] for x in lat.bits(mask)}
             assert amb.subgroup_mask(member) == mask
         assert interval.members is interval.members
+
+    def test_element_ids_witnesses_and_members_are_pinned(self):
+        # over every scan group's full lattice and every named pair: the image
+        # tuples by element id, verify_ore's witness and each member's order and
+        # elements, as the table built from a list of Permutations gave them
+        digest = hashlib.sha256()
+        for name in cat.SCAN_GROUP_NAMES + tuple(sorted(cat._INTERVALS)):
+            interval = cat.catalog_interval(name)
+            amb = iv._ambient(interval.ambient)
+            assert list(amb.images) == [p.images for p in interval.ambient.elements]
+            try:
+                witness = iv.verify_ore(interval).images
+            except NotDistributive:
+                witness = None
+            members = [(m.order, [p.images for p in m.elements]) for m in interval.members]
+            digest.update(repr((name, list(amb.images), witness, members)).encode())
+        assert digest.hexdigest() == "aa65314198929fe921168373bf603ab808ec6a1b8fea890f8881d4d5c7577b51"
 
     def test_len_does_not_build_members(self):
         full = cat.catalog_interval("s4")
@@ -480,9 +497,9 @@ class TestElementIds:
 
 def reference_conjugate(amb, mask, s):
     """s·K·s⁻¹ by Permutation arithmetic on each element of K, the reference for `_Ambient.conjugate`."""
-    p = amb.elems[s]
+    p = amb.group.elements[s]
     p_inv = p.inverse()
-    return sum(1 << amb.index[(p * amb.elems[x] * p_inv).images] for x in reference_bits(mask))
+    return sum(1 << amb.index[(p * amb.group.elements[x] * p_inv).images] for x in reference_bits(mask))
 
 
 def assert_conjugates_match_reference(amb, masks, conjugators):
@@ -811,7 +828,7 @@ class TestNormalizerOrbits:
             assert [(ext.mask, double) for _, ext, double in walk] == [((1 << amb.n) - 1, ((1 << amb.n) - 1) & ~k.mask)]
             return
         normalizer = amb.generated(k.gens + amb.normalizer_gens(k, [double for _, _, double in walk]))
-        assert {amb.elems[x] for x in normalizer.elems} == brute_force_normalizer(group, base)
+        assert {amb.group.elements[x] for x in normalizer.elems} == brute_force_normalizer(group, base)
 
     @settings(max_examples=30, deadline=None)
     @given(groups_with_normalized_base(), st.randoms(use_true_random=False))
@@ -858,7 +875,7 @@ class TestNormalizerOrbits:
             if not any(m & ~normalizer for m in carried):
                 continue
             interval = iv._build_interval(amb, covers)
-            base = FiniteGroup(group.degree, [], [amb.elems[x] for x in lat.bits(mask)])
+            base = FiniteGroup(group.degree, [], [amb.group.elements[x] for x in lat.bits(mask)])
             assert member_sets(interval) == reference_overgroups(group, base)
             assert interval.idx == tuple(amb.n // m.bit_count() for m in interval.masks)
             assert_matches_subgroup_inclusion(interval)

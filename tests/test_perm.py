@@ -189,24 +189,46 @@ class TestTrustedGroups:
     def test_trusted_and_public_groups_agree(self, case, data):
         degree, gens = case
         trusted = generate(degree, gens)
-        public = FiniteGroup(degree, gens, reversed(trusted.elements))
-        assert public.elements == trusted.elements and public.order == trusted.order
+        public = FiniteGroup(degree, gens, reversed(reference_closure(degree, gens)))
+        below = subgroup_generated(trusted, gens[:1])
+        below_public = FiniteGroup(degree, [], reference_closure(degree, gens[:1]))
         assert public == trusted and trusted == public and hash(public) == hash(trusted)
+        assert below == below_public and hash(below) == hash(below_public)
+        # nothing above wrapped an element; the first read of `elements` does
+        assert trusted._elements is None and below._elements is None
+        assert public.elements == trusted.elements and public.order == trusted.order
+        assert below_public.elements == below.elements and below_public.order == below.order
         others = [Permutation(i) for i in data.draw(st.lists(st.permutations(range(degree)), max_size=5))]
+        public_images = {q.images for q in public.elements}
         for p in list(trusted.elements) + others:
-            assert (p in trusted) == (p in public) == (p.images in {q.images for q in public.elements})
-        below = generate(degree, gens[:1])
-        below_public = FiniteGroup(degree, [], below.elements)
+            assert (p in trusted) == (p in public) == (p.images in public_images)
         assert below <= trusted and below_public <= public
         assert (trusted <= below) == (public <= below_public) == (below.order == trusted.order)
         assert (trusted == below) == (public == below_public) == (below.order == trusted.order)
 
-    def test_a_group_read_for_order_and_elements_builds_no_set(self):
-        group = generate(5, list(cat.symmetric(5).generators))
-        assert group.order == 120 and len(group.elements) == 120
-        assert group._set is None
-        assert group.elements[7] in group
-        assert group._set is not None
+    @pytest.mark.parametrize("name", ["s5", "psl2_7", "s2xs3_2"])
+    def test_reading_a_closed_group_wraps_no_element(self, name, monkeypatch):
+        source = cat.catalog_group(name)
+        gens = list(source.generators)
+        inside, outside = source.elements[3], Permutation.identity(source.degree + 1)
+        wrapped = []
+        trusted = Permutation._trusted
+        monkeypatch.setattr(Permutation, "_trusted", staticmethod(lambda images: wrapped.append(images) or trusted(images)))
+        group = generate(source.degree, gens)
+        sub = subgroup_generated(group, gens[:1])
+        assert group.order == source.order and 1 < sub.order < group.order
+        assert inside in group and outside not in group and (inside in sub) == (inside.images in sub._set)
+        assert group == source and sub <= group and not group <= sub and sub != group
+        assert hash(group) == hash(source) and len({group, sub, source}) == 2
+        assert wrapped == []
+        assert group.elements == source.elements and len(wrapped) == group.order
+        assert group.elements is group.elements and len(wrapped) == group.order
+
+    @pytest.mark.parametrize("outsider", [(0, 1, 2), [0, 1, 2], "s3", None, 0])
+    def test_only_a_permutation_is_a_member(self, outsider):
+        group = cat.catalog_group("s3")
+        assert Permutation(range(3)) in group
+        assert outsider not in group
 
     def test_repeated_element_is_refused(self):
         group = s3()
